@@ -3,7 +3,7 @@
 from .ratfield import (Poly, RatFun, TPolyRat, DomainError, PoleError,
                        partial_fractions, solve_exact, rank_exact, eps_vec)
 from .rmatrix import (r_component, psi_component, chi, elementary_symmetric,
-                      complete_symmetric, CheckReport, verify_all)
+                      complete_symmetric, CheckReport)
 from .potential import (NotFlat, NotInW, sigma_from_potential,
                         sigma_system_check, delta_system_check, w_decompose,
                         WDecomposition, reconstruct_potential,

@@ -12,10 +12,10 @@ import os
 import sys
 from fractions import Fraction
 
+from . import rmatrix
 from .ratfield import RatFun, DomainError, PoleError
-from .rmatrix import verify_all
 from .diffring import RingSpec, NormalElement, multiply, normal_form, \
-    verify_pbw, zhelobenko_assignment, check_assignment
+    verify_pbw, zhelobenko_assignment, check_assignment, _add_term
 from .potential import (NotFlat, NotInW, delta_system_check, w_decompose,
                         reconstruct_potential, sigma_from_potential)
 from .central import central_family, MismatchError
@@ -109,12 +109,12 @@ def _cmd_nf(args):
             raise DomainError(f"--n {args.n} does not match input n={n}")
         spec = _build_spec(args, n)
         if isinstance(val, NormalElement):
-            words = [[f] + NormalElement._mono_tokens(a, b)
-                     for (a, b), f in val.terms.items()]
-            out = NormalElement(n, {})
-            for w in words:
-                out = out + normal_form(spec, w, args.strategy)
-            val = out
+            acc = {}
+            for (a, b), f in val.terms.items():
+                w = [f] + NormalElement._mono_tokens(a, b)
+                for k, c in normal_form(spec, w, args.strategy).terms.items():
+                    _add_term(acc, k, c)
+            val = NormalElement(n, acc)
     else:
         n = _resolve_n(args, ast, *_sigma_asts(args))
         spec = _build_spec(args, n)
@@ -261,8 +261,18 @@ def _cmd_lw_character(args):
 
 
 def _cmd_verify(args):
-    reports = verify_all(args.n)
-    report = reports[args.what]
+    if args.n < 1:
+        raise DomainError("needs n >= 1")
+    # looked up at call time, so that only the requested sweep runs
+    sweeps = {
+        "ybe": rmatrix.verify_dybe,
+        "rsq": rmatrix.verify_r_squared,
+        "ice": rmatrix.verify_ice,
+        "shift": rmatrix.verify_shift_invariance,
+        "skew": rmatrix.verify_skew_inverse,
+        "qid": rmatrix.verify_q_identity,
+    }
+    report = sweeps[args.what](args.n)
     npass = sum(1 for _, ok in report.results if ok)
     print(f"{npass}/{report.total} pass")
     if npass != report.total:

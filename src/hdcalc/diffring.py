@@ -11,9 +11,11 @@ Generator words are token lists: ('x', i), ('d', i), or a coefficient RatFun.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .ratfield import Poly, RatFun, eps_vec
 from .rmatrix import phi, phi_inv, psi_component
+from .potential import sigma_system_check
 
 
 class RingSpec:
@@ -108,14 +110,7 @@ class NormalElement:
         assert self.n == other.n
         out = dict(self.terms)
         for k, v in other.terms.items():
-            if k in out:
-                s = out[k] + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = v
+            _add_term(out, k, v)
         return NormalElement(self.n, out)
 
     def __sub__(self, other):
@@ -190,35 +185,83 @@ class NormalElement:
 # the rewriting engine
 
 
-def _collapse_coeffs(n, coeff, toks):
-    """Migrate coefficient tokens to the far left; returns (coeff, generator list).
+def _add_term(acc, key, c):
+    """acc[key] += c in place; a slot that cancels is dropped."""
+    prev = acc.get(key)
+    if prev is not None:
+        c = prev + c
+    if c.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = c
 
-    Moving a coefficient left across x_j shifts it by -e_j, across d_j by +e_j.
-    """
-    gens = []
-    svec = [0] * n
-    for t in toks:
-        if isinstance(t, RatFun):
-            if any(svec):
-                t = t.shift(tuple(svec))
-            coeff = coeff * t
-        else:
-            gens.append(t)
-            if t[0] == 'x':
-                svec[t[1] - 1] -= 1
+
+def _rewrite(n, word, order, resolve, strategy):
+    """Rewrite a token word into a sum of ordered generator words.
+
+    Tokens are generators (species, index, ...) with species 'x' or 'd', and
+    coefficient RatFuns.  A coefficient moved left across x_j is shifted by
+    -e_j, across d_j by +e_j.  An adjacent pair t1 t2 is out of order when
+    order(t1) > order(t2), and resolve(t1, t2) returns its replacement as a
+    list of token lists (a sum).  strategy picks which out-of-order pair is
+    rewritten first, the leftmost ("left") or the rightmost ("right"); the
+    result does not depend on it exactly when the rules are confluent.
+
+    Returns dict: ordered generator tuple -> RatFun (no zero values)."""
+    acc = {}
+    stack = [(RatFun.one(n), list(word))]
+    while stack:
+        coeff, toks = stack.pop()
+        gens = []
+        svec = [0] * n
+        for t in toks:
+            if isinstance(t, RatFun):
+                if any(svec):
+                    t = t.shift(tuple(svec))
+                coeff = coeff * t
             else:
-                svec[t[1] - 1] += 1
-    return coeff, gens
+                gens.append(t)
+                svec[t[1] - 1] += -1 if t[0] == 'x' else 1
+        if coeff.is_zero():
+            continue
+        pairs = range(len(gens) - 1)
+        if strategy != "left":
+            pairs = reversed(pairs)
+        idx = next((p for p in pairs if order(gens[p]) > order(gens[p + 1])),
+                   None)
+        if idx is None:
+            _add_term(acc, tuple(gens), coeff)
+            continue
+        head, tail = gens[:idx], gens[idx + 2:]
+        for repl in resolve(gens[idx], gens[idx + 1]):
+            stack.append((coeff, head + repl + tail))
+    return acc
 
 
-def _is_defect(t1, t2):
-    s1, i1 = t1
-    s2, i2 = t2
-    if s1 == 'x' and s2 == 'd':
-        return True
-    if s1 == s2 and i1 < i2:
-        return True
-    return False
+def _exponents(n, gens):
+    """(a, b) exponents of an ordered word of d's and x's."""
+    a = [0] * n
+    b = [0] * n
+    for s, i in gens:
+        (a if s == 'd' else b)[i - 1] += 1
+    return tuple(a), tuple(b)
+
+
+@lru_cache(maxsize=None)
+def _swap_coeff(n, kind, i, j):
+    """Coefficient of the one-copy swap of generators i and j:
+    x^i x^j = c x^j x^i, d_i d_j = c d_j d_i, x^i d_j = c d_j x^i (i > j)."""
+    hij = RatFun.from_poly(Poly.diff(n, i, j))
+    if kind == "xx":
+        return (hij + 1) * RatFun.inverse_diff(n, i, j)
+    if kind == "dd":
+        return (hij - 1) * RatFun.inverse_diff(n, i, j)
+    return hij * (hij - 2) * (RatFun.inverse_diff(n, i, j, -1) ** 2)
+
+
+def _ring_order(t):
+    # d's left of x's, each species in descending index
+    return (t[0] == 'x', -t[1])
 
 
 def _resolve(spec, t1, t2):
@@ -226,24 +269,15 @@ def _resolve(spec, t1, t2):
     n = spec.n
     s1, i = t1
     s2, j = t2
-    if s1 == 'x' and s2 == 'x':
-        # x^i x^j -> (h_ij + 1)/h_ij x^j x^i   (i < j)
-        hij = RatFun.from_poly(Poly.diff(n, i, j))
-        c = (hij + 1) * RatFun.inverse_diff(n, i, j)
-        return [[c, ('x', j), ('x', i)]]
-    if s1 == 'd' and s2 == 'd':
-        # d_i d_j -> (h_ij - 1)/h_ij d_j d_i   (i < j)
-        hij = RatFun.from_poly(Poly.diff(n, i, j))
-        c = (hij - 1) * RatFun.inverse_diff(n, i, j)
-        return [[c, ('d', j), ('d', i)]]
+    if s1 == s2:
+        # x^i x^j -> (h_ij + 1)/h_ij x^j x^i, d_i d_j -> (h_ij - 1)/h_ij d_j d_i
+        return [[_swap_coeff(n, s1 + s2, i, j), (s2, j), (s1, i)]]
     # x^i d_j
     if i < j:
         return [[('d', j), ('x', i)]]
     if i > j:
         # h_ij (h_ij - 2) / (h_ij - 1)^2 d_j x^i
-        hij = RatFun.from_poly(Poly.diff(n, i, j))
-        c = hij * (hij - 2) * (RatFun.inverse_diff(n, i, j, -1) ** 2)
-        return [[c, ('d', j), ('x', i)]]
+        return [[_swap_coeff(n, "xd", i, j), ('d', j), ('x', i)]]
     # x^i d_i -> sum_j 1/(1 - h_ij) d_j x^j - sigma_i
     out = []
     for k in range(1, n + 1):
@@ -262,48 +296,20 @@ def normal_form(spec, word, strategy="left"):
     strategy picks which defect to rewrite first; any strategy gives the same
     result exactly when sigma is flat."""
     n = spec.n
-    acc = {}
-    stack = [(RatFun.one(n), list(word))]
-    while stack:
-        coeff, toks = stack.pop()
-        coeff, gens = _collapse_coeffs(n, coeff, toks)
-        if coeff.is_zero():
-            continue
-        idx = None
-        rng = range(len(gens) - 1)
-        for p in (rng if strategy == "left" else reversed(rng)):
-            if _is_defect(gens[p], gens[p + 1]):
-                idx = p
-                break
-        if idx is None:
-            a = [0] * n
-            b = [0] * n
-            for s, i in gens:
-                (a if s == 'd' else b)[i - 1] += 1
-            key = (tuple(a), tuple(b))
-            prev = acc.get(key)
-            tot = coeff if prev is None else prev + coeff
-            if tot.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
-            continue
-        head, tail = gens[:idx], gens[idx + 2:]
-        for repl in _resolve(spec, gens[idx], gens[idx + 1]):
-            stack.append((coeff, head + repl + tail))
-    return NormalElement(n, acc)
+    terms = _rewrite(n, word, _ring_order, partial(_resolve, spec), strategy)
+    return NormalElement(n, {_exponents(n, g): c for g, c in terms.items()})
 
 
 def multiply(spec, a, b):
     """Product of two normal elements, re-normal-ordered."""
-    n = spec.n
-    out = NormalElement(n, {})
+    acc = {}
     for (am, bm), fa in a.terms.items():
         mono_a = NormalElement._mono_tokens(am, bm)
         for (an, bn), fb in b.terms.items():
             word = mono_a + [fb] + NormalElement._mono_tokens(an, bn)
-            out = out + normal_form(spec, word).scale(fa)
-    return out
+            for k, c in normal_form(spec, word).terms.items():
+                _add_term(acc, k, fa * c)
+    return NormalElement(spec.n, acc)
 
 
 def commutator(spec, a, b):
@@ -314,14 +320,9 @@ def commutator(spec, a, b):
 # the opposite ("module") order: x left of d, for acting on lowest weights
 
 
-def _is_defect_module(t1, t2):
-    s1, i1 = t1
-    s2, i2 = t2
-    if s1 == 'd' and s2 == 'x':
-        return True
-    if s1 == s2 and i1 < i2:
-        return True
-    return False
+def _module_order(t):
+    # x's left of d's, each species in descending index
+    return (t[0] == 'd', -t[1])
 
 
 def _resolve_module(spec, t1, t2):
@@ -347,66 +348,35 @@ def module_form(spec, word, strategy="left"):
     """Order a word with x left of d (both descending).  Used for module
     actions: terms still containing d annihilate a lowest weight vector."""
     n = spec.n
-    acc = {}
-    stack = [(RatFun.one(n), list(word))]
-    while stack:
-        coeff, toks = stack.pop()
-        coeff, gens = _collapse_coeffs(n, coeff, toks)
-        if coeff.is_zero():
-            continue
-        idx = None
-        rng = range(len(gens) - 1)
-        for p in (rng if strategy == "left" else reversed(rng)):
-            if _is_defect_module(gens[p], gens[p + 1]):
-                idx = p
-                break
-        if idx is None:
-            a = [0] * n
-            b = [0] * n
-            for s, i in gens:
-                (a if s == 'd' else b)[i - 1] += 1
-            key = (tuple(a), tuple(b))
-            prev = acc.get(key)
-            tot = coeff if prev is None else prev + coeff
-            if tot.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
-            continue
-        head, tail = gens[:idx], gens[idx + 2:]
-        for repl in _resolve_module(spec, gens[idx], gens[idx + 1]):
-            stack.append((coeff, head + repl + tail))
-    return acc  # dict (a, b) -> coeff, with coeff left of x^b d^a
+    terms = _rewrite(n, word, _module_order, partial(_resolve_module, spec),
+                     strategy)
+    # dict (a, b) -> coeff, with coeff left of x^b d^a
+    return {_exponents(n, g): c for g, c in terms.items()}
 
 
 def element_to_module_terms(spec, elem):
     """Rewrite a normal element in the module order."""
-    n = spec.n
     acc = {}
     for (a, b), f in elem.terms.items():
         word = [f] + NormalElement._mono_tokens(a, b)
         for key, c in module_form(spec, word).items():
-            prev = acc.get(key)
-            tot = c if prev is None else prev + c
-            if tot.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
+            _add_term(acc, key, c)
     return acc
 
 
 def module_terms_to_element(spec, terms):
     """Inverse of element_to_module_terms (re-normal-orders x^b d^a words)."""
     n = spec.n
-    out = NormalElement(n, {})
+    acc = {}
     for (a, b), f in terms.items():
         word = [f]
         for i in range(n, 0, -1):
             word.extend([('x', i)] * b[i - 1])
         for i in range(n, 0, -1):
             word.extend([('d', i)] * a[i - 1])
-        out = out + normal_form(spec, word)
-    return out
+        for k, c in normal_form(spec, word).terms.items():
+            _add_term(acc, k, c)
+    return NormalElement(n, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +387,7 @@ def epsilon_antiauto(spec, elem):
     """The involutive anti-automorphism: fixes the weight field,
     d_i -> phi_i x^i and x^i -> d_i phi_i^{-1}."""
     n = spec.n
-    out = NormalElement(n, {})
+    acc = {}
     for (a, b), f in elem.terms.items():
         word = []
         # reverse of d_n^{a_n}..d_1^{a_1} x_n^{b_n}..x_1^{b_1}
@@ -428,8 +398,9 @@ def epsilon_antiauto(spec, elem):
             for _ in range(a[i - 1]):
                 word.extend([phi(n, i), ('x', i)])
         word.append(f)
-        out = out + normal_form(spec, word)
-    return out
+        for k, c in normal_form(spec, word).terms.items():
+            _add_term(acc, k, c)
+    return NormalElement(n, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +456,8 @@ def verify_pbw(spec):
                 w = [('x', j), ('x', k), ('d', i)]
                 same = normal_form(spec, w, "left") == normal_form(spec, w, "right")
                 direct.append((("xxd", i, j, k), same))
-    system = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                system.append(((i, j), True))
-                continue
-            lhs = RatFun.from_poly(Poly.diff(n, i, j)) * spec.sigma[i - 1].delta(j)
-            ok = (lhs - spec.sigma[i - 1] + spec.sigma[j - 1]).is_zero()
-            system.append(((i, j), ok))
+    ok, pair = sigma_system_check(spec.sigma)
+    system = [(("sigma",) + (pair or ()), ok)]
     return PBWReport(n, direct, system)
 
 
@@ -549,12 +513,11 @@ def check_assignment(src, dst, assign):
     one = RatFun.one(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            hij = RatFun.from_poly(Poly.diff(n, i, j))
-            cxx = mc((hij + 1) * RatFun.inverse_diff(n, i, j))
+            cxx = mc(_swap_coeff(n, "xx", i, j))
             lhs = multiply(dst, X[i - 1], X[j - 1]) \
                 - multiply(dst, X[j - 1], X[i - 1]).scale(cxx)
             results.append((("xx", i, j), lhs.is_zero()))
-            cdd = mc((hij - 1) * RatFun.inverse_diff(n, i, j))
+            cdd = mc(_swap_coeff(n, "dd", i, j))
             lhs = multiply(dst, D[i - 1], D[j - 1]) \
                 - multiply(dst, D[j - 1], D[i - 1]).scale(cdd)
             results.append((("dd", i, j), lhs.is_zero()))
@@ -565,8 +528,7 @@ def check_assignment(src, dst, assign):
             if i < j:
                 c = one
             else:
-                hij = RatFun.from_poly(Poly.diff(n, i, j))
-                c = mc(hij * (hij - 2) * (RatFun.inverse_diff(n, i, j, -1) ** 2))
+                c = mc(_swap_coeff(n, "xd", i, j))
             lhs = multiply(dst, X[i - 1], D[j - 1]) \
                 - multiply(dst, D[j - 1], X[i - 1]).scale(c)
             results.append((("xd", i, j), lhs.is_zero()))

@@ -12,10 +12,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
-from .ratfield import RatFun, Poly, eps_vec, rank_exact
+from .ratfield import RatFun, eps_vec, rank_exact
 from .rmatrix import r_component, CheckReport
 from .potential import sigma_system_check
+from .diffring import _rewrite, _swap_coeff
 
 
 class SigmaArray:
@@ -113,31 +115,9 @@ def constant_profile(s):
 # mixed rewriting over tokens ('x', i, a) / ('d', j, b) / RatFun
 
 
-def _collapse(n, coeff, toks):
-    gens = []
-    svec = [0] * n
-    for t in toks:
-        if isinstance(t, RatFun):
-            if any(svec):
-                t = t.shift(tuple(svec))
-            coeff = coeff * t
-        else:
-            gens.append(t)
-            if t[0] == 'x':
-                svec[t[1] - 1] -= 1
-            else:
-                svec[t[1] - 1] += 1
-    return coeff, gens
-
-
-def _is_defect(t1, t2):
-    s1, i1, c1 = t1
-    s2, i2, c2 = t2
-    if s1 == 'x' and s2 == 'd':
-        return True
-    if s1 == s2 and (c1, -i1) > (c2, -i2):
-        return True
-    return False
+def _copy_order(t):
+    # d's left of x's, each species by copy, then descending index
+    return (t[0] == 'x', t[2], -t[1])
 
 
 def _resolve(n, sig, t1, t2):
@@ -145,10 +125,7 @@ def _resolve(n, sig, t1, t2):
     s2, i2, c2 = t2
     if s1 == s2 and c1 == c2:
         # one-copy rule, copy tag carried along
-        i, j = i1, i2
-        hij = RatFun.from_poly(Poly.diff(n, i, j))
-        c = (hij + (1 if s1 == 'x' else -1)) * RatFun.inverse_diff(n, i, j)
-        return [[c, (s1, j, c1), (s1, i, c1)]]
+        return [[_swap_coeff(n, s1 + s2, i1, i2), (s2, i2, c2), (s1, i1, c1)]]
     if s1 == 'x' and s2 == 'x':
         # x^{i,c1} x^{j,c2} = sum R^{ij}_{kl} x^{k,c2} x^{l,c1}   (c1 > c2)
         i, j = i1, i2
@@ -184,32 +161,7 @@ def mixed_normal_form(n, sig, word, strategy="left"):
 
     Returns dict: canonical generator tuple -> RatFun.  Canonical order is
     d-block then x-block, each sorted by (copy, descending index)."""
-    acc = {}
-    stack = [(RatFun.one(n), list(word))]
-    while stack:
-        coeff, toks = stack.pop()
-        coeff, gens = _collapse(n, coeff, toks)
-        if coeff.is_zero():
-            continue
-        idx = None
-        rng = range(len(gens) - 1)
-        for p in (rng if strategy == "left" else reversed(rng)):
-            if _is_defect(gens[p], gens[p + 1]):
-                idx = p
-                break
-        if idx is None:
-            key = tuple(gens)
-            prev = acc.get(key)
-            tot = coeff if prev is None else prev + coeff
-            if tot.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
-            continue
-        head, tail = gens[:idx], gens[idx + 2:]
-        for repl in _resolve(n, sig, gens[idx], gens[idx + 1]):
-            stack.append((coeff, head + repl + tail))
-    return acc
+    return _rewrite(n, word, _copy_order, partial(_resolve, n, sig), strategy)
 
 
 def vcopy_normal_form(n, ncopies, word, strategy="left"):

@@ -353,14 +353,6 @@ def factor_poly(n, fac):
     return Poly.diff(n, i, j, a)
 
 
-def den_poly(n, den):
-    """Expand a denominator multiset into a Poly (for cross-checks only)."""
-    p = Poly.const(n, 1)
-    for fac, m in den.items():
-        p = p * (factor_poly(n, fac) ** m)
-    return p
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 

@@ -331,14 +331,3 @@ def verify_chi_identity(n, L):
         target = RatFun.from_poly(complete_symmetric(n, L - n + 1))
     return s == target
 
-
-def verify_all(n):
-    """The verifier suite bundled (used by the command line)."""
-    return {
-        "ybe": verify_dybe(n),
-        "rsq": verify_r_squared(n),
-        "ice": verify_ice(n),
-        "shift": verify_shift_invariance(n),
-        "skew": verify_skew_inverse(n),
-        "qid": verify_q_identity(n),
-    }

@@ -28,6 +28,12 @@ def test_verify_other_suites(capsys):
         assert out.strip().endswith("pass")
 
 
+def test_verify_rejects_empty_sweep(capsys):
+    rc, out, err = run(capsys, "verify", "ybe", "-n", "0")
+    assert rc == 2
+    assert out == "" and "n >= 1" in err
+
+
 def test_check_pbw_flat(capsys):
     rc, out, _ = run(capsys, "check-pbw", "-n", "2", "--sigmas", "1;1")
     assert rc == 0

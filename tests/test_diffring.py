@@ -12,6 +12,7 @@ from hdcalc.diffring import (RingSpec, NormalElement, normal_form, multiply,
                              verify_pbw, check_assignment,
                              zhelobenko_assignment, scaling_assignment,
                              localized_coordinates_commute)
+from hdcalc.multicopy import SigmaArray, mixed_normal_form
 
 
 def Hpot(n, L):
@@ -103,6 +104,39 @@ def test_strategy_independence_needs_flatness():
     # sigma = (h1, h2) fails the difference system; the two orders disagree
     bad = RingSpec(n, (RatFun.var(n, 1), RatFun.var(n, 2)))
     assert normal_form(bad, word, "left") != normal_form(bad, word, "right")
+
+
+def test_strategy_independence_on_random_words():
+    # words of length 4-5, beyond the three-letter overlap words: the
+    # leftmost-first and rightmost-first reductions agree exactly when the
+    # rules are confluent, in the ring, module and multi-copy orders
+    rng = random.Random(11)
+    n = 2
+    f = (Hpot(n, 1) * rng.randint(1, 5) + Hpot(n, 2) * rng.randint(1, 5)
+         + (RatFun.var(n, 2) + rng.randint(1, 5)) / chi(n, 2))
+    flat = RingSpec(n, sigma_from_potential(f))
+    bumped = RingSpec(n, (flat.sigma[0] + RatFun.var(n, 2), flat.sigma[1]))
+    words = [[(rng.choice("xd"), rng.randint(1, n))
+              for _ in range(rng.randint(4, 5))] for _ in range(6)]
+    differs = False
+    for w in words:
+        for form in (normal_form, module_form):
+            assert form(flat, w, "left") == form(flat, w, "right")
+            differs |= form(bumped, w, "left") != form(bumped, w, "right")
+    assert differs
+
+    const = SigmaArray.constant(n, 2, 2, {(1, 1): 1, (1, 2): 2,
+                                          (2, 1): 0, (2, 2): 3})
+    varying = SigmaArray(n, 2, 2, {(i, 1, 1): RatFun.var(n, i) for i in (1, 2)})
+    differs = False
+    for _ in range(6):
+        w = [(rng.choice("xd"), rng.randint(1, n), rng.randint(1, 2))
+             for _ in range(rng.randint(4, 5))]
+        assert (mixed_normal_form(n, const, w, "left")
+                == mixed_normal_form(n, const, w, "right"))
+        differs |= (mixed_normal_form(n, varying, w, "left")
+                    != mixed_normal_form(n, varying, w, "right"))
+    assert differs
 
 
 def test_verify_pbw_flags():
