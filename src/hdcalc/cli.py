@@ -436,6 +436,12 @@ def main(argv=None):
     except (DomainError, PoleError, NonGenericWeight) as e:
         _fail(f"error: {e}")
         return 2
+    except ZeroDivisionError:
+        _fail("error: division by zero")
+        return 2
+    except RecursionError:
+        _fail("error: expression nested too deeply")
+        return 2
     except (NotFlat, NotInW, MismatchError) as e:
         _fail(f"check failed: {e}")
         return 1

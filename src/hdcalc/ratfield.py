@@ -6,6 +6,13 @@ Polynomials are sparse exponent-dicts over fractions.Fraction.  Denominators
 are kept as factored multisets of LinFactor keys (i, j, a) with i < j, meaning
 h_i - h_j + a, and are never expanded; this keeps shifts, cancellation and
 partial fractions exact and cheap.
+
+Every RatFun construction cancels: for each denominator factor h_i - h_j + a
+the numerator is first evaluated mod the prime 2**61 - 1 at one fixed integer
+point of the hyperplane h_i = h_j - a.  A nonzero value proves the factor does
+not divide the numerator; only a zero value goes on to the exact test, the
+substitution h_i := h_j - a, and then to the exact division.  No answer rests
+on the pre-filter alone.
 """
 
 from __future__ import annotations
@@ -230,21 +237,24 @@ class Poly:
     def subst_var_linear(self, i, j, a):
         """Substitute h_i := h_j + a (i != j); result has no h_i."""
         assert i != j
-        out = Poly.zero(self.n)
+        out = {}
         idx = i - 1
         jdx = j - 1
-        # group by exponent of h_i, expand (h_j + a)^d
-        hj_plus_a = Poly.var(self.n, j) + Poly.const(self.n, a)
-        powers = {0: Poly.const(self.n, 1)}
-        maxd = self.degree_in(i)
-        for d in range(1, max(maxd, 0) + 1):
-            powers[d] = powers[d - 1] * hj_plus_a
+        # expand (h_j + a)^d term by term, highest power of h_j first
         for e, v in self.terms.items():
             d = e[idx]
-            rest = list(e)
-            rest[idx] = 0
-            out = out + (Poly(self.n, {tuple(rest): v}) * powers[d])
-        return out
+            base = list(e)
+            base[idx] = 0
+            dj = e[jdx]
+            for m in range(d, -1, -1):
+                base[jdx] = dj + m
+                key = tuple(base)
+                s = out.get(key, F0) + v * (comb(d, m) * a ** (d - m))
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return Poly(self.n, out)
 
     def div_linfactor(self, i, j, a):
         """Exact division by h_i - h_j + a; None if not divisible."""
@@ -353,6 +363,39 @@ def factor_poly(n, fac):
     return Poly.diff(n, i, j, a)
 
 
+# Pre-filter for the divisibility test in RatFun._cancel.  If the factor
+# h_i - h_j + a divides num over Q, num vanishes at every integer point with
+# h_i = h_j - a, hence so does its value reduced mod a prime P that divides
+# no coefficient denominator.  A nonzero value mod P is therefore a proof of
+# non-divisibility; a zero value proves nothing and the exact test decides.
+_P = 2**61 - 1  # Mersenne prime
+_STEP = 0x9E3779B97F4A7C15 % _P  # golden-ratio step: coordinates far apart
+
+
+def _point(n):
+    """The fixed integer point (h_1, ..., h_n) the pre-filter starts from."""
+    return [k * _STEP % _P for k in range(1, n + 1)]
+
+
+def _may_vanish(num, i, j, a):
+    """False only if num is provably nonzero on the hyperplane h_i = h_j - a."""
+    pt = _point(num.n)
+    pt[i - 1] = (pt[j - 1] - a) % _P
+    total = 0
+    for e, c in num.terms.items():
+        v = c.numerator
+        d = c.denominator
+        if d != 1:
+            if d % _P == 0:
+                return True
+            v = v * pow(d, -1, _P)
+        for x, k in zip(pt, e):
+            if k:
+                v = v * pow(x, k, _P) % _P
+        total += v
+    return total % _P == 0
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -419,25 +462,22 @@ class RatFun:
         if self.num.is_zero():
             self.den = {}
             return
-        changed = True
-        while changed:
-            changed = False
-            for fac in list(self.den):
-                i, j, a = fac
-                while self.den.get(fac, 0) > 0:
-                    sup = self.num.support_vars()
-                    if i not in sup and j not in sup:
-                        break
-                    # h_i - h_j + a divides num iff num vanishes at h_i := h_j - a
-                    if not self.num.subst_var_linear(i, j, -a).is_zero():
-                        break
-                    q = self.num.div_linfactor(i, j, a)
-                    assert q is not None
-                    self.num = q
-                    self.den[fac] -= 1
-                    changed = True
-                if self.den.get(fac) == 0:
-                    del self.den[fac]
+        # Distinct factors are coprime, so a factor that does not divide num
+        # does not divide num / (another factor) either: one pass suffices.
+        for fac in list(self.den):
+            i, j, a = fac
+            m = self.den[fac]
+            # h_i - h_j + a divides num iff num vanishes at h_i := h_j - a
+            while (m > 0 and _may_vanish(self.num, i, j, a)
+                   and self.num.subst_var_linear(i, j, -a).is_zero()):
+                q = self.num.div_linfactor(i, j, a)
+                assert q is not None
+                self.num = q
+                m -= 1
+            if m:
+                self.den[fac] = m
+            else:
+                del self.den[fac]
 
     # -- predicates
 

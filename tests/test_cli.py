@@ -193,6 +193,22 @@ def test_usage_errors(capsys):
     assert rc == 2 and "--n 2" in err
 
 
+@pytest.mark.parametrize("expr", ["1/0", "1/(h1-h1)"])
+def test_division_by_zero_is_usage_error(capsys, expr):
+    rc, out, err = run(capsys, "nf", expr, "-n", "2")
+    assert rc == 2 and out == ""
+    assert err.strip() == "error: division by zero"
+
+
+@pytest.mark.parametrize("expr", ["(" * 3000 + "h1" + ")" * 3000,
+                                  "+".join(["h1"] * 3000)],
+                         ids=["parentheses", "flat-sum"])
+def test_deep_nesting_is_usage_error(capsys, expr):
+    rc, out, err = run(capsys, "nf", expr, "-n", "2")
+    assert rc == 2 and out == ""
+    assert err.strip() == "error: expression nested too deeply"
+
+
 def test_help_exits_zero(capsys):
     assert main(["-h"]) == 0
     capsys.readouterr()

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, assume, strategies as st
 
 from hdcalc.ratfield import (Poly, RatFun, TPolyRat, DomainError, PoleError,
                              partial_fractions, reassemble_partial_fractions,
                              factor_linfactors, solve_exact, rank_exact,
-                             eps_vec)
+                             eps_vec, _P, _point, _may_vanish)
 
 
 def sym_vars(n):
@@ -57,6 +58,20 @@ def test_poly_shift_matches_substitution():
         assert shifted == sympy.expand(direct)
 
 
+def test_subst_var_linear_matches_sympy():
+    rng = random.Random(9)
+    for n in (2, 3, 4):
+        hs = sym_vars(n)
+        for _ in range(8):
+            p = rand_poly(rng, n, 6, 3)
+            i, j = rng.sample(range(1, n + 1), 2)
+            for a in (-2, 0, 3):
+                got = p.subst_var_linear(i, j, a)
+                want = sympy.expand(to_sympy(p).subs(hs[i - 1], hs[j - 1] + a))
+                assert to_sympy(got) == want
+                assert got.degree_in(i) <= 0
+
+
 def test_poly_fraction_coefficients_stay_exact():
     p = Poly(1, {(1,): Fraction(1, 3), (0,): Fraction(1, 2)})
     q = p * p
@@ -77,6 +92,52 @@ def test_ratfun_cancellation_is_automatic():
     f = RatFun.build(num, [(1, 2, 0)])  # (h1-h2)(h1+h2)/(h1-h2)
     assert f.is_poly()
     assert f == RatFun.from_poly(Poly(n, {(1, 0): Fraction(1), (0, 1): Fraction(1)}))
+
+
+def test_cancel_keeps_factor_when_only_the_prefilter_point_vanishes():
+    # h3 - x3 vanishes at the pre-filter point for every hyperplane that
+    # leaves h3 alone, but h1 - h2 does not divide it
+    n = 3
+    num = Poly(n, {(0, 0, 1): Fraction(1), (0, 0, 0): Fraction(-_point(n)[2])})
+    assert _may_vanish(num, 1, 2, 0)
+    f = RatFun(num, {(1, 2, 0): 1})
+    assert f.den == {(1, 2, 0): 1}
+    assert f.num == num
+
+
+def test_cancel_with_coefficient_denominator_divisible_by_prime():
+    n = 2
+    rest = Poly(n, {(1, 0): Fraction(1), (0, 0): Fraction(1, 3 * _P)})
+    assert _may_vanish(rest, 1, 2, 0)  # P | denominator: no verdict mod P
+    f = RatFun(Poly.diff(n, 1, 2) ** 2 * rest, {(1, 2, 0): 3, (1, 2, 1): 1})
+    assert f.num == rest
+    assert f.den == {(1, 2, 0): 1, (1, 2, 1): 1}
+
+
+@st.composite
+def _quotient_and_factor(draw):
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=5))
+    q = Poly(n, {e: c for e, c in terms.items() if c})
+    i, j = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                                unique=True)))
+    return q, (i, j, draw(st.integers(-3, 3)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_quotient_and_factor(), st.integers(0, 3), st.integers(1, 3))
+def test_cancel_matches_hand_cancellation(qf, k, m):
+    q, fac = qf
+    i, j, a = fac
+    assume(not q.is_zero())
+    assume(not q.subst_var_linear(i, j, -a).is_zero())  # L does not divide q
+    L = Poly.diff(q.n, i, j, a)
+    f = RatFun(q * L ** k, {fac: m})
+    c = min(k, m)
+    want_den = {fac: m - c} if m > c else {}
+    assert f == RatFun(q * L ** (k - c), want_den, _canonical=True)
 
 
 def test_ratfun_canonical_equality():
