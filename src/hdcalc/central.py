@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ratfield import Poly, RatFun, TPolyRat, rank_exact
-from .rmatrix import chi, elementary_symmetric, psi_component
+from .rmatrix import chi_inv, e_generating, elementary_symmetric, psi_component
 from .potential import NotInW, w_decompose
 from .diffring import RingSpec, NormalElement, commutator
 from .potential import sigma_from_potential
@@ -19,12 +19,6 @@ from .potential import sigma_from_potential
 
 class MismatchError(AssertionError):
     """Two supposedly equal routes disagree."""
-
-
-def _e_complement(n, skip):
-    """prod_{m != skip} (1 + h_m t) as TPolyRat."""
-    return TPolyRat(n, [RatFun.from_poly(elementary_symmetric(n, L, skip=skip))
-                        for L in range(n)])
 
 
 def rho_for(f):
@@ -35,23 +29,20 @@ def rho_for(f):
     """
     n = f.n
     dec = w_decompose(f, pivot=1)
+    # prod_{m != j} (1 + h_m t)
+    e_comp = {j: TPolyRat(n, map(RatFun.from_poly, e_generating(n, skip=j)))
+              for j in range(1, n + 1)}
     rho = TPolyRat.zero(n)
-    for k, coeffs in dec.parts.items():
-        pk = Poly.zero(n)
-        hk = Poly.var(n, k)
-        pw = Poly.const(n, 1)
-        for c in coeffs:
-            pk = pk + pw.scale(c)
-            pw = pw * hk
-        rho = rho + _e_complement(n, k) * (RatFun.from_poly(pk) / chi(n, k))
+    for k in dec.parts:
+        rho = rho + e_comp[k] * dec.summand(k)
     for L, c in dec.symmetric:
         # H_L = sum_j h_j^{L+n-1} / chi_j, then the per-summand formula
         for j in range(1, n + 1):
-            term = RatFun.from_poly(Poly.var(n, j) ** (L + n - 1)) / chi(n, j)
-            rho = rho + _e_complement(n, j) * (term * c)
+            term = (Poly.var(n, j) ** (L + n - 1)).scale(c) * chi_inv(n, j)
+            rho = rho + e_comp[j] * term
     sigma = sigma_from_potential(f)
     for j in range(1, n + 1):
-        want = _e_complement(n, j) * sigma[j - 1]
+        want = e_comp[j] * sigma[j - 1]
         if not (rho.delta(j) - want).is_zero():
             raise MismatchError(f"rho fails its difference equation at j={j}")
     return rho

@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ratfield import Poly, RatFun, partial_fractions, eps_vec, solve_exact
-from .rmatrix import chi, complete_symmetric
+from .rmatrix import chi_inv, complete_symmetric
 
 F0 = Fraction(0)
 
@@ -131,17 +131,17 @@ class WDecomposition:
         self.parts = parts
         self.symmetric = symmetric
 
+    def summand(self, k):
+        """pi_k(h_k) / chi_k."""
+        n = self.n
+        pk = Poly(n, {eps_vec(n, k, d): c for d, c in enumerate(self.parts[k]) if c})
+        return pk * chi_inv(n, k)
+
     def reassemble(self):
         n = self.n
         total = RatFun.zero(n)
-        for k, coeffs in self.parts.items():
-            pk = Poly.zero(n)
-            hk = Poly.var(n, k)
-            pw = Poly.const(n, 1)
-            for c in coeffs:
-                pk = pk + pw.scale(c)
-                pw = pw * hk
-            total = total + RatFun.from_poly(pk) / chi(n, k)
+        for k in self.parts:
+            total = total + self.summand(k)
         for L, c in self.symmetric:
             total = total + RatFun.from_poly(complete_symmetric(n, L).scale(c))
         return total
@@ -257,7 +257,7 @@ def reconstruct_potential(sigma):
                     raise NotFlat((1, k), "inconsistent residues")
             if not got.is_poly() or (got.num.support_vars() - {k}):
                 raise NotFlat((1, k), "residue not univariate")
-            f = f + RatFun.from_poly(got.num) / chi(n, k)
+            f = f + got * chi_inv(n, k)
         rem = s1 - f.delta(1)
         comb = _solve_delta1_symmetric(rem, min_L=1)
         if comb is None:

@@ -18,7 +18,7 @@ on the pre-filter alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -771,101 +771,102 @@ def reassemble_partial_fractions(n, j, principal, regular):
 # factoring polynomials into shifted differences (used for division)
 
 
-def _integer_roots(coeffs):
-    """Integer roots of a univariate polynomial given by Fraction coeffs c0..cd."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if not coeffs:
-        return None  # identically zero
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // __import__("math").gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    shift0 = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        shift0 = 1
-    roots = set([0]) if shift0 else set()
-    if not ints:
-        return roots
-    c0 = abs(ints[0])
-    cands = set()
-    d = 1
-    while d * d <= c0:
-        if c0 % d == 0:
-            cands.update((d, -d, c0 // d, -(c0 // d)))
-        d += 1
-    for r in cands:
-        if sum(c * r ** k for k, c in enumerate(ints)) == 0:
-            roots.add(r)
-    return roots
-
-
 def factor_linfactors(p):
-    """Write p = c * prod (h_i - h_j + a)^m with integer a; None if impossible."""
+    """Write p = c * prod (h_i - h_j + a)^m with integer a; None if impossible.
+
+    The shifts of each pair i < j are read off by _pair_shifts; every factor
+    is confirmed by exact division, and what is left must be constant.
+    """
     if p.is_zero():
         raise ZeroDivisionError("cannot factor zero")
     work = p
     factors = {}
-    guard = 0
-    while work.total_degree() > 0:
-        guard += 1
-        if guard > 200:
-            return None
-        sup = sorted(work.support_vars())
-        found = None
-        for ii in sup:
-            for jj in sup:
-                if jj <= ii:
-                    continue
-                for a in _candidate_shifts(work, ii, jj):
-                    q = work.div_linfactor(ii, jj, a)
-                    if q is not None:
-                        found = ((ii, jj, a), q)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            return None
-        fac, work = found
-        factors[fac] = factors.get(fac, 0) + 1
+    for i in range(1, p.n + 1):
+        for j in range(i + 1, p.n + 1):
+            shifts = _pair_shifts(work, i, j)
+            if shifts is None:
+                return None
+            for a in shifts:
+                work = work.div_linfactor(i, j, a)
+                if work is None:
+                    return None
+                factors[(i, j, a)] = factors.get((i, j, a), 0) + 1
     if not work.is_const():
         return None
     return work.const_value(), factors
 
 
-def _candidate_shifts(p, i, j):
-    """Integer a for which h_i - h_j + a may divide p, via evaluation."""
-    n = p.n
-    base_points = [
-        tuple(Fraction(2 * k + 3) for k in range(n)),
-        tuple(Fraction(5 * k + 7, 2) for k in range(n)),
-        tuple(Fraction(3 ** (k + 1), 1 + k) for k in range(n)),
-    ]
-    cands = None
-    for pt in base_points:
-        # r(a) = p evaluated with h_i := h_j - a: polynomial in a
-        coeffs = {}
-        for e, c in p.terms.items():
-            d = e[i - 1]
-            rest = c
-            for k, ek in enumerate(e):
-                if k == i - 1 or not ek:
-                    continue
-                rest *= pt[k] ** ek
-            # (h_j - a)^d at h_j = pt[j-1]
-            for m in range(d + 1):
-                coeffs[m] = coeffs.get(m, F0) + rest * comb(d, m) * pt[j - 1] ** (d - m) * (-1) ** m
-        clist = [coeffs.get(k, F0) for k in range(max(coeffs, default=0) + 1)]
-        roots = _integer_roots(clist)
-        if roots is None:
+def _pair_shifts(p, i, j):
+    """The shifts a, with multiplicity, of the factors h_i - h_j + a of p.
+
+    Take the terms of p free of h_j whose exponents in the variables other
+    than h_i, h_j are lex-largest.  Their h_i-coefficients u(t) form the
+    leading coefficient of p(h_j = 0) in those variables, and the leading
+    coefficient of a product is the product of the leading coefficients.  If
+    p splits into shifted differences, every factor outside the pair leads
+    with a constant, so u = c * prod (t + a)^m over this pair's factors.
+    None if u has no such form.
+    """
+    top, u = None, {}
+    for e, c in p.terms.items():
+        if e[j - 1]:
             continue
-        cands = roots if cands is None else (cands & roots)
-        if not cands:
-            return set()
-    return cands or set()
+        rest = e[:i - 1] + e[i:j - 1] + e[j:]
+        if top is None or rest > top:
+            top, u = rest, {}
+        if rest == top:
+            u[e[i - 1]] = c
+    if top is None:
+        return None
+    roots = _integer_roots(u)
+    return None if roots is None else [-r for r in roots]
+
+
+def _integer_roots(coeffs):
+    """The roots, with multiplicity, of sum_k coeffs[k] t^k if all are
+    integers; None otherwise.
+
+    Floor-Newton from the Fujiwara root bound B.  Right of the largest root r of a
+    real-rooted polynomial of degree d, a Newton step never passes r and
+    shrinks the distance to it by at least the factor 1 - 1/d.  Rounding
+    down keeps the iterate at or above an integer r, so it reaches r within
+    d * bit_length(2B) steps; then deflate and go on from r.  A step that is
+    not positive, or more steps than that, proves some root is not an
+    integer.
+    """
+    deg = max(coeffs)
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    u = [int(coeffs.get(k, F0) * den) for k in range(deg + 1)]
+    # Fujiwara: every root has |t| <= 2 * max_k |u[deg-k] / u[deg]|^(1/k);
+    # each term is rounded up to a power of two
+    e = 0
+    for k in range(1, deg + 1):
+        ratio = -(-abs(u[deg - k]) // abs(u[deg]))
+        e = max(e, -(-ratio.bit_length() // k))
+    bound = 2 << e
+    cap = deg * (2 * bound).bit_length()
+    roots = []
+    x, steps = bound, 0
+    while len(u) > 1:
+        v = dv = 0
+        for c in reversed(u):
+            dv = dv * x + v
+            v = v * x + c
+        if v == 0:
+            roots.append(x)
+            # deflate by t - x
+            q, carry = [], 0
+            for c in reversed(u[1:]):
+                carry = carry * x + c
+                q.append(carry)
+            u = q[::-1]
+            steps = 0
+            continue
+        steps += 1
+        if dv == 0 or (v > 0) != (dv > 0) or steps > cap:
+            return None
+        x += (-v) // dv
+    return roots
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ the structure functions built from products of weight differences.
 All components are generated on demand; the "ice" sparsity pattern
 (R^{ij}_{kl} = 0 unless (k,l) is (i,j) or (j,i)) is used throughout, so
 identity checks run over O(n^2) nonzero components per index pair.
+
+Every quotient here (components, phi, Q^+-, 1/chi) has a denominator known
+as a product of shifted differences, so it is built from those factors with
+RatFun.build; nothing divides, and ratfield.factor_linfactors is left to
+user-typed division.
 """
 
 from __future__ import annotations
@@ -48,24 +53,31 @@ def chi(n, i):
 @lru_cache(maxsize=None)
 def phi(n, i):
     """psi_i / psi_i[-e_i] = prod_{k>i} (h_i - h_k)/(h_i - h_k - 1)."""
-    return psi(n, i) / psi(n, i).shift(eps_vec(n, i, -1))
+    return RatFun.build(psi(n, i).num, [(i, k, -1) for k in range(i + 1, n + 1)])
 
 
 @lru_cache(maxsize=None)
 def phi_inv(n, i):
-    return phi(n, i).inverse()
+    """prod_{k>i} (h_i - h_k - 1)/(h_i - h_k)."""
+    return RatFun.build(psi(n, i).shift(eps_vec(n, i, -1)).num,
+                        [(i, k, 0) for k in range(i + 1, n + 1)])
+
+
+def chi_inv(n, i):
+    """1 / chi_i = 1 / prod_{k != i} (h_i - h_k)."""
+    return RatFun.build(Poly.const(n, 1), [(i, k, 0) for k in range(1, n + 1) if k != i])
 
 
 @lru_cache(maxsize=None)
 def q_plus(n, i):
     """chi_i[e_i] / chi_i."""
-    return chi(n, i).shift(eps_vec(n, i)) / chi(n, i)
+    return chi(n, i).shift(eps_vec(n, i)).num * chi_inv(n, i)
 
 
 @lru_cache(maxsize=None)
 def q_minus(n, i):
     """chi_i[-e_i] / chi_i."""
-    return chi(n, i).shift(eps_vec(n, i, -1)) / chi(n, i)
+    return chi(n, i).shift(eps_vec(n, i, -1)).num * chi_inv(n, i)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +127,6 @@ def e_generating(n, skip=0):
 # R-matrix and skew inverse components
 
 
-def _hd(n, i, j):
-    return RatFun.from_poly(Poly.diff(n, i, j))
-
-
 def r_component(n, i, j, k, l):
     """R^{ij}_{kl}."""
     if (k, l) == (i, j):
@@ -128,8 +136,8 @@ def r_component(n, i, j, k, l):
     if (k, l) == (j, i):
         if i >= j:
             return RatFun.one(n)
-        hij = _hd(n, i, j)
-        return (hij * hij - 1) / (hij * hij)
+        hij = Poly.diff(n, i, j)
+        return RatFun.build(hij * hij - Poly.const(n, 1), [((i, j, 0), 2)])
     return RatFun.zero(n)
 
 
@@ -143,8 +151,7 @@ def psi_component(n, i, j, k, l):
     if (k, l) == (j, i):
         if i < j:
             return RatFun.one(n)
-        hij = _hd(n, i, j)
-        return ((hij - 1) ** 2) / (hij * (hij - 2))
+        return RatFun.build(Poly.diff(n, i, j, -1) ** 2, [(i, j, 0), (i, j, -2)])
     return RatFun.zero(n)
 
 
@@ -324,7 +331,7 @@ def verify_chi_identity(n, L):
     """sum_j h_j^L / chi_j = 0 for L <= n-2 and = H_{L-n+1} for L >= n-1."""
     s = RatFun.zero(n)
     for j in range(1, n + 1):
-        s = s + RatFun.from_poly(Poly.var(n, j) ** L) / chi(n, j)
+        s = s + (Poly.var(n, j) ** L) * chi_inv(n, j)
     if L <= n - 2:
         target = RatFun.zero(n)
     else:

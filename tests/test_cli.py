@@ -200,6 +200,12 @@ def test_division_by_zero_is_usage_error(capsys, expr):
     assert err.strip() == "error: division by zero"
 
 
+def test_nf_inverse_of_huge_shift(capsys):
+    rc, out, _ = run(capsys, "nf", "1/(h1-h2+10^20)", "-n", "2")
+    assert rc == 0
+    assert out.strip() == "1/(h1-h2+100000000000000000000)"
+
+
 @pytest.mark.parametrize("expr", ["(" * 3000 + "h1" + ")" * 3000,
                                   "+".join(["h1"] * 3000)],
                          ids=["parentheses", "flat-sum"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings, assume, strategies as st
 from hdcalc.ratfield import (Poly, RatFun, TPolyRat, DomainError, PoleError,
                              partial_fractions, reassemble_partial_fractions,
                              factor_linfactors, solve_exact, rank_exact,
-                             eps_vec, _P, _point, _may_vanish)
+                             eps_vec, canon_factor, _P, _point, _may_vanish)
 
 
 def sym_vars(n):
@@ -235,6 +235,55 @@ def test_factor_linfactors():
     # irreducible quadratic: no linear-difference factorization
     q = Poly(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
     assert factor_linfactors(q) is None
+
+
+def _huge_shift_product(n):
+    return (Poly.diff(n, 1, 2, 10**20) * Poly.diff(n, 1, 2)
+            * Poly.diff(n, 1, 3, -7) ** 2 * Poly.diff(n, 2, 3, 1))
+
+
+def test_factor_linfactors_huge_shift():
+    # the shift is read off the coefficients, not searched among divisors
+    p = _huge_shift_product(3).scale(Fraction(-5, 3))
+    assert factor_linfactors(p) == (
+        Fraction(-5, 3), {(1, 2, 10**20): 1, (1, 2, 0): 1, (1, 3, -7): 2, (2, 3, 1): 1})
+    assert factor_linfactors(Poly.diff(2, 2, 1, -10**20)) == (-1, {(1, 2, 10**20): 1})
+    # repeated roots far apart: the root bound, not the coefficient size,
+    # sets the number of Newton steps
+    p = Poly.diff(2, 1, 2, 10**20) ** 10 * Poly.diff(2, 1, 2, -10**20) ** 10
+    assert factor_linfactors(p) == (1, {(1, 2, 10**20): 10, (1, 2, -10**20): 10})
+
+
+def test_factor_linfactors_rejects_irreducible_cofactor():
+    n = 3
+    q = Poly.var(n, 1) ** 2 + Poly.var(n, 2) ** 2 + Poly.const(n, 1)
+    assert factor_linfactors(_huge_shift_product(n) * q) is None
+    assert factor_linfactors(Poly.diff(n, 1, 2) * (Poly.var(n, 1) + Poly.const(n, 1))) is None
+    assert factor_linfactors(Poly.diff(n, 1, 2) * Poly.diff(n, 1, 2, 1).scale(2)
+                             + Poly.const(n, 1)) is None
+
+
+@st.composite
+def _linfactor_product(draw):
+    n = draw(st.integers(2, 4))
+    c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    shift = st.one_of(st.integers(-5, 5), st.integers(-10**30, 10**30))
+    return n, c, draw(st.lists(st.tuples(pair, shift), max_size=6))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_linfactor_product())
+def test_factor_linfactors_round_trip(prod):
+    n, c, factors = prod
+    p = Poly.const(n, c)
+    want = {}
+    for (i, j), a in factors:
+        p = p * Poly.diff(n, i, j, a)
+        fac, sign = canon_factor(i, j, a)
+        want[fac] = want.get(fac, 0) + 1
+        c *= sign
+    assert factor_linfactors(p) == (c, want)
 
 
 def test_solve_exact_matches_sympy():

@@ -1,12 +1,19 @@
 """R-matrix components, skew inverse, symmetric polynomial helpers."""
 
 from fractions import Fraction
+from itertools import product
 
+import pytest
 import sympy
 
+from hdcalc import diffring, ratfield, rmatrix
+from hdcalc.central import central_family
+from hdcalc.diffring import RingSpec, epsilon_antiauto, module_form, verify_pbw
+from hdcalc.multicopy import SigmaArray, mixed_normal_form
+from hdcalc.potential import reconstruct_potential, sigma_from_potential
 from hdcalc.ratfield import Poly, RatFun, eps_vec
-from hdcalc.rmatrix import (r_component, psi_component, chi, phi, phi_inv,
-                            q_plus, q_minus, elementary_symmetric,
+from hdcalc.rmatrix import (r_component, psi_component, chi, chi_inv, phi,
+                            phi_inv, q_plus, q_minus, elementary_symmetric,
                             complete_symmetric, CheckReport, verify_dybe,
                             verify_r_squared, verify_ice, verify_skew_inverse,
                             verify_q_identity, verify_chi_identity)
@@ -108,3 +115,96 @@ def test_checkreport_accounting():
     assert rep.total == 3
     assert rep.failures == ["b"]
     assert rep.summary() == "demo: 2/3 pass"
+
+
+# the closed forms written as quotients, evaluated by division
+def _r_by_division(n, i, j, k, l):
+    one = RatFun.one(n)
+    if (k, l) == (i, j):
+        return one if i == j else one / RatFun.from_poly(Poly.diff(n, i, j))
+    if (k, l) == (j, i):
+        if i >= j:
+            return one
+        h = RatFun.from_poly(Poly.diff(n, i, j))
+        return (h * h - 1) / (h * h)
+    return RatFun.zero(n)
+
+
+def _q_by_division(n, i, sign):
+    return chi(n, i).shift(eps_vec(n, i, sign)) / chi(n, i)
+
+
+def _psi_by_division(n, i, j, k, l):
+    if (k, l) == (i, j):
+        num = _q_by_division(n, i, 1) * _q_by_division(n, j, -1)
+        if i == j:
+            return num
+        return num / RatFun.from_poly(Poly.diff(n, i, j, 1))
+    if (k, l) == (j, i):
+        if i < j:
+            return RatFun.one(n)
+        h = RatFun.from_poly(Poly.diff(n, i, j))
+        return (h - 1) ** 2 / (h * (h - 2))
+    return RatFun.zero(n)
+
+
+def test_built_quotients_match_division():
+    # components and structure functions are built from their linear
+    # factors; the canonical form must be the one division gives
+    for n in range(2, 6):
+        pairs = []
+        for t in product(range(1, n + 1), repeat=4):
+            pairs.append((r_component(n, *t), _r_by_division(n, *t)))
+            pairs.append((psi_component(n, *t), _psi_by_division(n, *t)))
+        for i in range(1, n + 1):
+            one = RatFun.one(n)
+            psi_i = rmatrix.psi(n, i)
+            pairs += [
+                (phi(n, i), psi_i / psi_i.shift(eps_vec(n, i, -1))),
+                (phi_inv(n, i), psi_i.shift(eps_vec(n, i, -1)) / psi_i),
+                (q_plus(n, i), _q_by_division(n, i, 1)),
+                (q_minus(n, i), _q_by_division(n, i, -1)),
+                (chi_inv(n, i), one / chi(n, i)),
+            ]
+        for built, divided in pairs:
+            assert built == divided
+            assert built.to_json() == divided.to_json()
+
+
+def test_no_internal_path_factors(monkeypatch):
+    # factor_linfactors serves only user-typed division: no verifier,
+    # rewriting order or potential routine may reach it
+    def refuse(p):
+        raise AssertionError(f"factor_linfactors({p!r}) reached")
+
+    monkeypatch.setattr(ratfield, "factor_linfactors", refuse)
+    for cached in (rmatrix.psi, rmatrix.psi_prime, chi, phi, phi_inv, q_plus,
+                   q_minus, diffring._swap_coeff):
+        cached.cache_clear()
+    with pytest.raises(AssertionError, match="reached"):
+        RatFun.one(2) / RatFun.from_poly(Poly.diff(2, 1, 2))
+
+    assert verify_dybe(3).passed
+    assert verify_skew_inverse(3).passed
+    assert verify_q_identity(3).passed
+    assert verify_chi_identity(3, 4)
+
+    n = 3
+    f = (RatFun.from_poly(complete_symmetric(n, 2))
+         + (Poly.var(n, 2) + Poly.const(n, 1)) * chi_inv(n, 2)
+         + (Poly.var(n, 3) ** 2) * chi_inv(n, 3))
+    sigma = sigma_from_potential(f)
+    spec = RingSpec(n, sigma)
+    assert verify_pbw(spec).flat
+    assert not verify_pbw(RingSpec(n, (sigma[0] + RatFun.var(n, 2),) + sigma[1:])).flat
+    assert reconstruct_potential(sigma) == f
+    fam = central_family(f)
+    assert len(fam.elements) == n
+    word = [('d', 1), ('x', 2), ('d', 3), ('x', 1)]
+    assert module_form(spec, word, "left") == module_form(spec, word, "right")
+    el = spec.x(1) + spec.d(2)
+    assert epsilon_antiauto(spec, epsilon_antiauto(spec, el)) == el
+    sig = SigmaArray.constant(n, 2, 2, {(1, 1): 1, (1, 2): 2, (2, 1): 0, (2, 2): 3})
+    word = [('d', 1, 1), ('x', 2, 2), ('d', 3, 2), ('x', 1, 1)]
+    assert (mixed_normal_form(n, sig, word, "left")
+            == mixed_normal_form(n, sig, word, "right"))
