@@ -1,7 +1,7 @@
 """Exact arithmetic for rings of h-deformed differential operators."""
 
 from .ratfield import (Poly, RatFun, TPolyRat, DomainError, PoleError,
-                       partial_fractions, solve_exact, rank_exact, eps_vec)
+                       partial_fractions, rank_exact, eps_vec)
 from .rmatrix import (r_component, psi_component, chi, elementary_symmetric,
                       complete_symmetric, CheckReport)
 from .potential import (NotFlat, NotInW, sigma_from_potential,

@@ -7,10 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratfield import Poly, RatFun, partial_fractions, eps_vec, solve_exact
+from .ratfield import Poly, RatFun, partial_fractions, eps_vec
 from .rmatrix import chi_inv, complete_symmetric
-
-F0 = Fraction(0)
 
 
 class NotFlat(ValueError):
@@ -103,7 +101,7 @@ def _solve_delta1_symmetric(rem, min_L=1):
         e = [0] * n
         e[0] = d
         comp = cur.homogeneous_components()[d]
-        c = comp.coeff_of(tuple(e)) / L
+        c = Fraction(comp.coeff_of(tuple(e)), L)
         hl = complete_symmetric(n, L)
         cur = cur - (hl - hl.shift(eps_vec(n, 1, -1))).scale(c)
         top = cur.homogeneous_components().get(d)
@@ -178,7 +176,7 @@ def w_decompose(f, pivot=1):
             pk = pk * RatFun.from_poly(Poly.diff(n, k, l))
         if not pk.is_poly() or (pk.num.support_vars() - {k}):
             raise NotInW(f"pole data at k={k} is not univariate in h_{k}")
-        coeffs = [F0] * (pk.num.degree_in(k) + 1)
+        coeffs = [0] * (pk.num.degree_in(k) + 1)
         for e, c in pk.num.terms.items():
             coeffs[e[k - 1]] = c
         parts[k] = coeffs

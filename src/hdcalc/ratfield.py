@@ -2,7 +2,10 @@
 weight variables h_1..h_n whose denominators are products of integer-shifted
 differences h_i - h_j + a.
 
-Polynomials are sparse exponent-dicts over fractions.Fraction.  Denominators
+Polynomials are sparse exponent-dicts over Q.  A coefficient is a plain int
+when it is integral and a fractions.Fraction otherwise, never a float: the
+constructors store integral values as int, and integer inputs then never
+build a Fraction in the ring operations.  Denominators
 are kept as factored multisets of LinFactor keys (i, j, a) with i < j, meaning
 h_i - h_j + a, and are never expanded; this keeps shifts, cancellation and
 partial fractions exact and cheap.
@@ -18,7 +21,9 @@ on the pre-filter alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
+from operator import add
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -36,6 +41,17 @@ def _as_fraction(c):
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def _coeff(c):
+    """c as a Poly coefficient: an int if it is integral, else a Fraction.
+    A float is refused: its value is already rounded."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 # ---------------------------------------------------------------------------
 # sparse polynomials
 
@@ -43,8 +59,11 @@ def _as_fraction(c):
 class Poly:
     """Sparse polynomial in h_1..h_n over exact rationals.
 
-    terms maps exponent tuples (length n) to nonzero Fraction coefficients.
-    Instances are treated as immutable.
+    terms maps exponent tuples (length n) to nonzero coefficients, each an
+    int or a Fraction and never a float.  The constructors and scale store
+    an integral value as an int; int and Fraction mix exactly, so a Fraction
+    that arithmetic makes integral may stay a Fraction, which ==, repr and
+    to_json do not tell apart.  Instances are treated as immutable.
     """
 
     __slots__ = ("n", "terms")
@@ -63,7 +82,7 @@ class Poly:
 
     @classmethod
     def const(cls, n, c):
-        c = _as_fraction(c)
+        c = _coeff(c)
         if c == 0:
             return cls(n, {})
         return cls(n, {(0,) * n: c})
@@ -74,7 +93,7 @@ class Poly:
         assert 1 <= i <= n
         e = [0] * n
         e[i - 1] = 1
-        return cls(n, {tuple(e): F1})
+        return cls(n, {tuple(e): 1})
 
     @classmethod
     def diff(cls, n, i, j, a=0):
@@ -85,10 +104,10 @@ class Poly:
         ei[i - 1] = 1
         ej = [0] * n
         ej[j - 1] = 1
-        out[tuple(ei)] = F1
-        out[tuple(ej)] = Fraction(-1)
+        out[tuple(ei)] = 1
+        out[tuple(ej)] = -1
         if a:
-            out[(0,) * n] = Fraction(a)
+            out[(0,) * n] = _coeff(a)
         return cls(n, out)
 
     # -- predicates / shape
@@ -141,7 +160,7 @@ class Poly:
         assert self.n == other.n
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, F0) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -154,7 +173,7 @@ class Poly:
         assert self.n == other.n
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, F0) - c
+            s = out.get(e, 0) - c
             if s:
                 out[e] = s
             else:
@@ -172,8 +191,8 @@ class Poly:
         oterms = other.terms
         for e1, c1 in sterms.items():
             for e2, c2 in oterms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, F0) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -183,7 +202,7 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _as_fraction(c)
+        c = _coeff(c)
         if c == 0:
             return Poly.zero(self.n)
         return Poly(self.n, {e: c * v for e, v in self.terms.items()})
@@ -210,16 +229,16 @@ class Poly:
         for e, v in self.terms.items():
             d = e[idx]
             if d == 0:
-                out[e] = out.get(e, F0) + v
+                out[e] = out.get(e, 0) + v
                 if not out[e]:
                     del out[e]
                 continue
             base = list(e)
             for m in range(d + 1):
                 base[idx] = m
-                coeff = v * comb(d, m) * Fraction(c) ** (d - m)
+                coeff = v * (comb(d, m) * c ** (d - m))
                 key = tuple(base)
-                s = out.get(key, F0) + coeff
+                s = out.get(key, 0) + coeff
                 if s:
                     out[key] = s
                 else:
@@ -249,7 +268,7 @@ class Poly:
             for m in range(d, -1, -1):
                 base[jdx] = dj + m
                 key = tuple(base)
-                s = out.get(key, F0) + v * (comb(d, m) * a ** (d - m))
+                s = out.get(key, 0) + v * (comb(d, m) * a ** (d - m))
                 if s:
                     out[key] = s
                 else:
@@ -268,7 +287,7 @@ class Poly:
             rest = list(e)
             d = rest[idx]
             rest[idx] = 0
-            bydeg[d][tuple(rest)] = bydeg[d].get(tuple(rest), F0) + v
+            bydeg[d][tuple(rest)] = bydeg[d].get(tuple(rest), 0) + v
         u = Poly.var(self.n, j) + Poly.const(self.n, -a)
         quot = [None] * maxd  # coefficients of h_i^0 .. h_i^{maxd-1}
         carry = Poly(self.n, {e: c for e, c in bydeg[maxd].items() if c})
@@ -293,7 +312,7 @@ class Poly:
             for k, ek in enumerate(e):
                 ne[perm[k + 1 - 1] - 1] = ek
             key = tuple(ne)
-            s = out.get(key, F0) + c
+            s = out.get(key, 0) + c
             if s:
                 out[key] = s
             else:
@@ -310,7 +329,7 @@ class Poly:
             ne = list(e)
             ne[idx] = d - 1
             key = tuple(ne)
-            out[key] = out.get(key, F0) + c * d
+            out[key] = out.get(key, 0) + c * d
         return Poly(self.n, {e: c for e, c in out.items() if c})
 
     def evaluate(self, point):
@@ -377,21 +396,44 @@ def _point(n):
     return [k * _STEP % _P for k in range(1, n + 1)]
 
 
+class _Powers(dict):
+    """k -> x**k mod _P, computed on first use."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, k):
+        v = self[k] = pow(self.x, k, _P)
+        return v
+
+
+@lru_cache(maxsize=4096)
+def _hyperplane_powers(n, i, j, a):
+    """The power tables of the coordinates of the pre-filter's point on the
+    hyperplane h_i = h_j - a: _point(n) with coordinate i replaced."""
+    pt = _point(n)
+    pt[i - 1] = (pt[j - 1] - a) % _P
+    return tuple(_Powers(x) for x in pt)
+
+
 def _may_vanish(num, i, j, a):
     """False only if num is provably nonzero on the hyperplane h_i = h_j - a."""
-    pt = _point(num.n)
-    pt[i - 1] = (pt[j - 1] - a) % _P
+    tables = _hyperplane_powers(num.n, i, j, a)
     total = 0
     for e, c in num.terms.items():
-        v = c.numerator
-        d = c.denominator
-        if d != 1:
+        if type(c) is int:
+            v = c
+        else:
+            d = c.denominator
             if d % _P == 0:
                 return True
-            v = v * pow(d, -1, _P)
-        for x, k in zip(pt, e):
+            v = c.numerator * pow(d, -1, _P)
+        for pows, k in zip(tables, e):
             if k:
-                v = v * pow(x, k, _P) % _P
+                v *= pows[k]
         total += v
     return total % _P == 0
 
@@ -585,7 +627,7 @@ class RatFun:
             raise DomainError(
                 "denominator does not factor into shifted differences h_i - h_j + a")
         c, factors = fac
-        num = Poly.const(self.n, 1 / c)
+        num = Poly.const(self.n, F1 / c)
         for f, m in self.den.items():
             num = num * (factor_poly(self.n, f) ** m)
         return RatFun(num, dict(factors))
@@ -613,18 +655,18 @@ class RatFun:
         assert j != k
         num = self.num.subst_var_linear(j, k, a)
         den = {}
-        scal = F1
+        scal = 1
         for (i, jj, b), m in self.den.items():
             if i == j and jj == k:
                 c = a + b  # h_j - h_k + b -> a + b
                 if c == 0:
                     raise PoleError("substitution hits denominator factor")
-                scal *= Fraction(c) ** m
+                scal *= c ** m
             elif i == k and jj == j:
                 c = -a + b
                 if c == 0:
                     raise PoleError("substitution hits denominator factor")
-                scal *= Fraction(c) ** m
+                scal *= c ** m
             elif i == j:
                 fac, s = canon_factor(k, jj, b + a)
                 den[fac] = den.get(fac, 0) + m
@@ -638,7 +680,7 @@ class RatFun:
             else:
                 den[(i, jj, b)] = den.get((i, jj, b), 0) + m
         if scal != 1:
-            num = num.scale(1 / scal)
+            num = num.scale(Fraction(1, scal))
         return RatFun(num, den)
 
     def permuted(self, perm):
@@ -687,7 +729,7 @@ class RatFun:
     def from_json(cls, n, obj):
         terms = {}
         for e, c in obj["num"]:
-            terms[tuple(int(x) for x in e)] = Fraction(c)
+            terms[tuple(int(x) for x in e)] = _coeff(c)
         den = {}
         for i, j, a, m in obj.get("den", []):
             den[(int(i), int(j), int(a))] = int(m)
@@ -960,59 +1002,12 @@ class TPolyRat:
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over Fraction (solver and rank)
-
-
-def solve_exact(rows, rhs, ncols):
-    """Solve the sparse linear system rows * u = rhs over Fraction.
-
-    rows: list of dicts col -> Fraction; rhs: list of Fraction.
-    Returns a solution list (free vars set to 0) or None if inconsistent.
-    """
-    aug = [dict(r) for r in rows]
-    b = list(rhs)
-    pivots = {}
-    rows_used = []
-    for col in range(ncols):
-        piv = None
-        for ri, r in enumerate(aug):
-            if ri in rows_used:
-                continue
-            if r.get(col):
-                piv = ri
-                break
-        if piv is None:
-            continue
-        rows_used.append(piv)
-        pivots[col] = piv
-        pv = aug[piv][col]
-        aug[piv] = {c: v / pv for c, v in aug[piv].items()}
-        b[piv] = b[piv] / pv
-        for ri, r in enumerate(aug):
-            if ri == piv:
-                continue
-            f = r.get(col)
-            if not f:
-                continue
-            for c, v in aug[piv].items():
-                s = r.get(c, F0) - f * v
-                if s:
-                    r[c] = s
-                else:
-                    r.pop(c, None)
-            b[ri] = b[ri] - f * b[piv]
-    for ri, r in enumerate(aug):
-        if not r and b[ri]:
-            return None
-    sol = [F0] * ncols
-    for col, ri in pivots.items():
-        sol[col] = b[ri]
-    return sol
+# small exact linear algebra over Fraction
 
 
 def rank_exact(matrix):
-    """Rank of a dense list-of-lists Fraction matrix."""
-    m = [list(row) for row in matrix]
+    """Rank of a dense list-of-lists matrix of ints and Fractions."""
+    m = [[Fraction(v) for v in row] for row in matrix]
     rank = 0
     cols = len(m[0]) if m else 0
     row = 0

@@ -13,13 +13,10 @@ user-typed division.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from .ratfield import Poly, RatFun, eps_vec
-
-F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,17 @@ def test_reconstruct_roundtrip_normalized():
         assert diff.is_const()
 
 
+def test_reconstruct_when_L_does_not_divide_the_leading_coefficient():
+    # the top coefficient of Delta_1 (c_L H_L) in h_1 is L * c_L, here 1 and
+    # 5; read back from JSON, the integral ones are ints
+    n = 3
+    f = (Hpot(n, 3) * Fraction(1, 3) + Hpot(n, 2) * Fraction(5, 2)
+         + pole_part(n, 2, [1, 1]))
+    sigma = tuple(RatFun.from_json(n, s.to_json()) for s in sigma_from_potential(f))
+    got = reconstruct_potential(sigma)
+    assert (got - f).is_const()
+
+
 def test_reconstruct_rejects_nonflat():
     n = 2
     sig = (RatFun.var(n, 1), RatFun.var(n, 2))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, assume, strategies as st
 
 from hdcalc.ratfield import (Poly, RatFun, TPolyRat, DomainError, PoleError,
                              partial_fractions, reassemble_partial_fractions,
-                             factor_linfactors, solve_exact, rank_exact,
+                             factor_linfactors, rank_exact,
                              eps_vec, canon_factor, _P, _point, _may_vanish)
 
 
@@ -26,6 +26,14 @@ def to_sympy(p):
             mono *= hs[i] ** d
         out += mono
     return sympy.expand(out)
+
+
+def ratfun_to_sympy(f):
+    hs = sym_vars(f.n)
+    out = to_sympy(f.num)
+    for (i, j, a), m in f.den.items():
+        out /= (hs[i - 1] - hs[j - 1] + a) ** m
+    return out
 
 
 def rand_poly(rng, n, nterms=4, deg=3):
@@ -126,7 +134,7 @@ def _quotient_and_factor(draw):
     return q, (i, j, draw(st.integers(-3, 3)))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(_quotient_and_factor(), st.integers(0, 3), st.integers(1, 3))
 def test_cancel_matches_hand_cancellation(qf, k, m):
     q, fac = qf
@@ -150,16 +158,10 @@ def test_ratfun_canonical_equality():
 
 def test_ratfun_field_ops_match_sympy():
     rng = random.Random(21)
-    hs = sym_vars(3)
     pool = [RatFun.inverse_diff(3, 1, 2), RatFun.inverse_diff(3, 2, 3, 1),
             RatFun.from_poly(rand_poly(rng, 3, 3, 2)),
             RatFun.inverse_diff(3, 1, 3, -2)]
-
-    def sy(f):
-        e = to_sympy(f.num)
-        for (i, j, a), m in f.den.items():
-            e /= (hs[i - 1] - hs[j - 1] + a) ** m
-        return e
+    sy = ratfun_to_sympy
 
     for _ in range(20):
         a, b = rng.choice(pool), rng.choice(pool)
@@ -167,6 +169,20 @@ def test_ratfun_field_ops_match_sympy():
             got = {"+": a + b, "*": a * b, "-": a - b}[op]
             want = {"+": sy(a) + sy(b), "*": sy(a) * sy(b), "-": sy(a) - sy(b)}[op]
             assert sympy.simplify(sy(got) - want) == 0
+
+
+def test_inverse_of_integer_constant_is_exact():
+    inv = RatFun.const(2, 3).inverse()
+    assert inv.const_value() == Fraction(1, 3)
+    assert RatFun.from_poly(Poly.diff(2, 1, 2, 1).scale(3)).inverse() == (
+        RatFun.inverse_diff(2, 1, 2, 1) * Fraction(1, 3))
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        Poly.const(2, 0.5)
+    with pytest.raises(TypeError):
+        Poly.var(2, 1).scale(1 / 3)
 
 
 def test_ratfun_inverse_requires_linfactor_denominator():
@@ -272,7 +288,7 @@ def _linfactor_product(draw):
     return n, c, draw(st.lists(st.tuples(pair, shift), max_size=6))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(_linfactor_product())
 def test_factor_linfactors_round_trip(prod):
     n, c, factors = prod
@@ -284,27 +300,6 @@ def test_factor_linfactors_round_trip(prod):
         want[fac] = want.get(fac, 0) + 1
         c *= sign
     assert factor_linfactors(p) == (c, want)
-
-
-def test_solve_exact_matches_sympy():
-    # rows are sparse col -> value maps
-    rng = random.Random(31)
-    for _ in range(10):
-        dense = [[Fraction(rng.randrange(-4, 5)) for _ in range(3)] for _ in range(4)]
-        sol = [Fraction(rng.randrange(-3, 4), 2) for _ in range(3)]
-        rhs = [sum(r[k] * sol[k] for k in range(3)) for r in dense]
-        rows = [{k: v for k, v in enumerate(r) if v} for r in dense]
-        got = solve_exact(rows, rhs, 3)
-        assert got is not None
-        M = sympy.Matrix([[sympy.Rational(x) for x in r] for r in dense])
-        b = sympy.Matrix([sympy.Rational(x) for x in rhs])
-        assert M * sympy.Matrix(got) == b
-
-
-def test_solve_exact_inconsistent():
-    rows = [{0: Fraction(1)}, {0: Fraction(1)}]
-    rhs = [Fraction(1), Fraction(2)]
-    assert solve_exact(rows, rhs, 2) is None
 
 
 def test_rank_exact_matches_sympy():
@@ -331,3 +326,114 @@ def test_json_roundtrip():
     f = RatFun.build(Poly(2, {(1, 0): Fraction(-2, 3), (0, 0): Fraction(5)}),
                      [((1, 2, -1), 2)])
     assert RatFun.from_json(2, f.to_json()) == f
+
+
+def _forms(terms, as_fraction):
+    """terms with every integral coefficient an int, or every one a Fraction."""
+    return {e: (Fraction(c) if as_fraction else c) for e, c in terms.items()}
+
+
+@st.composite
+def _mixed_pair(draw):
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.one_of(st.integers(-6, 6),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    factor = st.tuples(pair, st.integers(-2, 2))
+
+    def ratfun():
+        terms = draw(st.dictionaries(exps, coeffs, max_size=4))
+        terms = {e: (c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c)
+                 for e, c in terms.items() if c}
+        return terms, draw(st.lists(factor, max_size=2))
+
+    return n, ratfun(), ratfun(), draw(st.tuples(*[st.integers(-2, 2)] * n)), draw(pair)
+
+
+def _build(n, terms, den, as_fraction):
+    return RatFun.build(Poly(n, _forms(terms, as_fraction)),
+                        [(i, j, a) for (i, j), a in den])
+
+
+def _mixed_results(case, fa, fb):
+    n, (ta, da), (tb, db), svec, (j, k) = case
+    a, b = _build(n, ta, da, fa), _build(n, tb, db, fb)
+    out = [a + b, a - b, a * b, a.shift(svec), b.shift(svec)]
+    for f in (a, b):
+        try:
+            out.append(f.subst_var(j, k, 1))
+        except PoleError:
+            out.append(None)
+    return a, b, out
+
+
+@settings(max_examples=80)
+@given(_mixed_pair())
+def test_integral_coefficients_as_int_or_fraction_agree(case):
+    _, _, want = _mixed_results(case, False, False)
+    for fa, fb in ((True, True), (True, False), (False, True)):
+        _, _, got = _mixed_results(case, fa, fb)
+        for g, w in zip(got, want):
+            assert g == w
+            if w is not None:
+                assert g.to_json() == w.to_json()
+                assert repr(g) == repr(w)
+                assert all(type(c) in (int, Fraction) for c in g.num.terms.values())
+
+
+@settings(max_examples=8)
+@given(_mixed_pair())
+def test_mixed_coefficient_ops_match_sympy(case):
+    n, _, _, svec, (j, k) = case
+    hs = sym_vars(n)
+    sy = ratfun_to_sympy
+    a, b, got = _mixed_results(case, True, False)
+    shifted = {hs[i]: hs[i] + svec[i] for i in range(n)}
+    want = [sy(a) + sy(b), sy(a) - sy(b), sy(a) * sy(b),
+            sy(a).subs(shifted, simultaneous=True), sy(b).subs(shifted, simultaneous=True),
+            sy(a).subs(hs[j - 1], hs[k - 1] + 1), sy(b).subs(hs[j - 1], hs[k - 1] + 1)]
+    for g, w in zip(got, want):
+        if g is not None:  # None: the substitution hit a pole
+            assert sympy.cancel(sy(g) - w) == 0
+
+
+def test_no_float_reaches_a_coefficient(monkeypatch, capsys):
+    from hdcalc import diffring, rmatrix
+    from hdcalc.cli import main
+    from hdcalc.diffring import RingSpec, verify_pbw
+    from hdcalc.potential import reconstruct_potential, sigma_from_potential
+
+    init = Poly.__init__
+
+    def checked(self, n, terms=None):
+        init(self, n, terms)
+        for c in self.terms.values():
+            assert type(c) in (int, Fraction), f"coefficient {c!r}"
+
+    monkeypatch.setattr(Poly, "__init__", checked)
+    for cached in (rmatrix.psi, rmatrix.psi_prime, rmatrix.chi, rmatrix.phi,
+                   rmatrix.phi_inv, rmatrix.q_plus, rmatrix.q_minus,
+                   rmatrix.elementary_symmetric, rmatrix.complete_symmetric,
+                   diffring._swap_coeff):
+        cached.cache_clear()
+
+    n = 3
+    # the symmetric part's leading coefficients are not divisible by L
+    f = (RatFun.from_poly(rmatrix.complete_symmetric(n, 3)) * Fraction(1, 3)
+         + RatFun.from_poly(rmatrix.complete_symmetric(n, 2)) * Fraction(5, 2)
+         + (Poly.var(n, 2) + Poly.const(n, 1)) * rmatrix.chi_inv(n, 2))
+    sigma = sigma_from_potential(f)
+    assert verify_pbw(RingSpec(n, sigma)).flat
+    assert not verify_pbw(RingSpec(n, (sigma[0] + RatFun.var(n, 2),) + sigma[1:])).flat
+    assert rmatrix.verify_dybe(3).passed
+    assert (reconstruct_potential(sigma) - f).is_const()
+
+    for argv, want in ((["nf", "2/(2*h1-2*h2+4) + 1/3", "-n", "2"],
+                        "(1/3*h1 - 1/3*h2 + 5/3)/(h1-h2+2)"),
+                       (["solve-potential", "--sigmas", "Delta(1,H(3)/3);Delta(2,H(3)/3)"],
+                        "1/3*H(3)"),
+                       (["central", "-n", "2", "--potential", "H(2)/3"], None)):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert want is None or out.strip() == want
