@@ -129,14 +129,6 @@ class NormalElement:
         """Set of term weights (b - a) as vectors."""
         return {tuple(b - a for a, b in zip(ak, bk)) for ak, bk in self.terms}
 
-    def is_weight_homogeneous(self):
-        return len(self.weights()) <= 1
-
-    def filtration_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(a) + sum(b) for a, b in self.terms)
-
     def tokens(self):
         """Expand back into a generator word with the coefficient tokens."""
         toks = []

@@ -10,12 +10,22 @@ are kept as factored multisets of LinFactor keys (i, j, a) with i < j, meaning
 h_i - h_j + a, and are never expanded; this keeps shifts, cancellation and
 partial fractions exact and cheap.
 
-Every RatFun construction cancels: for each denominator factor h_i - h_j + a
-the numerator is first evaluated mod the prime 2**61 - 1 at one fixed integer
-point of the hyperplane h_i = h_j - a.  A nonzero value proves the factor does
-not divide the numerator; only a zero value goes on to the exact test, the
-substitution h_i := h_j - a, and then to the exact division.  No answer rests
-on the pre-filter alone.
+A RatFun is canonical: no denominator factor divides its numerator.  A
+construction that is not known to be canonical cancels: for each denominator
+factor h_i - h_j + a the numerator is first evaluated mod the prime
+2**61 - 1 at one fixed integer point of the hyperplane h_i = h_j - a.  A
+nonzero value proves the factor does not divide the numerator; only a zero
+value goes on to the exact test, the substitution h_i := h_j - a, and then to
+the exact division.  No answer rests on the pre-filter alone.
+
+Arithmetic tests only the factors that can cancel (Henrici's rule).  Both
+operands are canonical and distinct factors are coprime, so in a * b a
+factor of den(a) alone can only divide num(b), and one of den(b) alone only
+num(a); each numerator is cancelled against those before the product, and a
+factor of both denominators is not tested.  In a + b only a factor with the
+same power in both denominators can divide the lifted sum.  A product with
+a constant, a sum with zero and build with a nonzero constant numerator are
+canonical as they stand.
 """
 
 from __future__ import annotations
@@ -43,12 +53,14 @@ def _as_fraction(c):
 
 def _coeff(c):
     """c as a Poly coefficient: an int if it is integral, else a Fraction.
-    A float is refused: its value is already rounded."""
+    A float is refused: its value is already rounded.  The ring operations
+    call it only on a result that is not already an int."""
     if type(c) is int:
         return c
     if isinstance(c, float):
         raise TypeError(f"inexact coefficient {c!r}")
-    c = Fraction(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -60,10 +72,10 @@ class Poly:
     """Sparse polynomial in h_1..h_n over exact rationals.
 
     terms maps exponent tuples (length n) to nonzero coefficients, each an
-    int or a Fraction and never a float.  The constructors and scale store
-    an integral value as an int; int and Fraction mix exactly, so a Fraction
-    that arithmetic makes integral may stay a Fraction, which ==, repr and
-    to_json do not tell apart.  Instances are treated as immutable.
+    int or a Fraction and never a float.  Every constructor and operation
+    stores an integral value as an int, also a Fraction that arithmetic
+    makes integral; a result that is already an int costs one type test.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("n", "terms")
@@ -162,7 +174,7 @@ class Poly:
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int else _coeff(s)
             else:
                 out.pop(e, None)
         return Poly(self.n, out)
@@ -175,7 +187,7 @@ class Poly:
         for e, c in other.terms.items():
             s = out.get(e, 0) - c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int else _coeff(s)
             else:
                 out.pop(e, None)
         return Poly(self.n, out)
@@ -189,12 +201,21 @@ class Poly:
         out = {}
         sterms = self.terms
         oterms = other.terms
+        if len(oterms) == 1:
+            sterms, oterms = oterms, sterms
+        if len(sterms) == 1:
+            # adding one fixed exponent vector is injective: no terms merge
+            [(e1, c1)] = sterms.items()
+            for e2, c2 in oterms.items():
+                s = c1 * c2
+                out[tuple(map(add, e1, e2))] = s if type(s) is int else _coeff(s)
+            return Poly(self.n, out)
         for e1, c1 in sterms.items():
             for e2, c2 in oterms.items():
                 e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
-                    out[e] = s
+                    out[e] = s if type(s) is int else _coeff(s)
                 else:
                     del out[e]
         return Poly(self.n, out)
@@ -205,7 +226,11 @@ class Poly:
         c = _coeff(c)
         if c == 0:
             return Poly.zero(self.n)
-        return Poly(self.n, {e: c * v for e, v in self.terms.items()})
+        out = {}
+        for e, v in self.terms.items():
+            s = c * v
+            out[e] = s if type(s) is int else _coeff(s)
+        return Poly(self.n, out)
 
     def __pow__(self, k):
         assert k >= 0
@@ -229,9 +254,11 @@ class Poly:
         for e, v in self.terms.items():
             d = e[idx]
             if d == 0:
-                out[e] = out.get(e, 0) + v
-                if not out[e]:
-                    del out[e]
+                s = out.get(e, 0) + v
+                if s:
+                    out[e] = s if type(s) is int else _coeff(s)
+                else:
+                    out.pop(e, None)
                 continue
             base = list(e)
             for m in range(d + 1):
@@ -240,7 +267,7 @@ class Poly:
                 key = tuple(base)
                 s = out.get(key, 0) + coeff
                 if s:
-                    out[key] = s
+                    out[key] = s if type(s) is int else _coeff(s)
                 else:
                     out.pop(key, None)
         return Poly(self.n, out)
@@ -270,7 +297,7 @@ class Poly:
                 key = tuple(base)
                 s = out.get(key, 0) + v * (comb(d, m) * a ** (d - m))
                 if s:
-                    out[key] = s
+                    out[key] = s if type(s) is int else _coeff(s)
                 else:
                     out.pop(key, None)
         return Poly(self.n, out)
@@ -314,7 +341,7 @@ class Poly:
             key = tuple(ne)
             s = out.get(key, 0) + c
             if s:
-                out[key] = s
+                out[key] = s if type(s) is int else _coeff(s)
             else:
                 out.pop(key, None)
         return Poly(self.n, out)
@@ -330,7 +357,7 @@ class Poly:
             ne[idx] = d - 1
             key = tuple(ne)
             out[key] = out.get(key, 0) + c * d
-        return Poly(self.n, {e: c for e, c in out.items() if c})
+        return Poly(self.n, {e: _coeff(c) for e, c in out.items() if c})
 
     def evaluate(self, point):
         """Evaluate at a tuple of Fractions."""
@@ -479,7 +506,8 @@ class RatFun:
 
     @classmethod
     def build(cls, num, den_items):
-        """num: Poly; den_items: iterable of (i, j, a) or ((i, j, a), mult)."""
+        """num: Poly; den_items: iterable of (i, j, a) or ((i, j, a), mult),
+        mult >= 1."""
         den = {}
         sign = 1
         for item in den_items:
@@ -493,7 +521,8 @@ class RatFun:
                 sign = -sign
         if sign < 0:
             num = -num
-        return cls(num, den)
+        # no factor divides a nonzero constant; zero must still drop its den
+        return cls(num, den, _canonical=num.is_const() and not num.is_zero())
 
     @classmethod
     def inverse_diff(cls, n, i, j, a=0):
@@ -565,20 +594,41 @@ class RatFun:
         if not isinstance(other, RatFun):
             return NotImplemented
         assert self.n == other.n
-        den = dict(self.den)
-        for fac, m in other.den.items():
-            den[fac] = max(den.get(fac, 0), m)
-        num1 = self.num
-        for fac, m in den.items():
-            extra = m - self.den.get(fac, 0)
-            if extra:
-                num1 = num1 * (factor_poly(self.n, fac) ** extra)
-        num2 = other.num
-        for fac, m in den.items():
-            extra = m - other.den.get(fac, 0)
-            if extra:
-                num2 = num2 * (factor_poly(self.n, fac) ** extra)
-        return RatFun(num1 + num2, den)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        # Lift both to the lcm of the denominators.  Only a factor F with the
+        # same power in both can cancel: for a = p/F^m and b = q/F^k with
+        # m > k the sum is (p + q F^(m-k))/F^m, and F does not divide p.
+        n = self.n
+        den_a, den_b = self.den, other.den
+        num1, num2 = self.num, other.num
+        den = dict(den_a)
+        same = {}
+        for fac, m in den_b.items():
+            k = den_a.get(fac, 0)
+            if k == m:
+                same[fac] = m
+            elif k < m:
+                den[fac] = m
+                num1 = num1 * (factor_poly(n, fac) ** (m - k))
+        for fac, k in den_a.items():
+            extra = k - den_b.get(fac, 0)
+            if extra > 0:
+                num2 = num2 * (factor_poly(n, fac) ** extra)
+        num = num1 + num2
+        if num.is_zero():
+            return RatFun.zero(n)
+        if same:
+            left = RatFun(num, dict(same))
+            num = left.num
+            for fac in same:
+                if fac in left.den:
+                    den[fac] = left.den[fac]
+                else:
+                    del den[fac]
+        return RatFun(num, den, _canonical=True)
 
     __radd__ = __add__
 
@@ -593,12 +643,35 @@ class RatFun:
         if not isinstance(other, RatFun):
             return NotImplemented
         assert self.n == other.n
-        if self.num.is_zero() or other.num.is_zero():
-            return RatFun.zero(self.n)
-        den = dict(self.den)
-        for fac, m in other.den.items():
-            den[fac] = den.get(fac, 0) + m
-        return RatFun(self.num * other.num, den)
+        a, b = self, other
+        if a.is_zero() or b.is_zero():
+            return RatFun.zero(a.n)
+        if a.is_const():
+            a, b = b, a
+        if b.is_const():
+            c = b.num.const_value()
+            return a if c == 1 else RatFun(a.num.scale(c), dict(a.den), _canonical=True)
+        # A factor in both denominators divides neither numerator.  One in
+        # den(a) alone can divide only num(b), and one in den(b) alone only
+        # num(a): cancel each numerator against those before the product.
+        den_a, den_b = a.den, b.den
+        num_a, num_b = a.num, b.num
+        only_a = {fac: m for fac, m in den_a.items() if fac not in den_b}
+        only_b = {fac: m for fac, m in den_b.items() if fac not in den_a}
+        if only_a:
+            left = RatFun(num_b, only_a)
+            num_b, only_a = left.num, left.den
+        if only_b:
+            left = RatFun(num_a, only_b)
+            num_a, only_b = left.num, left.den
+        den = {}
+        for fac, m in den_a.items():
+            if fac in den_b:
+                den[fac] = m + den_b[fac]
+            elif fac in only_a:
+                den[fac] = only_a[fac]
+        den.update(only_b)
+        return RatFun(num_a * num_b, den, _canonical=True)
 
     __rmul__ = __mul__
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, assume, strategies as st
+from hypothesis import example, given, settings, assume, strategies as st
 
 from hdcalc.ratfield import (Poly, RatFun, TPolyRat, DomainError, PoleError,
                              partial_fractions, reassemble_partial_fractions,
@@ -437,3 +437,190 @@ def test_no_float_reaches_a_coefficient(monkeypatch, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert want is None or out.strip() == want
+
+
+# ---------------------------------------------------------------------------
+# arithmetic tests only the factors that can cancel; it trusts _canonical
+
+
+def _assert_canonical(f):
+    """Rebuilding f without the canonical flag cancels every factor again."""
+    again = RatFun(f.num, dict(f.den))
+    assert again.to_json() == f.to_json()
+
+
+def _samples(n=3):
+    L12, L23 = Poly.diff(n, 1, 2), Poly.diff(n, 2, 3, 1)
+    return [
+        RatFun.zero(n), RatFun.one(n), RatFun.const(n, Fraction(-2, 3)),
+        RatFun.const(n, 5), RatFun.var(n, 2),
+        RatFun.from_poly(L12 * L23 + Poly.const(n, 1)),
+        RatFun.inverse_diff(n, 1, 2), RatFun.inverse_diff(n, 3, 1, 2),
+        RatFun.build(L12 + Poly.const(n, 1), [(1, 2, 0)]),
+        RatFun.build(L23 * Poly.var(n, 1), [((1, 2, 0), 2), (2, 3, 0)]),
+        RatFun.build(L12 * Poly.const(n, Fraction(1, 2)), [(2, 3, 1), (1, 2, 1)]),
+        RatFun.build(Poly.var(n, 3) ** 2, [((1, 2, 0), 1), ((2, 3, 1), 2)]),
+    ]
+
+
+def test_canonical_flags_hold():
+    from hdcalc import rmatrix
+
+    n = 3
+    samples = _samples(n)
+    flagged = list(samples)
+    for f in samples:
+        flagged += [-f, f.shift((1, 0, -2)), f.shift((0, 3, 0)),
+                    f.permuted((2, 3, 1)), f.permuted((3, 2, 1))]
+        for g in samples:
+            # the constant and zero fast paths and the general paths
+            flagged += [f * g, f + g, f - g]
+    flagged += [RatFun.build(Poly.const(n, 7), [(2, 1, 0), ((3, 1, -1), 2)]),
+                RatFun.build(Poly.const(n, Fraction(-1, 4)), [(1, 3, 2)]),
+                RatFun.build(Poly.zero(n), [(1, 2, 0), (2, 3, 1)])]
+    flagged += [rmatrix.chi_inv(n, i) for i in range(1, n + 1)]
+    flagged += [rmatrix.r_component(n, i, j, k, l)
+                for i in range(1, n + 1) for j in range(1, n + 1)
+                for k, l in ((i, j), (j, i))]
+    for f in flagged:
+        _assert_canonical(f)
+
+
+def _reference_product(a, b):
+    """a * b the long way: the full product, every factor tested."""
+    den = dict(a.den)
+    for fac, m in b.den.items():
+        den[fac] = den.get(fac, 0) + m
+    return RatFun(a.num * b.num, den)
+
+
+def _reference_sum(a, b):
+    """a + b the long way: lift to the lcm, every factor tested."""
+    den = dict(a.den)
+    for fac, m in b.den.items():
+        den[fac] = max(den.get(fac, 0), m)
+    nums = []
+    for f in (a, b):
+        num = f.num
+        for fac, m in den.items():
+            num = num * Poly.diff(f.n, *fac) ** (m - f.den.get(fac, 0))
+        nums.append(num)
+    return RatFun(nums[0] + nums[1], den)
+
+
+_POOL = ((1, 2, 0), (1, 2, 1), (2, 3, 0), (1, 3, -1))
+
+
+@st.composite
+def _pooled_ratfun(draw, n=3):
+    """c * extra * prod F^k / prod F^m over a small pool of factors F, so
+    denominators share factors at equal and unequal powers and numerators
+    hold the factors of other denominators."""
+    kind = draw(st.sampled_from(("general", "general", "general", "const", "zero")))
+    if kind == "zero":
+        return RatFun.zero(n)
+    c = draw(st.sampled_from((1, -1, 2, Fraction(-3, 2), Fraction(1, 3))))
+    if kind == "const":
+        return RatFun.const(n, c)
+    extra = draw(st.sampled_from((Poly.const(n, 1), Poly.var(n, 1) + Poly.var(n, 3),
+                                  Poly.var(n, 1) * Poly.var(n, 2) + Poly.const(n, 1),
+                                  Poly.diff(n, 2, 3, 2))))
+    num = extra.scale(c)
+    den = {}
+    for fac in _POOL:
+        num = num * Poly.diff(n, *fac) ** draw(st.integers(0, 2))
+        m = draw(st.integers(0, 2))
+        if m:
+            den[fac] = m
+    return RatFun(num, den)
+
+
+@st.composite
+def _operands(draw):
+    a = draw(_pooled_ratfun())
+    b = draw(_pooled_ratfun())
+    if draw(st.booleans()):
+        # b = g - a: the sum a + b = g cancels exactly
+        b = _reference_sum(b, -a)
+    return a, b
+
+
+def _counter_pair(n=3):
+    L = RatFun.from_poly(Poly.diff(n, 1, 2))
+    return RatFun.inverse_diff(n, 1, 2), (L - 1) * RatFun.inverse_diff(n, 1, 2)
+
+
+def _inverse_pair(n=3):
+    a = RatFun.build(Poly.diff(n, 1, 2), [(1, 2, 1)])
+    return a, RatFun.build(Poly.diff(n, 1, 2, 1), [(1, 2, 0)])
+
+
+@settings(max_examples=150)
+@given(_operands())
+@example(_counter_pair())
+@example(_inverse_pair())
+def test_arithmetic_matches_cancel_everything(ab):
+    a, b = ab
+    for got, want in ((a * b, _reference_product(a, b)),
+                      (b * a, _reference_product(b, a)),
+                      (a + b, _reference_sum(a, b)),
+                      (a - b, _reference_sum(a, -b))):
+        assert got.to_json() == want.to_json()
+        assert got == want
+
+
+def _int_when_integral(p):
+    return all(type(c) is (int if c.denominator == 1 else Fraction)
+               for c in p.terms.values())
+
+
+def test_integral_fraction_results_become_int():
+    from hdcalc.potential import sigma_from_potential
+    from hdcalc.rmatrix import complete_symmetric
+
+    n = 3
+    sigma = sigma_from_potential(RatFun.from_poly(complete_symmetric(n, 3))
+                                 * Fraction(1, 3))
+    want = sigma_from_potential(RatFun.from_poly(complete_symmetric(n, 3)))
+    for s, w in zip(sigma, want):
+        assert s * 3 == w
+        assert any(c.denominator == 1 for c in s.num.terms.values())
+        assert _int_when_integral(s.num), s
+    h = Poly(2, {(1, 0): Fraction(3, 2), (0, 1): Fraction(1, 2)})
+    g = Poly(2, {(1, 0): 3, (0, 0): Fraction(1, 3)})
+    for p in (h + h, h - Poly(2, {(0, 1): Fraction(-1, 2)}), h * Poly.const(2, 2),
+              h * g, h.scale(4), h.shift_var(2, 1), h.subst_var_linear(1, 2, 1),
+              h.permuted((2, 1)), h.derivative(1) * 2):
+        assert _int_when_integral(p), p
+    assert type((h * Poly.const(2, 2)).terms[(1, 0)]) is int
+
+
+def test_cancellation_work_counts(monkeypatch):
+    """Operation counts of two verifications, which do not jitter the way
+    time does.  Every cancellation still happens (the divisions), and no
+    futile divisibility test comes back (the pre-filter calls: 3,209 when
+    every product and sum tested every factor)."""
+    from hdcalc import diffring, ratfield, rmatrix
+    from hdcalc.diffring import RingSpec, verify_pbw
+
+    for obj in list(vars(rmatrix).values()) + list(vars(diffring).values()):
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    calls = {"may_vanish": 0, "div_linfactor": 0}
+    may_vanish, div_linfactor = ratfield._may_vanish, Poly.div_linfactor
+
+    def counted_may_vanish(*args):
+        calls["may_vanish"] += 1
+        return may_vanish(*args)
+
+    def counted_div_linfactor(*args):
+        calls["div_linfactor"] += 1
+        return div_linfactor(*args)
+
+    monkeypatch.setattr(ratfield, "_may_vanish", counted_may_vanish)
+    monkeypatch.setattr(Poly, "div_linfactor", counted_div_linfactor)
+    n = 2
+    assert verify_pbw(RingSpec(n, (RatFun.one(n), RatFun.one(n)))).flat
+    assert rmatrix.verify_dybe(3).passed
+    assert calls["div_linfactor"] == 172
+    assert calls["may_vanish"] <= 1237
