@@ -114,10 +114,11 @@ def character_map(fam):
 
 
 def center_basis_note(fam, points=None):
-    """Rank evidence that c_1..c_n are algebraically independent: the exact
-    Jacobian of the character map is evaluated at generic rational weights.
+    """Rank of the exact Jacobian of the character map at rational weights.
 
-    Returns (max_rank, n).  This is an oracle, not a proof.
+    Returns (max_rank, n).  Rank n at one point proves c_1..c_n
+    algebraically independent over Q (the Jacobian criterion); a rank below
+    n proves nothing, as the points tried may all be degenerate.
     """
     from .ratfield import PoleError
     spec = fam.spec

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import rmatrix
 from .ratfield import RatFun, DomainError, PoleError
-from .diffring import RingSpec, NormalElement, multiply, normal_form, \
+from .diffring import RingSpec, NormalElement, normal_form, \
     verify_pbw, zhelobenko_assignment, check_assignment, _add_term
 from .potential import (NotFlat, NotInW, delta_system_check, w_decompose,
                         reconstruct_potential, sigma_from_potential)
@@ -23,7 +23,7 @@ from .lowestweight import Weight, NonGenericWeight, LWVector, act, \
     central_character
 from .multicopy import SigmaArray, flatness_check
 from .expressions import (parse, infer_n, evaluate, format_value,
-                          format_ratfun, value_from_json, value_to_json)
+                          format_ratfun, format_decomposition, value_from_json)
 
 
 def _fail(msg):
@@ -127,15 +127,7 @@ def _cmd_mul(args):
     a1, a2 = parse(args.left), parse(args.right)
     n = _resolve_n(args, a1, a2, *_sigma_asts(args))
     spec = _build_spec(args, n)
-    v1 = evaluate(a1, n, spec)
-    v2 = evaluate(a2, n, spec)
-    if isinstance(v1, RatFun) and isinstance(v2, RatFun):
-        _print_value(v1 * v2, args)
-        return 0
-    z = (0,) * n
-    e1 = v1 if isinstance(v1, NormalElement) else NormalElement(n, {(z, z): v1})
-    e2 = v2 if isinstance(v2, NormalElement) else NormalElement(n, {(z, z): v2})
-    _print_value(multiply(spec, e1, e2), args)
+    _print_value(evaluate(("*", a1, a2), n, spec), args)
     return 0
 
 
@@ -163,40 +155,12 @@ def _cmd_delta_check(args):
     return 0 if ok else 1
 
 
-def _mono_in(k, m, c):
-    if m == 0:
-        return str(c)
-    body = f"h{k}" if m == 1 else f"h{k}^{m}"
-    if c == 1:
-        return body
-    if c == -1:
-        return f"-{body}"
-    return f"{c}*{body}"
-
-
-def _format_decomposition(dec):
-    bits = []
-    for k in sorted(dec.parts):
-        coeffs = dec.parts[k]
-        poly = " + ".join(_mono_in(k, m, c)
-                          for m, c in enumerate(coeffs) if c)
-        bits.append(f"({poly})/chi({k})")
-    for L, c in dec.symmetric:
-        if c == 1:
-            bits.append(f"H({L})")
-        elif c == -1:
-            bits.append(f"-H({L})")
-        else:
-            bits.append(f"{c}*H({L})")
-    return " + ".join(bits) if bits else "0"
-
-
 def _cmd_solve_potential(args):
     n = _resolve_n(args, *_sigma_asts(args))
     spec = _build_spec(args, n)
     f = reconstruct_potential(spec.sigma)
     dec = w_decompose(f, 1)
-    print(_format_decomposition(dec))
+    print(format_decomposition(dec))
     return 0
 
 
@@ -213,7 +177,7 @@ def _cmd_decompose(args):
         }
         print(json.dumps(obj, sort_keys=True))
     else:
-        print(_format_decomposition(dec))
+        print(format_decomposition(dec))
     return 0
 
 
@@ -237,8 +201,7 @@ def _cmd_lw_eval(args):
         raise DomainError(f"lambda has {lam.n} entries but n={n}")
     spec = _build_spec(args, n)
     v = evaluate(ast, n, spec)
-    z = (0,) * n
-    el = v if isinstance(v, NormalElement) else NormalElement(n, {(z, z): v})
+    el = v if isinstance(v, NormalElement) else spec.coeff(v)
     vec = act(spec, el, LWVector.vacuum(lam))
     el_out = NormalElement(n, {((0,) * n, b): RatFun.const(n, c)
                                for b, c in vec.terms.items()})

@@ -23,9 +23,10 @@ into integer-shifted differences.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 
-from .ratfield import RatFun, Poly, DomainError, eps_vec
+from .ratfield import RatFun, DomainError
 from .rmatrix import chi as _chi, elementary_symmetric, complete_symmetric
 from .diffring import RingSpec, NormalElement, multiply
 
@@ -226,13 +227,6 @@ def infer_n(ast):
     return max(infer_n(ast[1]), infer_n(ast[2]))
 
 
-def _promote(v, spec):
-    if isinstance(v, RatFun):
-        z = (0,) * spec.n
-        return NormalElement(spec.n, {(z, z): v})
-    return v
-
-
 def evaluate(ast, n, spec=None):
     """Value of a parsed expression: RatFun if pure-h, else NormalElement."""
     if spec is None:
@@ -289,28 +283,25 @@ def evaluate(ast, n, spec=None):
                 return base ** k
             if k < 0:
                 raise DomainError("negative power of a generator expression")
-            out = _promote(RatFun.one(n), spec)
+            out = spec.one()
             for _ in range(k):
                 out = multiply(spec, out, base)
             return out
         l, r = ev(node[1]), ev(node[2])
-        if tag in "+-":
-            if isinstance(l, RatFun) and isinstance(r, RatFun):
-                return l + r if tag == "+" else l - r
-            l, r = _promote(l, spec), _promote(r, spec)
-            return l + r if tag == "+" else l - r
-        if tag == "*":
-            if isinstance(l, RatFun) and isinstance(r, RatFun):
-                return l * r
-            return multiply(spec, _promote(l, spec), _promote(r, spec))
         if tag == "/":
             if not isinstance(r, RatFun):
                 raise DomainError("division by a generator expression")
-            inv = r.inverse()
-            if isinstance(l, RatFun):
-                return l * inv
-            return multiply(spec, l, _promote(inv, spec))
-        raise AssertionError(f"unhandled node {tag!r}")
+            tag, r = "*", r.inverse()
+        if tag not in ("+", "-", "*"):
+            raise AssertionError(f"unhandled node {tag!r}")
+        if isinstance(l, RatFun) and isinstance(r, RatFun):
+            return l + r if tag == "+" else l - r if tag == "-" else l * r
+        # a coefficient next to a generator expression is lifted into the ring
+        l = spec.coeff(l) if isinstance(l, RatFun) else l
+        r = spec.coeff(r) if isinstance(r, RatFun) else r
+        if tag == "*":
+            return multiply(spec, l, r)
+        return l + r if tag == "+" else l - r
 
     if max(infer_n(ast), 1) > n:
         raise DomainError(f"expression uses index {infer_n(ast)} but n={n}")
@@ -363,207 +354,145 @@ def ast_to_text(ast):
 
 
 # ---------------------------------------------------------------------------
-# value formatting
-
-
-def _frac(c):
-    return str(c)
-
-
-def _mono_text(e):
-    bits = []
-    for i, m in enumerate(e, start=1):
-        if m == 1:
-            bits.append(f"h{i}")
-        elif m:
-            bits.append(f"h{i}^{m}")
-    return "*".join(bits)
-
-
-def _poly_parts(p):
-    """[(sign, body)] for the terms in display order."""
-    out = []
-    for e, c in sorted(p.terms.items(),
-                       key=lambda t: (-sum(t[0]), tuple(-v for v in t[0]))):
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        mono = _mono_text(e)
-        if not mono:
-            body = _frac(c)
-        elif c == 1:
-            body = mono
-        else:
-            body = f"{_frac(c)}*{mono}"
-        out.append((sign, body))
-    return out
-
-
-def format_poly(p):
-    parts = _poly_parts(p)
-    if not parts:
-        return "0"
-    first_sign, first = parts[0]
-    txt = ("-" if first_sign == "-" else "") + first
-    for sign, body in parts[1:]:
-        txt += f" {sign} {body}"
-    return txt
-
-
-def _factor_text(fac, m):
-    i, j, a = fac
-    base = f"(h{i}-h{j}{a:+d})" if a else f"(h{i}-h{j})"
-    return base + (f"^{m}" if m > 1 else "")
-
-
-def format_ratfun(f):
-    num = format_poly(f.num)
-    if not f.den:
-        return num
-    dens = [_factor_text(fac, m) for fac, m in sorted(f.den.items())]
-    den = dens[0] if len(dens) == 1 else "(" + "*".join(dens) + ")"
-    if len(f.num.terms) > 1:
-        num = f"({num})"
-    return f"{num}/{den}"
-
-
-def _gen_text(a, b):
-    bits = []
-    for i in range(len(a), 0, -1):
-        if a[i - 1] == 1:
-            bits.append(f"d{i}")
-        elif a[i - 1]:
-            bits.append(f"d{i}^{a[i - 1]}")
-    for i in range(len(b), 0, -1):
-        if b[i - 1] == 1:
-            bits.append(f"x{i}")
-        elif b[i - 1]:
-            bits.append(f"x{i}^{b[i - 1]}")
-    return "*".join(bits)
-
-
-def format_element(el):
-    terms = sorted(el.terms.items(),
-                   key=lambda t: (-(sum(t[0][0]) + sum(t[0][1])), t[0]))
-    if not terms:
-        return "0"
-    parts = []
-    for (a, b), f in terms:
-        mono = _gen_text(a, b)
-        c = f.const_value()
-        if c is not None:
-            sign = "-" if c < 0 else "+"
-            c = abs(c)
-            if not mono:
-                body = _frac(c)
-            elif c == 1:
-                body = mono
-            else:
-                body = f"{_frac(c)}*{mono}"
-        else:
-            sign = "+"
-            if len(f.num.terms) == 1 and next(iter(f.num.terms.values())) < 0:
-                sign = "-"
-                f = -f
-            ftxt = format_ratfun(f)
-            if len(f.num.terms) > 1 and not f.den:
-                ftxt = f"({ftxt})"
-            body = f"{ftxt}*{mono}" if mono else ftxt
-        parts.append((sign, body))
-    first_sign, first = parts[0]
-    txt = ("-" if first_sign == "-" else "") + first
-    for sign, body in parts[1:]:
-        txt += f" {sign} {body}"
-    return txt
-
-
-# latex
+# value formatting: one renderer, two styles
 
 
 def _sub(i):
     return str(i) if i < 10 else "{%d}" % i
 
 
-def _latex_frac(c):
+def _text_quotient(num, dens, num_terms):
+    den = dens[0] if len(dens) == 1 else "(" + "*".join(dens) + ")"
+    return f"({num})/{den}" if num_terms > 1 else f"{num}/{den}"
+
+
+# How each output format spells a generator (`names` + `sub(index)`), a
+# product (`sep`), the + or - inside a linear factor (`op`), a quotient, and a
+# non-constant coefficient f before a generator monomial: `pull_sign` prints
+# -f*m as "- f*m" when f has a one-term numerator, `group` brackets f.
+_Style = namedtuple("_Style", "names sub sep op quotient pull_sign group")
+_TEXT = _Style(
+    names={"h": "h", "d": "d", "x": "x"}, sub=str, sep="*", op=str,
+    quotient=_text_quotient, pull_sign=True,
+    group=lambda s, f, mono: f"({s})" if len(f.num.terms) > 1 and not f.den
+    else s)
+_LATEX = _Style(
+    names={"h": r"\tilde h_", "d": r"\bar\partial_", "x": "x^"}, sub=_sub,
+    sep=" ", op=" {} ".format,
+    quotient=lambda num, dens, _: r"\frac{%s}{%s}" % (num, " ".join(dens)),
+    pull_sign=False,
+    group=lambda s, f, mono: r"\left(%s\right)" % s if mono else s)
+_STYLES = {"text": _TEXT, "latex": _LATEX}
+
+
+def _pow(st, base, m):
+    if m == 1:
+        return base
+    return (f"({base})" if "^" in base else base) + "^" + st.sub(m)
+
+
+def _gen(st, g, i, m):
+    """g_i^m, or "" for m = 0."""
+    return _pow(st, st.names[g] + st.sub(i), m) if m else ""
+
+
+def _const(st, c):
     if c.denominator == 1:
         return str(c.numerator)
-    return r"\frac{%d}{%d}" % (c.numerator, c.denominator)
+    return st.quotient(str(c.numerator), [str(c.denominator)], 1)
 
 
-def _latex_mono_h(e):
-    bits = []
-    for i, m in enumerate(e, start=1):
-        if m == 1:
-            bits.append(r"\tilde h_%s" % _sub(i))
-        elif m:
-            bits.append(r"\tilde h_%s^%s" % (_sub(i), _sub(m)))
-    return " ".join(bits)
+def _term(st, c, mono):
+    """(sign, body) of the nonzero rational c times the monomial text."""
+    sign = "-" if c < 0 else "+"
+    c = abs(c)
+    if not mono:
+        return sign, _const(st, c)
+    return sign, mono if c == 1 else _const(st, c) + st.sep + mono
 
 
-def latex_poly(p):
+def _signed(sign, body):
+    return ("-" if sign == "-" else "") + body
+
+
+def _join(parts):
+    if not parts:
+        return "0"
+    return _signed(*parts[0]) + "".join(f" {sign} {body}"
+                                        for sign, body in parts[1:])
+
+
+def _poly(st, p):
     terms = sorted(p.terms.items(),
                    key=lambda t: (-sum(t[0]), tuple(-v for v in t[0])))
-    if not terms:
-        return "0"
-    txt = ""
-    for e, c in terms:
-        sign = "-" if c < 0 else "+"
-        mono = _latex_mono_h(e)
-        body = _latex_frac(abs(c)) if not mono else \
-            (mono if abs(c) == 1 else _latex_frac(abs(c)) + " " + mono)
-        if not txt:
-            txt = ("-" if sign == "-" else "") + body
-        else:
-            txt += f" {sign} {body}"
-    return txt
+    return _join([_term(st, c, st.sep.join(
+        _gen(st, "h", i, m) for i, m in enumerate(e, start=1) if m))
+        for e, c in terms])
 
 
-def latex_ratfun(f):
-    num = latex_poly(f.num)
+def _ratfun(st, f):
+    num = _poly(st, f.num)
     if not f.den:
         return num
     dens = []
     for (i, j, a), m in sorted(f.den.items()):
-        base = r"(\tilde h_%s - \tilde h_%s %s %d)" % (_sub(i), _sub(j),
-                                                       "+" if a > 0 else "-",
-                                                       abs(a)) if a else \
-            r"(\tilde h_%s - \tilde h_%s)" % (_sub(i), _sub(j))
-        dens.append(base + (f"^{_sub(m)}" if m > 1 else ""))
-    return r"\frac{%s}{%s}" % (num, " ".join(dens))
+        fac = _gen(st, "h", i, 1) + st.op("-") + _gen(st, "h", j, 1)
+        if a:
+            fac += st.op("+" if a > 0 else "-") + str(abs(a))
+        dens.append(_pow(st, f"({fac})", m))
+    return st.quotient(num, dens, len(f.num.terms))
+
+
+def _element(st, el):
+    parts = []
+    for (a, b), f in sorted(el.terms.items(), key=lambda t: (
+            -(sum(t[0][0]) + sum(t[0][1])), t[0])):
+        mono = st.sep.join(_gen(st, g, i, e[i - 1])
+                           for g, e in (("d", a), ("x", b))
+                           for i in range(len(e), 0, -1) if e[i - 1])
+        c = f.const_value()
+        if c is not None:
+            parts.append(_term(st, c, mono))
+            continue
+        sign = "+"
+        if (st.pull_sign and len(f.num.terms) == 1
+                and next(iter(f.num.terms.values())) < 0):
+            sign, f = "-", -f
+        body = st.group(_ratfun(st, f), f, mono)
+        parts.append((sign, body + st.sep + mono if mono else body))
+    return _join(parts)
+
+
+def format_poly(p):
+    return _poly(_TEXT, p)
+
+
+def format_ratfun(f):
+    return _ratfun(_TEXT, f)
+
+
+def format_element(el):
+    return _element(_TEXT, el)
+
+
+def latex_ratfun(f):
+    return _ratfun(_LATEX, f)
 
 
 def latex_element(el):
-    terms = sorted(el.terms.items(),
-                   key=lambda t: (-(sum(t[0][0]) + sum(t[0][1])), t[0]))
-    if not terms:
-        return "0"
-    txt = ""
-    for (a, b), f in terms:
-        bits = []
-        for i in range(len(a), 0, -1):
-            if a[i - 1] == 1:
-                bits.append(r"\bar\partial_%s" % _sub(i))
-            elif a[i - 1]:
-                bits.append(r"\bar\partial_%s^%s" % (_sub(i), _sub(a[i - 1])))
-        for i in range(len(b), 0, -1):
-            if b[i - 1] == 1:
-                bits.append(r"x^%s" % _sub(i))
-            elif b[i - 1]:
-                bits.append(r"(x^%s)^%s" % (_sub(i), _sub(b[i - 1])))
-        mono = " ".join(bits)
-        c = f.const_value()
-        if c is not None:
-            sign = "-" if c < 0 else "+"
-            body = mono if (abs(c) == 1 and mono) else \
-                (_latex_frac(abs(c)) + (" " + mono if mono else ""))
-        else:
-            sign = "+"
-            body = r"\left(%s\right) %s" % (latex_ratfun(f), mono) if mono \
-                else latex_ratfun(f)
-        if not txt:
-            txt = ("-" if sign == "-" else "") + body
-        else:
-            txt += f" {sign} {body}"
-    return txt
+    return _element(_LATEX, el)
+
+
+def format_decomposition(dec):
+    """Text of a W-decomposition: its pole parts pi_k(h_k)/chi(k), then its
+    symmetric parts c_L H(L), each signed term joined by " + "."""
+    bits = []
+    for k in sorted(dec.parts):
+        poly = " + ".join(_signed(*_term(_TEXT, c, _gen(_TEXT, "h", k, m)))
+                          for m, c in enumerate(dec.parts[k]) if c)
+        bits.append(f"({poly})/chi({k})")
+    bits += [_signed(*_term(_TEXT, c, f"H({L})")) for L, c in dec.symmetric]
+    return " + ".join(bits) if bits else "0"
 
 
 # json
@@ -584,11 +513,9 @@ def value_from_json(obj):
 
 
 def format_value(v, mode="text"):
-    if mode == "text":
-        return format_ratfun(v) if isinstance(v, RatFun) else format_element(v)
-    if mode == "latex":
-        return latex_ratfun(v) if isinstance(v, RatFun) else latex_element(v)
     if mode == "json":
         import json
         return json.dumps(value_to_json(v), sort_keys=True)
-    raise ValueError(f"unknown format {mode!r}")
+    if mode not in _STYLES:
+        raise ValueError(f"unknown format {mode!r}")
+    return (_ratfun if isinstance(v, RatFun) else _element)(_STYLES[mode], v)

@@ -535,9 +535,10 @@ class RatFun:
             return
         # Distinct factors are coprime, so a factor that does not divide num
         # does not divide num / (another factor) either: one pass suffices.
-        for fac in list(self.den):
+        # The result goes to a fresh dict: the caller may still hold `den`.
+        den = {}
+        for fac, m in self.den.items():
             i, j, a = fac
-            m = self.den[fac]
             # h_i - h_j + a divides num iff num vanishes at h_i := h_j - a
             while (m > 0 and _may_vanish(self.num, i, j, a)
                    and self.num.subst_var_linear(i, j, -a).is_zero()):
@@ -546,9 +547,8 @@ class RatFun:
                 self.num = q
                 m -= 1
             if m:
-                self.den[fac] = m
-            else:
-                del self.den[fac]
+                den[fac] = m
+        self.den = den
 
     # -- predicates
 

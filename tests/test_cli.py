@@ -1,6 +1,9 @@
 """Command line behavior: outputs, exit codes, stream separation."""
 
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -13,6 +16,27 @@ def run(capsys, *argv):
     rc = main(list(argv))
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+def _readme_examples():
+    """(command line, documented stdout) of each `$ hdcalc ...` example in
+    README.md; an example's output runs to the next blank line or fence."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^\$ hdcalc (.*)\n((?:(?!```).+\n)*)",
+                        readme.read_text(encoding="utf-8"), re.M)
+    assert len(blocks) >= 6
+    return blocks
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("line, want", README_EXAMPLES,
+                         ids=[line for line, _ in README_EXAMPLES])
+def test_readme_example(capsys, line, want):
+    rc, out, _ = run(capsys, *shlex.split(line))
+    assert rc == 0
+    assert out == want
 
 
 def test_verify_ybe(capsys):

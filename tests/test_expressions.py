@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdcalc.ratfield import Poly, RatFun, DomainError
 from hdcalc.diffring import RingSpec, NormalElement
+from hdcalc.cli import main
 from hdcalc.expressions import (parse, infer_n, evaluate, parse_and_eval,
                                 ast_to_text, format_ratfun, format_element,
                                 latex_ratfun, latex_element, format_value,
@@ -138,6 +140,64 @@ def test_ast_print_parse_roundtrip_random():
         assert parse(ast_to_text(ast)) == ast
 
 
+_INDEX = st.integers(1, 12)
+_AST_LEAF = st.one_of(
+    st.builds(lambda k: ("num", Fraction(k)), st.integers(0, 20)),
+    st.tuples(st.sampled_from(["h", "x", "d", "chi"]), _INDEX),
+    st.tuples(st.sampled_from(["H", "e"]), st.integers(0, 12)))
+
+
+def _ast_node(sub):
+    return st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "/"]), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("^"), sub, st.integers(-12, 12)),
+        st.tuples(st.just("shift"), sub, st.lists(
+            st.tuples(_INDEX, st.sampled_from([1, -1])),
+            min_size=1, max_size=3).map(tuple)),
+        st.tuples(st.just("Delta"), _INDEX, sub))
+
+
+@settings(max_examples=300)
+@given(st.recursive(_AST_LEAF, _ast_node, max_leaves=12))
+def test_ast_print_parse_roundtrip_property(ast):
+    assert parse(ast_to_text(ast)) == ast
+
+
+@st.composite
+def _ratfuns(draw, n):
+    coeff = st.one_of(st.integers(-12, 12),
+                      st.fractions(-5, 5, max_denominator=7)).filter(bool)
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n), coeff, max_size=4))
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    factor = st.tuples(pair, st.integers(-3, 3)).map(lambda t: (*t[0], t[1]))
+    den = draw(st.lists(st.tuples(factor, st.integers(1, 3)), max_size=3))
+    return RatFun.build(Poly(n, terms), den)
+
+
+@st.composite
+def _values(draw):
+    n = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        return draw(_ratfuns(n))
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    return NormalElement(n, draw(st.dictionaries(
+        st.tuples(mono, mono), _ratfuns(n), max_size=3)))
+
+
+@settings(max_examples=150)
+@given(_values())
+def test_text_and_json_roundtrip_property(v):
+    spec = RingSpec(v.n)
+    back = evaluate(parse(format_value(v)), v.n, spec)
+    if isinstance(v, NormalElement) and isinstance(back, RatFun):
+        back = spec.coeff(back)  # no generator left to print
+    assert back == v
+    assert value_from_json(value_to_json(v)) == v
+    assert value_from_json(json.loads(format_value(v, "json"))) == v
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(SyntaxError) as exc:
         parse("x1 + + 2")
@@ -174,3 +234,48 @@ def test_element_json_wrapper():
     obj = value_to_json(f)
     assert obj["n"] == n and "terms" not in obj
     assert value_from_json(obj) == f
+
+
+def test_printer_styles_pinned(capsys):
+    """Exact text and LaTeX for each place where the two styles differ."""
+    def both(v):
+        return format_value(v), format_value(v, "latex")
+
+    # indices and exponents >= 10 are braced in LaTeX only
+    f = RatFun.var(11, 11) ** 10 * RatFun.var(11, 1)
+    assert both(f) == ("h1*h11^10", r"\tilde h_1 \tilde h_{11}^{10}")
+    top = tuple(int(i == 11) for i in range(1, 12))
+    e = NormalElement(11, {(top, tuple(12 * k for k in top)): RatFun.one(11)})
+    assert both(e) == ("d11*x11^12", r"\bar\partial_{11} (x^{11})^{12}")
+    # a powered x^i is parenthesised; a rational constant is \frac in LaTeX
+    e = NormalElement(1, {((0,), (2,)): RatFun.one(1),
+                          ((0,), (1,)): RatFun.const(1, Fraction(2, 3))})
+    assert both(e) == ("x1^2 + 2/3*x1", r"(x^1)^2 + \frac{2}{3} x^1")
+    assert both(RatFun.const(1, Fraction(2, 3))) == ("2/3", r"\frac{2}{3}")
+    # a two-factor denominator
+    g = RatFun.build(Poly.var(3, 1) + Poly.const(3, 1), [(1, 2, 0), (1, 3, 1)])
+    assert both(g) == (
+        "(h1 + 1)/((h1-h2)*(h1-h3+1))",
+        r"\frac{\tilde h_1 + 1}{(\tilde h_1 - \tilde h_2) (\tilde h_1 - \tilde h_3 + 1)}")
+    # text moves the sign out of a one-term numerator, LaTeX does not
+    e = NormalElement(2, {((1, 0), (0, 0)): -RatFun.inverse_diff(2, 1, 2),
+                          ((0, 0), (1, 0)): -RatFun.var(2, 1)
+                          * RatFun.inverse_diff(2, 1, 2, 1)})
+    assert both(e) == (
+        "-h1/(h1-h2+1)*x1 - 1/(h1-h2)*d1",
+        r"\left(\frac{-\tilde h_1}{(\tilde h_1 - \tilde h_2 + 1)}\right) x^1"
+        r" + \left(\frac{-1}{(\tilde h_1 - \tilde h_2)}\right) \bar\partial_1")
+    # a polynomial coefficient: text parenthesises it, LaTeX only before a
+    # monomial
+    p = -RatFun.var(2, 1) - RatFun.var(2, 2)
+    e = NormalElement(2, {((0, 0), (1, 0)): p, ((0, 0), (0, 0)): p})
+    assert both(e) == (
+        "(-h1 - h2)*x1 + (-h1 - h2)",
+        r"\left(-\tilde h_1 - \tilde h_2\right) x^1 + -\tilde h_1 - \tilde h_2")
+    # zero
+    assert both(NormalElement(2, {})) == ("0", "0")
+    assert both(RatFun.zero(2)) == ("0", "0")
+    # a decomposition joins its signed parts with " + "
+    assert main(["decompose", "(h2^2 - 3*h2 + 1/2)/chi(2) - H(1)",
+                 "-n", "3"]) == 0
+    assert capsys.readouterr().out == "(1/2 + -3*h2 + h2^2)/chi(2) + -H(1)\n"

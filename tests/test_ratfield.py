@@ -102,6 +102,17 @@ def test_ratfun_cancellation_is_automatic():
     assert f == RatFun.from_poly(Poly(n, {(1, 0): Fraction(1), (0, 1): Fraction(1)}))
 
 
+def test_cancel_leaves_the_callers_den_alone():
+    d = {(1, 2, 0): 1}
+    f = RatFun(Poly.diff(2, 1, 2), d)
+    assert d == {(1, 2, 0): 1} and f.den is not d
+    assert f == RatFun.one(2)
+    d = {(1, 2, 0): 2, (1, 2, 1): 1}
+    f = RatFun(Poly.diff(2, 1, 2), d)
+    assert d == {(1, 2, 0): 2, (1, 2, 1): 1}
+    assert f.den == {(1, 2, 0): 1, (1, 2, 1): 1}
+
+
 def test_cancel_keeps_factor_when_only_the_prefilter_point_vanishes():
     # h3 - x3 vanishes at the pre-filter point for every hyperplane that
     # leaves h3 alone, but h1 - h2 does not divide it
