@@ -369,19 +369,25 @@ def _text_quotient(num, dens, num_terms):
 # How each output format spells a generator (`names` + `sub(index)`), a
 # product (`sep`), the + or - inside a linear factor (`op`), a quotient, and a
 # non-constant coefficient f before a generator monomial: `pull_sign` prints
-# -f*m as "- f*m" when f has a one-term numerator, `group` brackets f.
-_Style = namedtuple("_Style", "names sub sep op quotient pull_sign group")
+# -f*m as "- f*m" when f has a one-term numerator, `group` brackets f.  A
+# decomposition writes a pole part pi_k(h_k)/chi_k with `pole(pi_k, k)` and a
+# symmetric part with `sym(L)` for H_L.
+_Style = namedtuple("_Style",
+                    "names sub sep op quotient pull_sign group pole sym")
 _TEXT = _Style(
     names={"h": "h", "d": "d", "x": "x"}, sub=str, sep="*", op=str,
     quotient=_text_quotient, pull_sign=True,
     group=lambda s, f, mono: f"({s})" if len(f.num.terms) > 1 and not f.den
-    else s)
+    else s,
+    pole="({})/chi({})".format, sym="H({})".format)
 _LATEX = _Style(
     names={"h": r"\tilde h_", "d": r"\bar\partial_", "x": "x^"}, sub=_sub,
     sep=" ", op=" {} ".format,
     quotient=lambda num, dens, _: r"\frac{%s}{%s}" % (num, " ".join(dens)),
     pull_sign=False,
-    group=lambda s, f, mono: r"\left(%s\right)" % s if mono else s)
+    group=lambda s, f, mono: r"\left(%s\right)" % s if mono else s,
+    pole=lambda num, k: r"\frac{%s}{\chi_%s}" % (num, _sub(k)),
+    sym=lambda L: "H_" + _sub(L))
 _STYLES = {"text": _TEXT, "latex": _LATEX}
 
 
@@ -483,15 +489,17 @@ def latex_element(el):
     return _element(_LATEX, el)
 
 
-def format_decomposition(dec):
-    """Text of a W-decomposition: its pole parts pi_k(h_k)/chi(k), then its
-    symmetric parts c_L H(L), each signed term joined by " + "."""
+def format_decomposition(dec, mode="text"):
+    """A W-decomposition in the text or LaTeX style: its pole parts
+    pi_k(h_k)/chi_k, then its symmetric parts c_L H_L, each signed term
+    joined by " + "."""
+    st = _STYLES[mode]
     bits = []
     for k in sorted(dec.parts):
-        poly = " + ".join(_signed(*_term(_TEXT, c, _gen(_TEXT, "h", k, m)))
+        poly = " + ".join(_signed(*_term(st, c, _gen(st, "h", k, m)))
                           for m, c in enumerate(dec.parts[k]) if c)
-        bits.append(f"({poly})/chi({k})")
-    bits += [_signed(*_term(_TEXT, c, f"H({L})")) for L, c in dec.symmetric]
+        bits.append(st.pole(poly, k))
+    bits += [_signed(*_term(st, c, st.sym(L))) for L, c in dec.symmetric]
     return " + ".join(bits) if bits else "0"
 
 

@@ -8,7 +8,11 @@ constructors store integral values as int, and integer inputs then never
 build a Fraction in the ring operations.  Denominators
 are kept as factored multisets of LinFactor keys (i, j, a) with i < j, meaning
 h_i - h_j + a, and are never expanded; this keeps shifts, cancellation and
-partial fractions exact and cheap.
+partial fractions exact and cheap.  The two kernels on such a factor are
+single passes over the term dict: Poly.mul_linfactor lifts a numerator by
+(h_i - h_j + a)^k as k passes of three shifted copies, and
+Poly.div_linfactor divides exactly by synthetic division in h_i, with no
+intermediate Poly.
 
 A RatFun is canonical: no denominator factor divides its numerator.  A
 construction that is not known to be canonical cancels: for each denominator
@@ -303,33 +307,54 @@ class Poly:
         return Poly(self.n, out)
 
     def div_linfactor(self, i, j, a):
-        """Exact division by h_i - h_j + a; None if not divisible."""
-        # synthetic division in h_i with u = h_j - a
-        idx = i - 1
-        maxd = self.degree_in(i)
-        if maxd < 1:
-            return None if not self.is_zero() else Poly.zero(self.n)
-        bydeg = [dict() for _ in range(maxd + 1)]
-        for e, v in self.terms.items():
-            rest = list(e)
-            d = rest[idx]
-            rest[idx] = 0
-            bydeg[d][tuple(rest)] = bydeg[d].get(tuple(rest), 0) + v
-        u = Poly.var(self.n, j) + Poly.const(self.n, -a)
-        quot = [None] * maxd  # coefficients of h_i^0 .. h_i^{maxd-1}
-        carry = Poly(self.n, {e: c for e, c in bydeg[maxd].items() if c})
-        for d in range(maxd - 1, -1, -1):
-            quot[d] = carry
-            carry = Poly(self.n, {e: c for e, c in bydeg[d].items() if c}) + carry * u
-        if not carry.is_zero():
-            return None
+        """Exact division by h_i - h_j + a; None if not divisible.
+
+        Synthetic division in h_i by the root u = h_j - a, on the term dict:
+        from the top degree in h_i down, each remainder term c h_i^d m moves
+        to the quotient as c h_i^(d-1) m and leaves c h_i^(d-1) (h_j - a) m
+        in degree d - 1.  The factor divides iff degree 0 ends empty."""
+        idx, jdx = i - 1, j - 1
+        bydeg = {}
+        for e, c in self.terms.items():
+            bydeg.setdefault(e[idx], {})[e] = c
         out = {}
-        for d, q in enumerate(quot):
-            for e, c in q.terms.items():
-                key = list(e)
-                key[idx] = d
-                out[tuple(key)] = c
+        for d in range(max(bydeg, default=0), 0, -1):
+            rem = bydeg.get(d)
+            if not rem:
+                continue
+            low = bydeg.setdefault(d - 1, {})
+            for e, c in rem.items():
+                if not c:
+                    continue
+                if type(c) is not int:
+                    c = _coeff(c)
+                q = e[:idx] + (d - 1,) + e[idx + 1:]
+                out[q] = c
+                qj = q[:jdx] + (q[jdx] + 1,) + q[jdx + 1:]
+                low[qj] = low.get(qj, 0) + c
+                if a:
+                    low[q] = low.get(q, 0) - a * c
+        if any(bydeg.get(0, {}).values()):
+            return None
         return Poly(self.n, out)
+
+    def mul_linfactor(self, i, j, a, k=1):
+        """self * (h_i - h_j + a)^k: k passes, each adding three shifted
+        copies of the terms (times h_i, times -h_j, times a)."""
+        idx, jdx = i - 1, j - 1
+        terms = self.terms
+        for _ in range(k):
+            out = {}
+            for e, c in terms.items():
+                ei = e[:idx] + (e[idx] + 1,) + e[idx + 1:]
+                out[ei] = out.get(ei, 0) + c
+                ej = e[:jdx] + (e[jdx] + 1,) + e[jdx + 1:]
+                out[ej] = out.get(ej, 0) - c
+                if a:
+                    out[e] = out.get(e, 0) + a * c
+            terms = {e: c if type(c) is int else _coeff(c)
+                     for e, c in out.items() if c}
+        return Poly(self.n, terms)
 
     def permuted(self, perm):
         """Relabel variables: h_i -> h_{perm[i]} (perm 1-based tuple of length n)."""
@@ -402,11 +427,6 @@ def canon_factor(i, j, a):
     if i < j:
         return (i, j, a), 1
     return (j, i, -a), -1
-
-
-def factor_poly(n, fac):
-    i, j, a = fac
-    return Poly.diff(n, i, j, a)
 
 
 # Pre-filter for the divisibility test in RatFun._cancel.  If the factor
@@ -612,11 +632,11 @@ class RatFun:
                 same[fac] = m
             elif k < m:
                 den[fac] = m
-                num1 = num1 * (factor_poly(n, fac) ** (m - k))
+                num1 = num1.mul_linfactor(*fac, m - k)
         for fac, k in den_a.items():
             extra = k - den_b.get(fac, 0)
             if extra > 0:
-                num2 = num2 * (factor_poly(n, fac) ** extra)
+                num2 = num2.mul_linfactor(*fac, extra)
         num = num1 + num2
         if num.is_zero():
             return RatFun.zero(n)
@@ -702,7 +722,7 @@ class RatFun:
         c, factors = fac
         num = Poly.const(self.n, F1 / c)
         for f, m in self.den.items():
-            num = num * (factor_poly(self.n, f) ** m)
+            num = num.mul_linfactor(*f, m)
         return RatFun(num, dict(factors))
 
     # -- shifts / difference calculus
@@ -873,13 +893,6 @@ def partial_fractions(f, j):
         term = RatFun(u.num if sign > 0 else -u.num, term_den)
         cur = cur - term
     return principal, cur
-
-
-def reassemble_partial_fractions(n, j, principal, regular):
-    total = regular
-    for k, a, nu, u in principal:
-        total = total + u * (RatFun.inverse_diff(n, j, k, -a) ** nu)
-    return total
 
 
 # ---------------------------------------------------------------------------

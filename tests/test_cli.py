@@ -141,6 +141,12 @@ def test_decompose(capsys):
     obj = json.loads(out)
     assert obj["symmetric"] == [[1, "1"]]
     assert obj["parts"] == {}
+    rc, out, _ = run(capsys, "decompose",
+                     "(h2^2 - 3*h2 + 1/2)/chi(2) - H(1) + 2*H(3)", "-n", "3",
+                     "--format", "latex")
+    assert rc == 0
+    assert out == (r"\frac{\frac{1}{2} + -3 \tilde h_2 + \tilde h_2^2}{\chi_2}"
+                   r" + -H_1 + 2 H_3" "\n")
 
 
 def test_central_frozen(capsys):
@@ -150,6 +156,16 @@ def test_central_frozen(capsys):
     assert lines[0] == "rho_0 = h1 + h2"
     assert lines[1] == "rho_1 = h1*h2"
     assert lines[2] == "c_1 = d2*x2 + d1*x1 + (-h1 - h2)"
+    rc, out, _ = run(capsys, "central", "-n", "2", "--potential", "H(1)",
+                     "--format", "latex")
+    assert rc == 0
+    assert out.splitlines() == [
+        r"rho_0 = \tilde h_1 + \tilde h_2",
+        r"rho_1 = \tilde h_1 \tilde h_2",
+        r"c_1 = \bar\partial_2 x^2 + \bar\partial_1 x^1 + -\tilde h_1 - \tilde h_2",
+        r"c_2 = \left(\tilde h_1\right) \bar\partial_2 x^2"
+        r" + \left(\tilde h_2\right) \bar\partial_1 x^1 + -\tilde h_1 \tilde h_2",
+    ]
 
 
 def test_lw_character(capsys):

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from hdcalc.ratfield import Poly, RatFun
 from hdcalc.rmatrix import chi, complete_symmetric
 from hdcalc.potential import sigma_from_potential
@@ -137,6 +139,28 @@ def test_strategy_independence_on_random_words():
         differs |= (mixed_normal_form(n, varying, w, "left")
                     != mixed_normal_form(n, varying, w, "right"))
     assert differs
+
+
+@st.composite
+def _flat_spec_and_word(draw):
+    """sigma = Delta f for a random f in W at n = 2, 3, and a word of
+    length 3-5."""
+    n = draw(st.integers(2, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    f = Hpot(n, 1) * draw(coeff) + Hpot(n, 2) * draw(coeff)
+    k = draw(st.integers(2, n))
+    pi = RatFun.var(n, k) * draw(coeff) + draw(coeff)
+    f = f + pi / chi(n, k)
+    word = draw(st.lists(st.tuples(st.sampled_from("xd"), st.integers(1, n)),
+                         min_size=3, max_size=5))
+    return RingSpec(n, sigma_from_potential(f)), word
+
+
+@settings(max_examples=30)
+@given(_flat_spec_and_word())
+def test_strategy_independence_on_random_flat_sigmas(case):
+    spec, word = case
+    assert normal_form(spec, word, "left") == normal_form(spec, word, "right")
 
 
 def test_verify_pbw_flags():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdcalc.ratfield import Poly, RatFun
 from hdcalc.rmatrix import chi, complete_symmetric
@@ -144,6 +145,27 @@ def test_reconstruct_roundtrip_normalized():
         # normalization: same gradient, so the difference is a constant
         diff = got - f
         assert diff.is_const()
+
+
+@st.composite
+def _potential_in_w(draw):
+    """f = sum_L c_L H_L + sum_{k >= 2} pi_k(h_k)/chi_k at n = 2, 3, with
+    L >= 1: the normalization reconstruct_potential returns (no pivot-1
+    pole part, no constant term)."""
+    n = draw(st.integers(2, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    f = RatFun.zero(n)
+    for L in range(1, 4):
+        f = f + RatFun.from_poly(complete_symmetric(n, L).scale(draw(coeff)))
+    for k in range(2, n + 1):
+        f = f + pole_part(n, k, draw(st.lists(coeff, max_size=3)))
+    return f
+
+
+@settings(max_examples=40)
+@given(_potential_in_w())
+def test_reconstruct_inverts_sigma_property(f):
+    assert reconstruct_potential(sigma_from_potential(f)) == f
 
 
 def test_reconstruct_when_L_does_not_divide_the_leading_coefficient():

@@ -8,8 +8,7 @@ import sympy
 from hypothesis import example, given, settings, assume, strategies as st
 
 from hdcalc.ratfield import (Poly, RatFun, TPolyRat, DomainError, PoleError,
-                             partial_fractions, reassemble_partial_fractions,
-                             factor_linfactors, rank_exact,
+                             partial_fractions, factor_linfactors, rank_exact,
                              eps_vec, canon_factor, _P, _point, _may_vanish)
 
 
@@ -244,7 +243,9 @@ def test_partial_fractions_roundtrip():
                           rng.randrange(1, 4))
         f = RatFun.build(num, dens)
         principal, regular = partial_fractions(f, 1)
-        back = reassemble_partial_fractions(n, 1, principal, regular)
+        back = regular
+        for k, a, nu, u in principal:
+            back = back + u * (RatFun.inverse_diff(n, 1, k, -a) ** nu)
         assert back == f
         # regular part carries no h1 poles
         for (i, j, _a), _m in regular.den.items():
@@ -604,6 +605,50 @@ def test_integral_fraction_results_become_int():
               h.permuted((2, 1)), h.derivative(1) * 2):
         assert _int_when_integral(p), p
     assert type((h * Poly.const(2, 2)).terms[(1, 0)]) is int
+
+
+@st.composite
+def _poly_and_factor(draw):
+    """A polynomial at n = 2..4 with int and Fraction coefficients, maybe
+    zero, and a factor h_i - h_j + a with i != j in either order."""
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.one_of(st.integers(-6, 6),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    p = Poly(n, {e: c.numerator if c.denominator == 1 else c
+                 for e, c in terms.items() if c})
+    i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    return p, (i, j, draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=150)
+@given(_poly_and_factor(), st.integers(0, 3))
+@example((Poly.zero(3), (1, 3, 0)), 2)
+@example((Poly(2, {(1, 0): Fraction(1, 2), (0, 1): 3}), (2, 1, 0)), 1)
+def test_mul_linfactor_is_the_product(pf, k):
+    p, (i, j, a) = pf
+    got = p.mul_linfactor(i, j, a, k)
+    assert got == p * Poly.diff(p.n, i, j, a) ** k
+    assert _int_when_integral(got)
+
+
+@settings(max_examples=150)
+@given(_poly_and_factor(), st.booleans())
+@example((Poly.zero(2), (2, 1, 0)), False)
+@example((Poly.const(2, 5), (1, 2, -1)), True)
+@example((Poly(2, {(2, 0): Fraction(1, 2), (1, 1): 1}), (1, 2, 0)), True)
+def test_div_linfactor_is_exact_division(pf, times_factor):
+    p, (i, j, a) = pf
+    if times_factor:
+        p = p * Poly.diff(p.n, i, j, a)
+    q = p.div_linfactor(i, j, a)
+    assert (q is None) == (not p.subst_var_linear(i, j, -a).is_zero())
+    if times_factor:
+        assert q is not None
+    if q is not None:
+        assert q.mul_linfactor(i, j, a) == p
+        assert _int_when_integral(q)
 
 
 def test_cancellation_work_counts(monkeypatch):
