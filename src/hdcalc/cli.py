@@ -23,8 +23,7 @@ from .lowestweight import Weight, NonGenericWeight, LWVector, act, \
     central_character
 from .multicopy import SigmaArray, flatness_check
 from .expressions import (parse, infer_n, evaluate, format_value,
-                          format_ratfun, latex_ratfun, format_decomposition,
-                          value_from_json)
+                          format_decomposition, value_from_json)
 
 
 def _fail(msg):
@@ -187,9 +186,8 @@ def _cmd_central(args):
     spec = _build_spec(args, n)
     f = reconstruct_potential(spec.sigma)
     fam = central_family(f, n=n)
-    rho = latex_ratfun if args.fmt == "latex" else format_ratfun
     for k in range(n):
-        print(f"rho_{k} = {rho(fam.rho.coeff(k))}")
+        print(f"rho_{k} = {format_value(fam.rho.coeff(k), args.fmt)}")
     for k, c in enumerate(fam.elements, start=1):
         print(f"c_{k} = {format_value(c, args.fmt)}")
     return 0

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .ratfield import Poly, RatFun, eps_vec
-from .rmatrix import phi, phi_inv, psi_component
+from .rmatrix import phi, phi_inv, psi_component, r_shifted
 from .potential import sigma_system_check
 
 
@@ -276,8 +276,9 @@ def _resolve(spec, t1, t2):
         if k == i:
             out.append([('d', i), ('x', i)])
         else:
-            # 1/(1 - h_ik) = 1/(h_k - h_i + 1)
-            out.append([RatFun.inverse_diff(n, k, i, 1), ('d', k), ('x', k)])
+            # 1/(1 - h_ik) = 1/(h_k - h_i + 1) = R^{ki}_{ki}[e_k]
+            out.append([r_shifted(n, k, i, k, i, eps_vec(n, k)),
+                        ('d', k), ('x', k)])
     out.append([-spec.sigma[i - 1]])
     return out
 

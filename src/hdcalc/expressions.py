@@ -465,6 +465,10 @@ def _element(st, el):
                 and next(iter(f.num.terms.values())) < 0):
             sign, f = "-", -f
         body = st.group(_ratfun(st, f), f, mono)
+        if body.startswith("-"):
+            # an unbracketed sum led by a negative term (LaTeX only: text
+            # brackets every sum): "+ -a - b" reads "- a - b"
+            sign, body = "-", body[1:]
         parts.append((sign, body + st.sep + mono if mono else body))
     return _join(parts)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 
 from .ratfield import RatFun, eps_vec, rank_exact
-from .rmatrix import r_component, CheckReport
+from .rmatrix import r_component, r_shifted, CheckReport
 from .potential import sigma_system_check
 from .diffring import _rewrite, _swap_coeff
 
@@ -146,11 +146,11 @@ def _resolve(n, sig, t1, t2):
     i, a = i1, c1
     j, b = i2, c2
     if i != j:
-        cf = r_component(n, j, i, i, j).shift(eps_vec(n, j))
+        cf = r_shifted(n, j, i, i, j, eps_vec(n, j))
         return [[cf, ('d', j, b), ('x', i, a)]]
     out = []
     for k in range(1, n + 1):
-        cf = r_component(n, k, i, k, i).shift(eps_vec(n, k))
+        cf = r_shifted(n, k, i, k, i, eps_vec(n, k))
         out.append([cf, ('d', k, b), ('x', k, a)])
     out.append([-sig.get(i, a, b)])
     return out

@@ -1,9 +1,11 @@
 """Dynamical R-matrix of type A over the weight field, its skew inverse, and
 the structure functions built from products of weight differences.
 
-All components are generated on demand; the "ice" sparsity pattern
-(R^{ij}_{kl} = 0 unless (k,l) is (i,j) or (j,i)) is used throughout, so
-identity checks run over O(n^2) nonzero components per index pair.
+Each component, and each weight shift of one that a caller reads, is built
+once per process and memoised: a RatFun is never changed after it is built,
+so one cached value can be shared by every reader.  The "ice" sparsity
+pattern (R^{ij}_{kl} = 0 unless (k,l) is (i,j) or (j,i)) is used throughout,
+so identity checks run over O(n^2) nonzero components per index pair.
 
 Every quotient here (components, phi, Q^+-, 1/chi) has a denominator known
 as a product of shifted differences, so it is built from those factors with
@@ -124,6 +126,7 @@ def e_generating(n, skip=0):
 # R-matrix and skew inverse components
 
 
+@lru_cache(maxsize=None)
 def r_component(n, i, j, k, l):
     """R^{ij}_{kl}."""
     if (k, l) == (i, j):
@@ -138,6 +141,13 @@ def r_component(n, i, j, k, l):
     return RatFun.zero(n)
 
 
+@lru_cache(maxsize=None)
+def r_shifted(n, i, j, k, l, svec):
+    """R^{ij}_{kl}[svec], for an integer shift tuple svec."""
+    return r_component(n, i, j, k, l).shift(svec)
+
+
+@lru_cache(maxsize=None)
 def psi_component(n, i, j, k, l):
     """Psi^{ij}_{kl}, the skew inverse of R."""
     if (k, l) == (i, j):
@@ -215,21 +225,21 @@ def verify_dybe(n):
             for u in us:
                 if (m, p) not in _nonzero_lower(a, u):
                     continue
-                r2 = r_component(n, b, k, u, r).shift(sa)
+                r2 = r_shifted(n, b, k, u, r, sa)
                 r3 = r_component(n, a, u, m, p)
                 lhs = lhs + r1 * r2 * r3
         rhs = RatFun.zero(n)
         si = eps_vec(n, i, -1)
         sm = eps_vec(n, m, -1)
         for a, b in _nonzero_lower(j, k):
-            r1 = r_component(n, j, k, a, b).shift(si)
+            r1 = r_shifted(n, j, k, a, b, si)
             for mm, u in _nonzero_lower(i, a):
                 if mm != m:
                     continue
                 if (p, r) not in _nonzero_lower(u, b):
                     continue
                 r2 = r_component(n, i, a, m, u)
-                r3 = r_component(n, u, b, p, r).shift(sm)
+                r3 = r_shifted(n, u, b, p, r, sm)
                 rhs = rhs + r1 * r2 * r3
         results.append(((i, j, k, m, p, r), (lhs - rhs).is_zero()))
     return CheckReport(f"dybe n={n}", results)
@@ -289,7 +299,7 @@ def verify_skew_inverse(n):
                 lhs = psi_component(n, i, k, j, l)
                 if (p, k) not in _nonzero_lower(m, l):
                     continue
-                rhs = r_component(n, m, l, p, k).shift(sm)
+                rhs = r_shifted(n, m, l, p, k, sm)
                 s = s + lhs * rhs
         target = RatFun.one(n) if (i == p and m == j) else RatFun.zero(n)
         results.append(((i, j, m, p), s == target))

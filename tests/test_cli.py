@@ -8,6 +8,7 @@ import shlex
 import pytest
 
 from hdcalc.cli import main
+from hdcalc.expressions import format_value, value_from_json
 from hdcalc.ratfield import RatFun
 from hdcalc.multicopy import SigmaArray
 
@@ -162,10 +163,22 @@ def test_central_frozen(capsys):
     assert out.splitlines() == [
         r"rho_0 = \tilde h_1 + \tilde h_2",
         r"rho_1 = \tilde h_1 \tilde h_2",
-        r"c_1 = \bar\partial_2 x^2 + \bar\partial_1 x^1 + -\tilde h_1 - \tilde h_2",
+        r"c_1 = \bar\partial_2 x^2 + \bar\partial_1 x^1 - \tilde h_1 - \tilde h_2",
         r"c_2 = \left(\tilde h_1\right) \bar\partial_2 x^2"
-        r" + \left(\tilde h_2\right) \bar\partial_1 x^1 + -\tilde h_1 \tilde h_2",
+        r" + \left(\tilde h_2\right) \bar\partial_1 x^1 - \tilde h_1 \tilde h_2",
     ]
+
+
+def test_central_json_rho_round_trips(capsys):
+    """Each rho_k line of --format json is one JSON value, equal to the
+    polynomial the text format prints."""
+    argv = ("central", "-n", "3", "--potential", "H(2)")
+    texts, jsons = ([line.split(" = ", 1) for line in run(capsys, *argv, *fmt)[1]
+                     .splitlines() if line.startswith("rho_")]
+                    for fmt in ((), ("--format", "json")))
+    assert [name for name, _ in jsons] == ["rho_0", "rho_1", "rho_2"]
+    for (_, text), (_, js) in zip(texts, jsons):
+        assert format_value(value_from_json(json.loads(js))) == text
 
 
 def test_lw_character(capsys):

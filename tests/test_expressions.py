@@ -266,12 +266,15 @@ def test_printer_styles_pinned(capsys):
         r"\left(\frac{-\tilde h_1}{(\tilde h_1 - \tilde h_2 + 1)}\right) x^1"
         r" + \left(\frac{-1}{(\tilde h_1 - \tilde h_2)}\right) \bar\partial_1")
     # a polynomial coefficient: text parenthesises it, LaTeX only before a
-    # monomial
+    # monomial, and an unbracketed LaTeX sum led by a negative term moves its
+    # sign out
     p = -RatFun.var(2, 1) - RatFun.var(2, 2)
     e = NormalElement(2, {((0, 0), (1, 0)): p, ((0, 0), (0, 0)): p})
     assert both(e) == (
         "(-h1 - h2)*x1 + (-h1 - h2)",
-        r"\left(-\tilde h_1 - \tilde h_2\right) x^1 + -\tilde h_1 - \tilde h_2")
+        r"\left(-\tilde h_1 - \tilde h_2\right) x^1 - \tilde h_1 - \tilde h_2")
+    e = NormalElement(2, {((0, 0), (0, 0)): p})
+    assert both(e) == ("(-h1 - h2)", r"-\tilde h_1 - \tilde h_2")
     # zero
     assert both(NormalElement(2, {})) == ("0", "0")
     assert both(RatFun.zero(2)) == ("0", "0")

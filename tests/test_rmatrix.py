@@ -9,11 +9,12 @@ import sympy
 from hdcalc import diffring, ratfield, rmatrix
 from hdcalc.central import central_family
 from hdcalc.diffring import RingSpec, epsilon_antiauto, module_form, verify_pbw
-from hdcalc.multicopy import SigmaArray, mixed_normal_form
+from hdcalc.multicopy import SigmaArray, ambiguity_oracle, mixed_normal_form
 from hdcalc.potential import reconstruct_potential, sigma_from_potential
 from hdcalc.ratfield import Poly, RatFun, eps_vec
-from hdcalc.rmatrix import (r_component, psi_component, chi, chi_inv, phi,
-                            phi_inv, q_plus, q_minus, elementary_symmetric,
+from hdcalc.rmatrix import (r_component, r_shifted, psi_component, chi,
+                            chi_inv, phi, phi_inv, q_plus, q_minus,
+                            elementary_symmetric,
                             complete_symmetric, CheckReport, verify_dybe,
                             verify_r_squared, verify_ice, verify_skew_inverse,
                             verify_q_identity, verify_chi_identity)
@@ -179,7 +180,8 @@ def test_no_internal_path_factors(monkeypatch):
 
     monkeypatch.setattr(ratfield, "factor_linfactors", refuse)
     for cached in (rmatrix.psi, rmatrix.psi_prime, chi, phi, phi_inv, q_plus,
-                   q_minus, diffring._swap_coeff):
+                   q_minus, r_component, r_shifted, psi_component,
+                   diffring._swap_coeff):
         cached.cache_clear()
     with pytest.raises(AssertionError, match="reached"):
         RatFun.one(2) / RatFun.from_poly(Poly.diff(2, 1, 2))
@@ -208,3 +210,47 @@ def test_no_internal_path_factors(monkeypatch):
     word = [('d', 1, 1), ('x', 2, 2), ('d', 3, 2), ('x', 1, 1)]
     assert (mixed_normal_form(n, sig, word, "left")
             == mixed_normal_form(n, sig, word, "right"))
+
+
+# ---------------------------------------------------------------------------
+# the memoised components
+
+
+def _memo_keys(n):
+    """(function, args) for every component at n, and every unit weight
+    shift of every R component."""
+    idx = [(n,) + key for key in product(range(1, n + 1), repeat=4)]
+    shifts = [eps_vec(n, a, sign) for a in range(1, n + 1) for sign in (1, -1)]
+    return ([(r_component, key) for key in idx]
+            + [(psi_component, key) for key in idx]
+            + [(r_shifted, key + (s,)) for key in idx for s in shifts])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_memoised_components_match_fresh_builds(n):
+    for fn, args in _memo_keys(n):
+        if fn is r_shifted:
+            fresh = r_component.__wrapped__(*args[:5]).shift(args[5])
+        else:
+            fresh = fn.__wrapped__(*args)
+        assert fn(*args).to_json() == fresh.to_json(), (fn.__name__, args)
+
+
+def test_memoised_components_are_not_mutated():
+    n = 3
+    held = [(fn, args, fn(*args)) for fn, args in _memo_keys(n)]
+    before = [v.to_json() for _, _, v in held]
+    assert verify_dybe(n).passed
+    assert verify_skew_inverse(n).passed
+    sig = SigmaArray.constant(n, 2, 2, {(1, 1): 1, (1, 2): 2,
+                                        (2, 1): 0, (2, 2): 3})
+    assert ambiguity_oracle(n, 2, 2, sig, budget=30, seed=1).passed
+    for (fn, args, v), js in zip(held, before):
+        assert fn(*args) is v, (fn.__name__, args)
+        assert v.to_json() == js, (fn.__name__, args)
+
+
+def test_dybe_fails_if_the_shift_is_dropped(monkeypatch):
+    monkeypatch.setattr(rmatrix, "r_shifted",
+                        lambda n, i, j, k, l, svec: r_component(n, i, j, k, l))
+    assert not verify_dybe(3).passed
