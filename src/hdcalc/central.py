@@ -8,9 +8,7 @@ materialized as the complementary product, so t never enters denominators.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .ratfield import Poly, RatFun, TPolyRat, rank_exact
+from .ratfield import Poly, RatFun, TPolyRat
 from .rmatrix import chi_inv, e_generating, elementary_symmetric, psi_component
 from .potential import NotInW, w_decompose
 from .diffring import RingSpec, NormalElement, commutator
@@ -112,32 +110,3 @@ def character_map(fam):
         out.append(v)
     return out
 
-
-def center_basis_note(fam, points=None):
-    """Rank of the exact Jacobian of the character map at rational weights.
-
-    Returns (max_rank, n).  Rank n at one point proves c_1..c_n
-    algebraically independent over Q (the Jacobian criterion); a rank below
-    n proves nothing, as the points tried may all be degenerate.
-    """
-    from .ratfield import PoleError
-    spec = fam.spec
-    n = spec.n
-    chars = character_map(fam)
-    jac = [[v.derivative(j) for j in range(1, n + 1)] for v in chars]
-    if points is None:
-        points = []
-        for s in range(1, n * n + 1):
-            pt = tuple(Fraction(3 * (k + 1) * (2 * s + 1) + 1, 2 * (k + 1) + s)
-                       for k in range(n))
-            points.append(pt)
-    best = 0
-    for pt in points:
-        try:
-            m = [[e.evaluate(pt) for e in row] for row in jac]
-        except PoleError:
-            continue
-        best = max(best, rank_exact(m))
-        if best == n:
-            break
-    return best, n

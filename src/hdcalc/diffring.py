@@ -6,6 +6,9 @@ field on the far left".  A second ("module") ordering with x left of d is
 provided for evaluating on lowest weight vectors.
 
 Generator words are token lists: ('x', i), ('d', i), or a coefficient RatFun.
+One rule table (`_resolve`, with the order key `_order`) serves this ring and
+its multi-copy form in `multicopy`: there the tokens carry a copy tag,
+('x', i, a) and ('d', j, b), and in one copy they carry none.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .ratfield import Poly, RatFun, eps_vec
-from .rmatrix import phi, phi_inv, psi_component, r_shifted
+from .rmatrix import phi, phi_inv, psi_component, r_component, r_shifted
 from .potential import sigma_system_check
 
 
@@ -129,13 +132,6 @@ class NormalElement:
         """Set of term weights (b - a) as vectors."""
         return {tuple(b - a for a, b in zip(ak, bk)) for ak, bk in self.terms}
 
-    def tokens(self):
-        """Expand back into a generator word with the coefficient tokens."""
-        toks = []
-        for (a, b), f in sorted(self.terms.items()):
-            toks.append((f, self._mono_tokens(a, b)))
-        return toks
-
     @staticmethod
     def _mono_tokens(a, b):
         w = []
@@ -241,45 +237,60 @@ def _exponents(n, gens):
 
 @lru_cache(maxsize=None)
 def _swap_coeff(n, kind, i, j):
-    """Coefficient of the one-copy swap of generators i and j:
-    x^i x^j = c x^j x^i, d_i d_j = c d_j d_i, x^i d_j = c d_j x^i (i > j)."""
+    """Coefficient of the same-copy swap of generators i < j of one species:
+    x^i x^j = c x^j x^i, d_i d_j = c d_j d_i."""
     hij = RatFun.from_poly(Poly.diff(n, i, j))
     if kind == "xx":
         return (hij + 1) * RatFun.inverse_diff(n, i, j)
-    if kind == "dd":
-        return (hij - 1) * RatFun.inverse_diff(n, i, j)
-    return hij * (hij - 2) * (RatFun.inverse_diff(n, i, j, -1) ** 2)
+    return (hij - 1) * RatFun.inverse_diff(n, i, j)
 
 
-def _ring_order(t):
-    # d's left of x's, each species in descending index
-    return (t[0] == 'x', -t[1])
+def _order(t):
+    # d's left of x's, then by copy tag (none in one copy), descending index
+    return (t[0] == 'x', t[2:], -t[1])
 
 
-def _resolve(spec, t1, t2):
-    """Replace the out-of-order pair t1 t2; returns list of token lists."""
-    n = spec.n
-    s1, i = t1
-    s2, j = t2
-    if s1 == s2:
+def _resolve(n, sigma, t1, t2):
+    """Replace the out-of-order pair t1 t2; returns list of token lists.
+
+    The one rule table of the ring and of its multi-copy form: generators
+    are (species, index) in one copy and (species, index, copy) in several,
+    and the copy tag t[2:] rides along.  sigma(i, ta, tb) is the zero-order
+    term of x^{i,ta} d_{i,tb} for the tags ta, tb."""
+    s1, i = t1[:2]
+    s2, j = t2[:2]
+    ta, tb = t1[2:], t2[2:]
+    if s1 == s2 and ta == tb:
         # x^i x^j -> (h_ij + 1)/h_ij x^j x^i, d_i d_j -> (h_ij - 1)/h_ij d_j d_i
-        return [[_swap_coeff(n, s1 + s2, i, j), (s2, j), (s1, i)]]
-    # x^i d_j
+        return [[_swap_coeff(n, s1 + s2, i, j), t2, t1]]
+    if s1 == s2 and i == j:
+        return [[t2, t1]]
+    if s1 == 'x' and s2 == 'x':
+        # x^{i,ta} x^{j,tb} = sum R^{ij}_{kl} x^{k,tb} x^{l,ta}   (ta > tb)
+        return [[r_component(n, i, j, i, j), ('x', i) + tb, ('x', j) + ta],
+                [r_component(n, i, j, j, i), ('x', j) + tb, ('x', i) + ta]]
+    if s1 == 'd':
+        # d_{i,ta} d_{j,tb} = sum d_{l,tb} d_{k,ta} R^{kl}_{ji}   (ta > tb);
+        # both coefficients only involve h_i - h_j, so moving them left past
+        # the two d's costs no shift
+        return [[r_component(n, j, i, j, i), ('d', i) + tb, ('d', j) + ta],
+                [r_component(n, i, j, j, i), ('d', j) + tb, ('d', i) + ta]]
+    # x^{i,ta} d_{j,tb} = sum_{k,l} d_{k,tb} R^{ki}_{lj}[e_k] x^{l,ta}
+    #                     - delta_ij sigma(i, ta, tb)
     if i < j:
-        return [[('d', j), ('x', i)]]
+        return [[t2, t1]]  # R^{ji}_{ij} = 1
     if i > j:
-        # h_ij (h_ij - 2) / (h_ij - 1)^2 d_j x^i
-        return [[_swap_coeff(n, "xd", i, j), ('d', j), ('x', i)]]
-    # x^i d_i -> sum_j 1/(1 - h_ij) d_j x^j - sigma_i
+        # R^{ji}_{ij}[e_j] = h_ij (h_ij - 2) / (h_ij - 1)^2
+        return [[r_shifted(n, j, i, i, j, eps_vec(n, j)), t2, t1]]
     out = []
     for k in range(1, n + 1):
         if k == i:
-            out.append([('d', i), ('x', i)])
+            out.append([t2, t1])  # R^{ii}_{ii} = 1
         else:
-            # 1/(1 - h_ik) = 1/(h_k - h_i + 1) = R^{ki}_{ki}[e_k]
+            # R^{ki}_{ki}[e_k] = 1/(h_k - h_i + 1)
             out.append([r_shifted(n, k, i, k, i, eps_vec(n, k)),
-                        ('d', k), ('x', k)])
-    out.append([-spec.sigma[i - 1]])
+                        ('d', k) + tb, ('x', k) + ta])
+    out.append([-sigma(i, ta, tb)])
     return out
 
 
@@ -289,7 +300,8 @@ def normal_form(spec, word, strategy="left"):
     strategy picks which defect to rewrite first; any strategy gives the same
     result exactly when sigma is flat."""
     n = spec.n
-    terms = _rewrite(n, word, _ring_order, partial(_resolve, spec), strategy)
+    resolve = partial(_resolve, n, lambda i, ta, tb: spec.sigma[i - 1])
+    terms = _rewrite(n, word, _order, resolve, strategy)
     return NormalElement(n, {_exponents(n, g): c for g, c in terms.items()})
 
 
@@ -323,7 +335,8 @@ def _resolve_module(spec, t1, t2):
     s1, j = t1
     s2, i = t2
     if s1 == s2:
-        return _resolve(spec, t1, t2)
+        # the ring's rule; a same-species swap has no zero-order term
+        return _resolve(n, None, t1, t2)
     # d_j x^i -> sum_{k,l} Psi^{ik}_{jl} x^l d_k + sum_k Psi^{ik}_{jk} sigma_k
     if j != i:
         return [[psi_component(n, i, j, j, i), ('x', i), ('d', j)]]
@@ -486,7 +499,10 @@ class GeneratorAssignment:
 
 def check_assignment(src, dst, assign):
     """Verify that the assignment maps every defining relation of src to zero
-    in dst.  Returns a CheckReport-style list of (label, ok)."""
+    in dst.  The relations are read off the rule table: each out-of-order
+    pair t1 t2 must map to the image of its replacement.  Returns a
+    CheckReport-style list of (label, ok), each relation labelled by its
+    word, e.g. "x1*d1"."""
     n = src.n
     results = []
     X = assign.x_images
@@ -503,38 +519,22 @@ def check_assignment(src, dst, assign):
         ok = wd <= {tuple(eps_vec(n, assign.perm[i - 1], -1))}
         results.append((("weight-d", i), ok))
 
-    one = RatFun.one(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            cxx = mc(_swap_coeff(n, "xx", i, j))
-            lhs = multiply(dst, X[i - 1], X[j - 1]) \
-                - multiply(dst, X[j - 1], X[i - 1]).scale(cxx)
-            results.append((("xx", i, j), lhs.is_zero()))
-            cdd = mc(_swap_coeff(n, "dd", i, j))
-            lhs = multiply(dst, D[i - 1], D[j - 1]) \
-                - multiply(dst, D[j - 1], D[i - 1]).scale(cdd)
-            results.append((("dd", i, j), lhs.is_zero()))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            if i < j:
-                c = one
-            else:
-                c = mc(_swap_coeff(n, "xd", i, j))
-            lhs = multiply(dst, X[i - 1], D[j - 1]) \
-                - multiply(dst, D[j - 1], X[i - 1]).scale(c)
-            results.append((("xd", i, j), lhs.is_zero()))
-    for i in range(1, n + 1):
-        lhs = multiply(dst, X[i - 1], D[i - 1])
-        for k in range(1, n + 1):
-            if k == i:
-                c = one
-            else:
-                c = mc(RatFun.inverse_diff(n, k, i, 1))
-            lhs = lhs - multiply(dst, D[k - 1], X[k - 1]).scale(c)
-        lhs = lhs + dst.coeff(mc(src.sigma[i - 1]))
-        results.append((("xd-diag", i), lhs.is_zero()))
+    # every pair the ring order rewrites: the n(n-1) same-species pairs,
+    # then the n^2 pairs x^i d_j with the diagonal last
+    gens = [(s, i) for s in "xd" for i in range(1, n + 1)]
+    image = dict(zip(gens, X + D))
+    pairs = sorted(((t1, t2) for t1 in gens for t2 in gens
+                    if _order(t1) > _order(t2)),
+                   key=lambda p: (p[0][0] != p[1][0], p[0][1] == p[1][1],
+                                  p[0][1], p[1][1]))
+    for t1, t2 in pairs:
+        lhs = multiply(dst, image[t1], image[t2])
+        for repl in _resolve(n, lambda i, ta, tb: src.sigma[i - 1], t1, t2):
+            c = mc(repl[0]) if isinstance(repl[0], RatFun) else None
+            g = [image[t] for t in repl if not isinstance(t, RatFun)]
+            rhs = multiply(dst, *g) if g else dst.one()
+            lhs = lhs - (rhs if c is None else rhs.scale(c))
+        results.append((f"{t1[0]}{t1[1]}*{t2[0]}{t2[1]}", lhs.is_zero()))
     return results
 
 

@@ -371,15 +371,17 @@ def _text_quotient(num, dens, num_terms):
 # non-constant coefficient f before a generator monomial: `pull_sign` prints
 # -f*m as "- f*m" when f has a one-term numerator, `group` brackets f.  A
 # decomposition writes a pole part pi_k(h_k)/chi_k with `pole(pi_k, k)` and a
-# symmetric part with `sym(L)` for H_L.
+# symmetric part with `sym(L)` for H_L, and joins its signed terms with
+# `join`: text keeps "a + -b", LaTeX reads it "a - b" as elements do.
 _Style = namedtuple("_Style",
-                    "names sub sep op quotient pull_sign group pole sym")
+                    "names sub sep op quotient pull_sign group pole sym join")
 _TEXT = _Style(
     names={"h": "h", "d": "d", "x": "x"}, sub=str, sep="*", op=str,
     quotient=_text_quotient, pull_sign=True,
     group=lambda s, f, mono: f"({s})" if len(f.num.terms) > 1 and not f.den
     else s,
-    pole="({})/chi({})".format, sym="H({})".format)
+    pole="({})/chi({})".format, sym="H({})".format,
+    join=lambda parts: " + ".join(_signed(*p) for p in parts))
 _LATEX = _Style(
     names={"h": r"\tilde h_", "d": r"\bar\partial_", "x": "x^"}, sub=_sub,
     sep=" ", op=" {} ".format,
@@ -387,7 +389,7 @@ _LATEX = _Style(
     pull_sign=False,
     group=lambda s, f, mono: r"\left(%s\right)" % s if mono else s,
     pole=lambda num, k: r"\frac{%s}{\chi_%s}" % (num, _sub(k)),
-    sym=lambda L: "H_" + _sub(L))
+    sym=lambda L: "H_" + _sub(L), join=lambda parts: _join(parts))
 _STYLES = {"text": _TEXT, "latex": _LATEX}
 
 
@@ -495,16 +497,16 @@ def latex_element(el):
 
 def format_decomposition(dec, mode="text"):
     """A W-decomposition in the text or LaTeX style: its pole parts
-    pi_k(h_k)/chi_k, then its symmetric parts c_L H_L, each signed term
-    joined by " + "."""
+    pi_k(h_k)/chi_k, then its symmetric parts c_L H_L, the signed terms
+    joined by the style's `join`."""
     st = _STYLES[mode]
-    bits = []
+    parts = []
     for k in sorted(dec.parts):
-        poly = " + ".join(_signed(*_term(st, c, _gen(st, "h", k, m)))
-                          for m, c in enumerate(dec.parts[k]) if c)
-        bits.append(st.pole(poly, k))
-    bits += [_signed(*_term(st, c, st.sym(L))) for L, c in dec.symmetric]
-    return " + ".join(bits) if bits else "0"
+        poly = st.join([_term(st, c, _gen(st, "h", k, m))
+                        for m, c in enumerate(dec.parts[k]) if c])
+        parts.append(("+", st.pole(poly, k)))
+    parts += [_term(st, c, st.sym(L)) for L, c in dec.symmetric]
+    return st.join(parts) if parts else "0"
 
 
 # json

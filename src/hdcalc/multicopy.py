@@ -5,6 +5,10 @@ variables.  Same-copy pairs obey the one-copy rules; cross-copy pairs reorder
 through the R-matrix, and x-d pairs through the R-shifted oscillator rule with
 a zero-order array sigma_{i,a,b}.  Once more than one copy of either species
 is present, flatness forces every sigma entry to be a constant.
+
+The rules are the one rule table of `diffring` (`_resolve`, `_order`): the
+tokens ('x', i, a) and ('d', j, b) carry their copy as a tag, where the
+one-copy tokens ('x', i) and ('d', j) carry none.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from fractions import Fraction
 from functools import partial
 
 from .ratfield import RatFun, eps_vec, rank_exact
-from .rmatrix import r_component, r_shifted, CheckReport
+from .rmatrix import r_component, CheckReport
 from .potential import sigma_system_check
-from .diffring import _rewrite, _swap_coeff
+from .diffring import _order, _resolve, _rewrite
 
 
 class SigmaArray:
@@ -115,53 +119,13 @@ def constant_profile(s):
 # mixed rewriting over tokens ('x', i, a) / ('d', j, b) / RatFun
 
 
-def _copy_order(t):
-    # d's left of x's, each species by copy, then descending index
-    return (t[0] == 'x', t[2], -t[1])
-
-
-def _resolve(n, sig, t1, t2):
-    s1, i1, c1 = t1
-    s2, i2, c2 = t2
-    if s1 == s2 and c1 == c2:
-        # one-copy rule, copy tag carried along
-        return [[_swap_coeff(n, s1 + s2, i1, i2), (s2, i2, c2), (s1, i1, c1)]]
-    if s1 == 'x' and s2 == 'x':
-        # x^{i,c1} x^{j,c2} = sum R^{ij}_{kl} x^{k,c2} x^{l,c1}   (c1 > c2)
-        i, j = i1, i2
-        if i == j:
-            return [[('x', i, c2), ('x', i, c1)]]
-        return [[r_component(n, i, j, i, j), ('x', i, c2), ('x', j, c1)],
-                [r_component(n, i, j, j, i), ('x', j, c2), ('x', i, c1)]]
-    if s1 == 'd' and s2 == 'd':
-        # d_{l,c1} d_{k,c2} = sum d_{j,c2} d_{i,c1} R^{ij}_{kl}   (c1 > c2);
-        # both coefficients only involve h_k - h_l, so moving them left past
-        # the two d's costs no shift
-        l, k = i1, i2
-        if l == k:
-            return [[('d', k, c2), ('d', k, c1)]]
-        return [[r_component(n, k, l, k, l), ('d', l, c2), ('d', k, c1)],
-                [r_component(n, l, k, k, l), ('d', k, c2), ('d', l, c1)]]
-    # x^{i,a} d_{j,b} = sum_{k,l} d_{k,b} R^{ki}_{lj} x^{l,a} - delta_ij sigma
-    i, a = i1, c1
-    j, b = i2, c2
-    if i != j:
-        cf = r_shifted(n, j, i, i, j, eps_vec(n, j))
-        return [[cf, ('d', j, b), ('x', i, a)]]
-    out = []
-    for k in range(1, n + 1):
-        cf = r_shifted(n, k, i, k, i, eps_vec(n, k))
-        out.append([cf, ('d', k, b), ('x', k, a)])
-    out.append([-sig.get(i, a, b)])
-    return out
-
-
 def mixed_normal_form(n, sig, word, strategy="left"):
     """Normal-order a mixed multi-copy word.
 
     Returns dict: canonical generator tuple -> RatFun.  Canonical order is
     d-block then x-block, each sorted by (copy, descending index)."""
-    return _rewrite(n, word, _copy_order, partial(_resolve, n, sig), strategy)
+    resolve = partial(_resolve, n, lambda i, ta, tb: sig.get(i, ta[0], tb[0]))
+    return _rewrite(n, word, _order, resolve, strategy)
 
 
 def vcopy_normal_form(n, ncopies, word, strategy="left"):

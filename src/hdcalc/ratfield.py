@@ -51,10 +51,6 @@ class DomainError(ValueError):
     """Operation leaves the allowed coefficient class."""
 
 
-def _as_fraction(c):
-    return c if isinstance(c, Fraction) else Fraction(c)
-
-
 def _coeff(c):
     """c as a Poly coefficient: an int if it is integral, else a Fraction.
     A float is refused: its value is already rounded.  The ring operations
@@ -370,19 +366,6 @@ class Poly:
             else:
                 out.pop(key, None)
         return Poly(self.n, out)
-
-    def derivative(self, i):
-        out = {}
-        idx = i - 1
-        for e, c in self.terms.items():
-            d = e[idx]
-            if d == 0:
-                continue
-            ne = list(e)
-            ne[idx] = d - 1
-            key = tuple(ne)
-            out[key] = out.get(key, 0) + c * d
-        return Poly(self.n, {e: _coeff(c) for e, c in out.items() if c})
 
     def evaluate(self, point):
         """Evaluate at a tuple of Fractions."""
@@ -786,23 +769,6 @@ class RatFun:
                 num = -num
         return RatFun(num, den, _canonical=True)
 
-    def derivative(self, i):
-        """d/dh_i by the quotient rule; stays in the class."""
-        n = self.n
-        out = RatFun(self.num.derivative(i), dict(self.den), _canonical=False)
-        for (a, b, c), m in self.den.items():
-            dfac = 0
-            if a == i:
-                dfac = 1
-            elif b == i:
-                dfac = -1
-            if not dfac:
-                continue
-            den = dict(self.den)
-            den[(a, b, c)] = m + 1
-            out = out + RatFun(self.num.scale(-m * dfac), den)
-        return out
-
     def evaluate(self, point):
         total = self.num.evaluate(point)
         for (i, j, a), m in self.den.items():
@@ -837,25 +803,13 @@ class RatFun:
 
 
 # ---------------------------------------------------------------------------
-# difference calculus helpers (free-function forms)
-
-
-def shift(f, svec):
-    return f.shift(tuple(svec))
-
-
-def delta(f, j):
-    return f.delta(j)
+# unit shift vectors
 
 
 def eps_vec(n, j, sign=1):
     s = [0] * n
     s[j - 1] = sign
     return tuple(s)
-
-
-def evaluate(f, point):
-    return f.evaluate(tuple(_as_fraction(x) for x in point))
 
 
 # ---------------------------------------------------------------------------
@@ -1020,16 +974,6 @@ class TPolyRat:
     def zero(cls, n):
         return cls(n, [])
 
-    @classmethod
-    def const(cls, n, f):
-        if isinstance(f, (int, Fraction)):
-            f = RatFun.const(n, f)
-        return cls(n, [f])
-
-    @classmethod
-    def t(cls, n):
-        return cls(n, [RatFun.zero(n), RatFun.one(n)])
-
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -1060,17 +1004,10 @@ class TPolyRat:
         return TPolyRat(self.n, [-c for c in self.coeffs])
 
     def __mul__(self, other):
+        """Coefficientwise product with a scalar or a RatFun."""
         if isinstance(other, (int, Fraction)):
             other = RatFun.const(self.n, other)
-        if isinstance(other, RatFun):
-            return TPolyRat(self.n, [c * other for c in self.coeffs])
-        out = [RatFun.zero(self.n) for _ in range(len(self.coeffs) + len(other.coeffs))]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return TPolyRat(self.n, out)
+        return TPolyRat(self.n, [c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 

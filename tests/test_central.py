@@ -8,7 +8,7 @@ from hdcalc.ratfield import Poly, RatFun
 from hdcalc.rmatrix import chi, complete_symmetric
 from hdcalc.potential import NotInW
 from hdcalc.central import (central_family, verify_central, character_map,
-                            center_basis_note, rho_for)
+                            rho_for)
 from hdcalc.diffring import commutator
 
 
@@ -75,13 +75,6 @@ def test_character_map_matches_family_definition():
     got = [v.evaluate(pt) for v in chars]
     assert got[0] != got[1]  # nondegenerate at a generic point
     assert all(isinstance(x, Fraction) for x in got)
-
-
-def test_center_basis_rank_full():
-    for n in (1, 2, 3):
-        fam = central_family(Hpot(n, 1))
-        rank, size = center_basis_note(fam)
-        assert rank == size == n
 
 
 def test_rho_rejects_potentials_outside_w():

@@ -146,8 +146,12 @@ def test_decompose(capsys):
                      "(h2^2 - 3*h2 + 1/2)/chi(2) - H(1) + 2*H(3)", "-n", "3",
                      "--format", "latex")
     assert rc == 0
-    assert out == (r"\frac{\frac{1}{2} + -3 \tilde h_2 + \tilde h_2^2}{\chi_2}"
-                   r" + -H_1 + 2 H_3" "\n")
+    assert out == (r"\frac{\frac{1}{2} - 3 \tilde h_2 + \tilde h_2^2}{\chi_2}"
+                   r" - H_1 + 2 H_3" "\n")
+    rc, out, _ = run(capsys, "decompose", "(h2^2 - 3*h2 + 1/2)/chi(2) - H(1)",
+                     "-n", "3")
+    assert rc == 0
+    assert out == "(1/2 + -3*h2 + h2^2)/chi(2) + -H(1)\n"
 
 
 def test_central_frozen(capsys):
@@ -205,9 +209,10 @@ def test_lw_nongeneric_weight_is_usage_error(capsys):
 def test_zhelobenko(capsys):
     rc, out, _ = run(capsys, "zhelobenko-check", "-n", "2", "--potential", "H(1)")
     assert rc == 0 and out.strip() == "i=1: pass"
-    rc, out, _ = run(capsys, "zhelobenko-check", "-n", "2",
-                     "--potential", "1/chi(1)")
+    rc, out, err = run(capsys, "zhelobenko-check", "-n", "2",
+                       "--potential", "1/chi(1)")
     assert rc == 1 and out.strip() == "i=1: fail"
+    assert "fails: x1*d1" in err.splitlines()
 
 
 def test_flatness_file(tmp_path, capsys):

@@ -57,6 +57,17 @@ def test_xx_reordering():
     prod = multiply(spec, spec.d(1), spec.d(2))
     want = multiply(spec, spec.d(2), spec.d(1)).scale((h12 - 1) / h12)
     assert prod == want
+    # x^2 d_1 = h21 (h21 - 2)/(h21 - 1)^2 d_1 x^2, written out by hand
+    h21 = RatFun.from_poly(Poly.diff(n, 2, 1))
+    prod = multiply(spec, spec.x(2), spec.d(1))
+    want = multiply(spec, spec.d(1), spec.x(2)).scale(
+        h21 * (h21 - 2) / ((h21 - 1) * (h21 - 1)))
+    assert prod == want
+    # x^1 d_2 = d_2 x^1 with no coefficient
+    for n in (2, 3):
+        spec = RingSpec(n)
+        assert multiply(spec, spec.x(1), spec.d(2)) == \
+            multiply(spec, spec.d(2), spec.x(1))
 
 
 def test_xd_diagonal_relation():
@@ -224,6 +235,27 @@ def test_zhelobenko_polynomial_vs_rational():
     rat = RingSpec(n, sigma_from_potential(RatFun.one(n) / chi(n, 1)))
     results = check_assignment(rat, rat, zhelobenko_assignment(rat, 1))
     assert not all(ok for _, ok in results)
+
+
+def test_check_assignment_relation_set():
+    for n in (2, 3):
+        spec = flat_spec(n)
+        assert not any(s.is_zero() for s in spec.sigma)
+        idx = range(1, n + 1)
+        weights = [(w, i) for i in idx for w in ("weight-x", "weight-d")]
+        relations = ([f"{s}{i}*{s}{j}" for i in idx for j in idx if i < j
+                      for s in "xd"]
+                     + [f"x{i}*d{j}" for i in idx for j in idx if i != j]
+                     + [f"x{i}*d{i}" for i in idx])
+        assert len(relations) == n * (n - 1) + n * n
+        results = check_assignment(spec, spec, scaling_assignment(spec, 1))
+        assert [lbl for lbl, _ in results] == weights + relations
+        assert all(ok for _, ok in results)
+        # into the unscaled ring only the relations with a zero-order term
+        # fail: 3 x^i d_i - 3 sum_k c_k d_k x^k maps to -2 sigma_i, not -sigma_i
+        results = check_assignment(spec, spec, scaling_assignment(spec, 3))
+        assert [lbl for lbl, ok in results if not ok] == \
+            [f"x{i}*d{i}" for i in idx]
 
 
 def test_scaling_assignment_into_scaled_ring():

@@ -27,17 +27,34 @@ def as_exponents(n, key):
 def test_single_copy_matches_ring_normal_form():
     n = 2
     sigma = (RatFun.one(n), RatFun.one(n))
-    spec = RingSpec(n, sigma)
-    s = SigmaArray.from_one_copy(sigma)
     words = [
         [('x', 1, 1), ('d', 1, 1)],
         [('x', 1, 1), ('x', 2, 1), ('d', 2, 1)],
         [('d', 2, 1), ('x', 1, 1), ('d', 1, 1)],
     ]
-    for w in words:
-        got = mixed_normal_form(n, s, w)
-        ring = normal_form(spec, [(t[0], t[1]) for t in w])
-        assert {as_exponents(n, k): v for k, v in got.items()} == ring.terms
+    cases = [(n, sigma, words)]
+    # n = 3: x d pairs with i < j, i > j and i = j, flat and bumped sigma
+    n = 3
+    flat = sigma_from_potential(RatFun.var(n, 2) ** 3 / chi(n, 2), n)
+    bumped = (flat[0] + RatFun.var(n, 2),) + flat[1:]
+    words = [
+        [('x', 1, 1), ('d', 3, 1)],
+        [('x', 3, 1), ('d', 1, 1)],
+        [('x', 2, 1), ('d', 2, 1)],
+        [('x', 3, 1), ('d', 2, 1), ('d', 1, 1)],
+        [('x', 1, 1), ('x', 3, 1), ('d', 1, 1)],
+        [('x', 2, 1), ('d', 3, 1), ('x', 1, 1), ('d', 2, 1)],
+    ]
+    cases += [(n, flat, words), (n, bumped, words)]
+    for n, sigma, words in cases:
+        spec = RingSpec(n, sigma)
+        s = SigmaArray.from_one_copy(sigma)
+        for w in words:
+            for strategy in ("left", "right"):
+                got = mixed_normal_form(n, s, w, strategy)
+                ring = normal_form(spec, [(t[0], t[1]) for t in w], strategy)
+                assert {as_exponents(n, k): v
+                        for k, v in got.items()} == ring.terms
 
 
 def test_x_sector_confluent_without_sigma():
