@@ -1,6 +1,6 @@
 """Exact arithmetic for rings of h-deformed differential operators."""
 
-from .ratfield import (Poly, RatFun, TPolyRat, DomainError, PoleError,
+from .ratfield import (Poly, RatFun, DomainError, PoleError,
                        partial_fractions, rank_exact, eps_vec)
 from .rmatrix import (r_component, psi_component, chi, elementary_symmetric,
                       complete_symmetric, CheckReport)

@@ -1,18 +1,17 @@
 """The commutative family c(t) = sum_i prod_{m != i}(1 + h_m t) d_i x^i - rho(t)
 and its coefficients c_1..c_n, which are central for flat sigma.
 
-rho(t) solves Delta_j rho(t) = prod_{m != j}(1 + h_m t) sigma_j; it is built
-per direct summand of the potential, with divisions by (1 + h_i t) always
-materialized as the complementary product, so t never enters denominators.
+rho(t) solves Delta_j rho(t) = prod_{m != j}(1 + h_m t) sigma_j.  It has
+degree n-1 in t and is held as the list [rho_0, ..., rho_{n-1}] of its
+coefficients, each a RatFun in h, so t never enters denominators.
 """
 
 from __future__ import annotations
 
-from .ratfield import Poly, RatFun, TPolyRat
-from .rmatrix import chi_inv, e_generating, elementary_symmetric, psi_component
-from .potential import NotInW, w_decompose
-from .diffring import RingSpec, NormalElement, commutator
-from .potential import sigma_from_potential
+from .ratfield import Poly, RatFun
+from .rmatrix import chi_inv, elementary_symmetric, psi_component
+from .potential import sigma_from_potential, w_decompose
+from .diffring import RingSpec, commutator
 
 
 class MismatchError(AssertionError):
@@ -22,32 +21,38 @@ class MismatchError(AssertionError):
 def rho_for(f):
     """Solve Delta_j rho(t) = prod_{m != j}(1 + h_m t) * Delta_j f for all j.
 
-    f must lie in the solution space W (raises NotInW otherwise).  The
-    polynomial part of f is first re-expanded over the summands pi(h_j)/chi_j.
+    f must lie in the solution space W (raises NotInW otherwise).  Returns
+    the n coefficients [rho_0, ..., rho_{n-1}] of rho(t) by power of t.
     """
     n = f.n
     dec = w_decompose(f, pivot=1)
-    # prod_{m != j} (1 + h_m t)
-    e_comp = {j: TPolyRat(n, map(RatFun.from_poly, e_generating(n, skip=j)))
-              for j in range(1, n + 1)}
-    rho = TPolyRat.zero(n)
-    for k in dec.parts:
-        rho = rho + e_comp[k] * dec.summand(k)
+    # g_j: the part of f whose poles run along h_j, with the polynomial part
+    # re-expanded as H_L = sum_j h_j^{L+n-1} / chi_j
+    g = {j: RatFun.zero(n) for j in range(1, n + 1)}
+    for j in dec.parts:
+        g[j] = g[j] + dec.summand(j)
     for L, c in dec.symmetric:
-        # H_L = sum_j h_j^{L+n-1} / chi_j, then the per-summand formula
         for j in range(1, n + 1):
-            term = (Poly.var(n, j) ** (L + n - 1)).scale(c) * chi_inv(n, j)
-            rho = rho + e_comp[j] * term
+            g[j] = g[j] + (Poly.var(n, j) ** (L + n - 1)).scale(c) * chi_inv(n, j)
+    # rho(t) = sum_j prod_{m != j}(1 + h_m t) g_j, read off by power of t
+    rho = []
+    for k in range(n):
+        r = RatFun.zero(n)
+        for j in range(1, n + 1):
+            r = r + g[j] * elementary_symmetric(n, k, skip=j)
+        rho.append(r)
     sigma = sigma_from_potential(f)
     for j in range(1, n + 1):
-        want = e_comp[j] * sigma[j - 1]
-        if not (rho.delta(j) - want).is_zero():
-            raise MismatchError(f"rho fails its difference equation at j={j}")
+        for k in range(n):
+            if rho[k].delta(j) != sigma[j - 1] * elementary_symmetric(n, k, skip=j):
+                raise MismatchError(
+                    f"rho_{k} fails its difference equation at j={j}")
     return rho
 
 
 class CentralFamily:
-    """The ring spec, rho(t), and the candidate central elements c_1..c_n."""
+    """The ring spec, rho(t) as its coefficient list [rho_0, ..., rho_{n-1}],
+    and the candidate central elements c_1..c_n."""
 
     __slots__ = ("spec", "rho", "elements")
 
@@ -64,7 +69,7 @@ def central_family(f, n=None):
     rho = rho_for(f)
     elements = []
     for k in range(1, n + 1):
-        elem = spec.coeff(-rho.coeff(k - 1))
+        elem = spec.coeff(-rho[k - 1])
         for i in range(1, n + 1):
             c = RatFun.from_poly(elementary_symmetric(n, k - 1, skip=i))
             elem = elem + spec.gamma(i).scale(c)
@@ -104,7 +109,7 @@ def character_map(fam):
         gam.append(g)
     out = []
     for k in range(1, n + 1):
-        v = -fam.rho.coeff(k - 1)
+        v = -fam.rho[k - 1]
         for i in range(1, n + 1):
             v = v + RatFun.from_poly(elementary_symmetric(n, k - 1, skip=i)) * gam[i - 1]
         out.append(v)

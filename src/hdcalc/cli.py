@@ -187,7 +187,7 @@ def _cmd_central(args):
     f = reconstruct_potential(spec.sigma)
     fam = central_family(f, n=n)
     for k in range(n):
-        print(f"rho_{k} = {format_value(fam.rho.coeff(k), args.fmt)}")
+        print(f"rho_{k} = {format_value(fam.rho[k], args.fmt)}")
     for k, c in enumerate(fam.elements, start=1):
         print(f"c_{k} = {format_value(c, args.fmt)}")
     return 0

@@ -501,7 +501,8 @@ def check_assignment(src, dst, assign):
     """Verify that the assignment maps every defining relation of src to zero
     in dst.  The relations are read off the rule table: each out-of-order
     pair t1 t2 must map to the image of its replacement.  Returns a
-    CheckReport-style list of (label, ok), each relation labelled by its
+    CheckReport-style list of (label, ok): each weight check is labelled by
+    the generator whose image it checks, e.g. "x1", and each relation by its
     word, e.g. "x1*d1"."""
     n = src.n
     results = []
@@ -514,10 +515,10 @@ def check_assignment(src, dst, assign):
     for i in range(1, n + 1):
         wx = X[i - 1].weights()
         ok = wx <= {tuple(eps_vec(n, assign.perm[i - 1]))}
-        results.append((("weight-x", i), ok))
+        results.append((f"x{i}", ok))
         wd = D[i - 1].weights()
         ok = wd <= {tuple(eps_vec(n, assign.perm[i - 1], -1))}
-        results.append((("weight-d", i), ok))
+        results.append((f"d{i}", ok))
 
     # every pair the ring order rewrites: the n(n-1) same-species pairs,
     # then the n^2 pairs x^i d_j with the diagonal last

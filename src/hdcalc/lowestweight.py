@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratfield import RatFun
-from .central import CentralFamily, MismatchError
+from .central import MismatchError
 from .diffring import NormalElement, module_form
 
 
@@ -69,24 +68,6 @@ class LWVector:
 
     def is_zero(self):
         return not self.terms
-
-    def __add__(self, other):
-        assert self.weight == other.weight
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            s = out.get(b, Fraction(0)) + c
-            if s:
-                out[b] = s
-            else:
-                out.pop(b, None)
-        return LWVector(self.weight, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return LWVector(self.weight, {b: c * v for b, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, LWVector) and self.weight == other.weight
@@ -150,8 +131,7 @@ def central_character(fam, weight):
             raise MismatchError(f"c_{k} does not act by a scalar on the vacuum")
         acted.append(s)
     shift_all = tuple([-1] * n)
-    predicted = [(-fam.rho.coeff(k - 1).shift(shift_all)).evaluate(weight.values)
-                 for k in range(1, n + 1)]
+    predicted = [(-r.shift(shift_all)).evaluate(weight.values) for r in fam.rho]
     if acted != predicted:
         raise MismatchError(f"character routes disagree: {acted} vs {predicted}")
     return acted, predicted

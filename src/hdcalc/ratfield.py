@@ -952,79 +952,6 @@ def _integer_roots(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in an auxiliary variable t with RatFun coefficients
-
-
-class TPolyRat:
-    """Polynomial in t with coefficients in the weight-variable field.
-
-    t never enters denominators; the coefficient list carries it.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs):
-        self.n = n
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = cs
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, [])
-
-    def coeff(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return RatFun.zero(self.n)
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, TPolyRat):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) != len(b):
-            return False
-        return all(x == y for x, y in zip(a, b))
-
-    __hash__ = None
-
-    def __add__(self, other):
-        m = max(len(self.coeffs), len(other.coeffs))
-        return TPolyRat(self.n, [self.coeff(k) + other.coeff(k) for k in range(m)])
-
-    def __sub__(self, other):
-        m = max(len(self.coeffs), len(other.coeffs))
-        return TPolyRat(self.n, [self.coeff(k) - other.coeff(k) for k in range(m)])
-
-    def __neg__(self):
-        return TPolyRat(self.n, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        """Coefficientwise product with a scalar or a RatFun."""
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.const(self.n, other)
-        return TPolyRat(self.n, [c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def shift(self, svec):
-        return TPolyRat(self.n, [c.shift(tuple(svec)) for c in self.coeffs])
-
-    def delta(self, j):
-        return TPolyRat(self.n, [c.delta(j) for c in self.coeffs])
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __repr__(self):
-        return f"TPolyRat<{self.coeffs!r}>"
-
-
-# ---------------------------------------------------------------------------
 # small exact linear algebra over Fraction
 
 

@@ -313,15 +313,15 @@ def verify_q_identity(n):
          the cleared form of sum_j Q^+_j / (h_j + 1/t) = 1 - e(t)[-eps]/e(t);
     (ii) sum_j Q^+_j / (h_jm + 1) = 1 for every m.
     """
-    from .ratfield import TPolyRat
     results = []
-    lhs = TPolyRat.zero(n)
+    # both sides of (i) as their n+1 coefficients by power of t
+    lhs = [RatFun.zero(n)] * (n + 1)
     for j in range(1, n + 1):
-        comp = TPolyRat(n, [RatFun.zero(n)] +
-                        [RatFun.from_poly(p) for p in e_generating(n, skip=j)])
-        lhs = lhs + comp * q_plus(n, j)
-    et = TPolyRat(n, [RatFun.from_poly(p) for p in e_generating(n)])
-    rhs = et - et.shift(tuple([-1] * n))
+        q = q_plus(n, j)
+        comp = [Poly.zero(n)] + e_generating(n, skip=j)
+        lhs = [s + q * p for s, p in zip(lhs, comp, strict=True)]
+    shift_all = tuple([-1] * n)
+    rhs = [RatFun.from_poly(p - p.shift(shift_all)) for p in e_generating(n)]
     results.append(("generating", lhs == rhs))
     for m in range(1, n + 1):
         s = RatFun.zero(n)

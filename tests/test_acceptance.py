@@ -15,7 +15,7 @@ from hdcalc.rmatrix import (chi, complete_symmetric, verify_dybe,
                             verify_chi_identity)
 from hdcalc.potential import (sigma_from_potential, sigma_system_check,
                               delta_system_check, reconstruct_potential)
-from hdcalc.diffring import (RingSpec, NormalElement, multiply, commutator,
+from hdcalc.diffring import (RingSpec, NormalElement, multiply,
                              epsilon_antiauto, verify_pbw, check_assignment,
                              zhelobenko_assignment,
                              localized_coordinates_commute)
@@ -204,7 +204,7 @@ def test_08_center():
             sig = sigma_from_potential(f, n)
             for j in range(1, n + 1):
                 for k in range(n):
-                    lhs = fam.rho.coeff(k).delta(j)
+                    lhs = fam.rho[k].delta(j)
                     rhs = RatFun.from_poly(
                         elementary_symmetric(n, k, skip=j)) * sig[j - 1]
                     assert lhs == rhs, (n, j, k)

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from hdcalc.ratfield import Poly, RatFun
-from hdcalc.rmatrix import chi, complete_symmetric
+from hdcalc import central
+from hdcalc.rmatrix import chi, complete_symmetric, elementary_symmetric
 from hdcalc.potential import NotInW
-from hdcalc.central import (central_family, verify_central, character_map,
-                            rho_for)
+from hdcalc.central import (MismatchError, central_family, verify_central,
+                            character_map, rho_for)
 from hdcalc.diffring import commutator
 
 
@@ -20,14 +21,27 @@ def Hpot(n, L):
 
 
 def test_rho_for_h1():
-    # Delta_j rho(t) = prod_{m != j}(1 + h_m t); for f = H_1 the solution is
-    # rho(t) = sum_L e_L(h) t^{L-1} shifted one slot down... just freeze n=2
-    n = 2
-    rho = rho_for(Hpot(n, 1))
-    e1 = RatFun.from_poly(complete_symmetric(n, 1))
-    h1h2 = RatFun.from_poly(Poly(n, {(1, 1): Fraction(1)}))
-    assert rho.coeff(0) == e1
-    assert rho.coeff(1) == h1h2
+    # for f = H_1 the solution of Delta_j rho(t) = prod_{m != j}(1 + h_m t)
+    # is rho(t) = e_1 + e_2 t + ... + e_n t^{n-1}
+    for n in (2, 3, 4):
+        rho = rho_for(Hpot(n, 1))
+        assert isinstance(rho, list) and len(rho) == n
+        assert rho == [RatFun.from_poly(elementary_symmetric(n, k))
+                       for k in range(1, n + 1)]
+
+
+def test_rho_for_rejects_a_wrong_sigma(monkeypatch):
+    n = 3
+    right = central.sigma_from_potential
+
+    def bumped(f, *args):
+        sigma = list(right(f, *args))
+        sigma[2] = sigma[2] + RatFun.var(n, 1)
+        return tuple(sigma)
+
+    monkeypatch.setattr(central, "sigma_from_potential", bumped)
+    with pytest.raises(MismatchError, match="j=3"):
+        rho_for(Hpot(n, 1))
 
 
 def test_family_h1_frozen():

@@ -11,8 +11,8 @@ from hdcalc.potential import sigma_from_potential
 from hdcalc.diffring import (RingSpec, NormalElement, normal_form, multiply,
                              commutator, module_form, element_to_module_terms,
                              module_terms_to_element, epsilon_antiauto,
-                             verify_pbw, check_assignment,
-                             zhelobenko_assignment, scaling_assignment,
+                             verify_pbw, GeneratorAssignment,
+                             check_assignment, zhelobenko_assignment, scaling_assignment,
                              localized_coordinates_commute)
 from hdcalc.multicopy import SigmaArray, mixed_normal_form
 
@@ -242,7 +242,7 @@ def test_check_assignment_relation_set():
         spec = flat_spec(n)
         assert not any(s.is_zero() for s in spec.sigma)
         idx = range(1, n + 1)
-        weights = [(w, i) for i in idx for w in ("weight-x", "weight-d")]
+        weights = [f"{s}{i}" for i in idx for s in "xd"]
         relations = ([f"{s}{i}*{s}{j}" for i in idx for j in idx if i < j
                       for s in "xd"]
                      + [f"x{i}*d{j}" for i in idx for j in idx if i != j]
@@ -256,6 +256,18 @@ def test_check_assignment_relation_set():
         results = check_assignment(spec, spec, scaling_assignment(spec, 3))
         assert [lbl for lbl, ok in results if not ok] == \
             [f"x{i}*d{i}" for i in idx]
+
+
+def test_check_assignment_labels_weight_failure_by_generator():
+    # x^1 -> x^2 has weight e_2, not e_1: of the weight checks only x1 fails
+    for n in (2, 3):
+        spec = flat_spec(n)
+        X = [spec.x(2)] + [spec.x(i) for i in range(2, n + 1)]
+        D = [spec.d(i) for i in range(1, n + 1)]
+        results = check_assignment(spec, spec, GeneratorAssignment(X, D))
+        failed = [lbl for lbl, ok in results if not ok]
+        assert [lbl for lbl in failed if "*" not in lbl] == ["x1"]
+        assert "x1*d1" in failed
 
 
 def test_scaling_assignment_into_scaled_ring():

@@ -1,0 +1,44 @@
+"""Source hygiene: every module of the package uses each name it imports.
+
+`__init__.py` is exempt, because it imports names only to re-export them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hdcalc"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by an import in source and never referenced in it."""
+    tree = ast.parse(source)
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return sorted(imported - used)
+
+
+def test_scanner_sees_unused_and_used_names():
+    src = ("from __future__ import annotations\n"
+           "import os.path\nfrom math import comb as C, lcm\n"
+           "def f(x):\n    from fractions import Fraction\n"
+           "    return C(x, 2) + os.sep\n")
+    assert unused_imports(src) == ["Fraction", "lcm"]
+
+
+def test_package_modules_found():
+    assert {"ratfield.py", "central.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hdcalc.ratfield import Poly, RatFun
+from hdcalc.ratfield import RatFun
 from hdcalc.rmatrix import chi
 from hdcalc.potential import sigma_from_potential
 from hdcalc.diffring import RingSpec, normal_form

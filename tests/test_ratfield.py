@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, assume, strategies as st
 
-from hdcalc.ratfield import (Poly, RatFun, TPolyRat, DomainError, PoleError,
+from hdcalc.ratfield import (Poly, RatFun, DomainError, PoleError,
                              partial_fractions, factor_linfactors, rank_exact,
                              eps_vec, canon_factor, _P, _point, _may_vanish)
 
@@ -319,21 +319,6 @@ def test_rank_exact_matches_sympy():
     for _ in range(10):
         m = [[Fraction(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(3)]
         assert rank_exact(m) == sympy.Matrix(m).rank()
-
-
-def test_tpolyrat_coefficientwise():
-    n = 2
-    a = TPolyRat(n, [RatFun.one(n), RatFun.inverse_diff(n, 1, 2)])
-    b = TPolyRat(n, [RatFun.zero(n), RatFun.one(n)])
-    s = a + b
-    assert s.coeff(0) == RatFun.one(n)
-    assert s.coeff(1) == RatFun.inverse_diff(n, 1, 2) + RatFun.one(n)
-    h12 = RatFun.from_poly(Poly.diff(n, 1, 2))
-    p = a * h12
-    assert p.coeff(0) == h12
-    assert p.coeff(1) == RatFun.one(n)
-    assert (b * h12).coeff(0).is_zero()
-    assert p.degree() == 1 and (a * 0).is_zero()
 
 
 def test_json_roundtrip():

@@ -110,6 +110,16 @@ def test_identity_sweeps_n2():
     assert verify_q_identity(2).passed
 
 
+def test_q_identity_fails_on_a_wrong_q_plus(monkeypatch):
+    # Q^+_1 + 1 breaks the generating identity and every row identity
+    right = rmatrix.q_plus
+    monkeypatch.setattr(rmatrix, "q_plus",
+                        lambda n, i: right(n, i) + (1 if i == 1 else 0))
+    rep = verify_q_identity(3)
+    assert rep.summary() == "q-identity n=3: 0/4 pass"
+    assert rep.failures == ["generating", ("row", 1), ("row", 2), ("row", 3)]
+
+
 def test_checkreport_accounting():
     rep = CheckReport("demo", [("a", True), ("b", False), ("c", True)])
     assert not rep.passed
