@@ -14,7 +14,6 @@ one-copy tokens ('x', i) and ('d', j) carry none.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from functools import partial
 
@@ -220,13 +219,17 @@ def _ambiguity_words(n, nx, nd):
     return words
 
 
-def ambiguity_oracle(n, nx, nd, s, budget=200, seed=0):
-    """Double-reduce words x d d and x x d with the leftmost-first and the
-    rightmost-first strategies and compare.  Disagreement on any word
-    witnesses non-flatness."""
+def ambiguity_oracle(n, nx, nd, s, budget=10_000):
+    """Double-reduce every word x d d and x x d with the leftmost-first and
+    the rightmost-first strategies and compare.  Disagreement on any word
+    witnesses non-flatness.
+
+    The check is exhaustive: `budget` only caps the work, and more words than
+    it raise ValueError instead of checking a sample."""
     words = _ambiguity_words(n, nx, nd)
     if len(words) > budget:
-        words = random.Random(seed).sample(words, budget)
+        raise ValueError(f"ambiguity oracle: {len(words)} words exceed the "
+                         f"budget of {budget}")
     results = []
     for w in words:
         left = mixed_normal_form(n, s, list(w), "left")

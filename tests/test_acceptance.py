@@ -246,7 +246,7 @@ def test_10_multicopy_flatness():
             s = SigmaArray(n, nx, nd, ent)
             expect = False
         chk = flatness_check(n, nx, nd, s).passed
-        orc = ambiguity_oracle(n, nx, nd, s, budget=60, seed=trial).passed
+        orc = ambiguity_oracle(n, nx, nd, s).passed
         assert chk == expect, (trial, "flatness verdict")
         assert chk == orc, (trial, "oracle disagrees")
         agreements += 1

@@ -1,6 +1,8 @@
-"""Source hygiene: every module of the package uses each name it imports.
+"""Source hygiene: every module of the package uses each name it imports,
+and none imports `random`, so that no verdict rests on a random test.
 
-`__init__.py` is exempt, because it imports names only to re-export them.
+`__init__.py` is exempt from the unused-import check, because it imports
+names only to re-export them.
 """
 
 import ast
@@ -27,12 +29,29 @@ def unused_imports(source):
     return sorted(imported - used)
 
 
+def imported_modules(source):
+    """Top-level names of the modules that source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def test_scanner_sees_unused_and_used_names():
     src = ("from __future__ import annotations\n"
            "import os.path\nfrom math import comb as C, lcm\n"
            "def f(x):\n    from fractions import Fraction\n"
            "    return C(x, 2) + os.sep\n")
     assert unused_imports(src) == ["Fraction", "lcm"]
+
+
+def test_import_scanner_sees_nested_and_from_imports():
+    src = ("import os.path\nfrom .ratfield import Poly\n"
+           "def f():\n    from random import Random\n    return Random\n")
+    assert imported_modules(src) == {"os", "random"}
 
 
 def test_package_modules_found():
@@ -42,3 +61,8 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_random_import(path):
+    assert "random" not in imported_modules(path.read_text())

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hdcalc.ratfield import RatFun
 from hdcalc.rmatrix import chi
 from hdcalc.potential import sigma_from_potential
@@ -90,7 +92,7 @@ def test_constant_sigma_arrays_are_flat():
                                       (2, 1): 0, (2, 2): Fraction(5, 3)})
     rep = flatness_check(2, 2, 2, s)
     assert rep.passed
-    orep = ambiguity_oracle(2, 2, 2, s, budget=40, seed=1)
+    orep = ambiguity_oracle(2, 2, 2, s)
     assert orep.passed
 
 
@@ -102,8 +104,17 @@ def test_weight_dependent_entries_fail():
     assert not rep.passed
     labels = " ".join(rep.failures)
     assert "ysy1" in labels or "ysy2" in labels
-    orep = ambiguity_oracle(n, 2, 2, s, budget=60, seed=2)
+    orep = ambiguity_oracle(n, 2, 2, s)
     assert not orep.passed
+
+
+def test_ambiguity_oracle_is_exhaustive_or_refuses():
+    s = SigmaArray.constant(2, 2, 2, 1)
+    # n^3 (nx nd^2 + nx^2 nd) words: 8 * 16 at n = 2 with two copies each
+    assert ambiguity_oracle(2, 2, 2, s).total == 128
+    assert ambiguity_oracle(2, 2, 2, s, budget=128).total == 128
+    with pytest.raises(ValueError, match="128 words exceed the budget of 127"):
+        ambiguity_oracle(2, 2, 2, s, budget=127)
 
 
 def test_copy_dependent_constants_fail_sigma_system():

@@ -16,7 +16,8 @@ from hdcalc.rmatrix import (r_component, r_shifted, psi_component, chi,
                             chi_inv, phi, phi_inv, q_plus, q_minus,
                             elementary_symmetric,
                             complete_symmetric, CheckReport, verify_dybe,
-                            verify_r_squared, verify_ice, verify_skew_inverse,
+                            verify_r_squared, verify_ice,
+                            verify_shift_invariance, verify_skew_inverse,
                             verify_q_identity, verify_chi_identity)
 
 
@@ -254,7 +255,7 @@ def test_memoised_components_are_not_mutated():
     assert verify_skew_inverse(n).passed
     sig = SigmaArray.constant(n, 2, 2, {(1, 1): 1, (1, 2): 2,
                                         (2, 1): 0, (2, 2): 3})
-    assert ambiguity_oracle(n, 2, 2, sig, budget=30, seed=1).passed
+    assert ambiguity_oracle(n, 2, 2, sig).passed
     for (fn, args, v), js in zip(held, before):
         assert fn(*args) is v, (fn.__name__, args)
         assert v.to_json() == js, (fn.__name__, args)
@@ -264,3 +265,78 @@ def test_dybe_fails_if_the_shift_is_dropped(monkeypatch):
     monkeypatch.setattr(rmatrix, "r_shifted",
                         lambda n, i, j, k, l, svec: r_component(n, i, j, k, l))
     assert not verify_dybe(3).passed
+
+
+
+# ---------------------------------------------------------------------------
+# the sweeps compute only weight-conserving tuples
+
+
+def _conserves(upper, lower):
+    return sorted(upper) == sorted(lower)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_skipped_tuples_vanish_on_both_sides(n):
+    # the full computation on every tuple the sweeps skip gives 0 = 0
+    idx = range(1, n + 1)
+    for t in product(idx, repeat=6):
+        if not _conserves(t[:3], t[3:]):
+            lhs, rhs = rmatrix._dybe_sides(n, *t)
+            assert lhs.is_zero() and rhs.is_zero(), t
+    for i, j, k, l in product(idx, repeat=4):
+        if not _conserves((i, j), (k, l)):
+            assert (i, j) != (k, l)
+            assert rmatrix._r_squared_sum(n, i, j, k, l).is_zero()
+    for i, j, m, p in product(idx, repeat=4):
+        if not _conserves((i, m), (j, p)):
+            assert (i, m) != (p, j)
+            assert rmatrix._skew_sum(n, i, j, m, p).is_zero()
+
+
+@pytest.mark.parametrize("n, dybe, quartic", [(2, 20, 6), (3, 93, 15),
+                                              (4, 256, 28)])
+def test_sweeps_compute_only_conserving_tuples(monkeypatch, n, dybe, quartic):
+    seen = {"dybe": [], "rsq": [], "skew": []}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            seen[key].append(args[1:])
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(rmatrix, "_dybe_sides",
+                        counting("dybe", rmatrix._dybe_sides))
+    monkeypatch.setattr(rmatrix, "_r_squared_sum",
+                        counting("rsq", rmatrix._r_squared_sum))
+    monkeypatch.setattr(rmatrix, "_skew_sum",
+                        counting("skew", rmatrix._skew_sum))
+    assert verify_dybe(n).passed
+    assert verify_r_squared(n).passed
+    assert verify_skew_inverse(n).passed
+    assert len(seen["dybe"]) == dybe
+    assert all(_conserves(t[:3], t[3:]) for t in seen["dybe"])
+    assert len(seen["rsq"]) == len(seen["skew"]) == quartic
+    assert all(_conserves((i, j), (k, l)) for i, j, k, l in seen["rsq"])
+    assert all(_conserves((i, m), (j, p)) for i, j, m, p in seen["skew"])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sweeps_report_every_tuple_in_product_order(n):
+    idx = range(1, n + 1)
+    for sweep, arity in ((verify_dybe, 6), (verify_r_squared, 4),
+                         (verify_ice, 4), (verify_shift_invariance, 4),
+                         (verify_skew_inverse, 4)):
+        rep = sweep(n)
+        assert [label for label, _ in rep.results] == list(product(idx, repeat=arity))
+        assert rep.total == n ** arity
+
+
+def test_ice_fails_on_a_component_off_the_pattern(monkeypatch):
+    # the skip rests on the ice rule; verify_ice is what checks it
+    right = rmatrix.r_component
+    monkeypatch.setattr(rmatrix, "r_component",
+                        lambda n, i, j, k, l: RatFun.one(n)
+                        if (i, j, k, l) == (1, 2, 1, 1) else right(n, i, j, k, l))
+    rep = verify_ice(2)
+    assert rep.failures == [(1, 2, 1, 1)]
