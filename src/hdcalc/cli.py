@@ -13,9 +13,10 @@ import sys
 from fractions import Fraction
 
 from . import rmatrix
-from .ratfield import RatFun, DomainError, PoleError
-from .diffring import RingSpec, NormalElement, normal_form, \
-    verify_pbw, zhelobenko_assignment, check_assignment, _add_term
+from .ratfield import (RatFun, DomainError, PoleError, checked_int,
+                       reading_input)
+from .diffring import RingSpec, NormalElement, multiply, \
+    verify_pbw, zhelobenko_assignment, check_assignment
 from .potential import (NotFlat, NotInW, delta_system_check, w_decompose,
                         reconstruct_potential, sigma_from_potential)
 from .central import central_family, MismatchError
@@ -91,7 +92,9 @@ def _load_value(args, text):
 
 def _weight(args):
     parts = [p for p in args.lam.split(";") if p.strip()]
-    return Weight(tuple(Fraction(p) for p in parts))
+    with reading_input("--lambda"):
+        values = tuple(Fraction(p) for p in parts)
+    return Weight(values)
 
 
 def _print_value(v, args):
@@ -109,16 +112,11 @@ def _cmd_nf(args):
             raise DomainError(f"--n {args.n} does not match input n={n}")
         spec = _build_spec(args, n)
         if isinstance(val, NormalElement):
-            acc = {}
-            for (a, b), f in val.terms.items():
-                w = [f] + NormalElement._mono_tokens(a, b)
-                for k, c in normal_form(spec, w, args.strategy).terms.items():
-                    _add_term(acc, k, c)
-            val = NormalElement(n, acc)
+            val = multiply(spec, spec.one(), val, args.strategy)
     else:
         n = _resolve_n(args, ast, *_sigma_asts(args))
         spec = _build_spec(args, n)
-        val = evaluate(ast, n, spec)
+        val = evaluate(ast, n, spec, args.strategy)
     _print_value(val, args)
     return 0
 
@@ -268,15 +266,14 @@ def _cmd_zhelobenko(args):
 def _cmd_flatness(args):
     with open(args.sigma_file, encoding="utf-8") as fh:
         data = json.load(fh)
-    nd, nx = (int(v) for v in args.copies.split(","))
+    with reading_input("--copies"):
+        nd, nx = (checked_int(int(v), 1) for v in args.copies.split(","))
     if isinstance(data, list):
-        ent = {(int(e["i"]), int(e["alpha"]), int(e["beta"])):
-               RatFun.from_json(args.n, e["value"]) for e in data}
-        s = SigmaArray(args.n, nx, nd, ent)
-    else:
-        s = SigmaArray.from_json(data)
-        if (s.n, s.nx, s.nd) != (args.n, nx, nd):
-            raise DomainError("sigma file does not match --n/--copies")
+        # a bare list of entries takes its shape from --n and --copies
+        data = {"n": args.n, "copies": [nd, nx], "entries": data}
+    s = SigmaArray.from_json(data)
+    if (s.n, s.nx, s.nd) != (args.n, nx, nd):
+        raise DomainError("sigma file does not match --n/--copies")
     report = flatness_check(args.n, nx, nd, s)
     print("flat" if report.passed else "not flat")
     if not report.passed:
@@ -395,6 +392,9 @@ def main(argv=None):
         return args.func(args)
     except SyntaxError as e:
         _fail(f"syntax error: {e}")
+        return 2
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        _fail(f"error: input is not JSON: {e}")
         return 2
     except (DomainError, PoleError, NonGenericWeight) as e:
         _fail(f"error: {e}")

@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .ratfield import Poly, RatFun, eps_vec
+from .ratfield import (Poly, RatFun, checked_int, eps_vec, json_exponents,
+                       reading_input)
 from .rmatrix import phi, phi_inv, psi_component, r_component, r_shifted
 from .potential import sigma_system_check
 
@@ -57,24 +58,19 @@ class RingSpec:
     def h(self, i):
         return self.coeff(RatFun.var(self.n, i))
 
+    def _unit(self, a, b):
+        return NormalElement(self.n, {(a, b): RatFun.one(self.n)})
+
     def x(self, i):
-        z = (0,) * self.n
-        e = list(z)
-        e[i - 1] = 1
-        return NormalElement(self.n, {(z, tuple(e)): RatFun.one(self.n)})
+        return self._unit((0,) * self.n, eps_vec(self.n, i))
 
     def d(self, i):
-        z = (0,) * self.n
-        e = list(z)
-        e[i - 1] = 1
-        return NormalElement(self.n, {(tuple(e), z): RatFun.one(self.n)})
+        return self._unit(eps_vec(self.n, i), (0,) * self.n)
 
     def gamma(self, i):
         """d_i x^i, already normal."""
-        e = [0] * self.n
-        e[i - 1] = 1
-        e = tuple(e)
-        return NormalElement(self.n, {(e, e): RatFun.one(self.n)})
+        e = eps_vec(self.n, i)
+        return self._unit(e, e)
 
     def __eq__(self, other):
         return (isinstance(other, RingSpec) and self.n == other.n
@@ -149,24 +145,20 @@ class NormalElement:
 
     @classmethod
     def from_json(cls, obj):
-        n = int(obj["n"])
-        terms = {}
-        for t in obj["terms"]:
-            key = (tuple(int(v) for v in t["d"]), tuple(int(v) for v in t["x"]))
-            terms[key] = RatFun.from_json(n, t["coeff"])
+        """Inverse of to_json; DomainError on a malformed object."""
+        with reading_input("element"):
+            n = checked_int(obj["n"], 1)
+            terms = {}  # terms with the same monomial add up
+            for t in obj["terms"]:
+                key = (json_exponents(t["d"], n), json_exponents(t["x"], n))
+                _add_term(terms, key, RatFun.from_json(n, t["coeff"]))
         return cls(n, terms)
 
     def __repr__(self):
-        if not self.terms:
-            return "NormalElement<0>"
-        bits = []
-        for (a, b), f in sorted(self.terms.items()):
-            mono = "".join(f"d{i+1}^{m}" if m > 1 else f"d{i+1}"
-                           for i, m in reversed(list(enumerate(a))) if m)
-            mono += "".join(f"x{i+1}^{m}" if m > 1 else f"x{i+1}"
-                            for i, m in reversed(list(enumerate(b))) if m)
-            bits.append(f"({f!r})*{mono or '1'}")
-        return "NormalElement<" + " + ".join(bits) + ">"
+        bits = [f"({f!r})*" + ("".join(f"{s}{i}" for s, i
+                                       in self._mono_tokens(a, b)) or "1")
+                for (a, b), f in sorted(self.terms.items())]
+        return "NormalElement<" + (" + ".join(bits) or "0") + ">"
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +176,8 @@ def _add_term(acc, key, c):
         acc[key] = c
 
 
-def _rewrite(n, word, order, resolve, strategy):
-    """Rewrite a token word into a sum of ordered generator words.
+def _rewrite(n, words, order, resolve, strategy):
+    """Rewrite a sum of token words into a sum of ordered generator words.
 
     Tokens are generators (species, index, ...) with species 'x' or 'd', and
     coefficient RatFuns.  A coefficient moved left across x_j is shifted by
@@ -197,7 +189,7 @@ def _rewrite(n, word, order, resolve, strategy):
 
     Returns dict: ordered generator tuple -> RatFun (no zero values)."""
     acc = {}
-    stack = [(RatFun.one(n), list(word))]
+    stack = [(RatFun.one(n), list(w)) for w in words]
     while stack:
         coeff, toks = stack.pop()
         gens = []
@@ -294,27 +286,32 @@ def _resolve(n, sigma, t1, t2):
     return out
 
 
+def _ring_resolve(spec):
+    """The ring's rules, with spec.sigma as the zero-order terms."""
+    return partial(_resolve, spec.n, lambda i, ta, tb: spec.sigma[i - 1])
+
+
+def _ring_form(spec, words, strategy):
+    """Normal form of the sum of the token words."""
+    n = spec.n
+    terms = _rewrite(n, words, _order, _ring_resolve(spec), strategy)
+    return NormalElement(n, {_exponents(n, g): c for g, c in terms.items()})
+
+
 def normal_form(spec, word, strategy="left"):
     """Normal-order a token word (iterable of ('x', i) / ('d', i) / RatFun).
 
     strategy picks which defect to rewrite first; any strategy gives the same
     result exactly when sigma is flat."""
-    n = spec.n
-    resolve = partial(_resolve, n, lambda i, ta, tb: spec.sigma[i - 1])
-    terms = _rewrite(n, word, _order, resolve, strategy)
-    return NormalElement(n, {_exponents(n, g): c for g, c in terms.items()})
+    return _ring_form(spec, [word], strategy)
 
 
-def multiply(spec, a, b):
+def multiply(spec, a, b, strategy="left"):
     """Product of two normal elements, re-normal-ordered."""
-    acc = {}
-    for (am, bm), fa in a.terms.items():
-        mono_a = NormalElement._mono_tokens(am, bm)
-        for (an, bn), fb in b.terms.items():
-            word = mono_a + [fb] + NormalElement._mono_tokens(an, bn)
-            for k, c in normal_form(spec, word).terms.items():
-                _add_term(acc, k, fa * c)
-    return NormalElement(spec.n, acc)
+    mono = NormalElement._mono_tokens
+    return _ring_form(spec, [[fa, *mono(am, bm), fb, *mono(an, bn)]
+                             for (am, bm), fa in a.terms.items()
+                             for (an, bn), fb in b.terms.items()], strategy)
 
 
 def commutator(spec, a, b):
@@ -354,35 +351,10 @@ def module_form(spec, word, strategy="left"):
     """Order a word with x left of d (both descending).  Used for module
     actions: terms still containing d annihilate a lowest weight vector."""
     n = spec.n
-    terms = _rewrite(n, word, _module_order, partial(_resolve_module, spec),
+    terms = _rewrite(n, [word], _module_order, partial(_resolve_module, spec),
                      strategy)
     # dict (a, b) -> coeff, with coeff left of x^b d^a
     return {_exponents(n, g): c for g, c in terms.items()}
-
-
-def element_to_module_terms(spec, elem):
-    """Rewrite a normal element in the module order."""
-    acc = {}
-    for (a, b), f in elem.terms.items():
-        word = [f] + NormalElement._mono_tokens(a, b)
-        for key, c in module_form(spec, word).items():
-            _add_term(acc, key, c)
-    return acc
-
-
-def module_terms_to_element(spec, terms):
-    """Inverse of element_to_module_terms (re-normal-orders x^b d^a words)."""
-    n = spec.n
-    acc = {}
-    for (a, b), f in terms.items():
-        word = [f]
-        for i in range(n, 0, -1):
-            word.extend([('x', i)] * b[i - 1])
-        for i in range(n, 0, -1):
-            word.extend([('d', i)] * a[i - 1])
-        for k, c in normal_form(spec, word).terms.items():
-            _add_term(acc, k, c)
-    return NormalElement(n, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +365,13 @@ def epsilon_antiauto(spec, elem):
     """The involutive anti-automorphism: fixes the weight field,
     d_i -> phi_i x^i and x^i -> d_i phi_i^{-1}."""
     n = spec.n
-    acc = {}
-    for (a, b), f in elem.terms.items():
-        word = []
-        # reverse of d_n^{a_n}..d_1^{a_1} x_n^{b_n}..x_1^{b_1}
-        for i in range(1, n + 1):
-            for _ in range(b[i - 1]):
-                word.extend([('d', i), phi_inv(n, i)])
-        for i in range(1, n + 1):
-            for _ in range(a[i - 1]):
-                word.extend([phi(n, i), ('x', i)])
-        word.append(f)
-        for k, c in normal_form(spec, word).terms.items():
-            _add_term(acc, k, c)
-    return NormalElement(n, acc)
+    image = {'d': lambda i: [phi(n, i), ('x', i)],
+             'x': lambda i: [('d', i), phi_inv(n, i)]}
+    # each term's monomial reversed and mapped, then its coefficient
+    words = [[t for s, i in reversed(NormalElement._mono_tokens(a, b))
+              for t in image[s](i)] + [f]
+             for (a, b), f in elem.terms.items()]
+    return _ring_form(spec, words, "left")
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +421,11 @@ def verify_pbw(spec):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                w = [('x', i), ('d', j), ('d', k)]
-                same = normal_form(spec, w, "left") == normal_form(spec, w, "right")
-                direct.append((("xdd", i, j, k), same))
-                w = [('x', j), ('x', k), ('d', i)]
-                same = normal_form(spec, w, "left") == normal_form(spec, w, "right")
-                direct.append((("xxd", i, j, k), same))
+                for label, w in (("xdd", [('x', i), ('d', j), ('d', k)]),
+                                 ("xxd", [('x', j), ('x', k), ('d', i)])):
+                    same = (normal_form(spec, w, "left")
+                            == normal_form(spec, w, "right"))
+                    direct.append(((label, i, j, k), same))
     ok, pair = sigma_system_check(spec.sigma)
     system = [(("sigma",) + (pair or ()), ok)]
     return PBWReport(n, direct, system)
@@ -528,9 +492,10 @@ def check_assignment(src, dst, assign):
                     if _order(t1) > _order(t2)),
                    key=lambda p: (p[0][0] != p[1][0], p[0][1] == p[1][1],
                                   p[0][1], p[1][1]))
+    resolve = _ring_resolve(src)
     for t1, t2 in pairs:
         lhs = multiply(dst, image[t1], image[t2])
-        for repl in _resolve(n, lambda i, ta, tb: src.sigma[i - 1], t1, t2):
+        for repl in resolve(t1, t2):
             c = mc(repl[0]) if isinstance(repl[0], RatFun) else None
             g = [image[t] for t in repl if not isinstance(t, RatFun)]
             rhs = multiply(dst, *g) if g else dst.one()

@@ -26,7 +26,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .ratfield import RatFun, DomainError
+from .ratfield import RatFun, DomainError, checked_int, reading_input
 from .rmatrix import chi as _chi, elementary_symmetric, complete_symmetric
 from .diffring import RingSpec, NormalElement, multiply
 
@@ -227,8 +227,9 @@ def infer_n(ast):
     return max(infer_n(ast[1]), infer_n(ast[2]))
 
 
-def evaluate(ast, n, spec=None):
-    """Value of a parsed expression: RatFun if pure-h, else NormalElement."""
+def evaluate(ast, n, spec=None, strategy="left"):
+    """Value of a parsed expression: RatFun if pure-h, else NormalElement;
+    every product is reduced with `strategy` (see `diffring.multiply`)."""
     if spec is None:
         spec = RingSpec(n)
     assert spec.n == n
@@ -243,10 +244,7 @@ def evaluate(ast, n, spec=None):
             i = node[1]
             if i > n:
                 raise DomainError(f"{tag}{i} exceeds n={n}")
-            a = [0] * n
-            b = [0] * n
-            (b if tag == "x" else a)[i - 1] = 1
-            return NormalElement(n, {(tuple(a), tuple(b)): RatFun.one(n)})
+            return spec.x(i) if tag == "x" else spec.d(i)
         if tag == "H":
             return RatFun.from_poly(complete_symmetric(n, node[1]))
         if tag == "e":
@@ -285,7 +283,7 @@ def evaluate(ast, n, spec=None):
                 raise DomainError("negative power of a generator expression")
             out = spec.one()
             for _ in range(k):
-                out = multiply(spec, out, base)
+                out = multiply(spec, out, base, strategy)
             return out
         l, r = ev(node[1]), ev(node[2])
         if tag == "/":
@@ -300,7 +298,7 @@ def evaluate(ast, n, spec=None):
         l = spec.coeff(l) if isinstance(l, RatFun) else l
         r = spec.coeff(r) if isinstance(r, RatFun) else r
         if tag == "*":
-            return multiply(spec, l, r)
+            return multiply(spec, l, r, strategy)
         return l + r if tag == "+" else l - r
 
     if max(infer_n(ast), 1) > n:
@@ -371,17 +369,15 @@ def _text_quotient(num, dens, num_terms):
 # non-constant coefficient f before a generator monomial: `pull_sign` prints
 # -f*m as "- f*m" when f has a one-term numerator, `group` brackets f.  A
 # decomposition writes a pole part pi_k(h_k)/chi_k with `pole(pi_k, k)` and a
-# symmetric part with `sym(L)` for H_L, and joins its signed terms with
-# `join`: text keeps "a + -b", LaTeX reads it "a - b" as elements do.
+# symmetric part with `sym(L)` for H_L.
 _Style = namedtuple("_Style",
-                    "names sub sep op quotient pull_sign group pole sym join")
+                    "names sub sep op quotient pull_sign group pole sym")
 _TEXT = _Style(
     names={"h": "h", "d": "d", "x": "x"}, sub=str, sep="*", op=str,
     quotient=_text_quotient, pull_sign=True,
     group=lambda s, f, mono: f"({s})" if len(f.num.terms) > 1 and not f.den
     else s,
-    pole="({})/chi({})".format, sym="H({})".format,
-    join=lambda parts: " + ".join(_signed(*p) for p in parts))
+    pole="({})/chi({})".format, sym="H({})".format)
 _LATEX = _Style(
     names={"h": r"\tilde h_", "d": r"\bar\partial_", "x": "x^"}, sub=_sub,
     sep=" ", op=" {} ".format,
@@ -389,7 +385,7 @@ _LATEX = _Style(
     pull_sign=False,
     group=lambda s, f, mono: r"\left(%s\right)" % s if mono else s,
     pole=lambda num, k: r"\frac{%s}{\chi_%s}" % (num, _sub(k)),
-    sym=lambda L: "H_" + _sub(L), join=lambda parts: _join(parts))
+    sym=lambda L: "H_" + _sub(L))
 _STYLES = {"text": _TEXT, "latex": _LATEX}
 
 
@@ -419,15 +415,13 @@ def _term(st, c, mono):
     return sign, mono if c == 1 else _const(st, c) + st.sep + mono
 
 
-def _signed(sign, body):
-    return ("-" if sign == "-" else "") + body
-
-
 def _join(parts):
+    """Signed terms as "a - b + c"; "0" for none."""
     if not parts:
         return "0"
-    return _signed(*parts[0]) + "".join(f" {sign} {body}"
-                                        for sign, body in parts[1:])
+    sign, body = parts[0]
+    return ("-" if sign == "-" else "") + body + "".join(
+        f" {sign} {body}" for sign, body in parts[1:])
 
 
 def _poly(st, p):
@@ -497,16 +491,15 @@ def latex_element(el):
 
 def format_decomposition(dec, mode="text"):
     """A W-decomposition in the text or LaTeX style: its pole parts
-    pi_k(h_k)/chi_k, then its symmetric parts c_L H_L, the signed terms
-    joined by the style's `join`."""
+    pi_k(h_k)/chi_k, then its symmetric parts c_L H_L, joined as "a - b"."""
     st = _STYLES[mode]
     parts = []
     for k in sorted(dec.parts):
-        poly = st.join([_term(st, c, _gen(st, "h", k, m))
-                        for m, c in enumerate(dec.parts[k]) if c])
+        poly = _join([_term(st, c, _gen(st, "h", k, m))
+                      for m, c in enumerate(dec.parts[k]) if c])
         parts.append(("+", st.pole(poly, k)))
     parts += [_term(st, c, st.sym(L)) for L, c in dec.symmetric]
-    return st.join(parts) if parts else "0"
+    return _join(parts)
 
 
 # json
@@ -521,9 +514,11 @@ def value_to_json(v, n=None):
 
 
 def value_from_json(obj):
-    if "terms" in obj:
-        return NormalElement.from_json(obj)
-    return RatFun.from_json(int(obj["n"]), obj)
+    """Inverse of value_to_json; DomainError on a malformed value."""
+    with reading_input("value"):
+        if "terms" in obj:
+            return NormalElement.from_json(obj)
+        return RatFun.from_json(checked_int(obj["n"], 1), obj)
 
 
 def format_value(v, mode="text"):

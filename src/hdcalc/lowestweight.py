@@ -94,23 +94,14 @@ def act(spec, elem, vec):
     lam = vec.weight
     out = {}
     for bv, cv in vec.terms.items():
-        xw = []
-        for i in range(n, 0, -1):
-            xw.extend([('x', i)] * bv[i - 1])
+        xw = NormalElement._mono_tokens((0,) * n, bv)
         for (a, b), f in elem.terms.items():
             word = [f] + NormalElement._mono_tokens(a, b) + xw
             for (ak, bk), coeff in module_form(spec, word).items():
-                if any(ak):
-                    continue  # d-part kills the lowest vector
-                val = cv * coeff.evaluate(lam.shifted(bk))
-                if not val:
-                    continue
-                s = out.get(bk, Fraction(0)) + val
-                if s:
-                    out[bk] = s
-                else:
-                    del out[bk]
-    return LWVector(lam, out)
+                if not any(ak):  # a d-part kills the lowest vector
+                    out[bk] = (out.get(bk, 0)
+                               + cv * coeff.evaluate(lam.shifted(bk)))
+    return LWVector(lam, out)  # which drops the terms that cancelled
 
 
 def central_character(fam, weight):

@@ -17,7 +17,8 @@ import itertools
 from fractions import Fraction
 from functools import partial
 
-from .ratfield import RatFun, eps_vec, rank_exact
+from .ratfield import (DomainError, RatFun, checked_int, eps_vec, rank_exact,
+                       reading_input)
 from .rmatrix import r_component, CheckReport
 from .potential import sigma_system_check
 from .diffring import _order, _resolve, _rewrite
@@ -34,7 +35,9 @@ class SigmaArray:
         self.nd = nd
         ent = {}
         for (i, a, b), v in (entries or {}).items():
-            assert 1 <= i <= n and 1 <= a <= nx and 1 <= b <= nd, (i, a, b)
+            if not (1 <= i <= n and 1 <= a <= nx and 1 <= b <= nd):
+                raise DomainError(f"sigma entry (i, alpha, beta) = {(i, a, b)}"
+                                  f" outside n={n}, nx={nx}, nd={nd}")
             if not v.is_zero():
                 ent[(i, a, b)] = v
         self.entries = ent
@@ -70,12 +73,15 @@ class SigmaArray:
 
     @classmethod
     def from_json(cls, obj):
-        n = int(obj["n"])
-        nd, nx = (int(v) for v in obj["copies"])
-        ent = {}
-        for e in obj["entries"]:
-            key = (int(e["i"]), int(e["alpha"]), int(e["beta"]))
-            ent[key] = RatFun.from_json(n, e["value"])
+        """Inverse of to_json; DomainError on a malformed object."""
+        with reading_input("sigma array"):
+            n = checked_int(obj["n"], 1)
+            nd, nx = (checked_int(v, 1) for v in obj["copies"])
+            ent = {}
+            for e in obj["entries"]:
+                key = (checked_int(e["i"]), checked_int(e["alpha"]),
+                       checked_int(e["beta"]))
+                ent[key] = RatFun.from_json(n, e["value"])
         return cls(n, nx, nd, ent)
 
     def constant_values(self):
@@ -124,7 +130,7 @@ def mixed_normal_form(n, sig, word, strategy="left"):
     Returns dict: canonical generator tuple -> RatFun.  Canonical order is
     d-block then x-block, each sorted by (copy, descending index)."""
     resolve = partial(_resolve, n, lambda i, ta, tb: sig.get(i, ta[0], tb[0]))
-    return _rewrite(n, word, _order, resolve, strategy)
+    return _rewrite(n, [word], _order, resolve, strategy)
 
 
 def vcopy_normal_form(n, ncopies, word, strategy="left"):

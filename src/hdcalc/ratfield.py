@@ -34,9 +34,10 @@ canonical as they stand.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, inf, lcm
 from operator import add
 
 F0 = Fraction(0)
@@ -49,6 +50,33 @@ class PoleError(ArithmeticError):
 
 class DomainError(ValueError):
     """Operation leaves the allowed coefficient class."""
+
+
+@contextmanager
+def reading_input(what):
+    """Report the KeyError, TypeError or ValueError that reading a malformed
+    value from outside the program raises (a missing field, a field of the
+    wrong type or length) as a DomainError naming `what`."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise DomainError(f"malformed {what}: {e!r}") from None
+
+
+def checked_int(v, lo=-inf, hi=inf):
+    """v if it is an integer in [lo, hi], else DomainError."""
+    if type(v) is not int or not lo <= v <= hi:
+        raise DomainError(f"expected an integer in [{lo}, {hi}], got {v!r}")
+    return v
+
+
+def json_exponents(v, n):
+    """An exponent vector read from JSON: n non-negative integers."""
+    if len(v) != n:
+        raise DomainError(f"expected {n} exponents, got {v!r}")
+    return tuple(checked_int(k, 0) for k in v)
 
 
 def _coeff(c):
@@ -406,10 +434,19 @@ class Poly:
 
 def canon_factor(i, j, a):
     """Canonicalize the factor h_i - h_j + a to i < j; returns ((i,j,a), sign)."""
-    assert i != j
+    if i == j:
+        raise DomainError(f"h{i} - h{j} + {a} is not a linear factor")
     if i < j:
         return (i, j, a), 1
     return (j, i, -a), -1
+
+
+def _add_factor(den, i, j, a, m):
+    """den[h_i - h_j + a] += m with the factor canonicalized; returns the
+    sign, +1 or -1, that canonicalizing puts on the value."""
+    fac, s = canon_factor(i, j, a)
+    den[fac] = den.get(fac, 0) + m
+    return -1 if s < 0 and m % 2 else 1
 
 
 # Pre-filter for the divisibility test in RatFun._cancel.  If the factor
@@ -518,10 +555,7 @@ class RatFun:
                 (i, j, a), m = item
             else:
                 (i, j, a), m = item, 1
-            fac, s = canon_factor(i, j, a)
-            den[fac] = den.get(fac, 0) + m
-            if s < 0 and m % 2:
-                sign = -sign
+            sign *= _add_factor(den, i, j, a, m)
         if sign < 0:
             num = -num
         # no factor divides a nonzero constant; zero must still drop its den
@@ -744,15 +778,9 @@ class RatFun:
                     raise PoleError("substitution hits denominator factor")
                 scal *= c ** m
             elif i == j:
-                fac, s = canon_factor(k, jj, b + a)
-                den[fac] = den.get(fac, 0) + m
-                if s < 0 and m % 2:
-                    num = -num
+                scal *= _add_factor(den, k, jj, b + a, m)
             elif jj == j:
-                fac, s = canon_factor(i, k, b - a)
-                den[fac] = den.get(fac, 0) + m
-                if s < 0 and m % 2:
-                    num = -num
+                scal *= _add_factor(den, i, k, b - a, m)
             else:
                 den[(i, jj, b)] = den.get((i, jj, b), 0) + m
         if scal != 1:
@@ -762,12 +790,10 @@ class RatFun:
     def permuted(self, perm):
         num = self.num.permuted(perm)
         den = {}
+        sign = 1
         for (i, j, a), m in self.den.items():
-            fac, s = canon_factor(perm[i - 1], perm[j - 1], a)
-            den[fac] = den.get(fac, 0) + m
-            if s < 0 and m % 2:
-                num = -num
-        return RatFun(num, den, _canonical=True)
+            sign *= _add_factor(den, perm[i - 1], perm[j - 1], a, m)
+        return RatFun(num if sign > 0 else -num, den, _canonical=True)
 
     def evaluate(self, point):
         total = self.num.evaluate(point)
@@ -786,13 +812,17 @@ class RatFun:
 
     @classmethod
     def from_json(cls, n, obj):
-        terms = {}
-        for e, c in obj["num"]:
-            terms[tuple(int(x) for x in e)] = _coeff(c)
-        den = {}
-        for i, j, a, m in obj.get("den", []):
-            den[(int(i), int(j), int(a))] = int(m)
-        return cls(Poly(n, terms), den)
+        """Inverse of to_json; DomainError on a malformed object."""
+        with reading_input("rational function"):
+            terms = {}  # terms with the same exponents add up
+            for e, c in obj["num"]:
+                e = json_exponents(e, n)
+                terms[e] = _coeff(terms.get(e, 0) + _coeff(c))
+            terms = {e: c for e, c in terms.items() if c}
+            den = [((checked_int(i, 1, n), checked_int(j, 1, n),
+                     checked_int(a)), checked_int(m, 1))
+                   for i, j, a, m in (obj["den"] if "den" in obj else ())]
+            return cls.build(Poly(n, terms), den)
 
     def __repr__(self):
         if not self.den:

@@ -8,7 +8,8 @@ import shlex
 import pytest
 
 from hdcalc.cli import main
-from hdcalc.expressions import format_value, value_from_json
+from hdcalc.diffring import RingSpec, multiply
+from hdcalc.expressions import evaluate, format_value, parse, value_from_json
 from hdcalc.ratfield import RatFun
 from hdcalc.multicopy import SigmaArray
 
@@ -115,6 +116,21 @@ def test_nf_strategy_flag(capsys):
                        "H(2)", "--strategy", "right")
     assert rc1 == rc2 == 0
     assert out1 == out2  # flat, so the strategies agree
+    # sigma = (1, h1) is not flat: the flag reaches the product, and each
+    # strategy prints the library's product under it
+    spec = RingSpec(2, (RatFun.one(2), RatFun.var(2, 1)))
+    a, b = (evaluate(parse(t), 2, spec) for t in ("x1*x1", "d1*d1"))
+    outs = {}
+    for strategy in ("left", "right"):
+        rc, outs[strategy], _ = run(
+            capsys, "nf", "(x1*x1)*(d1*d1)", "-n", "2", "--sigmas", "1;h1",
+            "--strategy", strategy)
+        assert rc == 0
+        assert outs[strategy] == format_value(
+            multiply(spec, a, b, strategy)) + "\n"
+    assert outs["left"] != outs["right"]
+    assert "(2*h1 - 4*h2 - 6)/((h1-h2-2)*(h1-h2-1))*d2*x2" in outs["left"]
+    assert " + 4/(h1-h2-1)*d2*x2 " in outs["right"]
 
 
 def test_mul(capsys):
@@ -151,7 +167,7 @@ def test_decompose(capsys):
     rc, out, _ = run(capsys, "decompose", "(h2^2 - 3*h2 + 1/2)/chi(2) - H(1)",
                      "-n", "3")
     assert rc == 0
-    assert out == "(1/2 + -3*h2 + h2^2)/chi(2) + -H(1)\n"
+    assert out == "(1/2 - 3*h2 + h2^2)/chi(2) - H(1)\n"
 
 
 def test_central_frozen(capsys):
@@ -249,6 +265,61 @@ def test_usage_errors(capsys):
     assert run(capsys, "nf", "x1", "--sigmas", "1", "--potential", "H(1)")[0] == 2
     rc, _, err = run(capsys, "check-pbw", "-n", "2", "--sigmas", "1;1;1")
     assert rc == 2 and "--n 2" in err
+
+
+_ONE = {"num": [[[0, 0], "1/1"]], "den": []}
+_SIGMAS = {
+    "not-json": "not json",
+    "no-n": json.dumps({"copies": [1, 1], "entries": []}),
+    "i-above-n": json.dumps({"n": 2, "copies": [1, 1], "entries": [
+        {"i": 3, "alpha": 1, "beta": 1, "value": _ONE}]}),
+    "fits": json.dumps({"n": 2, "copies": [1, 1], "entries": []}),
+}
+
+
+def _element(d, coeff=_ONE):
+    return json.dumps({"n": 2, "terms": [{"d": d, "x": [0, 0],
+                                          "coeff": coeff}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "not json", "--in", "json"],
+    ["nf", '{"n":2}', "--in", "json"],
+    ["nf", "[1,2]", "--in", "json"],
+    ["nf", _element([1, 0, 0]), "--in", "json"],
+    ["nf", _element([-1, 0]), "--in", "json"],
+    ["nf", _element([0, 1], {"num": [[[0, 0, 1], "1/1"]], "den": []}),
+     "--in", "json"],
+    ["flatness", "-n", "2", "--copies", "1,1", "--sigma-file", "not-json"],
+    ["flatness", "-n", "2", "--copies", "1,1", "--sigma-file", "no-n"],
+    ["flatness", "-n", "2", "--copies", "1,1", "--sigma-file", "i-above-n"],
+    ["flatness", "-n", "2", "--copies", "a,b", "--sigma-file", "fits"],
+    ["flatness", "-n", "2", "--copies", "1,1,1", "--sigma-file", "fits"],
+    ["lw-eval", "x1", "-n", "2", "--lambda", "a;b"],
+], ids=["nf-not-json", "nf-no-num", "nf-list", "nf-d-too-long",
+        "nf-negative-d", "nf-coeff-exponents-too-long", "flatness-not-json",
+        "flatness-no-n", "flatness-i-above-n", "copies-not-ints",
+        "copies-three", "lambda-not-rational"])
+def test_malformed_outside_input_is_usage_error(tmp_path, capsys, argv):
+    argv = list(argv)
+    if "--sigma-file" in argv:
+        path = tmp_path / "sigma.json"
+        path.write_text(_SIGMAS[argv[-1]], encoding="utf-8")
+        argv[-1] = str(path)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blob, want", [
+    (json.dumps({"n": 2, "terms": [{"d": [1, 0], "x": [0, 0], "coeff": c}
+                                   for c in (_ONE, {"num": [[[0, 0], 2]]})]}),
+     "3*d1"),
+    (json.dumps({"n": 2, "num": [[[1, 0], "1/2"], [[1, 0], "1/2"],
+                                 [[0, 0], 0]]}), "h1"),
+], ids=["element", "rational-function"])
+def test_nf_json_terms_with_equal_keys_add_up(capsys, blob, want):
+    assert run(capsys, "nf", blob, "--in", "json") == (0, want + "\n", "")
 
 
 @pytest.mark.parametrize("expr", ["1/0", "1/(h1-h1)"])

@@ -9,8 +9,7 @@ from hdcalc.ratfield import Poly, RatFun
 from hdcalc.rmatrix import chi, complete_symmetric
 from hdcalc.potential import sigma_from_potential
 from hdcalc.diffring import (RingSpec, NormalElement, normal_form, multiply,
-                             commutator, module_form, element_to_module_terms,
-                             module_terms_to_element, epsilon_antiauto,
+                             commutator, module_form, epsilon_antiauto,
                              verify_pbw, GeneratorAssignment,
                              check_assignment, zhelobenko_assignment, scaling_assignment,
                              localized_coordinates_commute)
@@ -174,6 +173,41 @@ def test_strategy_independence_on_random_flat_sigmas(case):
     assert normal_form(spec, word, "left") == normal_form(spec, word, "right")
 
 
+@st.composite
+def _spec_and_elements(draw):
+    """Two random elements of 1-2 terms at n = 2, 3 over a flat sigma or
+    the same sigma bumped off flatness, and a strategy."""
+    n = draw(st.integers(2, 3))
+    spec = flat_spec(n, draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        spec = RingSpec(n, (spec.sigma[0] + RatFun.var(n, 2),) + spec.sigma[1:])
+    exps = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    coeff = st.builds(lambda c, i, k: RatFun.var(n, i) * c + k,
+                      st.integers(-2, 2), st.integers(1, n), st.integers(1, 3))
+
+    def element():
+        return NormalElement(n, draw(st.dictionaries(
+            st.tuples(exps, exps), coeff, min_size=1, max_size=2)))
+
+    return spec, element(), element(), draw(st.sampled_from(["left", "right"]))
+
+
+@settings(max_examples=25)
+@given(_spec_and_elements())
+def test_multiply_is_sum_of_term_products(case):
+    # the definition multiply had before it reduced a whole sum per call:
+    # each pair of terms as one word, normal ordered, scaled by the left
+    # coefficient and summed
+    spec, a, b, strategy = case
+    want = spec.zero()
+    for (am, bm), fa in a.terms.items():
+        for (an, bn), fb in b.terms.items():
+            word = (NormalElement._mono_tokens(am, bm) + [fb]
+                    + NormalElement._mono_tokens(an, bn))
+            want = want + normal_form(spec, word, strategy).scale(fa)
+    assert multiply(spec, a, b, strategy) == want
+
+
 def test_verify_pbw_flags():
     flat = flat_spec(2, 2)
     rep = verify_pbw(flat)
@@ -194,13 +228,20 @@ def test_commutator_of_center_candidate():
 
 
 def test_module_form_roundtrip():
+    # a normal monomial put in the module order (x left of d) and normal
+    # ordered again is itself
     rng = random.Random(4)
     n = 2
     spec = flat_spec(n)
     for _ in range(6):
         el = rand_monomial(rng, n)
-        terms = element_to_module_terms(spec, el)
-        back = module_terms_to_element(spec, terms)
+        [((a, b), f)] = el.terms.items()
+        back = spec.zero()
+        for (ma, mb), c in module_form(
+                spec, [f] + NormalElement._mono_tokens(a, b)).items():
+            x_then_d = NormalElement._mono_tokens((0,) * n, mb) + \
+                NormalElement._mono_tokens(ma, (0,) * n)
+            back = back + normal_form(spec, [c] + x_then_d)
         assert back == el
 
 

@@ -278,7 +278,7 @@ def test_printer_styles_pinned(capsys):
     # zero
     assert both(NormalElement(2, {})) == ("0", "0")
     assert both(RatFun.zero(2)) == ("0", "0")
-    # a decomposition joins its signed parts with " + "
+    # a decomposition moves the sign of each part into its join
     assert main(["decompose", "(h2^2 - 3*h2 + 1/2)/chi(2) - H(1)",
                  "-n", "3"]) == 0
-    assert capsys.readouterr().out == "(1/2 + -3*h2 + h2^2)/chi(2) + -H(1)\n"
+    assert capsys.readouterr().out == "(1/2 - 3*h2 + h2^2)/chi(2) - H(1)\n"

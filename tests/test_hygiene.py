@@ -1,5 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports,
-and none imports `random`, so that no verdict rests on a random test.
+none imports `random`, so that no verdict rests on a random test, and none
+imports a private name from a sibling module, except the shared rewriting
+rule table that `multicopy` reads from `diffring`.
 
 `__init__.py` is exempt from the unused-import check, because it imports
 names only to re-export them.
@@ -40,6 +42,19 @@ def imported_modules(source):
     return names
 
 
+# (module, sibling, name): the rule table and engine shared by both rings
+SHARED_PRIVATE = {("multicopy", "diffring", name)
+                  for name in ("_order", "_resolve", "_rewrite")}
+
+
+def private_imports(source):
+    """(sibling module, name) of each underscore name that source imports
+    from a module of its own package."""
+    return sorted((node.module, a.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for a in node.names if a.name.startswith("_"))
+
+
 def test_scanner_sees_unused_and_used_names():
     src = ("from __future__ import annotations\n"
            "import os.path\nfrom math import comb as C, lcm\n"
@@ -54,6 +69,15 @@ def test_import_scanner_sees_nested_and_from_imports():
     assert imported_modules(src) == {"os", "random"}
 
 
+def test_private_import_scanner():
+    src = ("from .diffring import normal_form, _add_term as add\n"
+           "from .ratfield import _coeff\nfrom os import _exit\n"
+           "def f():\n    from .rmatrix import _conserves\n")
+    assert private_imports(src) == [("diffring", "_add_term"),
+                                    ("ratfield", "_coeff"),
+                                    ("rmatrix", "_conserves")]
+
+
 def test_package_modules_found():
     assert {"ratfield.py", "central.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -66,3 +90,10 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_random_import(path):
     assert "random" not in imported_modules(path.read_text())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_import_from_sibling(path):
+    found = {(path.stem, mod, name)
+             for mod, name in private_imports(path.read_text())}
+    assert sorted(found - SHARED_PRIVATE) == []
