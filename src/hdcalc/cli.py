@@ -141,6 +141,8 @@ def _cmd_check_pbw(args):
         bad = [lbl for lbl, ok in report.direct + report.system if not ok]
         for label in bad[:5]:
             _fail(f"fails: {label}")
+        if report.residual is not None:
+            _fail(f"residual: {format_value(report.residual)}")
     return 0 if report.flat else 1
 
 

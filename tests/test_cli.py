@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, stream separation."""
 
+import ast
 import json
 import pathlib
 import re
@@ -8,7 +9,7 @@ import shlex
 import pytest
 
 from hdcalc.cli import main
-from hdcalc.diffring import RingSpec, multiply
+from hdcalc.diffring import RingSpec, multiply, normal_form
 from hdcalc.expressions import evaluate, format_value, parse, value_from_json
 from hdcalc.ratfield import RatFun
 from hdcalc.multicopy import SigmaArray
@@ -71,6 +72,22 @@ def test_check_pbw_not_flat_puts_witness_on_stderr(capsys):
     assert rc == 1
     assert out.strip() == "not flat"
     assert "fails:" in err
+
+
+def test_check_pbw_prints_the_first_residual(capsys):
+    rc, out, err = run(capsys, "check-pbw", "-n", "2", "--sigmas", "1;h1")
+    assert rc == 1 and out == "not flat\n"
+    lines = err.splitlines()
+    assert lines[0].startswith("fails: ") and lines[-1].startswith("residual: ")
+    assert all(line.startswith("fails: ") for line in lines[:-1])
+    # the first failing word: ('xdd', i, j, k) is x_i d_j d_k
+    label, i, j, k = ast.literal_eval(lines[0][len("fails: "):])
+    w = ([('x', i), ('d', j), ('d', k)] if label == "xdd"
+         else [('x', j), ('x', k), ('d', i)])
+    spec = RingSpec(2, (RatFun.one(2), RatFun.var(2, 1)))
+    want = normal_form(spec, w, "left") - normal_form(spec, w, "right")
+    assert not want.is_zero()
+    assert evaluate(parse(lines[-1][len("residual: "):]), 2, spec) == want
 
 
 def test_solve_potential(capsys):

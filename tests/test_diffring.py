@@ -3,14 +3,17 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from hdcalc import diffring
 from hdcalc.ratfield import Poly, RatFun
 from hdcalc.rmatrix import chi, complete_symmetric
 from hdcalc.potential import sigma_from_potential
 from hdcalc.diffring import (RingSpec, NormalElement, normal_form, multiply,
                              commutator, module_form, epsilon_antiauto,
-                             verify_pbw, GeneratorAssignment,
+                             verify_pbw, is_overlap_ambiguity,
+                             GeneratorAssignment,
                              check_assignment, zhelobenko_assignment, scaling_assignment,
                              localized_coordinates_commute)
 from hdcalc.multicopy import SigmaArray, mixed_normal_form
@@ -215,6 +218,57 @@ def test_verify_pbw_flags():
     bad = RingSpec(2, (RatFun.var(2, 1), RatFun.var(2, 2)))
     rep = verify_pbw(bad)
     assert not rep.flat and rep.agree
+
+
+def pbw_words(n):
+    """The words of verify_pbw's double reduction, in its report order."""
+    r = range(1, n + 1)
+    return [(label, i, j, k, w) for i in r for j in r for k in r
+            for label, w in (("xdd", [('x', i), ('d', j), ('d', k)]),
+                             ("xxd", [('x', j), ('x', k), ('d', i)]))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_skipped_pbw_words_take_the_same_steps_both_ways(rewrite_steps, n):
+    # the words verify_pbw records as passes without reducing them: both
+    # strategies rewrite the same pairs in the same order, flat or not
+    bumped = list(flat_spec(n).sigma)
+    bumped[0] = bumped[0] + RatFun.var(n, 2)
+    for spec in (flat_spec(n), RingSpec(n, bumped), RingSpec(n)):
+        for *_, w in pbw_words(n):
+            left, right = rewrite_steps(
+                lambda strategy: normal_form(spec, w, strategy))
+            assert left, w
+            # on an overlap ambiguity the first step already differs
+            assert (left == right) != is_overlap_ambiguity(w), w
+
+
+def test_verify_pbw_reduces_only_overlap_ambiguities(monkeypatch):
+    reduced = []
+    nf = diffring.normal_form
+
+    def counted(spec, word, strategy="left"):
+        reduced.append(tuple(word))
+        return nf(spec, word, strategy)
+
+    monkeypatch.setattr(diffring, "normal_form", counted)
+    # n^2 (n - 1) of the 2 n^3 words, each reduced both ways
+    for n, computed in ((2, 4), (3, 18), (4, 48)):
+        reduced.clear()
+        rep = verify_pbw(flat_spec(n))
+        assert rep.flat and rep.residual is None
+        assert len(reduced) == 2 * computed
+        assert [lbl for lbl, _ in rep.direct] == [
+            (label, i, j, k) for label, i, j, k, _ in pbw_words(n)]
+
+
+def test_verify_pbw_keeps_the_first_residual():
+    spec = RingSpec(2, (RatFun.one(2), RatFun.var(2, 1)))
+    rep = verify_pbw(spec)
+    first = next(w for label, i, j, k, w in pbw_words(2)
+                 if ((label, i, j, k), False) in rep.direct)
+    want = normal_form(spec, first, "left") - normal_form(spec, first, "right")
+    assert not want.is_zero() and rep.residual == want
 
 
 def test_commutator_of_center_candidate():

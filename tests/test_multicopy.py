@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from hdcalc import multicopy
 from hdcalc.ratfield import RatFun
 from hdcalc.rmatrix import chi
 from hdcalc.potential import sigma_from_potential
-from hdcalc.diffring import RingSpec, normal_form
+from hdcalc.diffring import RingSpec, is_overlap_ambiguity, normal_form
 from hdcalc.multicopy import (SigmaArray, constant_profile, mixed_normal_form,
                               vcopy_normal_form, flatness_check,
-                              ambiguity_oracle)
+                              ambiguity_oracle, _ambiguity_words)
 
 
 def one_copy_sigma(n, f):
@@ -115,6 +116,53 @@ def test_ambiguity_oracle_is_exhaustive_or_refuses():
     assert ambiguity_oracle(2, 2, 2, s, budget=128).total == 128
     with pytest.raises(ValueError, match="128 words exceed the budget of 127"):
         ambiguity_oracle(2, 2, 2, s, budget=127)
+
+
+def oracle_arrays(n, nx, nd):
+    """A constant array and one with an h-dependent entry per i."""
+    rng = random.Random(10 * n + nx + nd)
+    vals = {(a, b): rng.randint(1, 5)
+            for a in range(1, nx + 1) for b in range(1, nd + 1)}
+    return (SigmaArray.constant(n, nx, nd, vals),
+            SigmaArray(n, nx, nd, {(i, rng.randint(1, nx), rng.randint(1, nd)):
+                                   RatFun.var(n, i) * rng.randint(1, 4)
+                                   for i in range(1, n + 1)}))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("nx, nd", [(2, 1), (1, 2), (2, 2)])
+def test_skipped_oracle_words_take_the_same_steps_both_ways(rewrite_steps,
+                                                             n, nx, nd):
+    # the words the oracle records as passes without reducing them: both
+    # strategies rewrite the same pairs in the same order
+    for s in oracle_arrays(n, nx, nd):
+        for w in _ambiguity_words(n, nx, nd):
+            left, right = rewrite_steps(
+                lambda strategy: mixed_normal_form(n, s, list(w), strategy))
+            assert left, w
+            # on an overlap ambiguity the first step already differs
+            assert (left == right) != is_overlap_ambiguity(w), w
+
+
+def test_oracle_reduces_only_overlap_ambiguities(monkeypatch):
+    reduced = []
+    mnf = multicopy.mixed_normal_form
+
+    def counted(n, sig, word, strategy="left"):
+        reduced.append(tuple(word))
+        return mnf(n, sig, word, strategy)
+
+    monkeypatch.setattr(multicopy, "mixed_normal_form", counted)
+    for (nx, nd), computed, total in (((2, 1), 16, 48), ((1, 2), 16, 48),
+                                      ((2, 2), 48, 128)):
+        for s in oracle_arrays(2, nx, nd):
+            reduced.clear()
+            rep = ambiguity_oracle(2, nx, nd, s)
+            assert len(reduced) == 2 * computed
+            assert [lbl for lbl, _ in rep.results] == [
+                " ".join(f"{sp}{i},{c}" for sp, i, c in w)
+                for w in _ambiguity_words(2, nx, nd)]
+            assert rep.total == total
 
 
 def test_copy_dependent_constants_fail_sigma_system():

@@ -665,5 +665,7 @@ def test_cancellation_work_counts(monkeypatch):
     n = 2
     assert verify_pbw(RingSpec(n, (RatFun.one(n), RatFun.one(n)))).flat
     assert rmatrix.verify_dybe(3).passed
-    assert calls["div_linfactor"] == 172
+    # 148 since verify_pbw reduces only the 4 overlap ambiguities of its 16
+    # words at n=2 (172 when it reduced all 16)
+    assert calls["div_linfactor"] == 148
     assert calls["may_vanish"] <= 1237
