@@ -9,7 +9,7 @@ coefficients, each a RatFun in h, so t never enters denominators.
 from __future__ import annotations
 
 from .ratfield import Poly, RatFun
-from .rmatrix import chi_inv, elementary_symmetric, psi_component
+from .rmatrix import chi_inv, elementary_symmetric
 from .potential import sigma_from_potential, w_decompose
 from .diffring import RingSpec, commutator
 
@@ -98,20 +98,15 @@ def verify_central(fam):
 def character_map(fam):
     """The scalars by which c_1..c_n act on a lowest weight vector, as
     functions of the weight: v_k = sum_i e_{k-1}(no i) gamma_i - rho_{k-1},
-    where gamma_i = sum_k Psi^{ik}_{ik} sigma_k is the vacuum value of d_i x^i."""
+    where gamma_i = spec.vacuum_value(i) is the vacuum value of d_i x^i."""
     spec = fam.spec
     n = spec.n
-    gam = []
-    for i in range(1, n + 1):
-        g = RatFun.zero(n)
-        for k in range(1, n + 1):
-            g = g + psi_component(n, i, k, i, k) * spec.sigma[k - 1]
-        gam.append(g)
     out = []
     for k in range(1, n + 1):
         v = -fam.rho[k - 1]
         for i in range(1, n + 1):
-            v = v + RatFun.from_poly(elementary_symmetric(n, k - 1, skip=i)) * gam[i - 1]
+            v = v + (RatFun.from_poly(elementary_symmetric(n, k - 1, skip=i))
+                     * spec.vacuum_value(i))
         out.append(v)
     return out
 

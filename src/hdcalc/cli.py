@@ -2,11 +2,16 @@
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or parse error.  Diagnostics go to stderr.
+
+The argument parser is built once per process, on the first call of `main`,
+and holds no per-call state: the `--format` default is read from
+HDCALC_FORMAT on every call, after parsing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -286,6 +291,17 @@ def _cmd_flatness(args):
 
 # -- wiring
 
+FORMATS = ("text", "json", "latex")
+
+
+def _env_format():
+    """HDCALC_FORMAT, the default of --format; empty or unset means text."""
+    fmt = os.environ.get("HDCALC_FORMAT") or "text"
+    if fmt not in FORMATS:
+        raise DomainError(f"HDCALC_FORMAT must be one of {', '.join(FORMATS)},"
+                          f" not {fmt!r}")
+    return fmt
+
 
 def _add_sigma_flags(p):
     p.add_argument("--sigmas", help="semicolon-separated sigma_i expressions")
@@ -295,11 +311,10 @@ def _add_sigma_flags(p):
 def _add_common(p, fmt=True):
     p.add_argument("-n", "--n", type=int, help="number of weight variables")
     if fmt:
-        p.add_argument("--format", dest="fmt",
-                       choices=("text", "json", "latex"),
-                       default=os.environ.get("HDCALC_FORMAT", "text"))
+        p.add_argument("--format", dest="fmt", choices=FORMATS)
 
 
+@functools.cache
 def build_parser():
     top = argparse.ArgumentParser(
         prog="hdcalc",
@@ -391,6 +406,9 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
+        # a command with --format has args.fmt, None when it was not given
+        if getattr(args, "fmt", "") is None:
+            args.fmt = _env_format()
         return args.func(args)
     except SyntaxError as e:
         _fail(f"syntax error: {e}")

@@ -27,9 +27,11 @@ class RingSpec:
 
     sigma is not validated here; non-flat specs still define the rewriting
     (normal forms are then order-dependent, which verify_pbw detects).
+    A spec is never changed after it is built, so its vacuum values are
+    computed once, on first use.
     """
 
-    __slots__ = ("n", "sigma")
+    __slots__ = ("n", "sigma", "_vacuum")
 
     def __init__(self, n, sigma=None):
         self.n = n
@@ -38,6 +40,7 @@ class RingSpec:
         sigma = tuple(sigma)
         assert len(sigma) == n
         self.sigma = sigma
+        self._vacuum = {}
 
     # -- element builders
 
@@ -71,6 +74,19 @@ class RingSpec:
         """d_i x^i, already normal."""
         e = eps_vec(self.n, i)
         return self._unit(e, e)
+
+    def vacuum_value(self, i):
+        """gamma_i = sum_k Psi^{ik}_{ik} sigma_k, the zero-order term of
+        d_i x^i in the module order: d_i x^i acts on a lowest weight vector
+        by gamma_i at its weight."""
+        v = self._vacuum.get(i)
+        if v is None:
+            n = self.n
+            v = RatFun.zero(n)
+            for k in range(1, n + 1):
+                v = v + psi_component(n, i, k, i, k) * self.sigma[k - 1]
+            self._vacuum[i] = v
+        return v
 
     def __eq__(self, other):
         return (isinstance(other, RingSpec) and self.n == other.n
@@ -351,14 +367,8 @@ def _resolve_module(spec, t1, t2):
     # d_j x^i -> sum_{k,l} Psi^{ik}_{jl} x^l d_k + sum_k Psi^{ik}_{jk} sigma_k
     if j != i:
         return [[psi_component(n, i, j, j, i), ('x', i), ('d', j)]]
-    out = []
-    free = RatFun.zero(n)
-    for k in range(1, n + 1):
-        c = psi_component(n, i, k, i, k)
-        out.append([c, ('x', k), ('d', k)])
-        free = free + c * spec.sigma[k - 1]
-    out.append([free])
-    return out
+    return [[psi_component(n, i, k, i, k), ('x', k), ('d', k)]
+            for k in range(1, n + 1)] + [[spec.vacuum_value(i)]]
 
 
 def module_form(spec, word, strategy="left"):

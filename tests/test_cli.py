@@ -8,6 +8,7 @@ import shlex
 
 import pytest
 
+from hdcalc import cli
 from hdcalc.cli import main
 from hdcalc.diffring import RingSpec, multiply, normal_form
 from hdcalc.expressions import evaluate, format_value, parse, value_from_json
@@ -369,10 +370,67 @@ def test_help_exits_zero(capsys):
 
 
 def test_format_env_default(capsys, monkeypatch):
+    """HDCALC_FORMAT is read on every call of one process's parser."""
+    monkeypatch.delenv("HDCALC_FORMAT", raising=False)
+    argv = ("nf", "d1*x1", "-n", "1")
+    assert run(capsys, *argv) == (0, "d1*x1\n", "")
     monkeypatch.setenv("HDCALC_FORMAT", "latex")
-    rc, out, _ = run(capsys, "nf", "d1*x1", "-n", "1")
-    assert rc == 0
-    assert out.strip() == r"\bar\partial_1 x^1"
+    assert run(capsys, *argv) == (0, "\\bar\\partial_1 x^1\n", "")
     # explicit flag wins over the environment
-    rc, out, _ = run(capsys, "nf", "d1*x1", "-n", "1", "--format", "text")
-    assert out.strip() == "d1*x1"
+    assert run(capsys, *argv, "--format", "text") == (0, "d1*x1\n", "")
+    monkeypatch.setenv("HDCALC_FORMAT", "")  # empty means unset
+    assert run(capsys, *argv) == (0, "d1*x1\n", "")
+    monkeypatch.setenv("HDCALC_FORMAT", "json")
+    assert json.loads(run(capsys, *argv)[1])["n"] == 1
+    monkeypatch.delenv("HDCALC_FORMAT")
+    assert run(capsys, *argv) == (0, "d1*x1\n", "")
+
+
+@pytest.mark.parametrize("value", ["bogus", "LATEX", " text"])
+@pytest.mark.parametrize("argv", [
+    ["nf", "d1*x1", "-n", "1"],
+    ["central", "-n", "2", "--potential", "H(1)"],
+], ids=["nf", "central"])
+def test_bad_format_env_is_usage_error(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("HDCALC_FORMAT", value)
+    # rejected before any work
+    monkeypatch.setattr(cli, "evaluate", None)
+    monkeypatch.setattr(cli, "reconstruct_potential", None)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: HDCALC_FORMAT must be one of text, json, latex, not {value!r}\n"
+
+
+def test_format_env_is_only_the_default_of_format(capsys, monkeypatch):
+    monkeypatch.setenv("HDCALC_FORMAT", "bogus")
+    assert run(capsys, "nf", "d1*x1", "-n", "1", "--format", "text") == \
+        (0, "d1*x1\n", "")
+    # a command without --format does not read it
+    assert run(capsys, "check-pbw", "-n", "2", "--sigmas", "1;1") == \
+        (0, "flat\n", "")
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    monkeypatch.delenv("HDCALC_FORMAT", raising=False)
+    readme = dict(README_EXAMPLES)
+    nf_line = 'nf "x1*d1" -n 2 --sigmas "1;1"'
+    misses = cli.build_parser.cache_info().misses
+    # a usage error, then a valid call
+    assert run(capsys, "nf", "x1*", "-n", "2")[0] == 2
+    assert run(capsys, *shlex.split(nf_line)) == (0, readme[nf_line], "")
+    assert run(capsys, "nf", "--strategy", "sideways", "x1")[0] == 2
+    assert run(capsys, *shlex.split(nf_line)) == (0, readme[nf_line], "")
+    # a non-default --strategy does not stay for the next call
+    argv = ("nf", "(x1*x1)*(d1*d1)", "-n", "2", "--sigmas", "1;h1")
+    left = run(capsys, *argv, "--strategy", "left")
+    right = run(capsys, *argv, "--strategy", "right")
+    assert left[0] == right[0] == 0 and left != right
+    assert run(capsys, *argv) == left
+    # help, then a command
+    assert main(["-h"]) == 0
+    assert "usage: hdcalc" in capsys.readouterr().out
+    assert main(["nf", "-h"]) == 0
+    capsys.readouterr()
+    assert run(capsys, *shlex.split(nf_line)) == (0, readme[nf_line], "")
+    assert cli.build_parser.cache_info().misses == misses
+    assert cli.build_parser() is cli.build_parser()
