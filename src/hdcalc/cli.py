@@ -28,7 +28,7 @@ from .central import central_family, MismatchError
 from .lowestweight import Weight, NonGenericWeight, LWVector, act, \
     central_character
 from .multicopy import SigmaArray, flatness_check
-from .expressions import (parse, infer_n, evaluate, format_value,
+from .expressions import (parse, infer_n, evaluate, ast_to_text, format_value,
                           format_decomposition, value_from_json)
 
 
@@ -36,70 +36,54 @@ def _fail(msg):
     print(msg, file=sys.stderr)
 
 
-def _resolve_n(args, *asts):
-    seen = max((infer_n(a) for a in asts), default=0)
-    sigmas = getattr(args, "sigmas", None)
-    if sigmas:
-        # a list of k entries needs at least k variables
-        seen = max(seen, len([s for s in sigmas.split(";") if s.strip()]))
-    n = getattr(args, "n", None)
-    if n is None:
-        if seen == 0:
-            raise DomainError("cannot infer n; pass --n")
-        return seen
-    if n < seen:
-        raise DomainError(f"--n {n} is smaller than the highest index {seen}")
-    return n
-
-
-def _coeff(text, n):
-    v = evaluate(parse(text), n)
+def _h_value(ast, n):
+    v = evaluate(ast, n)
     if not isinstance(v, RatFun):
-        raise DomainError(f"{text!r} is not a pure-h expression")
+        raise DomainError(f"{ast_to_text(ast)!r} is not a pure-h expression")
     return v
 
 
-def _build_spec(args, n):
+def _ring(args, *asts):
+    """The ring a command works in.  Each --sigmas entry or the --potential
+    text is parsed once.  n is --n, which must be at least every index in
+    `asts` and in the sigma texts and the number of sigma entries; without
+    --n it is the largest of these.  (`main` has checked that --n >= 1.)"""
     sigmas = getattr(args, "sigmas", None)
     potential = getattr(args, "potential", None)
     if sigmas and potential:
         raise DomainError("pass either --sigmas or --potential, not both")
-    if potential:
-        return RingSpec(n, sigma_from_potential(_coeff(potential, n), n))
-    if sigmas:
-        parts = [s for s in sigmas.split(";") if s.strip()]
-        if len(parts) != n:
-            raise DomainError(f"expected {n} sigma entries, got {len(parts)}")
-        return RingSpec(n, tuple(_coeff(s, n) for s in parts))
+    entries = [parse(s) for s in (sigmas or "").split(";") if s.strip()]
+    pot = [parse(potential)] if potential else []
+    seen = max([len(entries)] + [infer_n(a) for a in (*asts, *entries, *pot)])
+    n = getattr(args, "n", None)
+    if n is None:
+        if seen == 0:
+            raise DomainError("cannot infer n; pass --n")
+        n = seen
+    elif n < seen:
+        raise DomainError(f"--n {n} is smaller than the highest index {seen}")
+    if pot:
+        return RingSpec(n, sigma_from_potential(_h_value(pot[0], n), n))
+    if entries:
+        if len(entries) != n:
+            raise DomainError(f"expected {n} sigma entries, got {len(entries)}")
+        return RingSpec(n, tuple(_h_value(a, n) for a in entries))
     return RingSpec(n)
 
 
-def _sigma_asts(args):
-    out = []
-    for name in ("sigmas", "potential"):
-        raw = getattr(args, name, None)
-        if raw:
-            for s in (raw.split(";") if name == "sigmas" else [raw]):
-                if s.strip():
-                    out.append(parse(s))
-    return out
-
-
-def _load_value(args, text):
-    if getattr(args, "input", "text") == "json":
-        if os.path.exists(text):
-            with open(text, encoding="utf-8") as fh:
-                return value_from_json(json.load(fh)), None
-        return value_from_json(json.loads(text)), None
-    ast = parse(text)
-    return ast, ast
-
-
-def _weight(args):
+def _weight(args, n):
     parts = [p for p in args.lam.split(";") if p.strip()]
     with reading_input("--lambda"):
         values = tuple(Fraction(p) for p in parts)
+    if len(values) != n:
+        raise DomainError(f"lambda has {len(values)} entries but n={n}")
     return Weight(values)
+
+
+def _fails(labels, k):
+    """The first k failing checks, one `fails:` line each on stderr."""
+    for label in labels[:k]:
+        _fail(f"fails: {label}")
 
 
 def _print_value(v, args):
@@ -110,50 +94,49 @@ def _print_value(v, args):
 
 
 def _cmd_nf(args):
-    val, ast = _load_value(args, args.expr)
-    if ast is None:
-        n = val.n
-        if getattr(args, "n", None) is not None and args.n != n:
-            raise DomainError(f"--n {args.n} does not match input n={n}")
-        spec = _build_spec(args, n)
+    if args.input == "text":
+        ast = parse(args.expr)
+        spec = _ring(args, ast)
+        val = evaluate(ast, spec.n, spec, args.strategy)
+    else:
+        if os.path.exists(args.expr):
+            with open(args.expr, encoding="utf-8") as fh:
+                val = value_from_json(json.load(fh))
+        else:
+            val = value_from_json(json.loads(args.expr))
+        if args.n is not None and args.n != val.n:
+            raise DomainError(f"--n {args.n} does not match input n={val.n}")
+        args.n = val.n  # the input fixes n; the sigma entries must fit it
+        spec = _ring(args)
         if isinstance(val, NormalElement):
             val = multiply(spec, spec.one(), val, args.strategy)
-    else:
-        n = _resolve_n(args, ast, *_sigma_asts(args))
-        spec = _build_spec(args, n)
-        val = evaluate(ast, n, spec, args.strategy)
     _print_value(val, args)
     return 0
 
 
 def _cmd_mul(args):
     a1, a2 = parse(args.left), parse(args.right)
-    n = _resolve_n(args, a1, a2, *_sigma_asts(args))
-    spec = _build_spec(args, n)
-    _print_value(evaluate(("*", a1, a2), n, spec), args)
+    spec = _ring(args, a1, a2)
+    _print_value(evaluate(("*", a1, a2), spec.n, spec), args)
     return 0
 
 
 def _cmd_check_pbw(args):
-    n = _resolve_n(args, *_sigma_asts(args))
-    spec = _build_spec(args, n)
-    report = verify_pbw(spec)
+    report = verify_pbw(_ring(args))
     if not report.agree:
         _fail("internal: double reduction and sigma system disagree")
         return 1
     print("flat" if report.flat else "not flat")
     if not report.flat:
-        bad = [lbl for lbl, ok in report.direct + report.system if not ok]
-        for label in bad[:5]:
-            _fail(f"fails: {label}")
+        _fails([lbl for lbl, ok in report.direct + report.system if not ok], 5)
         if report.residual is not None:
             _fail(f"residual: {format_value(report.residual)}")
     return 0 if report.flat else 1
 
 
 def _cmd_delta_check(args):
-    f = _coeff(args.expr, _resolve_n(args, parse(args.expr)))
-    ok, pair = delta_system_check(f)
+    ast = parse(args.expr)
+    ok, pair = delta_system_check(_h_value(ast, _ring(args, ast).n))
     print("pass" if ok else "fail")
     if not ok:
         _fail(f"Delta-system violated at (i,j)={pair}")
@@ -161,18 +144,17 @@ def _cmd_delta_check(args):
 
 
 def _cmd_solve_potential(args):
-    n = _resolve_n(args, *_sigma_asts(args))
-    spec = _build_spec(args, n)
-    f = reconstruct_potential(spec.sigma)
-    dec = w_decompose(f, 1)
-    print(format_decomposition(dec))
+    f = reconstruct_potential(_ring(args).sigma)
+    print(format_decomposition(w_decompose(f, 1)))
     return 0
 
 
 def _cmd_decompose(args):
-    n = _resolve_n(args, parse(args.expr))
-    f = _coeff(args.expr, n)
-    dec = w_decompose(f, args.pivot)
+    ast = parse(args.expr)
+    n = _ring(args, ast).n
+    if not 1 <= args.pivot <= n:
+        raise DomainError(f"--pivot must be in 1..{n}")
+    dec = w_decompose(_h_value(ast, n), args.pivot)
     if args.fmt == "json":
         obj = {
             "n": n,
@@ -187,11 +169,9 @@ def _cmd_decompose(args):
 
 
 def _cmd_central(args):
-    n = _resolve_n(args, *_sigma_asts(args))
-    spec = _build_spec(args, n)
-    f = reconstruct_potential(spec.sigma)
-    fam = central_family(f, n=n)
-    for k in range(n):
+    spec = _ring(args)
+    fam = central_family(reconstruct_potential(spec.sigma), n=spec.n)
+    for k in range(spec.n):
         print(f"rho_{k} = {format_value(fam.rho[k], args.fmt)}")
     for k, c in enumerate(fam.elements, start=1):
         print(f"c_{k} = {format_value(c, args.fmt)}")
@@ -200,11 +180,9 @@ def _cmd_central(args):
 
 def _cmd_lw_eval(args):
     ast = parse(args.expr)
-    n = _resolve_n(args, ast, *_sigma_asts(args))
-    lam = _weight(args)
-    if lam.n != n:
-        raise DomainError(f"lambda has {lam.n} entries but n={n}")
-    spec = _build_spec(args, n)
+    spec = _ring(args, ast)
+    n = spec.n
+    lam = _weight(args, n)
     v = evaluate(ast, n, spec)
     el = v if isinstance(v, NormalElement) else spec.coeff(v)
     vec = act(spec, el, LWVector.vacuum(lam))
@@ -215,13 +193,9 @@ def _cmd_lw_eval(args):
 
 
 def _cmd_lw_character(args):
-    n = _resolve_n(args, *_sigma_asts(args))
-    lam = _weight(args)
-    if lam.n != n:
-        raise DomainError(f"lambda has {lam.n} entries but n={n}")
-    spec = _build_spec(args, n)
-    f = reconstruct_potential(spec.sigma)
-    fam = central_family(f, n=n)
+    spec = _ring(args)
+    lam = _weight(args, spec.n)
+    fam = central_family(reconstruct_potential(spec.sigma), n=spec.n)
     acted, _ = central_character(fam, lam)
     for k, v in enumerate(acted, start=1):
         print(f"c_{k} = {v}")
@@ -229,8 +203,6 @@ def _cmd_lw_character(args):
 
 
 def _cmd_verify(args):
-    if args.n < 1:
-        raise DomainError("needs n >= 1")
     # looked up at call time, so that only the requested sweep runs
     sweeps = {
         "ybe": rmatrix.verify_dybe,
@@ -241,32 +213,25 @@ def _cmd_verify(args):
         "qid": rmatrix.verify_q_identity,
     }
     report = sweeps[args.what](args.n)
-    npass = sum(1 for _, ok in report.results if ok)
-    print(f"{npass}/{report.total} pass")
-    if npass != report.total:
-        for label in report.failures[:5]:
-            _fail(f"fails: {label}")
-    return 0 if npass == report.total else 1
+    print(f"{report.total - len(report.failures)}/{report.total} pass")
+    _fails(report.failures, 5)
+    return 0 if report.passed else 1
 
 
 def _cmd_zhelobenko(args):
-    n = _resolve_n(args, *_sigma_asts(args))
+    spec = _ring(args)
+    n = spec.n
     if n < 2:
         raise DomainError("needs n >= 2")
-    spec = _build_spec(args, n)
-    idx = [args.index] if args.index else list(range(1, n))
+    if args.index is not None and not 1 <= args.index <= n - 1:
+        raise DomainError(f"i must be in 1..{n - 1}")
     all_ok = True
-    for i in idx:
-        if not 1 <= i <= n - 1:
-            raise DomainError(f"i must be in 1..{n - 1}")
-        assign = zhelobenko_assignment(spec, i)
-        results = check_assignment(spec, spec, assign)
+    for i in range(1, n) if args.index is None else [args.index]:
+        results = check_assignment(spec, spec, zhelobenko_assignment(spec, i))
         ok = all(o for _, o in results)
         print(f"i={i}: {'pass' if ok else 'fail'}")
-        if not ok:
-            for label in [lbl for lbl, o in results if not o][:3]:
-                _fail(f"fails: {label}")
-            all_ok = False
+        _fails([lbl for lbl, o in results if not o], 3)
+        all_ok = all_ok and ok
     return 0 if all_ok else 1
 
 
@@ -283,9 +248,7 @@ def _cmd_flatness(args):
         raise DomainError("sigma file does not match --n/--copies")
     report = flatness_check(args.n, nx, nd, s)
     print("flat" if report.passed else "not flat")
-    if not report.passed:
-        for label in report.failures[:5]:
-            _fail(f"fails: {label}")
+    _fails(report.failures, 5)
     return 0 if report.passed else 1
 
 
@@ -406,6 +369,8 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
+        if getattr(args, "n", None) is not None and args.n < 1:
+            raise DomainError("needs n >= 1")
         # a command with --format has args.fmt, None when it was not given
         if getattr(args, "fmt", "") is None:
             args.fmt = _env_format()

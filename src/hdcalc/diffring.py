@@ -430,12 +430,6 @@ class PBWReport:
     def flat(self):
         return self.direct_flat and self.system_flat
 
-    def summary(self):
-        return (f"pbw n={self.n}: double-reduction "
-                f"{'pass' if self.direct_flat else 'FAIL'}, sigma-system "
-                f"{'pass' if self.system_flat else 'FAIL'}"
-                + ("" if self.agree else " [routes disagree]"))
-
 
 def verify_pbw(spec):
     """Two independent flatness checks.
@@ -477,26 +471,19 @@ class GeneratorAssignment:
     """Images of the generators under a candidate (iso)morphism.
 
     x_images/d_images: target-ring normal elements; the weight variables map
-    by h_i -> h_{perm[i]} + const[i] (integer constants).
+    by h_i -> h_{perm[i]}.
     """
 
-    __slots__ = ("x_images", "d_images", "perm", "consts")
+    __slots__ = ("x_images", "d_images", "perm")
 
-    def __init__(self, x_images, d_images, perm=None, consts=None):
+    def __init__(self, x_images, d_images, perm=None):
         n = len(x_images)
         self.x_images = list(x_images)
         self.d_images = list(d_images)
         self.perm = tuple(perm) if perm else tuple(range(1, n + 1))
-        self.consts = tuple(consts) if consts else (0,) * n
 
     def map_coeff(self, f):
-        g = f.permuted(self.perm)
-        if any(self.consts):
-            svec = [0] * len(self.consts)
-            for i, c in enumerate(self.consts):
-                svec[self.perm[i] - 1] = c
-            g = g.shift(tuple(svec))
-        return g
+        return f.permuted(self.perm)
 
 
 def check_assignment(src, dst, assign):

@@ -13,6 +13,7 @@ Grammar (EBNF):
              | "(" expr ")" ;
     call     = ("H" | "e") "(" integer ")" | "chi" "(" index ")"
              | "Delta" "(" index "," expr ")" ;
+    index    = positive integer ;
 
 Precedence, tightest first: shifts, "^", unary "-", "*" and "/", binary
 "+" and "-"; binary operators associate to the left.  Division is only
@@ -87,10 +88,18 @@ class _Parser:
         return val
 
     def expect_index(self):
-        v = self.expect_int()
-        if v < 1:
+        kind, val, _ = self.peek()
+        if kind != "num":
+            self.fail("expected an integer")
+        return self.index(val)
+
+    def index(self, v):
+        """int(v), an index written at the current token, which is consumed;
+        v is a number token or the digits after a name, as 2 of x2."""
+        if int(v) < 1:
             self.fail("index must be positive")
-        return v
+        self.next()
+        return int(v)
 
     # grammar
 
@@ -155,8 +164,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind != "name" or val[0] != "e" or not val[1]:
                 self.fail("expected a shift unit e<i>")
-            self.next()
-            units.append((int(val[1]), sign))
+            units.append((self.index(val[1]), sign))
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 sign = 1 if val == "+" else -1
@@ -179,8 +187,7 @@ class _Parser:
             base, digits = val
             if digits:
                 if base in ("h", "x", "d"):
-                    self.next()
-                    return (base, int(digits))
+                    return (base, self.index(digits))
                 self.fail(f"unknown generator {base + digits!r}")
             if base in ("H", "e", "chi", "Delta"):
                 self.next()
@@ -241,34 +248,24 @@ def evaluate(ast, n, spec=None, strategy="left"):
         if tag == "h":
             return RatFun.var(n, node[1])
         if tag in ("x", "d"):
-            i = node[1]
-            if i > n:
-                raise DomainError(f"{tag}{i} exceeds n={n}")
-            return spec.x(i) if tag == "x" else spec.d(i)
+            return spec.x(node[1]) if tag == "x" else spec.d(node[1])
         if tag == "H":
             return RatFun.from_poly(complete_symmetric(n, node[1]))
         if tag == "e":
             return RatFun.from_poly(elementary_symmetric(n, node[1]))
         if tag == "chi":
-            if node[1] > n:
-                raise DomainError(f"chi({node[1]}) exceeds n={n}")
             return _chi(n, node[1])
         if tag == "Delta":
-            j, sub = node[1], node[2]
-            if j > n:
-                raise DomainError(f"Delta index {j} exceeds n={n}")
-            f = ev(sub)
+            f = ev(node[2])
             if not isinstance(f, RatFun):
                 raise DomainError("Delta applies to pure-h expressions")
-            return f.delta(j)
+            return f.delta(node[1])
         if tag == "shift":
             f = ev(node[1])
             if not isinstance(f, RatFun):
                 raise DomainError("shifts apply to pure-h expressions")
             svec = [0] * n
             for j, s in node[2]:
-                if j > n:
-                    raise DomainError(f"shift index {j} exceeds n={n}")
                 svec[j - 1] += s
             return f.shift(tuple(svec))
         if tag == "neg":
@@ -301,6 +298,8 @@ def evaluate(ast, n, spec=None, strategy="left"):
             return multiply(spec, l, r, strategy)
         return l + r if tag == "+" else l - r
 
+    # every index is at least 1 (the parser rejects 0), so this bounds every
+    # index of the tree to 1..n before any node is evaluated
     if max(infer_n(ast), 1) > n:
         raise DomainError(f"expression uses index {infer_n(ast)} but n={n}")
     return ev(ast)

@@ -1,12 +1,15 @@
 """Command line behavior: outputs, exit codes, stream separation."""
 
 import ast
+import contextlib
+import io
 import json
 import pathlib
 import re
 import shlex
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdcalc import cli
 from hdcalc.cli import main
@@ -434,3 +437,143 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert run(capsys, *shlex.split(nf_line)) == (0, readme[nf_line], "")
     assert cli.build_parser.cache_info().misses == misses
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "x0", "-n", "3"],
+    ["nf", "d0*x1", "-n", "2", "--sigmas", "1;1"],
+    ["nf", "h2[e0]", "-n", "2"],
+    ["nf", "h0", "-n", "2"],
+    ["zhelobenko-check", "-n", "3", "--i", "0"],
+    ["decompose", "1/chi(2)", "-n", "3", "--pivot", "0"],
+    ["decompose", "1/chi(2)", "-n", "3", "--pivot", "4"],
+], ids=["x0", "d0", "e0-shift", "h0", "zhelobenko-i0", "pivot0",
+        "pivot-above-n"])
+def test_index_outside_1_to_n_is_usage_error(capsys, argv):
+    """Index 0 once wrapped round to n (x0 read as x3) or failed an assert."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_index_zero_stays_legal_in_symmetric_polynomials(capsys):
+    assert run(capsys, "nf", "e(0) + H(0)", "-n", "2") == (0, "2\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["central", "-n", "0"],
+    ["solve-potential", "-n", "0"],
+    ["check-pbw", "-n", "0"],
+    ["check-pbw", "-n", "-1"],
+    ["nf", "x1", "-n", "0"],
+    ["mul", "x1", "d1", "-n", "0"],
+    ["delta-check", "H(1)", "-n", "0"],
+    ["decompose", "H(1)", "-n", "0"],
+    ["lw-eval", "x1", "-n", "0", "--lambda", ""],
+    ["lw-character", "-n", "0", "--lambda", ""],
+    ["zhelobenko-check", "-n", "0"],
+    ["flatness", "-n", "0", "--copies", "1,1", "--sigma-file", "none.json"],
+], ids=lambda argv: "-".join(argv[:1] + argv[argv.index("-n") + 1:][:1]))
+def test_n_below_one_is_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: needs n >= 1\n")
+
+
+@pytest.mark.parametrize("argv, texts", [
+    (["nf", "x1*d1", "--sigmas", "1;h1"], ["x1*d1", "1", "h1"]),
+    (["nf", "x1*d2", "--potential", "H(1)"], ["x1*d2", "H(1)"]),
+    (["nf", _element([1, 0]), "--in", "json", "--sigmas", "1;h1"], ["1", "h1"]),
+    (["mul", "x1", "d2", "-n", "2", "--sigmas", "1;1"], ["x1", "d2", "1", "1"]),
+    (["check-pbw", "--sigmas", "h1;h2"], ["h1", "h2"]),
+    (["delta-check", "H(2)", "-n", "3"], ["H(2)"]),
+    (["decompose", "1/chi(2)", "-n", "3"], ["1/chi(2)"]),
+    (["central", "-n", "2", "--potential", "H(1)"], ["H(1)"]),
+    (["lw-eval", "x2*x1", "--lambda", "1/3;2/5", "--potential", "H(1)"],
+     ["x2*x1", "H(1)"]),
+    (["lw-character", "--lambda", "1/3;2/5", "--sigmas", "1;1"], ["1", "1"]),
+    (["zhelobenko-check", "--potential", "H(1)", "-n", "3"], ["H(1)"]),
+], ids=["nf-sigmas", "nf-potential", "nf-json", "mul", "check-pbw", "delta-check",
+        "decompose", "central", "lw-eval", "lw-character", "zhelobenko-check"])
+def test_each_input_text_is_parsed_once(capsys, monkeypatch, argv, texts):
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse", counted)
+    assert run(capsys, *argv)[0] in (0, 1)
+    assert sorted(parsed) == sorted(texts)
+
+
+# The exit-code contract over the README grammar: every call returns 0, 1 or
+# 2, and 1 or 2 explains itself on stderr.  The atoms include index 0, an
+# index above a small n, poles, huge constants and shifts; sigma entries and
+# potentials are drawn mostly from weight functions, so that most rings are
+# built.
+
+
+def _exprs(atoms):
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda sub: st.one_of(
+            st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+                lambda t: f"({t[0]}){t[1]}({t[2]})"),
+            st.tuples(sub, st.integers(-1, 2)).map(
+                lambda t: f"({t[0]})^{t[1]}"),
+            sub.map(lambda s: f"(-{s})")),
+        max_leaves=3)
+
+
+_H_ATOMS = ("0", "1", "3", "h1", "h2", "h3", "h0", "chi(2)", "1/(h1-h2)",
+            "2^100", "h2[e0]", "h1[e1-e2]", "H(1)", "H(2)", "H(0)", "e(2)",
+            "e(0)", "Delta(1,h1*h2)", "1/chi(1)")
+_EXPRS = _exprs(_H_ATOMS + ("x1", "x2", "d1", "d2", "d3", "x0"))
+_H_EXPRS = _exprs(_H_ATOMS + ("x1",))
+_SIGMA_COMMANDS = ("nf", "mul", "check-pbw", "solve-potential", "central",
+                   "lw-eval", "lw-character", "zhelobenko-check")
+_FORMAT_COMMANDS = ("nf", "mul", "decompose", "central", "lw-eval")
+
+
+@st.composite
+def _argv(draw):
+    """A command line; option values are attached with "=", and a negation
+    is bracketed, so that no argument starting with "-" is read as an
+    option by argparse."""
+    cmd = draw(st.sampled_from(_SIGMA_COMMANDS + ("delta-check", "decompose")))
+    argv = [cmd]
+    n = draw(st.sampled_from([-1, 0, 1, 2, 3, None]))
+    if n is not None:
+        argv.append(f"-n={n}")
+    # lists one entry short, exact or one entry long
+    size = max(0, (n if n and n > 0 else draw(st.integers(1, 3)))
+               + draw(st.sampled_from([-1, 0, 0, 1])))
+    if cmd in _SIGMA_COMMANDS:
+        for flag in draw(st.sampled_from(
+                [(), ("--sigmas",), ("--sigmas",), ("--potential",),
+                 ("--potential",), ("--sigmas", "--potential")])):
+            k = size if flag == "--sigmas" else 1
+            argv.append(f"{flag}=" + ";".join(draw(_H_EXPRS) for _ in range(k)))
+    if cmd.startswith("lw-"):
+        argv.append("--lambda=" + ";".join(draw(st.sampled_from(
+            ["1/3", "2/5", "4/7", "1", "x"])) for _ in range(size)))
+    if cmd in _FORMAT_COMMANDS:
+        argv += draw(st.sampled_from(
+            [[], ["--format=text"], ["--format=json"], ["--format=latex"]]))
+    argv += draw(st.sampled_from({
+        "nf": [[], ["--strategy=right"], ["--in=json"]],
+        "decompose": [[], ["--pivot=2"], ["--pivot=0"]],
+        "zhelobenko-check": [[], ["--i=1"], ["--i=0"]]}.get(cmd, [[]])))
+    return argv + [draw(_EXPRS) for _ in range(
+        {"nf": 1, "delta-check": 1, "decompose": 1, "lw-eval": 1, "mul": 2}
+        .get(cmd, 0))]
+
+
+@settings(max_examples=2000)
+@given(_argv())
+def test_every_input_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert rc == 0 or err.getvalue()
