@@ -20,7 +20,7 @@ from .lowestweight import (Weight, NonGenericWeight, generic_lambda, LWVector,
 from .multicopy import (SigmaArray, constant_profile, mixed_normal_form,
                         vcopy_normal_form, flatness_check, ambiguity_oracle)
 from .expressions import (parse, infer_n, evaluate, parse_and_eval,
-                          format_poly, format_ratfun, format_element,
+                          format_ratfun, format_element,
                           latex_ratfun, latex_element, format_value,
                           value_to_json, value_from_json)
 

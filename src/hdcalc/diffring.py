@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .ratfield import (Poly, RatFun, checked_int, eps_vec, json_exponents,
-                       reading_input)
+from .ratfield import (DomainError, Poly, RatFun, checked_int, eps_vec,
+                       json_exponents, reading_input)
 from .rmatrix import phi, phi_inv, psi_component, r_component, r_shifted
 from .potential import sigma_system_check
 
@@ -38,7 +38,8 @@ class RingSpec:
         if sigma is None:
             sigma = tuple(RatFun.zero(n) for _ in range(n))
         sigma = tuple(sigma)
-        assert len(sigma) == n
+        if len(sigma) != n:
+            raise DomainError(f"expected {n} sigma entries, got {len(sigma)}")
         self.sigma = sigma
         self._vacuum = {}
 
@@ -534,7 +535,8 @@ def zhelobenko_assignment(spec, i):
     the weight variables; an endomorphism of Diff_{h,sigma} iff sigma is
     polynomial (checked via check_assignment)."""
     n = spec.n
-    assert 1 <= i < n
+    if not 1 <= i < n:
+        raise DomainError(f"step {i} outside 1..{n - 1}")
     perm = list(range(1, n + 1))
     perm[i - 1], perm[i] = perm[i], perm[i - 1]
     X = []

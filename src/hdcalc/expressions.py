@@ -468,10 +468,6 @@ def _element(st, el):
     return _join(parts)
 
 
-def format_poly(p):
-    return _poly(_TEXT, p)
-
-
 def format_ratfun(f):
     return _ratfun(_TEXT, f)
 

@@ -72,17 +72,15 @@ def h_combination(p):
     n = p.n
     out = {}
     for d, comp in p.homogeneous_components().items():
-        e = [0] * n
-        e[0] = d
-        c = comp.coeff_of(tuple(e))
+        c = comp.coeff_of(eps_vec(n, 1, d))
         if not (comp - complete_symmetric(n, d).scale(c)).is_zero():
             return None
         out[d] = c
     return sorted(out.items())
 
 
-def _solve_delta1_symmetric(rem, min_L=1):
-    """Solve Delta_1 nu = rem with nu = sum_{L >= min_L} c_L H_L.
+def _solve_delta1_symmetric(rem):
+    """Solve Delta_1 nu = rem with nu = sum_{L >= 1} c_L H_L.
 
     Triangular in the total degree; returns list of (L, c) or None.
     rem must be a polynomial (empty denominator).
@@ -95,13 +93,9 @@ def _solve_delta1_symmetric(rem, min_L=1):
     while not cur.is_zero():
         d = cur.total_degree()
         L = d + 1
-        if L < min_L:
-            return None
         # coefficient of h_1^{L-1} in Delta_1 H_L is L
-        e = [0] * n
-        e[0] = d
         comp = cur.homogeneous_components()[d]
-        c = Fraction(comp.coeff_of(tuple(e)), L)
+        c = Fraction(comp.coeff_of(eps_vec(n, 1, d)), L)
         hl = complete_symmetric(n, L)
         cur = cur - (hl - hl.shift(eps_vec(n, 1, -1))).scale(c)
         top = cur.homogeneous_components().get(d)
@@ -225,7 +219,7 @@ def reconstruct_potential(sigma):
         raise NotFlat(pair)
     s1 = sigma[0]
     if n == 1:
-        comb = _solve_delta1_symmetric(s1, min_L=1)
+        comb = _solve_delta1_symmetric(s1)
         if comb is None:
             raise NotFlat((1, 1), "no polynomial solution in one variable")
         f = RatFun.from_poly(_poly_from_sym(1, comb))
@@ -257,7 +251,7 @@ def reconstruct_potential(sigma):
                 raise NotFlat((1, k), "residue not univariate")
             f = f + got * chi_inv(n, k)
         rem = s1 - f.delta(1)
-        comb = _solve_delta1_symmetric(rem, min_L=1)
+        comb = _solve_delta1_symmetric(rem)
         if comb is None:
             raise NotFlat((1, 1), "symmetric part has no polynomial antidifference")
         f = f + RatFun.from_poly(_poly_from_sym(n, comb))

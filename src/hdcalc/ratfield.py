@@ -12,7 +12,10 @@ partial fractions exact and cheap.  The two kernels on such a factor are
 single passes over the term dict: Poly.mul_linfactor lifts a numerator by
 (h_i - h_j + a)^k as k passes of three shifted copies, and
 Poly.div_linfactor divides exactly by synthetic division in h_i, with no
-intermediate Poly.
+intermediate Poly.  Poly.subst_var_linear (h_i := h_j + a) is the one
+substitution kernel: j == i is the shift, which Poly.shift loops over, and
+RatFun.subst_var renames h_j in every denominator factor by one rule.  Every
+unit vector e_j comes from eps_vec, which refuses j outside 1..n.
 
 A RatFun is canonical: no denominator factor divides its numerator.  A
 construction that is not known to be canonical cancels: for each denominator
@@ -29,7 +32,10 @@ num(a); each numerator is cancelled against those before the product, and a
 factor of both denominators is not tested.  In a + b only a factor with the
 same power in both denominators can divide the lifted sum.  A product with
 a constant, a sum with zero and build with a nonzero constant numerator are
-canonical as they stand.
+canonical as they stand.  So are powers and inverses: a linear factor is
+prime, so one that does not divide num does not divide num^k, and the
+numerator of 1/f is built from the factors of den(f), none of which is a
+factor of num(f).
 """
 
 from __future__ import annotations
@@ -130,22 +136,13 @@ class Poly:
     @classmethod
     def var(cls, n, i):
         """h_i, 1-based."""
-        assert 1 <= i <= n
-        e = [0] * n
-        e[i - 1] = 1
-        return cls(n, {tuple(e): 1})
+        return cls(n, {eps_vec(n, i): 1})
 
     @classmethod
     def diff(cls, n, i, j, a=0):
         """h_i - h_j + a (i != j)."""
-        assert i != j
-        out = {}
-        ei = [0] * n
-        ei[i - 1] = 1
-        ej = [0] * n
-        ej[j - 1] = 1
-        out[tuple(ei)] = 1
-        out[tuple(ej)] = -1
+        canon_factor(i, j, a)  # DomainError if i == j
+        out = {eps_vec(n, i): 1, eps_vec(n, j): -1}
         if a:
             out[(0,) * n] = _coeff(a)
         return cls(n, out)
@@ -208,17 +205,7 @@ class Poly:
         return Poly(self.n, out)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        assert self.n == other.n
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s if type(s) is int else _coeff(s)
-            else:
-                out.pop(e, None)
-        return Poly(self.n, out)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -261,65 +248,49 @@ class Poly:
         return Poly(self.n, out)
 
     def __pow__(self, k):
-        assert k >= 0
+        if k < 0:
+            raise DomainError(f"negative power {k} of a polynomial")
         out = Poly.const(self.n, 1)
         base = self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- substitution and shifts
 
-    def shift_var(self, i, c):
-        """Substitute h_i := h_i + c (integer c)."""
-        if not c:
+    def shift(self, svec):
+        """Substitute h_k := h_k + s_k for an integer shift vector."""
+        p = self
+        for k, s in enumerate(svec, 1):
+            if s:
+                p = p.subst_var_linear(k, k, s)
+        return p
+
+    def subst_var_linear(self, i, j, a):
+        """Substitute h_i := h_j + a; for j != i the result has no h_i, and
+        j == i is the shift h_i := h_i + a.  The one substitution kernel."""
+        if j == i and not a:
             return self
         out = {}
         idx = i - 1
+        jdx = j - 1
         for e, v in self.terms.items():
             d = e[idx]
-            if d == 0:
+            if d == 0:  # free of h_i: the term stays
                 s = out.get(e, 0) + v
                 if s:
                     out[e] = s if type(s) is int else _coeff(s)
                 else:
                     out.pop(e, None)
                 continue
-            base = list(e)
-            for m in range(d + 1):
-                base[idx] = m
-                coeff = v * (comb(d, m) * c ** (d - m))
-                key = tuple(base)
-                s = out.get(key, 0) + coeff
-                if s:
-                    out[key] = s if type(s) is int else _coeff(s)
-                else:
-                    out.pop(key, None)
-        return Poly(self.n, out)
-
-    def shift(self, svec):
-        """Substitute h_k := h_k + s_k for an integer shift vector."""
-        p = self
-        for k, s in enumerate(svec):
-            if s:
-                p = p.shift_var(k + 1, s)
-        return p
-
-    def subst_var_linear(self, i, j, a):
-        """Substitute h_i := h_j + a (i != j); result has no h_i."""
-        assert i != j
-        out = {}
-        idx = i - 1
-        jdx = j - 1
-        # expand (h_j + a)^d term by term, highest power of h_j first
-        for e, v in self.terms.items():
-            d = e[idx]
+            # expand (h_j + a)^d term by term, highest power of h_j first
             base = list(e)
             base[idx] = 0
-            dj = e[jdx]
+            dj = base[jdx]
             for m in range(d, -1, -1):
                 base[jdx] = dj + m
                 key = tuple(base)
@@ -719,14 +690,10 @@ class RatFun:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = RatFun.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        # a linear factor is prime: one that does not divide num does not
+        # divide num^k either, so the power is canonical as it stands
+        den = {fac: m * k for fac, m in self.den.items()} if k else {}
+        return RatFun(self.num ** k, den, _canonical=True)
 
     def inverse(self):
         """1/f; requires num to split into shifted-difference factors."""
@@ -740,7 +707,8 @@ class RatFun:
         num = Poly.const(self.n, F1 / c)
         for f, m in self.den.items():
             num = num.mul_linfactor(*f, m)
-        return RatFun(num, dict(factors))
+        # self is canonical: no factor of num (from self.den) is in factors
+        return RatFun(num, factors, _canonical=True)
 
     # -- shifts / difference calculus
 
@@ -756,33 +724,26 @@ class RatFun:
 
     def delta(self, j):
         """Delta_j f = f - f[-e_j]."""
-        s = [0] * self.n
-        s[j - 1] = -1
-        return self - self.shift(tuple(s))
+        return self - self.shift(eps_vec(self.n, j, -1))
 
     def subst_var(self, j, k, a):
-        """Substitute h_j := h_k + a (j != k).  PoleError if a den factor dies."""
-        assert j != k
+        """Substitute h_j := h_k + a; k == j is the shift h_j := h_j + a.
+        PoleError if a denominator factor becomes 0."""
         num = self.num.subst_var_linear(j, k, a)
         den = {}
         scal = 1
-        for (i, jj, b), m in self.den.items():
-            if i == j and jj == k:
-                c = a + b  # h_j - h_k + b -> a + b
-                if c == 0:
-                    raise PoleError("substitution hits denominator factor")
-                scal *= c ** m
-            elif i == k and jj == j:
-                c = -a + b
-                if c == 0:
-                    raise PoleError("substitution hits denominator factor")
-                scal *= c ** m
-            elif i == j:
-                scal *= _add_factor(den, k, jj, b + a, m)
-            elif jj == j:
-                scal *= _add_factor(den, i, k, b - a, m)
+        for (p, q, b), m in self.den.items():
+            # h_p - h_q + b with h_j renamed to h_k + a
+            if p == j:
+                p, b = k, b + a
+            elif q == j:
+                q, b = k, b - a
+            if p != q:
+                scal *= _add_factor(den, p, q, b, m)
+            elif b:
+                scal *= b ** m
             else:
-                den[(i, jj, b)] = den.get((i, jj, b), 0) + m
+                raise PoleError("substitution hits denominator factor")
         if scal != 1:
             num = num.scale(Fraction(1, scal))
         return RatFun(num, den)
@@ -837,6 +798,10 @@ class RatFun:
 
 
 def eps_vec(n, j, sign=1):
+    """sign * e_j, the one way to build a unit vector; DomainError unless
+    1 <= j <= n."""
+    if not 1 <= j <= n:
+        raise DomainError(f"index {j} outside 1..{n}")
     s = [0] * n
     s[j - 1] = sign
     return tuple(s)

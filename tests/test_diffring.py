@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdcalc import diffring
-from hdcalc.ratfield import Poly, RatFun
+from hdcalc.ratfield import DomainError, Poly, RatFun, eps_vec
 from hdcalc.rmatrix import chi, complete_symmetric
 from hdcalc.potential import sigma_from_potential
 from hdcalc.diffring import (RingSpec, NormalElement, normal_form, multiply,
@@ -46,6 +46,29 @@ def test_generators_and_zero():
     assert spec.x(1).terms == {((0, 0), (1, 0)): RatFun.one(2)}
     assert spec.d(2).terms == {((0, 1), (0, 0)): RatFun.one(2)}
     assert spec.gamma(1) == multiply(spec, spec.d(1), spec.x(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eps_vec(2, 0),
+    lambda: eps_vec(2, 3),
+    lambda: RatFun.var(2, 0),
+    lambda: RatFun.var(2, 1).delta(0),
+    lambda: Poly.diff(2, 1, 1),
+    lambda: Poly.var(2, 1) ** -1,
+    lambda: RingSpec(2).x(0),
+    lambda: RingSpec(2).d(3),
+    lambda: RingSpec(2, [RatFun.zero(2)]),
+    lambda: zhelobenko_assignment(RingSpec(2), 0),
+    lambda: zhelobenko_assignment(RingSpec(3), 3),
+], ids=["eps_vec-0", "eps_vec-3", "var-0", "delta-0", "diff-i-i",
+        "poly-pow-neg", "x0", "d3", "short-sigma", "zhelobenko-0",
+        "zhelobenko-n"])
+def test_library_input_guards_raise_domain_error(call):
+    """Out-of-range library input is refused also under python -O, where an
+    assert is skipped: index 0 once wrapped round to n, h_i - h_i was -h_i,
+    and a negative power of a Poly never ended."""
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_xx_reordering():

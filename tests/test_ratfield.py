@@ -72,11 +72,13 @@ def test_subst_var_linear_matches_sympy():
         for _ in range(8):
             p = rand_poly(rng, n, 6, 3)
             i, j = rng.sample(range(1, n + 1), 2)
-            for a in (-2, 0, 3):
-                got = p.subst_var_linear(i, j, a)
-                want = sympy.expand(to_sympy(p).subs(hs[i - 1], hs[j - 1] + a))
-                assert to_sympy(got) == want
-                assert got.degree_in(i) <= 0
+            for j in (j, i):  # j == i is the shift h_i := h_i + a
+                for a in (-2, 0, 3):
+                    got = p.subst_var_linear(i, j, a)
+                    want = sympy.expand(to_sympy(p).subs(hs[i - 1], hs[j - 1] + a))
+                    assert to_sympy(got) == want
+                    if j != i:
+                        assert got.degree_in(i) <= 0
 
 
 def test_poly_fraction_coefficients_stay_exact():
@@ -225,6 +227,14 @@ def test_subst_var_hits_pole():
     with pytest.raises(PoleError):
         f.subst_var(1, 2, 0)
     assert f.subst_var(1, 2, 3) == RatFun.const(2, Fraction(1, 3))
+
+
+def test_subst_var_into_the_same_variable_is_the_shift():
+    n = 3
+    for f in _samples(n):
+        for j in range(1, n + 1):
+            for a in (-2, 0, 1, 3):
+                assert f.subst_var(j, j, a) == f.shift(eps_vec(n, j, a))
 
 
 def test_permuted_relabels_factors():
@@ -566,6 +576,16 @@ def test_arithmetic_matches_cancel_everything(ab):
                       (a - b, _reference_sum(a, -b))):
         assert got.to_json() == want.to_json()
         assert got == want
+    # powers and inverses skip cancellation: compare with the long way
+    want = RatFun.one(a.n)
+    for k in range(4):
+        if k:
+            want = _reference_product(want, a)
+        assert (a ** k).to_json() == want.to_json()
+    if not a.is_zero() and factor_linfactors(a.num) is not None:
+        inv = a.inverse()
+        _assert_canonical(inv)
+        assert _reference_product(inv, a) == RatFun.one(a.n)
 
 
 def _int_when_integral(p):
@@ -588,7 +608,7 @@ def test_integral_fraction_results_become_int():
     h = Poly(2, {(1, 0): Fraction(3, 2), (0, 1): Fraction(1, 2)})
     g = Poly(2, {(1, 0): 3, (0, 0): Fraction(1, 3)})
     for p in (h + h, h - Poly(2, {(0, 1): Fraction(-1, 2)}), h * Poly.const(2, 2),
-              h * g, h.scale(4), h.shift_var(2, 1), h.subst_var_linear(1, 2, 1),
+              h * g, h.scale(4), h.shift((0, 1)), h.subst_var_linear(1, 2, 1),
               h.permuted((2, 1))):
         assert _int_when_integral(p), p
     assert type((h * Poly.const(2, 2)).terms[(1, 0)]) is int
