@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from .ratfield import Poly, RatFun
 from .rmatrix import chi_inv, elementary_symmetric
-from .potential import sigma_from_potential, w_decompose
+from .potential import MismatchError, sigma_from_potential, w_decompose
 from .diffring import RingSpec, commutator
-
-
-class MismatchError(AssertionError):
-    """Two supposedly equal routes disagree."""
 
 
 def rho_for(f):

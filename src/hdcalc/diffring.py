@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .ratfield import (DomainError, Poly, RatFun, checked_int, eps_vec,
-                       json_exponents, reading_input)
+                       json_exponents, reading_input, ring_mismatch)
 from .rmatrix import phi, phi_inv, psi_component, r_component, r_shifted
 from .potential import sigma_system_check
 
@@ -123,7 +123,8 @@ class NormalElement:
     __hash__ = None
 
     def __add__(self, other):
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ring_mismatch(self.n, other.n)
         out = dict(self.terms)
         for k, v in other.terms.items():
             _add_term(out, k, v)

@@ -27,7 +27,8 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .ratfield import RatFun, DomainError, checked_int, reading_input
+from .ratfield import (RatFun, DomainError, checked_int, reading_input,
+                       ring_mismatch)
 from .rmatrix import chi as _chi, elementary_symmetric, complete_symmetric
 from .diffring import RingSpec, NormalElement, multiply
 
@@ -239,7 +240,8 @@ def evaluate(ast, n, spec=None, strategy="left"):
     every product is reduced with `strategy` (see `diffring.multiply`)."""
     if spec is None:
         spec = RingSpec(n)
-    assert spec.n == n
+    elif spec.n != n:
+        raise ring_mismatch(n, spec.n)
 
     def ev(node):
         tag = node[0]

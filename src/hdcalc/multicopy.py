@@ -136,8 +136,8 @@ def mixed_normal_form(n, sig, word, strategy="left"):
 def vcopy_normal_form(n, ncopies, word, strategy="left"):
     """Normal form in the pure coordinate ring on ncopies copies of the x's."""
     for t in word:
-        if not isinstance(t, RatFun):
-            assert t[0] == 'x' and 1 <= t[2] <= ncopies, t
+        if not (isinstance(t, RatFun) or t[0] == 'x' and 1 <= t[2] <= ncopies):
+            raise DomainError(f"token {t!r} is not an x of copies 1..{ncopies}")
     sig = SigmaArray(n, ncopies, 1)
     return mixed_normal_form(n, sig, word, strategy)
 
@@ -186,7 +186,9 @@ def flatness_check(n, nx, nd, s):
     With a single copy of each species only the one-copy system on sigma is
     required; with more copies the cross-copy orderings force the sigma
     entries to be constants."""
-    assert s.n == n and s.nx == nx and s.nd == nd
+    if (s.n, s.nx, s.nd) != (n, nx, nd):
+        raise DomainError(f"sigma array of n={s.n}, copies {s.nd},{s.nx} does"
+                          f" not match n={n}, copies {nd},{nx}")
     results = []
     multi = max(nx, nd) >= 2
     for a in range(1, nx + 1):

@@ -1,6 +1,8 @@
 """Classification of flat potentials: the difference-equation system on the
 sigma vector, its solution space W = span of pi(h_k)/chi_k plus symmetric
 polynomials, and exact reconstruction of a potential from its sigma vector.
+Reconstruction reads the pole part off sigma_1 by one path for every n;
+its closing check Delta_i f = sigma_i is the proof.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ class NotFlat(ValueError):
 
 class NotInW(ValueError):
     """The element is not in the solution space W."""
+
+
+class MismatchError(AssertionError):
+    """Two supposedly equal routes disagree."""
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +157,6 @@ def w_decompose(f, pivot=1):
     ok, pair = delta_system_check(f)
     if not ok:
         raise NotInW(f"delta system fails at {pair}")
-    if n == 1:
-        comb = h_combination(f.num) if f.is_poly() else None
-        if comb is None:
-            raise NotInW("univariate element is not polynomial")
-        return WDecomposition(1, pivot, {}, comb)
     principal, regular = partial_fractions(f, pivot)
     parts = {}
     for k, a, nu, u in principal:
@@ -185,7 +186,7 @@ def w_decompose(f, pivot=1):
 def is_polynomial_potential(f):
     """True iff f in W is a polynomial, i.e. a combination of the H_L.
 
-    Cross-checked against S_n-invariance."""
+    Cross-checked against S_n-invariance: MismatchError if they disagree."""
     ok, pair = delta_system_check(f)
     if not ok:
         raise NotInW(f"delta system fails at {pair}")
@@ -199,7 +200,9 @@ def is_polynomial_potential(f):
     for t in range(1, n):
         perm = list(range(1, n + 1))
         perm[t - 1], perm[t] = perm[t], perm[t - 1]
-        assert f.permuted(tuple(perm)) == f
+        if f.permuted(tuple(perm)) != f:
+            raise MismatchError(f"polynomial potential is not invariant under"
+                                f" swapping h_{t} and h_{t + 1}")
     return True
 
 
@@ -211,50 +214,26 @@ def reconstruct_potential(sigma):
     """Find f with Delta_i f = sigma_i for all i, normalized to have no
     pivot-1 component and no constant symmetric term.
 
+    f's pole part along h_1 is read off sigma_1: for u free of h_1,
+    Delta_1 of u/(h_1 - h_k) adds only a pole at h_1 - h_k - 1, so f and
+    sigma_1 share their a = 0 principal parts.  What is left of sigma_1 is
+    Delta_1 of a combination of the H_L.  The closing check
+    Delta_i f = sigma_i for every i is the proof; a wrong f fails it.
+
     Raises NotFlat (with the witness pair) if the sigma system fails.
     """
     n = len(sigma)
     ok, pair = sigma_system_check(sigma)
     if not ok:
         raise NotFlat(pair)
-    s1 = sigma[0]
-    if n == 1:
-        comb = _solve_delta1_symmetric(s1)
-        if comb is None:
-            raise NotFlat((1, 1), "no polynomial solution in one variable")
-        f = RatFun.from_poly(_poly_from_sym(1, comb))
-    else:
-        principal, regular = partial_fractions(s1, 1)
-        # poles of sigma_1 sit at (h_1 - h_k) and (h_1 - h_k - 1):
-        # the a=0 residue determines pi_k, the a=1 one must mirror it.
-        parts = {}
-        for k, a, nu, u in principal:
-            if nu != 1 or a not in (0, 1):
-                raise NotFlat((1, k), f"unexpected pole (h_1-h_{k}-{a})^{nu}")
-            # both residues (a = 0 and a = 1) determine the same quantity
-            # w_k = pi_k / prod_{l != 1,k}(h_k - h_l), with opposite signs
-            parts.setdefault(k, []).append((a, -u if a == 0 else u))
-        f = RatFun.zero(n)
-        for k, vals in parts.items():
-            got = None
-            for a, pk in vals:
-                w = pk
-                for l in range(1, n + 1):
-                    if l in (1, k):
-                        continue
-                    w = w * RatFun.from_poly(Poly.diff(n, k, l))
-                if got is None:
-                    got = w
-                elif not (got - w).is_zero():
-                    raise NotFlat((1, k), "inconsistent residues")
-            if not got.is_poly() or (got.num.support_vars() - {k}):
-                raise NotFlat((1, k), "residue not univariate")
-            f = f + got * chi_inv(n, k)
-        rem = s1 - f.delta(1)
-        comb = _solve_delta1_symmetric(rem)
-        if comb is None:
-            raise NotFlat((1, 1), "symmetric part has no polynomial antidifference")
-        f = f + RatFun.from_poly(_poly_from_sym(n, comb))
+    f = RatFun.zero(n)
+    for k, a, nu, u in partial_fractions(sigma[0], 1)[0]:
+        if a == 0:
+            f = f + u * RatFun.inverse_diff(n, 1, k) ** nu
+    comb = _solve_delta1_symmetric(sigma[0] - f.delta(1))
+    if comb is None:
+        raise NotFlat((1, 1), "symmetric part has no polynomial antidifference")
+    f = f + RatFun.from_poly(_poly_from_sym(n, comb))
     for i in range(1, n + 1):
         if not (f.delta(i) - sigma[i - 1]).is_zero():
             raise NotFlat((i, i), "reconstructed potential fails verification")

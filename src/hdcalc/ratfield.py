@@ -14,8 +14,8 @@ single passes over the term dict: Poly.mul_linfactor lifts a numerator by
 Poly.div_linfactor divides exactly by synthetic division in h_i, with no
 intermediate Poly.  Poly.subst_var_linear (h_i := h_j + a) is the one
 substitution kernel: j == i is the shift, which Poly.shift loops over, and
-RatFun.subst_var renames h_j in every denominator factor by one rule.  Every
-unit vector e_j comes from eps_vec, which refuses j outside 1..n.
+RatFun.subst_var renames h_j in every denominator factor by one rule.  An
+index outside 1..n and a mix of two ring sizes raise DomainError.
 
 A RatFun is canonical: no denominator factor divides its numerator.  A
 construction that is not known to be canonical cancels: for each denominator
@@ -76,6 +76,20 @@ def checked_int(v, lo=-inf, hi=inf):
     if type(v) is not int or not lo <= v <= hi:
         raise DomainError(f"expected an integer in [{lo}, {hi}], got {v!r}")
     return v
+
+
+def check_index(n, j):
+    """j if 1 <= j <= n, else DomainError: an index 0 or below would wrap
+    round to n through negative indexing."""
+    if not 1 <= j <= n:
+        raise DomainError(f"index {j} outside 1..{n}")
+    return j
+
+
+def ring_mismatch(n, m):
+    """The DomainError for a value of a ring with n weight variables met by
+    one with m; raised by every operation that combines two of them."""
+    return DomainError(f"ring sizes differ: n={n} and n={m}")
 
 
 def json_exponents(v, n):
@@ -166,6 +180,7 @@ class Poly:
         return max(sum(e) for e in self.terms)
 
     def degree_in(self, i):
+        check_index(self.n, i)
         if not self.terms:
             return -1
         return max(e[i - 1] for e in self.terms)
@@ -194,7 +209,8 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ring_mismatch(self.n, other.n)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
@@ -212,7 +228,8 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ring_mismatch(self.n, other.n)
         out = {}
         sterms = self.terms
         oterms = other.terms
@@ -273,6 +290,8 @@ class Poly:
     def subst_var_linear(self, i, j, a):
         """Substitute h_i := h_j + a; for j != i the result has no h_i, and
         j == i is the shift h_i := h_i + a.  The one substitution kernel."""
+        if not (0 < i <= self.n and 0 < j <= self.n):
+            raise DomainError(f"indices {i}, {j} outside 1..{self.n}")
         if j == i and not a:
             return self
         out = {}
@@ -367,8 +386,9 @@ class Poly:
         return Poly(self.n, out)
 
     def evaluate(self, point):
-        """Evaluate at a tuple of Fractions."""
-        assert len(point) == self.n
+        """Evaluate at a tuple of Fractions, one per weight variable."""
+        if len(point) != self.n:
+            raise ring_mismatch(self.n, len(point))
         total = F0
         for e, c in self.terms.items():
             v = c
@@ -601,7 +621,8 @@ class RatFun:
         other = self._coerce(other)
         if not isinstance(other, RatFun):
             return NotImplemented
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ring_mismatch(self.n, other.n)
         if other.is_zero():
             return self
         if self.is_zero():
@@ -650,7 +671,8 @@ class RatFun:
         other = self._coerce(other)
         if not isinstance(other, RatFun):
             return NotImplemented
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ring_mismatch(self.n, other.n)
         a, b = self, other
         if a.is_zero() or b.is_zero():
             return RatFun.zero(a.n)
@@ -800,10 +822,8 @@ class RatFun:
 def eps_vec(n, j, sign=1):
     """sign * e_j, the one way to build a unit vector; DomainError unless
     1 <= j <= n."""
-    if not 1 <= j <= n:
-        raise DomainError(f"index {j} outside 1..{n}")
     s = [0] * n
-    s[j - 1] = sign
+    s[check_index(n, j) - 1] = sign
     return tuple(s)
 
 

@@ -316,11 +316,14 @@ def _element(d, coeff=_ONE):
     ["flatness", "-n", "2", "--copies", "1,1", "--sigma-file", "i-above-n"],
     ["flatness", "-n", "2", "--copies", "a,b", "--sigma-file", "fits"],
     ["flatness", "-n", "2", "--copies", "1,1,1", "--sigma-file", "fits"],
+    ["flatness", "-n", "3", "--copies", "1,1", "--sigma-file", "fits"],
     ["lw-eval", "x1", "-n", "2", "--lambda", "a;b"],
+    ["solve-potential", "-n", "3", "--sigmas", "1;1"],
 ], ids=["nf-not-json", "nf-no-num", "nf-list", "nf-d-too-long",
         "nf-negative-d", "nf-coeff-exponents-too-long", "flatness-not-json",
         "flatness-no-n", "flatness-i-above-n", "copies-not-ints",
-        "copies-three", "lambda-not-rational"])
+        "copies-three", "flatness-n-3-file-n-2", "lambda-not-rational",
+        "sigma-count"])
 def test_malformed_outside_input_is_usage_error(tmp_path, capsys, argv):
     argv = list(argv)
     if "--sigma-file" in argv:
@@ -445,10 +448,11 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     ["nf", "h2[e0]", "-n", "2"],
     ["nf", "h0", "-n", "2"],
     ["zhelobenko-check", "-n", "3", "--i", "0"],
+    ["zhelobenko-check", "-n", "3", "--i", "3"],
     ["decompose", "1/chi(2)", "-n", "3", "--pivot", "0"],
     ["decompose", "1/chi(2)", "-n", "3", "--pivot", "4"],
-], ids=["x0", "d0", "e0-shift", "h0", "zhelobenko-i0", "pivot0",
-        "pivot-above-n"])
+], ids=["x0", "d0", "e0-shift", "h0", "zhelobenko-i0", "zhelobenko-i-n",
+        "pivot0", "pivot-above-n"])
 def test_index_outside_1_to_n_is_usage_error(capsys, argv):
     """Index 0 once wrapped round to n (x0 read as x3) or failed an assert."""
     rc, out, err = run(capsys, *argv)

@@ -16,7 +16,9 @@ from hdcalc.diffring import (RingSpec, NormalElement, normal_form, multiply,
                              GeneratorAssignment,
                              check_assignment, zhelobenko_assignment, scaling_assignment,
                              localized_coordinates_commute)
-from hdcalc.multicopy import SigmaArray, mixed_normal_form
+from hdcalc.multicopy import (SigmaArray, flatness_check, mixed_normal_form,
+                               vcopy_normal_form)
+from hdcalc.expressions import evaluate, parse
 
 
 def Hpot(n, L):
@@ -60,13 +62,32 @@ def test_generators_and_zero():
     lambda: RingSpec(2, [RatFun.zero(2)]),
     lambda: zhelobenko_assignment(RingSpec(2), 0),
     lambda: zhelobenko_assignment(RingSpec(3), 3),
+    lambda: Poly.var(2, 1) + Poly.var(3, 1),
+    lambda: Poly.var(2, 1) * Poly.var(3, 1),
+    lambda: Poly.var(2, 2).evaluate((1,)),
+    lambda: RatFun.var(2, 1) + RatFun.var(3, 1),
+    lambda: RatFun.var(2, 1) * RatFun.var(3, 1),
+    lambda: RingSpec(2).x(1) + RingSpec(3).x(1),
+    lambda: evaluate(parse("x1"), 2, RingSpec(3)),
+    lambda: flatness_check(2, 1, 1, SigmaArray(3, 1, 1)),
+    lambda: vcopy_normal_form(2, 1, [("x", 1, 1), ("x", 2, 2)]),
+    lambda: vcopy_normal_form(2, 1, [("d", 1, 1)]),
+    lambda: Poly.var(2, 2).subst_var_linear(0, 1, 5),
+    lambda: Poly.var(2, 2).subst_var_linear(1, 3, 0),
+    lambda: RatFun.var(2, 2).subst_var(0, 1, 5),
+    lambda: Poly.var(2, 2).degree_in(0),
 ], ids=["eps_vec-0", "eps_vec-3", "var-0", "delta-0", "diff-i-i",
         "poly-pow-neg", "x0", "d3", "short-sigma", "zhelobenko-0",
-        "zhelobenko-n"])
+        "zhelobenko-n", "poly-add-n", "poly-mul-n", "poly-evaluate-n",
+        "ratfun-add-n", "ratfun-mul-n", "element-add-n", "evaluate-spec-n",
+        "flatness-shape", "vcopy-copy", "vcopy-d", "subst-0", "subst-above-n",
+        "ratfun-subst-0", "degree-in-0"])
 def test_library_input_guards_raise_domain_error(call):
     """Out-of-range library input is refused also under python -O, where an
     assert is skipped: index 0 once wrapped round to n, h_i - h_i was -h_i,
-    and a negative power of a Poly never ended."""
+    a negative power of a Poly never ended, a sum of two rings' polynomials
+    held exponent tuples of both lengths, and evaluation at a short point
+    dropped the missing variables."""
     with pytest.raises(DomainError):
         call()
 

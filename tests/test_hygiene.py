@@ -1,7 +1,10 @@
 """Source hygiene: every module of the package uses each name it imports,
 none imports `random`, so that no verdict rests on a random test, and none
 imports a private name from a sibling module, except the shared rewriting
-rule table that `multicopy` reads from `diffring`.
+rule table that `multicopy` reads from `diffring`.  No module holds an
+`assert` statement, which `python -O` skips, except the invariant that
+`RatFun._cancel` states after its exact divisibility test: so no guard or
+verdict rests on one.
 
 `__init__.py` is exempt from the unused-import check, because it imports
 names only to re-export them.
@@ -55,6 +58,27 @@ def private_imports(source):
                   for a in node.names if a.name.startswith("_"))
 
 
+def assert_sites(source):
+    """Qualified name of the function or class around each assert statement
+    in source, in source order ('' at module level)."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assert):
+                sites.append(".".join(scope))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+            visit(child, scope + (child.name,) if inner else scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+# module file -> the assert sites it may hold
+ALLOWED_ASSERTS = {"ratfield.py": ["RatFun._cancel"]}
+
+
 def test_scanner_sees_unused_and_used_names():
     src = ("from __future__ import annotations\n"
            "import os.path\nfrom math import comb as C, lcm\n"
@@ -78,6 +102,12 @@ def test_private_import_scanner():
                                     ("rmatrix", "_conserves")]
 
 
+def test_assert_scanner_names_the_enclosing_scope():
+    src = ("assert x\nclass A:\n    def f(self):\n        if y:\n"
+           "            assert y\n        def g():\n            assert z\n")
+    assert assert_sites(src) == ["", "A.f", "A.f.g"]
+
+
 def test_package_modules_found():
     assert {"ratfield.py", "central.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -90,6 +120,11 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_random_import(path):
     assert "random" not in imported_modules(path.read_text())
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    assert assert_sites(path.read_text()) == ALLOWED_ASSERTS.get(path.name, [])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from hdcalc.ratfield import Poly, RatFun
 from hdcalc.rmatrix import chi, complete_symmetric
-from hdcalc.potential import (NotFlat, NotInW, sigma_from_potential,
-                              sigma_system_check, delta_system_check,
-                              h_combination, w_decompose,
+from hdcalc import central
+from hdcalc.potential import (MismatchError, NotFlat, NotInW,
+                              sigma_from_potential, sigma_system_check,
+                              delta_system_check, h_combination, w_decompose,
                               reconstruct_potential, is_polynomial_potential)
 
 
@@ -28,6 +29,12 @@ def pole_part(n, k, coeffs):
     for m, c in enumerate(coeffs):
         p = p + (Poly.var(n, k) ** m).scale(Fraction(c))
     return RatFun.from_poly(p) / chi(n, k)
+
+
+# polynomials in h_1 at n = 1, of degree 2 to 4 and without constant term:
+# each is its own symmetric part (H_L = h_1^L) and has no principal part;
+# pole_part(1, 1, coeffs) is that polynomial, since chi_1 = 1 at n = 1
+UNIVARIATE = ([0, 0, 1], [0, -2, 0, Fraction(1, 3)], [0, 0, Fraction(5, 2), 0, -1])
 
 
 def test_chi_expansion_equals_complete_symmetric():
@@ -103,6 +110,12 @@ def test_w_decompose_roundtrip():
         dec = w_decompose(f, 1)
         assert dec.reassemble() == f
         assert 1 not in dec.parts
+    for coeffs in UNIVARIATE + ([7, 1, -1],):
+        f = pole_part(1, 1, coeffs)
+        dec = w_decompose(f, 1)
+        assert dec.reassemble() == f
+        assert dec.parts == {}
+        assert dec.symmetric == [(L, c) for L, c in enumerate(coeffs) if c]
 
 
 def test_w_decompose_moves_pivot_poles():
@@ -145,14 +158,17 @@ def test_reconstruct_roundtrip_normalized():
         # normalization: same gradient, so the difference is a constant
         diff = got - f
         assert diff.is_const()
+    for coeffs in UNIVARIATE:
+        f = pole_part(1, 1, coeffs)
+        assert reconstruct_potential(sigma_from_potential(f)) == f
 
 
 @st.composite
 def _potential_in_w(draw):
-    """f = sum_L c_L H_L + sum_{k >= 2} pi_k(h_k)/chi_k at n = 2, 3, with
+    """f = sum_L c_L H_L + sum_{k >= 2} pi_k(h_k)/chi_k at n = 1, 2, 3, with
     L >= 1: the normalization reconstruct_potential returns (no pivot-1
     pole part, no constant term)."""
-    n = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
     f = RatFun.zero(n)
     for L in range(1, 4):
@@ -192,3 +208,12 @@ def test_is_polynomial_potential():
     assert not is_polynomial_potential(pole_part(n, 2, [0, 1]))
     with pytest.raises(NotInW):
         is_polynomial_potential(RatFun.from_poly(Poly.var(n, 1)))
+
+
+def test_is_polynomial_potential_cross_check_raises(monkeypatch):
+    """The S_n-invariance cross-check is a raise, so it also runs under
+    python -O; central reports the same class."""
+    monkeypatch.setattr(RatFun, "permuted", lambda self, perm: self + 1)
+    with pytest.raises(MismatchError, match="h_1 and h_2"):
+        is_polynomial_potential(Hpot(3, 2))
+    assert central.MismatchError is MismatchError
