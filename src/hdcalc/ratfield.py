@@ -31,8 +31,10 @@ factor of den(a) alone can only divide num(b), and one of den(b) alone only
 num(a); each numerator is cancelled against those before the product, and a
 factor of both denominators is not tested.  In a + b only a factor with the
 same power in both denominators can divide the lifted sum.  A product with
-a constant, a sum with zero and build with a nonzero constant numerator are
-canonical as they stand.  So are powers and inverses: a linear factor is
+a constant and a sum with zero are canonical as they stand.  Cancelling a
+nonzero constant numerator tests nothing, since no linear factor divides
+it; so RatFun.build, which often has one, needs no case of its own.
+Powers and inverses are canonical as they stand: a linear factor is
 prime, so one that does not divide num does not divide num^k, and the
 numerator of 1/f is built from the factors of den(f), none of which is a
 factor of num(f).
@@ -386,17 +388,29 @@ class Poly:
         return Poly(self.n, out)
 
     def evaluate(self, point):
-        """Evaluate at a tuple of Fractions, one per weight variable."""
+        """Evaluate at a tuple of rationals (int or Fraction), one per weight
+        variable; the value is a Fraction.
+
+        The sum is taken in integers, with one division at the end: with D
+        the common denominator of the point, X = D * point, L that of the
+        coefficients and deg the total degree, a term c h^e of degree d
+        contributes (L c) X^e D^(deg - d) over L D^deg."""
         if len(point) != self.n:
             raise ring_mismatch(self.n, len(point))
-        total = F0
+        if not self.terms:
+            return F0
+        D = lcm(*(x.denominator for x in point))
+        X = [x.numerator * (D // x.denominator) for x in point]
+        L = lcm(*(c.denominator for c in self.terms.values()))
+        deg = max(map(sum, self.terms))
+        total = 0
         for e, c in self.terms.items():
-            v = c
-            for x, d in zip(point, e):
-                if d:
-                    v *= x ** d
+            v = c.numerator * (L // c.denominator) * D ** (deg - sum(e))
+            for x, k in zip(X, e):
+                if k:
+                    v *= x ** k
             total += v
-        return total
+        return Fraction(total, L * D ** deg)
 
     def homogeneous_components(self):
         """dict total degree -> Poly."""
@@ -549,8 +563,7 @@ class RatFun:
             sign *= _add_factor(den, i, j, a, m)
         if sign < 0:
             num = -num
-        # no factor divides a nonzero constant; zero must still drop its den
-        return cls(num, den, _canonical=num.is_const() and not num.is_zero())
+        return cls(num, den)
 
     @classmethod
     def inverse_diff(cls, n, i, j, a=0):
@@ -558,12 +571,16 @@ class RatFun:
         return cls.build(Poly.const(n, 1), [(i, j, a)])
 
     def _cancel(self):
+        # The result goes to a fresh dict: the caller may still hold `den`.
         if self.num.is_zero():
             self.den = {}
             return
+        if self.num.is_const():
+            # no linear factor divides a nonzero constant
+            self.den = dict(self.den)
+            return
         # Distinct factors are coprime, so a factor that does not divide num
         # does not divide num / (another factor) either: one pass suffices.
-        # The result goes to a fresh dict: the caller may still hold `den`.
         den = {}
         for fac, m in self.den.items():
             i, j, a = fac

@@ -10,10 +10,16 @@ so identity checks run over O(n^2) nonzero components per index pair.
 The same rule decides which index tuples of the DYBE, R^2 and skew-inverse
 sweeps are worth computing: a sum of products of ice-rule components is
 empty unless its lower free indices are a permutation of its upper ones.
-Those sweeps compute only such weight-conserving tuples and record every
-other tuple as the pass (0 = 0) that computing it would give; their reports
-still list every tuple.  `verify_ice` stays exhaustive, and is the
-independent check of the support rule that makes the skip exact.
+The DYBE sweep computes, for each upper tuple, both sides as sparse rows:
+the unit row times three R factors, each step visiting only the ice-rule
+support, so the keys it reaches are the weight-conserving tuples and a
+partial product of two factors is computed once for every tuple it feeds.
+The R^2 and skew-inverse sums have two factors, so nothing is shared; they
+keep the filter and compute each weight-conserving tuple on its own.  Each
+sweep records every other tuple as the pass (0 = 0) that computing it would
+give, and its report still lists every tuple.  `verify_ice` stays
+exhaustive, and is the independent check of the support rule that makes
+the skip exact.
 
 Every quotient here (components, phi, Q^+-, 1/chi) has a denominator known
 as a product of shifted differences, so it is built from those factors with
@@ -223,37 +229,38 @@ def _conserves(upper, lower):
     return sorted(upper) == sorted(lower)
 
 
-def _dybe_sides(n, i, j, k, m, p, r):
-    """The two sides of the shifted DYBE at one index tuple, as (lhs, rhs)."""
-    lhs = RatFun.zero(n)
-    for a, b in _nonzero_lower(i, j):
-        r1 = r_component(n, i, j, a, b)
-        sa = eps_vec(n, a, -1)
-        us = set()
-        if r == k:
-            us.add(b)
-        if r == b:
-            us.add(k)
-        for u in us:
-            if (m, p) not in _nonzero_lower(a, u):
-                continue
-            r2 = r_shifted(n, b, k, u, r, sa)
-            r3 = r_component(n, a, u, m, p)
-            lhs = lhs + r1 * r2 * r3
-    rhs = RatFun.zero(n)
+def _times_r(n, row, s, t, u=None):
+    """A sparse row times R acting on slots s, t (0-based) of its triples.
+
+    row maps index triples to values.  Each entry row[x] is spread over the
+    triples y that equal x off slots s, t and have (y_s, y_t) on the ice-rule
+    support of R^{x_s x_t}, with the factor R^{x_s x_t}_{y_s y_t}, shifted
+    by -e_{x_u} when slot u is given."""
+    out = {}
+    for x, v in row.items():
+        svec = None if u is None else eps_vec(n, x[u], -1)
+        for c, d in _nonzero_lower(x[s], x[t]):
+            if svec is None:
+                r = r_component(n, x[s], x[t], c, d)
+            else:
+                r = r_shifted(n, x[s], x[t], c, d, svec)
+            y = list(x)
+            y[s], y[t] = c, d
+            y = tuple(y)
+            term = v * r
+            out[y] = out[y] + term if y in out else term
+    return out
+
+
+def _dybe_rows(n, i, j, k):
+    """Both sides of the shifted DYBE for upper indices (i, j, k), as sparse
+    rows {(m, p, r): value}.  Each is the unit row at (i, j, k) times three
+    factors; the unit row times the first factor is that factor's row."""
     si = eps_vec(n, i, -1)
-    sm = eps_vec(n, m, -1)
-    for a, b in _nonzero_lower(j, k):
-        r1 = r_shifted(n, j, k, a, b, si)
-        for mm, u in _nonzero_lower(i, a):
-            if mm != m:
-                continue
-            if (p, r) not in _nonzero_lower(u, b):
-                continue
-            r2 = r_component(n, i, a, m, u)
-            r3 = r_shifted(n, u, b, p, r, sm)
-            rhs = rhs + r1 * r2 * r3
-    return lhs, rhs
+    lhs = {(a, b, k): r_component(n, i, j, a, b) for a, b in _nonzero_lower(i, j)}
+    rhs = {(i, a, b): r_shifted(n, j, k, a, b, si) for a, b in _nonzero_lower(j, k)}
+    return (_times_r(n, _times_r(n, lhs, 1, 2, 0), 0, 1),
+            _times_r(n, _times_r(n, rhs, 0, 1), 1, 2, 0))
 
 
 def verify_dybe(n):
@@ -262,20 +269,29 @@ def verify_dybe(n):
     sum_{a,b,u} R^{ij}_{ab} R^{bk}_{ur}[-e_a] R^{au}_{mp}
       = sum_{a,b,u} R^{jk}_{ab}[-e_i] R^{ia}_{mu} R^{ub}_{pr}[-e_m]
 
-    Only the tuples with {m,p,r} = {i,j,k} as multisets are computed (93 of
-    729 at n=3).  On every other tuple both sums are empty by the ice rule
-    (see `_conserves`), so the tuple is recorded as the pass that computing
-    0 = 0 would give.  The report still holds all n^6 tuples in `product`
-    order.
+    For each upper tuple (i,j,k) both sides are computed at once for every
+    (m,p,r), as the unit row at (i,j,k) times three factors (`_dybe_rows`):
+    the left side is R on slots 1,2, then R on slots 2,3 shifted by -e of
+    slot 1's index, then R on slots 1,2; the right side is the mirrored
+    chain.  Each step visits only the ice-rule support, so a partial
+    product such as R^{ij}_{ab} R^{bk}_{ur}[-e_a] is computed once for all
+    the (m,p) it feeds, and only weight-conserving keys appear (93 of 729
+    tuples at n=3, see `_conserves`).  Only keys in either row are compared;
+    every other tuple is 0 = 0 and recorded as a pass.  The report still
+    holds all n^6 tuples in `product` order.  (`verify_r_squared` and
+    `verify_skew_inverse` have two factors, so no partial product is shared;
+    they compute each weight-conserving tuple on its own.)
     """
     results = []
     rng = range(1, n + 1)
-    for t in product(rng, repeat=6):
-        ok = True
-        if _conserves(t[:3], t[3:]):
-            lhs, rhs = _dybe_sides(n, *t)
-            ok = lhs == rhs
-        results.append((t, ok))
+    zero = RatFun.zero(n)
+    for upper in product(rng, repeat=3):
+        lhs, rhs = _dybe_rows(n, *upper)
+        for lower in product(rng, repeat=3):
+            ok = True
+            if lower in lhs or lower in rhs:
+                ok = lhs.get(lower, zero) == rhs.get(lower, zero)
+            results.append((upper + lower, ok))
     return CheckReport(f"dybe n={n}", results)
 
 

@@ -114,6 +114,22 @@ def test_cancel_leaves_the_callers_den_alone():
     assert f.den == {(1, 2, 0): 1, (1, 2, 1): 1}
 
 
+def test_constant_numerator_keeps_its_factors_and_not_the_callers_den():
+    # no linear factor divides a nonzero constant, so _cancel returns early;
+    # it must still copy the dict the caller passed
+    d = {(1, 2, 0): 2, (1, 2, 1): 1}
+    f = RatFun(Poly.const(2, 3), d)
+    assert f.den == {(1, 2, 0): 2, (1, 2, 1): 1} and f.den is not d
+    d[(1, 2, 0)] = 5
+    del d[(1, 2, 1)]
+    assert f.den == {(1, 2, 0): 2, (1, 2, 1): 1}
+    assert f.num == Poly.const(2, 3)
+    assert f.evaluate((Fraction(3), Fraction(1))) == Fraction(1, 4)
+    g = RatFun.build(Poly.const(3, Fraction(-1, 2)), [(2, 1, 0), ((1, 3, 2), 3)])
+    assert g.num == Poly.const(3, Fraction(1, 2))
+    assert g.den == {(1, 2, 0): 1, (1, 3, 2): 3}
+
+
 def test_cancel_keeps_factor_when_only_the_prefilter_point_vanishes():
     # h3 - x3 vanishes at the pre-filter point for every hyperplane that
     # leaves h3 alone, but h1 - h2 does not divide it
@@ -213,6 +229,37 @@ def test_shift_then_delta():
     assert d == want
     # shifting in j leaves h_i - h_j + a with a bumped the other way
     assert f.shift(eps_vec(2, 2)) == RatFun.inverse_diff(2, 1, 2, -1)
+
+
+@st.composite
+def _poly_and_point(draw):
+    """A polynomial at n = 1..4 with int and Fraction coefficients, and a
+    point of ints and Fractions, zero and negative among them."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    rationals = st.one_of(st.integers(-5, 5),
+                          st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    terms = draw(st.dictionaries(exps, rationals, max_size=6))
+    p = Poly(n, {e: c.numerator if c.denominator == 1 else c
+                 for e, c in terms.items() if c})
+    return p, draw(st.tuples(*[rationals] * n))
+
+
+@settings(max_examples=150)
+@given(_poly_and_point())
+@example((Poly(2, {(2, 1): Fraction(2, 3), (0, 0): -1}), (0, Fraction(-3, 4))))
+@example((Poly(3, {(1, 0, 2): Fraction(-1, 6), (0, 3, 0): 4}),
+          (Fraction(-1, 2), 0, Fraction(5, 3))))
+def test_evaluate_matches_term_by_term_fractions(pp):
+    p, point = pp
+    want = Fraction(0)
+    for e, c in p.terms.items():
+        v = Fraction(c)
+        for x, d in zip(point, e):
+            v *= Fraction(x) ** d
+        want += v
+    got = p.evaluate(point)
+    assert type(got) is Fraction and got == want
 
 
 def test_evaluate_and_pole():
@@ -662,7 +709,8 @@ def test_cancellation_work_counts(monkeypatch):
     """Operation counts of two verifications, which do not jitter the way
     time does.  Every cancellation still happens (the divisions), and no
     futile divisibility test comes back (the pre-filter calls: 3,209 when
-    every product and sum tested every factor)."""
+    every product and sum tested every factor, 1,237 when a constant
+    numerator was tested against its denominator)."""
     from hdcalc import diffring, ratfield, rmatrix
     from hdcalc.diffring import RingSpec, verify_pbw
 
@@ -685,7 +733,8 @@ def test_cancellation_work_counts(monkeypatch):
     n = 2
     assert verify_pbw(RingSpec(n, (RatFun.one(n), RatFun.one(n)))).flat
     assert rmatrix.verify_dybe(3).passed
-    # 148 since verify_pbw reduces only the 4 overlap ambiguities of its 16
-    # words at n=2 (172 when it reduced all 16)
-    assert calls["div_linfactor"] == 148
-    assert calls["may_vanish"] <= 1237
+    # 142 since verify_dybe shares each partial product between the tuples
+    # it feeds (148 when each tuple recomputed its own; 172 when verify_pbw
+    # also reduced all 16 ambiguity words at n=2, not just the 4 overlaps)
+    assert calls["div_linfactor"] == 142
+    assert calls["may_vanish"] <= 302

@@ -1,5 +1,6 @@
 """R-matrix components, skew inverse, symmetric polynomial helpers."""
 
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -280,10 +281,6 @@ def _conserves(upper, lower):
 def test_skipped_tuples_vanish_on_both_sides(n):
     # the full computation on every tuple the sweeps skip gives 0 = 0
     idx = range(1, n + 1)
-    for t in product(idx, repeat=6):
-        if not _conserves(t[:3], t[3:]):
-            lhs, rhs = rmatrix._dybe_sides(n, *t)
-            assert lhs.is_zero() and rhs.is_zero(), t
     for i, j, k, l in product(idx, repeat=4):
         if not _conserves((i, j), (k, l)):
             assert (i, j) != (k, l)
@@ -305,8 +302,13 @@ def test_sweeps_compute_only_conserving_tuples(monkeypatch, n, dybe, quartic):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(rmatrix, "_dybe_sides",
-                        counting("dybe", rmatrix._dybe_sides))
+    def rows(n, *upper):
+        lhs, rhs = dybe_rows(n, *upper)
+        seen["dybe"].extend(upper + lower for lower in lhs.keys() | rhs.keys())
+        return lhs, rhs
+
+    dybe_rows = rmatrix._dybe_rows
+    monkeypatch.setattr(rmatrix, "_dybe_rows", rows)
     monkeypatch.setattr(rmatrix, "_r_squared_sum",
                         counting("rsq", rmatrix._r_squared_sum))
     monkeypatch.setattr(rmatrix, "_skew_sum",
@@ -319,6 +321,81 @@ def test_sweeps_compute_only_conserving_tuples(monkeypatch, n, dybe, quartic):
     assert len(seen["rsq"]) == len(seen["skew"]) == quartic
     assert all(_conserves((i, j), (k, l)) for i, j, k, l in seen["rsq"])
     assert all(_conserves((i, m), (j, p)) for i, j, m, p in seen["skew"])
+
+
+# ---------------------------------------------------------------------------
+# the DYBE rows against the dense sums
+
+
+def _dense_dybe_sides(n, i, j, k, m, p, r):
+    """Both sides of the shifted DYBE at one tuple, summed over every a, b, u
+    in 1..n: no ice rule, no shared partial products."""
+    lhs = rhs = RatFun.zero(n)
+    si, sm = eps_vec(n, i, -1), eps_vec(n, m, -1)
+    for a, b, u in product(range(1, n + 1), repeat=3):
+        lhs = lhs + (rmatrix.r_component(n, i, j, a, b)
+                     * rmatrix.r_shifted(n, b, k, u, r, eps_vec(n, a, -1))
+                     * rmatrix.r_component(n, a, u, m, p))
+        rhs = rhs + (rmatrix.r_shifted(n, j, k, a, b, si)
+                     * rmatrix.r_component(n, i, a, m, u)
+                     * rmatrix.r_shifted(n, u, b, p, r, sm))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dybe_rows_match_the_dense_sums(n):
+    idx = range(1, n + 1)
+    zero = RatFun.zero(n)
+    for upper in product(idx, repeat=3):
+        lhs, rhs = rmatrix._dybe_rows(n, *upper)
+        for lower in product(idx, repeat=3):
+            got = (lhs.get(lower, zero), rhs.get(lower, zero))
+            assert got == _dense_dybe_sides(n, *upper, *lower), upper + lower
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dybe_rows_hold_exactly_the_conserving_keys(n):
+    idx = range(1, n + 1)
+    for upper in product(idx, repeat=3):
+        lhs, rhs = rmatrix._dybe_rows(n, *upper)
+        want = {t for t in product(idx, repeat=3) if _conserves(upper, t)}
+        assert lhs.keys() == rhs.keys() == want, upper
+
+
+def test_dybe_failures_match_the_dense_oracle(monkeypatch):
+    # with R^{12}_{21} doubled the equation fails; the sweep must name the
+    # same tuples as the dense sums, in the same order
+    right = rmatrix.r_component
+
+    def doubled(n, i, j, k, l):
+        v = right(n, i, j, k, l)
+        return v * 2 if (i, j, k, l) == (1, 2, 2, 1) else v
+
+    monkeypatch.setattr(rmatrix, "r_component", doubled)
+    monkeypatch.setattr(rmatrix, "r_shifted",
+                        lambda n, i, j, k, l, svec: doubled(n, i, j, k, l).shift(svec))
+    n = 3
+    want = [t for t in product(range(1, n + 1), repeat=6)
+            if operator.ne(*_dense_dybe_sides(n, *t))]
+    assert want
+    assert verify_dybe(n).failures == want
+
+
+def test_dybe_shares_partial_products(monkeypatch):
+    # 1,408 products when each tuple summed its own triple products
+    r_component.cache_clear()
+    r_shifted.cache_clear()
+    calls = [0]
+    mul = RatFun.__mul__
+
+    def counted(*args):
+        calls[0] += 1
+        return mul(*args)
+
+    monkeypatch.setattr(RatFun, "__mul__", counted)
+    monkeypatch.setattr(RatFun, "__rmul__", counted)
+    assert verify_dybe(4).passed
+    assert calls[0] <= 1096
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
