@@ -59,9 +59,10 @@ class CentralFamily:
 
 
 def central_family(f, n=None):
-    """Build c_1..c_n for the ring with potential f (c_k = t^{k-1} coefficient)."""
-    n = n or f.n
-    spec = RingSpec(n, sigma_from_potential(f, n))
+    """Build c_1..c_n for the ring with potential f (c_k = t^{k-1} coefficient);
+    n, if given, must be f.n (DomainError otherwise)."""
+    spec = RingSpec(f.n, sigma_from_potential(f, n))
+    n = spec.n
     rho = rho_for(f)
     elements = []
     for k in range(1, n + 1):

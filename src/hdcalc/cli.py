@@ -151,8 +151,6 @@ def _cmd_solve_potential(args):
 def _cmd_decompose(args):
     ast = parse(args.expr)
     n = _ring(args, ast).n
-    if not 1 <= args.pivot <= n:
-        raise DomainError(f"--pivot must be in 1..{n}")
     dec = w_decompose(_h_value(ast, n), args.pivot)
     if args.fmt == "json":
         obj = {

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratfield import Poly, RatFun, partial_fractions, eps_vec
+from .ratfield import (Poly, RatFun, check_index, eps_vec, partial_fractions,
+                       ring_mismatch)
 from .rmatrix import chi_inv, complete_symmetric
 
 
@@ -34,9 +35,11 @@ class MismatchError(AssertionError):
 
 
 def sigma_from_potential(f, n=None):
-    """sigma_i = Delta_i f for i = 1..n."""
-    n = n or f.n
-    return tuple(f.delta(i) for i in range(1, n + 1))
+    """sigma_i = Delta_i f for i = 1..n; n, if given, must be f.n
+    (DomainError otherwise)."""
+    if n is not None and n != f.n:
+        raise ring_mismatch(f.n, n)
+    return tuple(f.delta(i) for i in range(1, f.n + 1))
 
 
 def sigma_system_check(sigma):
@@ -151,9 +154,11 @@ class WDecomposition:
 def w_decompose(f, pivot=1):
     """Decompose f in W along the direct sum over k != pivot plus symmetric part.
 
-    Raises NotInW if f fails the membership system or the expected pole shape.
+    Raises NotInW if f fails the membership system or the expected pole
+    shape, and DomainError unless 1 <= pivot <= n.
     """
     n = f.n
+    check_index(n, pivot)
     ok, pair = delta_system_check(f)
     if not ok:
         raise NotInW(f"delta system fails at {pair}")

@@ -7,19 +7,13 @@ so one cached value can be shared by every reader.  The "ice" sparsity
 pattern (R^{ij}_{kl} = 0 unless (k,l) is (i,j) or (j,i)) is used throughout,
 so identity checks run over O(n^2) nonzero components per index pair.
 
-The same rule decides which index tuples of the DYBE, R^2 and skew-inverse
-sweeps are worth computing: a sum of products of ice-rule components is
-empty unless its lower free indices are a permutation of its upper ones.
-The DYBE sweep computes, for each upper tuple, both sides as sparse rows:
-the unit row times three R factors, each step visiting only the ice-rule
-support, so the keys it reaches are the weight-conserving tuples and a
-partial product of two factors is computed once for every tuple it feeds.
-The R^2 and skew-inverse sums have two factors, so nothing is shared; they
-keep the filter and compute each weight-conserving tuple on its own.  Each
-sweep records every other tuple as the pass (0 = 0) that computing it would
-give, and its report still lists every tuple.  `verify_ice` stays
-exhaustive, and is the independent check of the support rule that makes
-the skip exact.
+The DYBE, R^2 and skew-inverse identities are checked one way: for each
+upper index tuple, both sides are sparse rows over the lower tuples, built
+by visiting only the ice-rule support of each factor, and one loop
+(`_sweep`) compares the keys found in either row.  Every other lower tuple
+is an empty sum on both sides, 0 = 0, and is recorded as a pass; each
+report still lists every tuple.  `verify_ice` stays exhaustive, and is the
+independent check of the support rule that the rows rely on.
 
 Every quotient here (components, phi, Q^+-, 1/chi) has a denominator known
 as a product of shifted differences, so it is built from those factors with
@@ -218,22 +212,11 @@ class CheckReport:
 # verifiers
 
 
-def _conserves(upper, lower):
-    """True iff the lower indices are a permutation of the upper ones.
-
-    Every component met in the sweeps below (R^{ij}_{kl}, Psi^{ij}_{kl}, and
-    their shifts) has the ice-rule support {k, l} = {i, j}, which
-    `verify_ice` checks.  A chain of such components passes the multiset of
-    indices along unchanged, so a sum of products of them is empty, and its
-    value zero, unless its free indices conserve weight in this sense."""
-    return sorted(upper) == sorted(lower)
-
-
 def _times_r(n, row, s, t, u=None):
-    """A sparse row times R acting on slots s, t (0-based) of its triples.
+    """A sparse row times R acting on slots s, t (0-based) of its tuples.
 
-    row maps index triples to values.  Each entry row[x] is spread over the
-    triples y that equal x off slots s, t and have (y_s, y_t) on the ice-rule
+    row maps index tuples to values.  Each entry row[x] is spread over the
+    tuples y that equal x off slots s, t and have (y_s, y_t) on the ice-rule
     support of R^{x_s x_t}, with the factor R^{x_s x_t}_{y_s y_t}, shifted
     by -e_{x_u} when slot u is given."""
     out = {}
@@ -250,6 +233,26 @@ def _times_r(n, row, s, t, u=None):
             term = v * r
             out[y] = out[y] + term if y in out else term
     return out
+
+
+def _sweep(name, n, arity, sides):
+    """Report an identity over every index tuple upper + lower, each of
+    `arity` indices in 1..n, in `product` order.
+
+    sides(n, *upper) gives both sides for every lower tuple at once, as
+    sparse rows {lower: value}.  Only keys found in either row are compared;
+    every other tuple is 0 = 0 and recorded as a pass."""
+    results = []
+    rng = range(1, n + 1)
+    zero = RatFun.zero(n)
+    for upper in product(rng, repeat=arity):
+        lhs, rhs = sides(n, *upper)
+        for lower in product(rng, repeat=arity):
+            ok = True
+            if lower in lhs or lower in rhs:
+                ok = lhs.get(lower, zero) == rhs.get(lower, zero)
+            results.append((upper + lower, ok))
+    return CheckReport(f"{name} n={n}", results)
 
 
 def _dybe_rows(n, i, j, k):
@@ -269,56 +272,25 @@ def verify_dybe(n):
     sum_{a,b,u} R^{ij}_{ab} R^{bk}_{ur}[-e_a] R^{au}_{mp}
       = sum_{a,b,u} R^{jk}_{ab}[-e_i] R^{ia}_{mu} R^{ub}_{pr}[-e_m]
 
-    For each upper tuple (i,j,k) both sides are computed at once for every
-    (m,p,r), as the unit row at (i,j,k) times three factors (`_dybe_rows`):
-    the left side is R on slots 1,2, then R on slots 2,3 shifted by -e of
+    The left side is R on slots 1,2, then R on slots 2,3 shifted by -e of
     slot 1's index, then R on slots 1,2; the right side is the mirrored
-    chain.  Each step visits only the ice-rule support, so a partial
-    product such as R^{ij}_{ab} R^{bk}_{ur}[-e_a] is computed once for all
-    the (m,p) it feeds, and only weight-conserving keys appear (93 of 729
-    tuples at n=3, see `_conserves`).  Only keys in either row are compared;
-    every other tuple is 0 = 0 and recorded as a pass.  The report still
-    holds all n^6 tuples in `product` order.  (`verify_r_squared` and
-    `verify_skew_inverse` have two factors, so no partial product is shared;
-    they compute each weight-conserving tuple on its own.)
+    chain.  A partial product such as R^{ij}_{ab} R^{bk}_{ur}[-e_a] is
+    computed once for all the (m,p) it feeds.
     """
-    results = []
-    rng = range(1, n + 1)
-    zero = RatFun.zero(n)
-    for upper in product(rng, repeat=3):
-        lhs, rhs = _dybe_rows(n, *upper)
-        for lower in product(rng, repeat=3):
-            ok = True
-            if lower in lhs or lower in rhs:
-                ok = lhs.get(lower, zero) == rhs.get(lower, zero)
-            results.append((upper + lower, ok))
-    return CheckReport(f"dybe n={n}", results)
+    return _sweep("dybe", n, 3, _dybe_rows)
 
 
-def _r_squared_sum(n, i, j, k, l):
-    """sum_{a,b} R^{ij}_{ab} R^{ab}_{kl}."""
-    s = RatFun.zero(n)
-    for a, b in _nonzero_lower(i, j):
-        s = s + r_component(n, i, j, a, b) * r_component(n, a, b, k, l)
-    return s
+def _r_squared_rows(n, i, j):
+    """Both sides of R^2 = 1 for upper indices (i, j), as sparse rows
+    {(k, l): value}: R's row at (i, j) times R, and the unit row."""
+    row = {(a, b): r_component(n, i, j, a, b) for a, b in _nonzero_lower(i, j)}
+    return _times_r(n, row, 0, 1), {(i, j): RatFun.one(n)}
 
 
 def verify_r_squared(n):
-    """sum_{a,b} R^{ij}_{ab} R^{ab}_{kl} = delta^i_k delta^j_l.
-
-    Only the tuples with {k,l} = {i,j} are computed; on every other tuple
-    the sum is empty by the ice rule and the delta is zero, so the tuple is
-    recorded as a pass.  The report holds all n^4 tuples in `product` order.
-    """
-    results = []
-    rng = range(1, n + 1)
-    for i, j, k, l in product(rng, repeat=4):
-        ok = True
-        if _conserves((i, j), (k, l)):
-            target = RatFun.one(n) if (i, j) == (k, l) else RatFun.zero(n)
-            ok = _r_squared_sum(n, i, j, k, l) == target
-        results.append(((i, j, k, l), ok))
-    return CheckReport(f"r-squared n={n}", results)
+    """sum_{a,b} R^{ij}_{ab} R^{ab}_{kl} = delta^i_k delta^j_l, all n^4
+    tuples (i,j,k,l)."""
+    return _sweep("r-squared", n, 2, _r_squared_rows)
 
 
 def verify_ice(n):
@@ -348,36 +320,30 @@ def verify_shift_invariance(n):
     return CheckReport(f"shift-invariance n={n}", results)
 
 
-def _skew_sum(n, i, j, m, p):
-    """sum_{k,l} Psi^{ik}_{jl} R^{ml}_{pk}[e_m]."""
-    s = RatFun.zero(n)
-    sm = eps_vec(n, m)
+def _skew_rows(n, i, j):
+    """Both sides of the skew-inverse identity for upper indices (i, j), as
+    sparse rows {(m, p): value}: the sums over k, l of
+    Psi^{ik}_{jl} R^{ml}_{pk}[e_m], each factor visited only on its
+    ice-rule support, and the unit row at (j, i)."""
+    out = {}
     for k in range(1, n + 1):
-        for (jj, l) in _nonzero_lower(i, k):
-            if jj != j:
+        for a, l in _nonzero_lower(i, k):
+            if a != j:
                 continue
-            if (p, k) not in _nonzero_lower(m, l):
-                continue
-            s = s + psi_component(n, i, k, j, l) * r_shifted(n, m, l, p, k, sm)
-    return s
+            v = psi_component(n, i, k, j, l)
+            for m in range(1, n + 1):
+                for p, b in _nonzero_lower(m, l):
+                    if b != k:
+                        continue
+                    term = v * r_shifted(n, m, l, p, k, eps_vec(n, m))
+                    out[m, p] = out[m, p] + term if (m, p) in out else term
+    return out, {(j, i): RatFun.one(n)}
 
 
 def verify_skew_inverse(n):
-    """sum_{k,l} Psi^{ik}_{jl} R^{ml}_{pk}[e_m] = delta^i_p delta^m_j.
-
-    Only the tuples with {j,p} = {i,m} are computed; on every other tuple
-    the sum is empty by the ice rule and the delta is zero, so the tuple is
-    recorded as a pass.  The report holds all n^4 tuples in `product` order.
-    """
-    results = []
-    rng = range(1, n + 1)
-    for i, j, m, p in product(rng, repeat=4):
-        ok = True
-        if _conserves((i, m), (j, p)):
-            target = RatFun.one(n) if (i == p and m == j) else RatFun.zero(n)
-            ok = _skew_sum(n, i, j, m, p) == target
-        results.append(((i, j, m, p), ok))
-    return CheckReport(f"skew-inverse n={n}", results)
+    """sum_{k,l} Psi^{ik}_{jl} R^{ml}_{pk}[e_m] = delta^i_p delta^m_j, all
+    n^4 tuples (i,j,m,p)."""
+    return _sweep("skew-inverse", n, 2, _skew_rows)
 
 
 def verify_q_identity(n):

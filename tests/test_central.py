@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hdcalc.ratfield import Poly, RatFun
+from hdcalc.ratfield import DomainError, Poly, RatFun
 from hdcalc import central
 from hdcalc.rmatrix import chi, complete_symmetric, elementary_symmetric
 from hdcalc.potential import NotInW
@@ -18,6 +18,15 @@ def Hpot(n, L):
     for j in range(1, n + 1):
         out = out + RatFun.from_poly(Poly.var(n, j) ** (L + n - 1)) / chi(n, j)
     return out
+
+
+def test_central_family_rejects_another_n():
+    # n=2 for a potential at n=3 once gave a spec at n=2 with three rho_k
+    f = Hpot(3, 2)
+    with pytest.raises(DomainError, match="ring sizes differ"):
+        central_family(f, n=2)
+    fam = central_family(f, n=3)
+    assert fam.spec.n == 3 and len(fam.rho) == len(fam.elements) == 3
 
 
 def test_rho_for_h1():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdcalc.ratfield import Poly, RatFun
+from hdcalc.ratfield import DomainError, Poly, RatFun
 from hdcalc.rmatrix import chi, complete_symmetric
 from hdcalc import central
 from hdcalc.potential import (MismatchError, NotFlat, NotInW,
@@ -128,6 +128,26 @@ def test_w_decompose_moves_pivot_poles():
     dec2 = w_decompose(f, 2)
     assert dec2.reassemble() == f
     assert 2 not in dec2.parts
+
+
+def test_w_decompose_rejects_a_pivot_outside_1_to_n():
+    # 1/chi_2 is in W: pivot 4, 0 or -1 once gave the wrong verdict NotInW,
+    # and at n=2 pivot 0 returned a decomposition
+    f = RatFun.one(3) / chi(3, 2)
+    for pivot in (4, 0, -1):
+        with pytest.raises(DomainError, match="outside 1..3"):
+            w_decompose(f, pivot)
+    with pytest.raises(DomainError, match="outside 1..2"):
+        w_decompose(Hpot(2, 2), 0)
+
+
+def test_sigma_from_potential_rejects_another_n():
+    # n=2 for a potential at n=3 once dropped sigma_3
+    f = Hpot(3, 2)
+    with pytest.raises(DomainError, match="ring sizes differ"):
+        sigma_from_potential(f, 2)
+    assert sigma_from_potential(f, 3) == sigma_from_potential(f)
+    assert len(sigma_from_potential(f)) == 3
 
 
 def test_w_decompose_rejects_outsiders():

@@ -270,57 +270,92 @@ def test_dybe_fails_if_the_shift_is_dropped(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the sweeps compute only weight-conserving tuples
+# the sweeps compare only weight-conserving tuples
 
 
 def _conserves(upper, lower):
     return sorted(upper) == sorted(lower)
 
 
+def _dense_r_squared(n, i, j, k, l):
+    """sum_{a,b} R^{ij}_{ab} R^{ab}_{kl} over every a, b in 1..n."""
+    s = RatFun.zero(n)
+    for a, b in product(range(1, n + 1), repeat=2):
+        s = s + (rmatrix.r_component(n, i, j, a, b)
+                 * rmatrix.r_component(n, a, b, k, l))
+    return s
+
+
+def _dense_skew(n, i, j, m, p):
+    """sum_{k,l} Psi^{ik}_{jl} R^{ml}_{pk}[e_m] over every k, l in 1..n."""
+    s = RatFun.zero(n)
+    for k, l in product(range(1, n + 1), repeat=2):
+        s = s + (rmatrix.psi_component(n, i, k, j, l)
+                 * rmatrix.r_shifted(n, m, l, p, k, eps_vec(n, m)))
+    return s
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_skipped_tuples_vanish_on_both_sides(n):
-    # the full computation on every tuple the sweeps skip gives 0 = 0
+def test_r_squared_and_skew_rows_match_the_dense_sums(n):
     idx = range(1, n + 1)
-    for i, j, k, l in product(idx, repeat=4):
-        if not _conserves((i, j), (k, l)):
-            assert (i, j) != (k, l)
-            assert rmatrix._r_squared_sum(n, i, j, k, l).is_zero()
-    for i, j, m, p in product(idx, repeat=4):
-        if not _conserves((i, m), (j, p)):
-            assert (i, m) != (p, j)
-            assert rmatrix._skew_sum(n, i, j, m, p).is_zero()
+    zero = RatFun.zero(n)
+    for rows, dense in ((rmatrix._r_squared_rows, _dense_r_squared),
+                        (rmatrix._skew_rows, _dense_skew)):
+        for upper in product(idx, repeat=2):
+            lhs, _ = rows(n, *upper)
+            for lower in product(idx, repeat=2):
+                assert lhs.get(lower, zero) == dense(n, *upper, *lower), (
+                    rows.__name__, upper + lower)
 
 
 @pytest.mark.parametrize("n, dybe, quartic", [(2, 20, 6), (3, 93, 15),
                                               (4, 256, 28)])
-def test_sweeps_compute_only_conserving_tuples(monkeypatch, n, dybe, quartic):
-    seen = {"dybe": [], "rsq": [], "skew": []}
+def test_sweeps_compare_only_conserving_tuples(monkeypatch, n, dybe, quartic):
+    seen = {}
+    sweep = rmatrix._sweep
 
-    def counting(key, fn):
-        def wrapper(*args):
-            seen[key].append(args[1:])
-            return fn(*args)
-        return wrapper
+    def recording(name, n, arity, sides):
+        def rows(n, *upper):
+            lhs, rhs = sides(n, *upper)
+            seen.setdefault(name, []).extend(
+                upper + lower for lower in lhs.keys() | rhs.keys())
+            return lhs, rhs
+        return sweep(name, n, arity, rows)
 
-    def rows(n, *upper):
-        lhs, rhs = dybe_rows(n, *upper)
-        seen["dybe"].extend(upper + lower for lower in lhs.keys() | rhs.keys())
-        return lhs, rhs
-
-    dybe_rows = rmatrix._dybe_rows
-    monkeypatch.setattr(rmatrix, "_dybe_rows", rows)
-    monkeypatch.setattr(rmatrix, "_r_squared_sum",
-                        counting("rsq", rmatrix._r_squared_sum))
-    monkeypatch.setattr(rmatrix, "_skew_sum",
-                        counting("skew", rmatrix._skew_sum))
+    monkeypatch.setattr(rmatrix, "_sweep", recording)
     assert verify_dybe(n).passed
     assert verify_r_squared(n).passed
     assert verify_skew_inverse(n).passed
     assert len(seen["dybe"]) == dybe
     assert all(_conserves(t[:3], t[3:]) for t in seen["dybe"])
-    assert len(seen["rsq"]) == len(seen["skew"]) == quartic
-    assert all(_conserves((i, j), (k, l)) for i, j, k, l in seen["rsq"])
-    assert all(_conserves((i, m), (j, p)) for i, j, m, p in seen["skew"])
+    assert len(seen["r-squared"]) == len(seen["skew-inverse"]) == quartic
+    assert all(_conserves((i, j), (k, l)) for i, j, k, l in seen["r-squared"])
+    assert all(_conserves((i, m), (j, p)) for i, j, m, p in seen["skew-inverse"])
+
+
+def test_r_squared_failures_match_the_dense_oracle(monkeypatch):
+    # with every R^{ij}_{ij}, i != j, doubled, R^2 = 1 fails; the sweep must
+    # name the same tuples as the dense sums, in the same order
+    right = rmatrix.r_component
+
+    def doubled(n, i, j, k, l):
+        v = right(n, i, j, k, l)
+        return v * 2 if i != j and (k, l) == (i, j) else v
+
+    monkeypatch.setattr(rmatrix, "r_component", doubled)
+    n = 3
+    idx = range(1, n + 1)
+    want = [(i, j, k, l) for i, j, k, l in product(idx, repeat=4)
+            if _dense_r_squared(n, i, j, k, l)
+            != (RatFun.one(n) if (i, j) == (k, l) else RatFun.zero(n))]
+    assert want
+    assert verify_r_squared(n).failures == want
+
+
+def test_skew_inverse_fails_if_the_shift_is_dropped(monkeypatch):
+    monkeypatch.setattr(rmatrix, "r_shifted",
+                        lambda n, i, j, k, l, svec: r_component(n, i, j, k, l))
+    assert not verify_skew_inverse(3).passed
 
 
 # ---------------------------------------------------------------------------
