@@ -129,17 +129,20 @@ def mixed_normal_form(n, sig, word, strategy="left"):
 
     Returns dict: canonical generator tuple -> RatFun.  Canonical order is
     d-block then x-block, each sorted by (copy, descending index)."""
+    copies = {'x': sig.nx, 'd': sig.nd}
+    for t in word:
+        if not (isinstance(t, RatFun)
+                or 1 <= t[1] <= n and 1 <= t[2] <= copies.get(t[0], 0)):
+            raise DomainError(f"token {t!r} is outside indices 1..{n}, copies"
+                              f" 1..{sig.nx} of x and 1..{sig.nd} of d")
     resolve = partial(_resolve, n, lambda i, ta, tb: sig.get(i, ta[0], tb[0]))
     return _rewrite(n, [word], _order, resolve, strategy)
 
 
 def vcopy_normal_form(n, ncopies, word, strategy="left"):
-    """Normal form in the pure coordinate ring on ncopies copies of the x's."""
-    for t in word:
-        if not (isinstance(t, RatFun) or t[0] == 'x' and 1 <= t[2] <= ncopies):
-            raise DomainError(f"token {t!r} is not an x of copies 1..{ncopies}")
-    sig = SigmaArray(n, ncopies, 1)
-    return mixed_normal_form(n, sig, word, strategy)
+    """Normal form in the pure coordinate ring on ncopies copies of the x's;
+    with no copy of the d's, a d token is refused."""
+    return mixed_normal_form(n, SigmaArray(n, ncopies, 0), word, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -180,34 +183,35 @@ def _ysy2_failure(n, fam):
     return None
 
 
+def _check_shape(n, nx, nd, s):
+    if (s.n, s.nx, s.nd) != (n, nx, nd):
+        raise DomainError(f"sigma array of n={s.n}, copies {s.nd},{s.nx} does"
+                          f" not match n={n}, copies {nd},{nx}")
+
+
 def flatness_check(n, nx, nd, s):
     """PBW flatness of the mixed ring with nx x-copies and nd d-copies.
 
     With a single copy of each species only the one-copy system on sigma is
     required; with more copies the cross-copy orderings force the sigma
     entries to be constants."""
-    if (s.n, s.nx, s.nd) != (n, nx, nd):
-        raise DomainError(f"sigma array of n={s.n}, copies {s.nd},{s.nx} does"
-                          f" not match n={n}, copies {nd},{nx}")
-    results = []
+    _check_shape(n, nx, nd, s)
     multi = max(nx, nd) >= 2
+    failures = []
     for a in range(1, nx + 1):
         for b in range(1, nd + 1):
             fam = s.family(a, b)
             ok, pair = sigma_system_check(fam)
-            label = f"eqsigib a={a} b={b}"
-            results.append((label if ok else label + f" at (i,j)={pair}", ok))
+            if not ok:
+                failures.append(f"eqsigib a={a} b={b} at (i,j)={pair}")
             if not multi:
                 continue
-            w = _ysy1_failure(n, fam)
-            label = f"ysy1 a={a} b={b}"
-            results.append((label if w is None
-                            else label + f" at (u,i,k,j)={w}", w is None))
-            w = _ysy2_failure(n, fam)
-            label = f"ysy2 a={a} b={b}"
-            results.append((label if w is None
-                            else label + f" at (u,i,k,j)={w}", w is None))
-    return CheckReport(f"flatness n={n} nx={nx} nd={nd}", results)
+            for eq, failure in (("ysy1", _ysy1_failure), ("ysy2", _ysy2_failure)):
+                w = failure(n, fam)
+                if w is not None:
+                    failures.append(f"{eq} a={a} b={b} at (u,i,k,j)={w}")
+    total = nx * nd * (3 if multi else 1)
+    return CheckReport(f"flatness n={n} nx={nx} nd={nd}", total, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +239,20 @@ def ambiguity_oracle(n, nx, nd, s, budget=10_000):
     By Bergman's diamond lemma only the overlap ambiguities, the words whose
     two adjacent pairs are both out of order, need resolving.  Only those
     are reduced; on every other word both strategies take the same steps
-    (see `diffring.is_overlap_ambiguity`), so it is recorded as a pass.
+    (see `diffring.is_overlap_ambiguity`), so it is counted as a pass.
 
     The check is exhaustive: `budget` only caps the work, counted in all
-    words, and more words than it raise ValueError instead of checking a
-    sample."""
-    words = _ambiguity_words(n, nx, nd)
-    if len(words) > budget:
-        raise ValueError(f"ambiguity oracle: {len(words)} words exceed the "
-                         f"budget of {budget}")
-    results = []
-    for w in words:
-        ok = (not is_overlap_ambiguity(w)
-              or mixed_normal_form(n, s, list(w), "left")
-              == mixed_normal_form(n, s, list(w), "right"))
-        label = " ".join(f"{sp}{i},{c}" for sp, i, c in w)
-        results.append((label, ok))
-    return CheckReport(f"ambiguity n={n} nx={nx} nd={nd}", results)
+    words, and more words than it raise DomainError, before any word is
+    built, instead of checking a sample."""
+    _check_shape(n, nx, nd, s)
+    total = n ** 3 * nx * nd * (nx + nd)
+    if total > budget:
+        raise DomainError(f"ambiguity oracle: {total} words exceed the "
+                          f"budget of {budget}")
+    failures = []
+    for w in _ambiguity_words(n, nx, nd):
+        if (is_overlap_ambiguity(w)
+                and mixed_normal_form(n, s, list(w), "left")
+                != mixed_normal_form(n, s, list(w), "right")):
+            failures.append(" ".join(f"{sp}{i},{c}" for sp, i, c in w))
+    return CheckReport(f"ambiguity n={n} nx={nx} nd={nd}", total, failures)

@@ -16,8 +16,8 @@ from hdcalc.diffring import (RingSpec, NormalElement, normal_form, multiply,
                              GeneratorAssignment,
                              check_assignment, zhelobenko_assignment, scaling_assignment,
                              localized_coordinates_commute)
-from hdcalc.multicopy import (SigmaArray, flatness_check, mixed_normal_form,
-                               vcopy_normal_form)
+from hdcalc.multicopy import (SigmaArray, ambiguity_oracle, flatness_check,
+                               mixed_normal_form, vcopy_normal_form)
 from hdcalc.expressions import evaluate, parse
 
 
@@ -72,6 +72,12 @@ def test_generators_and_zero():
     lambda: flatness_check(2, 1, 1, SigmaArray(3, 1, 1)),
     lambda: vcopy_normal_form(2, 1, [("x", 1, 1), ("x", 2, 2)]),
     lambda: vcopy_normal_form(2, 1, [("d", 1, 1)]),
+    lambda: ambiguity_oracle(2, 2, 2, SigmaArray.constant(2, 1, 1, 1)),
+    lambda: ambiguity_oracle(2, 2, 2, SigmaArray.constant(2, 2, 2, 1),
+                             budget=127),
+    lambda: mixed_normal_form(2, SigmaArray(2, 1, 1), [("x", 1, 2), ("d", 1, 1)]),
+    lambda: mixed_normal_form(2, SigmaArray(2, 1, 1), [("x", 1, 1), ("d", 1, 2)]),
+    lambda: mixed_normal_form(2, SigmaArray(2, 1, 1), [("x", 0, 1), ("d", 1, 1)]),
     lambda: Poly.var(2, 2).subst_var_linear(0, 1, 5),
     lambda: Poly.var(2, 2).subst_var_linear(1, 3, 0),
     lambda: RatFun.var(2, 2).subst_var(0, 1, 5),
@@ -80,14 +86,16 @@ def test_generators_and_zero():
         "poly-pow-neg", "x0", "d3", "short-sigma", "zhelobenko-0",
         "zhelobenko-n", "poly-add-n", "poly-mul-n", "poly-evaluate-n",
         "ratfun-add-n", "ratfun-mul-n", "element-add-n", "evaluate-spec-n",
-        "flatness-shape", "vcopy-copy", "vcopy-d", "subst-0", "subst-above-n",
-        "ratfun-subst-0", "degree-in-0"])
+        "flatness-shape", "vcopy-copy", "vcopy-d", "oracle-shape",
+        "oracle-budget", "mixed-x-copy", "mixed-d-copy", "mixed-index-0",
+        "subst-0", "subst-above-n", "ratfun-subst-0", "degree-in-0"])
 def test_library_input_guards_raise_domain_error(call):
     """Out-of-range library input is refused also under python -O, where an
     assert is skipped: index 0 once wrapped round to n, h_i - h_i was -h_i,
     a negative power of a Poly never ended, a sum of two rings' polynomials
-    held exponent tuples of both lengths, and evaluation at a short point
-    dropped the missing variables."""
+    held exponent tuples of both lengths, evaluation at a short point
+    dropped the missing variables, and the multi-copy oracle and normal form
+    read a sigma entry outside the array's copies as zero."""
     with pytest.raises(DomainError):
         call()
 

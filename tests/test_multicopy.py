@@ -92,7 +92,8 @@ def test_constant_sigma_arrays_are_flat():
     s = SigmaArray.constant(2, 2, 2, {(1, 1): 1, (1, 2): 2,
                                       (2, 1): 0, (2, 2): Fraction(5, 3)})
     rep = flatness_check(2, 2, 2, s)
-    assert rep.passed
+    # eqsigib, ysy1 and ysy2 for each of the four copy pairs
+    assert rep.summary() == "flatness n=2 nx=2 nd=2: 12/12 pass"
     orep = ambiguity_oracle(2, 2, 2, s)
     assert orep.passed
 
@@ -159,10 +160,20 @@ def test_oracle_reduces_only_overlap_ambiguities(monkeypatch):
             reduced.clear()
             rep = ambiguity_oracle(2, nx, nd, s)
             assert len(reduced) == 2 * computed
-            assert [lbl for lbl, _ in rep.results] == [
-                " ".join(f"{sp}{i},{c}" for sp, i, c in w)
-                for w in _ambiguity_words(2, nx, nd)]
-            assert rep.total == total
+            assert rep.total == total == len(_ambiguity_words(2, nx, nd))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("nx, nd", [(2, 1), (1, 2), (2, 2)])
+def test_oracle_failures_are_the_overlap_words_that_differ(n, nx, nd):
+    _, s = oracle_arrays(n, nx, nd)
+    want = [" ".join(f"{sp}{i},{c}" for sp, i, c in w)
+            for w in _ambiguity_words(n, nx, nd)
+            if is_overlap_ambiguity(w)
+            and mixed_normal_form(n, s, list(w), "left")
+            != mixed_normal_form(n, s, list(w), "right")]
+    assert want
+    assert ambiguity_oracle(n, nx, nd, s).failures == want
 
 
 def test_copy_dependent_constants_fail_sigma_system():
@@ -171,6 +182,7 @@ def test_copy_dependent_constants_fail_sigma_system():
     ent = {(i, 1, 1): RatFun.const(n, i) for i in (1, 2)}
     s = SigmaArray(n, 1, 1, ent)
     rep = flatness_check(n, 1, 1, s)
+    assert rep.total == 1
     assert not rep.passed
     assert any("eqsigib" in lbl for lbl in rep.failures)
 
