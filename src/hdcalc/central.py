@@ -9,7 +9,7 @@ coefficients, each a RatFun in h, so t never enters denominators.
 from __future__ import annotations
 
 from .ratfield import Poly, RatFun
-from .rmatrix import chi_inv, elementary_symmetric
+from .rmatrix import CheckReport, chi_inv, elementary_symmetric
 from .potential import MismatchError, sigma_from_potential, w_decompose
 from .diffring import RingSpec, commutator
 
@@ -75,17 +75,17 @@ def central_family(f, n=None):
 
 
 def verify_central(fam):
-    """[c_k, g] = 0 for every generator g (x^j, d_j, h_j); exact."""
+    """[c_k, g] = 0 for every generator g (x^j, d_j, h_j); exact.  A
+    failing check is labelled (k, g), e.g. (1, "x2")."""
     spec = fam.spec
     n = spec.n
-    results = []
     gens = [(f"x{j}", spec.x(j)) for j in range(1, n + 1)]
     gens += [(f"d{j}", spec.d(j)) for j in range(1, n + 1)]
     gens += [(f"h{j}", spec.h(j)) for j in range(1, n + 1)]
-    for k, c in enumerate(fam.elements, start=1):
-        for label, g in gens:
-            results.append(((k, label), commutator(spec, c, g).is_zero()))
-    return results
+    failures = [(k, label) for k, c in enumerate(fam.elements, start=1)
+                for label, g in gens
+                if not commutator(spec, c, g).is_zero()]
+    return CheckReport("central", len(fam.elements) * len(gens), failures)
 
 
 # ---------------------------------------------------------------------------

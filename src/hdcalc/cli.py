@@ -127,7 +127,7 @@ def _cmd_check_pbw(args):
         return 1
     print("flat" if report.flat else "not flat")
     if not report.flat:
-        _fails([lbl for lbl, ok in report.direct + report.system if not ok], 5)
+        _fails(report.direct.failures + report.system.failures, 5)
         if report.residual is not None:
             _fail(f"residual: {format_value(report.residual)}")
     return 0 if report.flat else 1
@@ -222,11 +222,10 @@ def _cmd_zhelobenko(args):
         raise DomainError("needs n >= 2")
     all_ok = True
     for i in range(1, n) if args.index is None else [args.index]:
-        results = check_assignment(spec, spec, zhelobenko_assignment(spec, i))
-        ok = all(o for _, o in results)
-        print(f"i={i}: {'pass' if ok else 'fail'}")
-        _fails([lbl for lbl, o in results if not o], 3)
-        all_ok = all_ok and ok
+        report = check_assignment(spec, spec, zhelobenko_assignment(spec, i))
+        print(f"i={i}: {'pass' if report.passed else 'fail'}")
+        _fails(report.failures, 3)
+        all_ok = all_ok and report.passed
     return 0 if all_ok else 1
 
 

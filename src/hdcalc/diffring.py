@@ -16,9 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .ratfield import (DomainError, Poly, RatFun, checked_int, eps_vec,
-                       json_exponents, reading_input, ring_mismatch)
-from .rmatrix import phi, phi_inv, psi_component, r_component, r_shifted
+from .ratfield import (DomainError, Poly, RatFun, checked_int, checked_perm,
+                       eps_vec, json_exponents, reading_input, ring_mismatch)
+from .rmatrix import (CheckReport, phi, phi_inv, psi_component, psi_prime,
+                      r_component, r_shifted)
 from .potential import sigma_system_check
 
 
@@ -405,32 +406,23 @@ def epsilon_antiauto(spec, elem):
 
 
 class PBWReport:
-    """Double-reduction results and the difference-system results, compared.
+    """The double-reduction and difference-system CheckReports, compared.
 
     residual is left - right of the first word whose two normal forms
     differ, or None when double reduction passes."""
 
-    def __init__(self, n, direct, system, residual=None):
-        self.n = n
+    def __init__(self, direct, system, residual=None):
         self.direct = direct
         self.system = system
         self.residual = residual
 
     @property
-    def direct_flat(self):
-        return all(ok for _, ok in self.direct)
-
-    @property
-    def system_flat(self):
-        return all(ok for _, ok in self.system)
-
-    @property
     def agree(self):
-        return self.direct_flat == self.system_flat
+        return self.direct.passed == self.system.passed
 
     @property
     def flat(self):
-        return self.direct_flat and self.system_flat
+        return self.direct.passed and self.system.passed
 
 
 def verify_pbw(spec):
@@ -440,29 +432,31 @@ def verify_pbw(spec):
         reduction strategies and compare;
     (b) the closed difference system h_ij Delta_j sigma_i = sigma_i - sigma_j.
 
-    The report lists all 2n^3 words of (a), but only the n^2(n-1) overlap
+    The report of (a) counts all 2n^3 words, but only the n^2(n-1) overlap
     ambiguities (j < k) are reduced: on every other word both strategies
     take the same steps (see is_overlap_ambiguity), so it is a pass.
     """
     n = spec.n
-    direct = []
+    failures = []
     residual = None
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 for label, w in (("xdd", [('x', i), ('d', j), ('d', k)]),
                                  ("xxd", [('x', j), ('x', k), ('d', i)])):
-                    same = True
-                    if is_overlap_ambiguity(w):
-                        left = normal_form(spec, w, "left")
-                        right = normal_form(spec, w, "right")
-                        same = left == right
-                        if not same and residual is None:
+                    if not is_overlap_ambiguity(w):
+                        continue
+                    left = normal_form(spec, w, "left")
+                    right = normal_form(spec, w, "right")
+                    if left != right:
+                        if residual is None:
                             residual = left - right
-                    direct.append(((label, i, j, k), same))
+                        failures.append((label, i, j, k))
     ok, pair = sigma_system_check(spec.sigma)
-    system = [(("sigma",) + (pair or ()), ok)]
-    return PBWReport(n, direct, system, residual)
+    return PBWReport(
+        CheckReport("double reduction", 2 * n ** 3, failures),
+        CheckReport("sigma system", 1, [] if ok else [("sigma",) + pair]),
+        residual)
 
 
 # ---------------------------------------------------------------------------
@@ -472,17 +466,22 @@ def verify_pbw(spec):
 class GeneratorAssignment:
     """Images of the generators under a candidate (iso)morphism.
 
-    x_images/d_images: target-ring normal elements; the weight variables map
-    by h_i -> h_{perm[i]}.
+    x_images/d_images: n normal elements each, of a target ring of that n;
+    the weight variables map by h_i -> h_{perm[i]}, for perm a permutation
+    of 1..n (the identity by default).  DomainError otherwise.
     """
 
     __slots__ = ("x_images", "d_images", "perm")
 
     def __init__(self, x_images, d_images, perm=None):
-        n = len(x_images)
         self.x_images = list(x_images)
         self.d_images = list(d_images)
-        self.perm = tuple(perm) if perm else tuple(range(1, n + 1))
+        n = len(self.x_images)
+        if len(self.d_images) != n or any(
+                e.n != n for e in self.x_images + self.d_images):
+            raise DomainError(f"{n} x-images and {len(self.d_images)} d-images"
+                              " are not n images each in a ring of that n")
+        self.perm = checked_perm(range(1, n + 1) if perm is None else perm, n)
 
     def map_coeff(self, f):
         return f.permuted(self.perm)
@@ -492,11 +491,14 @@ def check_assignment(src, dst, assign):
     """Verify that the assignment maps every defining relation of src to zero
     in dst.  The relations are read off the rule table: each out-of-order
     pair t1 t2 must map to the image of its replacement.  Returns a
-    CheckReport-style list of (label, ok): each weight check is labelled by
-    the generator whose image it checks, e.g. "x1", and each relation by its
-    word, e.g. "x1*d1"."""
+    CheckReport of the 2n weight checks and the n(n-1) + n^2 relations: a
+    failing weight check is labelled by the generator whose image it
+    checks, e.g. "x1", and a failing relation by its word, e.g. "x1*d1"."""
     n = src.n
-    results = []
+    if len(assign.x_images) != n or dst.n != n:
+        raise DomainError(f"an assignment of {len(assign.x_images)} generator"
+                          f" pairs from n={n} into n={dst.n}")
+    failures = []
     X = assign.x_images
     D = assign.d_images
     mc = assign.map_coeff
@@ -504,12 +506,10 @@ def check_assignment(src, dst, assign):
     # weight homogeneity: image of x^i must have weight e_{perm(i)}, image of
     # d_i weight -e_{perm(i)} (so the weight relations map consistently)
     for i in range(1, n + 1):
-        wx = X[i - 1].weights()
-        ok = wx <= {tuple(eps_vec(n, assign.perm[i - 1]))}
-        results.append((f"x{i}", ok))
-        wd = D[i - 1].weights()
-        ok = wd <= {tuple(eps_vec(n, assign.perm[i - 1], -1))}
-        results.append((f"d{i}", ok))
+        if not X[i - 1].weights() <= {eps_vec(n, assign.perm[i - 1])}:
+            failures.append(f"x{i}")
+        if not D[i - 1].weights() <= {eps_vec(n, assign.perm[i - 1], -1)}:
+            failures.append(f"d{i}")
 
     # every pair the ring order rewrites: the n(n-1) same-species pairs,
     # then the n^2 pairs x^i d_j with the diagonal last
@@ -527,8 +527,9 @@ def check_assignment(src, dst, assign):
             g = [image[t] for t in repl if not isinstance(t, RatFun)]
             rhs = multiply(dst, *g) if g else dst.one()
             lhs = lhs - (rhs if c is None else rhs.scale(c))
-        results.append((f"{t1[0]}{t1[1]}*{t2[0]}{t2[1]}", lhs.is_zero()))
-    return results
+        if not lhs.is_zero():
+            failures.append(f"{t1[0]}{t1[1]}*{t2[0]}{t2[1]}")
+    return CheckReport("assignment", 2 * n + len(pairs), failures)
 
 
 def zhelobenko_assignment(spec, i):
@@ -570,15 +571,11 @@ def scaling_assignment(spec, gamma):
 
 
 def localized_coordinates_commute(spec):
-    """The rescaled coordinates x^i psi'_i commute pairwise inside the ring."""
-    from .rmatrix import psi_prime
+    """The rescaled coordinates x^i psi'_i commute pairwise inside the ring:
+    one check per pair i < j, labelled (i, j) when it fails."""
     n = spec.n
-    elems = []
-    for i in range(1, n + 1):
-        elems.append(normal_form(spec, [('x', i), psi_prime(n, i)]))
-    results = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = multiply(spec, elems[i], elems[j]) - multiply(spec, elems[j], elems[i])
-            results.append(((i + 1, j + 1), c.is_zero()))
-    return results
+    elems = [normal_form(spec, [('x', i), psi_prime(n, i)])
+             for i in range(1, n + 1)]
+    failures = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                if not commutator(spec, elems[i - 1], elems[j - 1]).is_zero()]
+    return CheckReport("localized coordinates", n * (n - 1) // 2, failures)

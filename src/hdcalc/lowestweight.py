@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .central import MismatchError
 from .diffring import NormalElement, module_form
+from .ratfield import exact_coeff
 
 
 class NonGenericWeight(ValueError):
@@ -19,12 +20,13 @@ class NonGenericWeight(ValueError):
 
 
 class Weight:
-    """Tuple of rational weights with pairwise non-integer differences."""
+    """Tuple of rational weights with pairwise non-integer differences; a
+    float is refused, as its value is already rounded."""
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(Fraction(exact_coeff(v)) for v in values)
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
                 if (vals[i] - vals[j]).denominator == 1:

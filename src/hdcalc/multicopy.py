@@ -14,7 +14,6 @@ one-copy tokens ('x', i) and ('d', j) carry none.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial
 
 from .ratfield import (DomainError, RatFun, checked_int, eps_vec, rank_exact,
@@ -51,7 +50,7 @@ class SigmaArray:
         ent = {}
         for (a, b), c in values.items():
             for i in range(1, n + 1):
-                ent[(i, a, b)] = RatFun.const(n, Fraction(c))
+                ent[(i, a, b)] = RatFun.const(n, c)
         return cls(n, nx, nd, ent)
 
     @classmethod

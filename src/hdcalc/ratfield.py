@@ -88,6 +88,14 @@ def check_index(n, j):
     return j
 
 
+def checked_perm(perm, n):
+    """perm as a tuple if it is a permutation of 1..n, else DomainError."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise DomainError(f"{perm} is not a permutation of 1..{n}")
+    return perm
+
+
 def ring_mismatch(n, m):
     """The DomainError for a value of a ring with n weight variables met by
     one with m; raised by every operation that combines two of them."""
@@ -101,7 +109,7 @@ def json_exponents(v, n):
     return tuple(checked_int(k, 0) for k in v)
 
 
-def _coeff(c):
+def exact_coeff(c):
     """c as a Poly coefficient: an int if it is integral, else a Fraction.
     A float is refused: its value is already rounded.  The ring operations
     call it only on a result that is not already an int."""
@@ -144,7 +152,7 @@ class Poly:
 
     @classmethod
     def const(cls, n, c):
-        c = _coeff(c)
+        c = exact_coeff(c)
         if c == 0:
             return cls(n, {})
         return cls(n, {(0,) * n: c})
@@ -160,7 +168,7 @@ class Poly:
         canon_factor(i, j, a)  # DomainError if i == j
         out = {eps_vec(n, i): 1, eps_vec(n, j): -1}
         if a:
-            out[(0,) * n] = _coeff(a)
+            out[(0,) * n] = exact_coeff(a)
         return cls(n, out)
 
     # -- predicates / shape
@@ -217,7 +225,7 @@ class Poly:
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
             if s:
-                out[e] = s if type(s) is int else _coeff(s)
+                out[e] = s if type(s) is int else exact_coeff(s)
             else:
                 out.pop(e, None)
         return Poly(self.n, out)
@@ -242,14 +250,14 @@ class Poly:
             [(e1, c1)] = sterms.items()
             for e2, c2 in oterms.items():
                 s = c1 * c2
-                out[tuple(map(add, e1, e2))] = s if type(s) is int else _coeff(s)
+                out[tuple(map(add, e1, e2))] = s if type(s) is int else exact_coeff(s)
             return Poly(self.n, out)
         for e1, c1 in sterms.items():
             for e2, c2 in oterms.items():
                 e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
-                    out[e] = s if type(s) is int else _coeff(s)
+                    out[e] = s if type(s) is int else exact_coeff(s)
                 else:
                     del out[e]
         return Poly(self.n, out)
@@ -257,13 +265,13 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _coeff(c)
+        c = exact_coeff(c)
         if c == 0:
             return Poly.zero(self.n)
         out = {}
         for e, v in self.terms.items():
             s = c * v
-            out[e] = s if type(s) is int else _coeff(s)
+            out[e] = s if type(s) is int else exact_coeff(s)
         return Poly(self.n, out)
 
     def __pow__(self, k):
@@ -304,7 +312,7 @@ class Poly:
             if d == 0:  # free of h_i: the term stays
                 s = out.get(e, 0) + v
                 if s:
-                    out[e] = s if type(s) is int else _coeff(s)
+                    out[e] = s if type(s) is int else exact_coeff(s)
                 else:
                     out.pop(e, None)
                 continue
@@ -317,7 +325,7 @@ class Poly:
                 key = tuple(base)
                 s = out.get(key, 0) + v * (comb(d, m) * a ** (d - m))
                 if s:
-                    out[key] = s if type(s) is int else _coeff(s)
+                    out[key] = s if type(s) is int else exact_coeff(s)
                 else:
                     out.pop(key, None)
         return Poly(self.n, out)
@@ -343,7 +351,7 @@ class Poly:
                 if not c:
                     continue
                 if type(c) is not int:
-                    c = _coeff(c)
+                    c = exact_coeff(c)
                 q = e[:idx] + (d - 1,) + e[idx + 1:]
                 out[q] = c
                 qj = q[:jdx] + (q[jdx] + 1,) + q[jdx + 1:]
@@ -368,21 +376,23 @@ class Poly:
                 out[ej] = out.get(ej, 0) - c
                 if a:
                     out[e] = out.get(e, 0) + a * c
-            terms = {e: c if type(c) is int else _coeff(c)
+            terms = {e: c if type(c) is int else exact_coeff(c)
                      for e, c in out.items() if c}
         return Poly(self.n, terms)
 
     def permuted(self, perm):
-        """Relabel variables: h_i -> h_{perm[i]} (perm 1-based tuple of length n)."""
+        """Relabel variables: h_i -> h_{perm[i]} (perm a permutation of
+        1..n, DomainError otherwise)."""
+        perm = checked_perm(perm, self.n)
         out = {}
         for e, c in self.terms.items():
             ne = [0] * self.n
             for k, ek in enumerate(e):
-                ne[perm[k + 1 - 1] - 1] = ek
+                ne[perm[k] - 1] = ek
             key = tuple(ne)
             s = out.get(key, 0) + c
             if s:
-                out[key] = s if type(s) is int else _coeff(s)
+                out[key] = s if type(s) is int else exact_coeff(s)
             else:
                 out.pop(key, None)
         return Poly(self.n, out)
@@ -817,7 +827,7 @@ class RatFun:
             terms = {}  # terms with the same exponents add up
             for e, c in obj["num"]:
                 e = json_exponents(e, n)
-                terms[e] = _coeff(terms.get(e, 0) + _coeff(c))
+                terms[e] = exact_coeff(terms.get(e, 0) + exact_coeff(c))
             terms = {e: c for e, c in terms.items() if c}
             den = [((checked_int(i, 1, n), checked_int(j, 1, n),
                      checked_int(a)), checked_int(m, 1))

@@ -182,8 +182,8 @@ def _nonzero_lower(i, j):
 
 
 class CheckReport:
-    """Result of an identity sweep: how many checks it made, and the labels
-    of those that failed, in check order."""
+    """Result of a verifier: how many checks it made, and the labels of
+    those that failed, in check order."""
 
     __slots__ = ("name", "total", "failures")
 
@@ -195,6 +195,11 @@ class CheckReport:
     @property
     def passed(self):
         return not self.failures
+
+    def __bool__(self):
+        # an object is true by default, so `assert report` would always pass
+        raise TypeError(f"{self.name}: a CheckReport has no truth value;"
+                        " read .passed")
 
     def summary(self):
         return f"{self.name}: {self.total - len(self.failures)}/{self.total} pass"
@@ -365,7 +370,8 @@ def verify_q_identity(n):
 
 
 def verify_chi_identity(n, L):
-    """sum_j h_j^L / chi_j = 0 for L <= n-2 and = H_{L-n+1} for L >= n-1."""
+    """sum_j h_j^L / chi_j = 0 for L <= n-2 and = H_{L-n+1} for L >= n-1;
+    one check, labelled L when it fails."""
     s = RatFun.zero(n)
     for j in range(1, n + 1):
         s = s + (Poly.var(n, j) ** L) * chi_inv(n, j)
@@ -373,5 +379,5 @@ def verify_chi_identity(n, L):
         target = RatFun.zero(n)
     else:
         target = RatFun.from_poly(complete_symmetric(n, L - n + 1))
-    return s == target
+    return CheckReport(f"chi-identity n={n}", 1, [] if s == target else [L])
 

@@ -81,7 +81,7 @@ def test_03_chi_identity():
     t0 = time.time()
     for n in range(1, 6):
         for L in range(9):
-            assert verify_chi_identity(n, L), (n, L)
+            assert verify_chi_identity(n, L).passed, (n, L)
     done(3, "chi partial fractions", t0, 10)
 
 
@@ -177,14 +177,14 @@ def test_07_weight_permuting_symmetries():
         for f in good:
             spec = RingSpec(n, sigma_from_potential(f))
             for i in range(1, n):
-                res = check_assignment(spec, spec, zhelobenko_assignment(spec, i))
-                assert all(ok for _, ok in res), (n, i)
+                rep = check_assignment(spec, spec, zhelobenko_assignment(spec, i))
+                assert rep.passed, (n, i, rep.failures)
         for f in bad:
             spec = RingSpec(n, sigma_from_potential(f))
             failed = False
             for i in range(1, n):
-                res = check_assignment(spec, spec, zhelobenko_assignment(spec, i))
-                failed = failed or not all(ok for _, ok in res)
+                rep = check_assignment(spec, spec, zhelobenko_assignment(spec, i))
+                failed = failed or not rep.passed
             assert failed, f"non-polynomial potential accepted at n={n}"
     done(7, "weight permutation criterion", t0, 60)
 
@@ -208,7 +208,9 @@ def test_08_center():
                     rhs = RatFun.from_poly(
                         elementary_symmetric(n, k, skip=j)) * sig[j - 1]
                     assert lhs == rhs, (n, j, k)
-            assert all(ok for _, ok in verify_central(fam)), (n, "commutators")
+            rep = verify_central(fam)
+            assert rep.passed, (n, "commutators", rep.failures)
+            assert rep.total == 3 * n * n
     done(8, "central family", t0, 180)
 
 
@@ -289,5 +291,6 @@ def test_12_localized_coordinates():
     for n in (2, 3):
         for f in (Hpot(n, 1), -Hpot(n, 2)):
             spec = RingSpec(n, sigma_from_potential(f))
-            assert all(ok for _, ok in localized_coordinates_commute(spec))
+            rep = localized_coordinates_commute(spec)
+            assert rep.passed and rep.total == n * (n - 1) // 2, rep.failures
     done(12, "localized coordinates commute", t0, 30)

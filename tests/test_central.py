@@ -69,13 +69,15 @@ def test_family_h1_frozen():
 def test_central_elements_commute_with_generators():
     for n, L in ((1, 1), (2, 2)):
         fam = central_family(Hpot(n, L))
-        assert all(ok for _, ok in verify_central(fam))
+        rep = verify_central(fam)
+        assert rep.passed and rep.total == 3 * n * n, rep.failures
 
 
 def test_central_for_pole_potential():
     n = 2
     fam = central_family(RatFun.one(n) / chi(n, 1))
-    assert all(ok for _, ok in verify_central(fam))
+    rep = verify_central(fam)
+    assert rep.passed and rep.total == 3 * n * n, rep.failures
 
 
 def test_family_elements_commute_mutually():

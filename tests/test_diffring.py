@@ -50,6 +50,12 @@ def test_generators_and_zero():
     assert spec.gamma(1) == multiply(spec, spec.d(1), spec.x(1))
 
 
+def identity_images(n):
+    spec = RingSpec(n)
+    r = range(1, n + 1)
+    return [spec.x(i) for i in r], [spec.d(i) for i in r]
+
+
 @pytest.mark.parametrize("call", [
     lambda: eps_vec(2, 0),
     lambda: eps_vec(2, 3),
@@ -82,20 +88,30 @@ def test_generators_and_zero():
     lambda: Poly.var(2, 2).subst_var_linear(1, 3, 0),
     lambda: RatFun.var(2, 2).subst_var(0, 1, 5),
     lambda: Poly.var(2, 2).degree_in(0),
+    lambda: GeneratorAssignment([RingSpec(2).x(1)], identity_images(2)[1]),
+    lambda: GeneratorAssignment([RingSpec(2).x(1)], [RingSpec(2).d(1)]),
+    lambda: GeneratorAssignment(*identity_images(2), perm=(1, 1)),
+    lambda: check_assignment(RingSpec(3), RingSpec(3),
+                             GeneratorAssignment(*identity_images(2))),
+    lambda: Poly(2, {(1, 1): 1}).permuted((1, 1)),
 ], ids=["eps_vec-0", "eps_vec-3", "var-0", "delta-0", "diff-i-i",
         "poly-pow-neg", "x0", "d3", "short-sigma", "zhelobenko-0",
         "zhelobenko-n", "poly-add-n", "poly-mul-n", "poly-evaluate-n",
         "ratfun-add-n", "ratfun-mul-n", "element-add-n", "evaluate-spec-n",
         "flatness-shape", "vcopy-copy", "vcopy-d", "oracle-shape",
         "oracle-budget", "mixed-x-copy", "mixed-d-copy", "mixed-index-0",
-        "subst-0", "subst-above-n", "ratfun-subst-0", "degree-in-0"])
+        "subst-0", "subst-above-n", "ratfun-subst-0", "degree-in-0",
+        "assign-short-x", "assign-image-n", "assign-perm", "assign-src-n",
+        "permuted-not-perm"])
 def test_library_input_guards_raise_domain_error(call):
     """Out-of-range library input is refused also under python -O, where an
     assert is skipped: index 0 once wrapped round to n, h_i - h_i was -h_i,
     a negative power of a Poly never ended, a sum of two rings' polynomials
     held exponent tuples of both lengths, evaluation at a short point
-    dropped the missing variables, and the multi-copy oracle and normal form
-    read a sigma entry outside the array's copies as zero."""
+    dropped the missing variables, the multi-copy oracle and normal form
+    read a sigma entry outside the array's copies as zero, a generator
+    assignment one image short failed with IndexError, and relabelling by a
+    map that is not a permutation merged two variables."""
     with pytest.raises(DomainError):
         call()
 
@@ -310,17 +326,32 @@ def test_verify_pbw_reduces_only_overlap_ambiguities(monkeypatch):
         rep = verify_pbw(flat_spec(n))
         assert rep.flat and rep.residual is None
         assert len(reduced) == 2 * computed
-        assert [lbl for lbl, _ in rep.direct] == [
-            (label, i, j, k) for label, i, j, k, _ in pbw_words(n)]
+        assert rep.direct.total == 2 * n ** 3 == len(pbw_words(n))
+        assert rep.system.total == 1
 
 
 def test_verify_pbw_keeps_the_first_residual():
     spec = RingSpec(2, (RatFun.one(2), RatFun.var(2, 1)))
     rep = verify_pbw(spec)
-    first = next(w for label, i, j, k, w in pbw_words(2)
-                 if ((label, i, j, k), False) in rep.direct)
+    first = next(w for *label, w in pbw_words(2)
+                 if tuple(label) == rep.direct.failures[0])
     want = normal_form(spec, first, "left") - normal_form(spec, first, "right")
     assert not want.is_zero() and rep.residual == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_pbw_failures_are_the_words_that_differ(n):
+    # every word reduced both ways, skipped ones too: the report keeps
+    # exactly the words whose two normal forms differ, in report order
+    bumped = list(flat_spec(n).sigma)
+    bumped[0] = bumped[0] + RatFun.var(n, 2)
+    spec = RingSpec(n, bumped)
+    rep = verify_pbw(spec)
+    want = [tuple(label) for *label, w in pbw_words(n)
+            if normal_form(spec, w, "left") != normal_form(spec, w, "right")]
+    assert want and rep.direct.failures == want
+    assert rep.direct.total == 2 * n ** 3
+    assert rep.system.failures == [("sigma", 1, 2)]
 
 
 def test_commutator_of_center_candidate():
@@ -376,12 +407,12 @@ def test_epsilon_antiautomorphism():
 def test_zhelobenko_polynomial_vs_rational():
     n = 2
     poly_spec = flat_spec(n, 2)
-    results = check_assignment(poly_spec, poly_spec,
-                               zhelobenko_assignment(poly_spec, 1))
-    assert all(ok for _, ok in results)
+    rep = check_assignment(poly_spec, poly_spec,
+                           zhelobenko_assignment(poly_spec, 1))
+    assert rep.passed
     rat = RingSpec(n, sigma_from_potential(RatFun.one(n) / chi(n, 1)))
-    results = check_assignment(rat, rat, zhelobenko_assignment(rat, 1))
-    assert not all(ok for _, ok in results)
+    rep = check_assignment(rat, rat, zhelobenko_assignment(rat, 1))
+    assert not rep.passed
 
 
 def test_check_assignment_relation_set():
@@ -395,14 +426,20 @@ def test_check_assignment_relation_set():
                      + [f"x{i}*d{j}" for i in idx for j in idx if i != j]
                      + [f"x{i}*d{i}" for i in idx])
         assert len(relations) == n * (n - 1) + n * n
-        results = check_assignment(spec, spec, scaling_assignment(spec, 1))
-        assert [lbl for lbl, _ in results] == weights + relations
-        assert all(ok for _, ok in results)
+        rep = check_assignment(spec, spec, scaling_assignment(spec, 1))
+        assert rep.total == 2 * n + n * (n - 1) + n * n
+        assert rep.passed
+        # swapping x^i and d_i fails every check, so its failures are all
+        # the labels, in check order
+        X = [spec.x(i) for i in idx]
+        D = [spec.d(i) for i in idx]
+        rep = check_assignment(spec, spec, GeneratorAssignment(D, X))
+        assert rep.failures == weights + relations
         # into the unscaled ring only the relations with a zero-order term
         # fail: 3 x^i d_i - 3 sum_k c_k d_k x^k maps to -2 sigma_i, not -sigma_i
-        results = check_assignment(spec, spec, scaling_assignment(spec, 3))
-        assert [lbl for lbl, ok in results if not ok] == \
-            [f"x{i}*d{i}" for i in idx]
+        rep = check_assignment(spec, spec, scaling_assignment(spec, 3))
+        assert rep.total == 2 * n + n * (n - 1) + n * n
+        assert rep.failures == [f"x{i}*d{i}" for i in idx]
 
 
 def test_check_assignment_labels_weight_failure_by_generator():
@@ -411,8 +448,7 @@ def test_check_assignment_labels_weight_failure_by_generator():
         spec = flat_spec(n)
         X = [spec.x(2)] + [spec.x(i) for i in range(2, n + 1)]
         D = [spec.d(i) for i in range(1, n + 1)]
-        results = check_assignment(spec, spec, GeneratorAssignment(X, D))
-        failed = [lbl for lbl, ok in results if not ok]
+        failed = check_assignment(spec, spec, GeneratorAssignment(X, D)).failures
         assert [lbl for lbl in failed if "*" not in lbl] == ["x1"]
         assert "x1*d1" in failed
 
@@ -422,11 +458,12 @@ def test_scaling_assignment_into_scaled_ring():
     src = flat_spec(n, 1)
     gamma = Fraction(3)
     dst = RingSpec(n, tuple(s / gamma for s in src.sigma))
-    results = check_assignment(src, dst, scaling_assignment(dst, gamma))
-    assert all(ok for _, ok in results)
+    rep = check_assignment(src, dst, scaling_assignment(dst, gamma))
+    assert rep.passed and rep.total == 2 * n + n * (n - 1) + n * n
 
 
 def test_localized_coordinates_commute():
     for n in (2, 3):
         spec = flat_spec(n)
-        assert all(ok for _, ok in localized_coordinates_commute(spec))
+        rep = localized_coordinates_commute(spec)
+        assert rep.passed and rep.total == n * (n - 1) // 2, rep.failures

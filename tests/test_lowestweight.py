@@ -35,6 +35,13 @@ def test_weight_genericity_enforced():
                                         Fraction(15, 4))
 
 
+def test_float_weight_is_refused():
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        Weight((0.1, 0.3))
+    assert Weight(("1/10", 3)).values == (Fraction(1, 10), Fraction(3))
+
+
 def test_vector_algebra():
     lam = generic_lambda(2)
     v = LWVector.vacuum(lam)

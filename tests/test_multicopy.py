@@ -226,3 +226,13 @@ def test_family_and_get_defaults():
     assert s.get(1, 1, 1) == RatFun.const(3, 4)
     empty = SigmaArray(3, 1, 1)
     assert empty.get(2, 1, 1).is_zero()
+
+
+def test_float_constant_is_refused():
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        SigmaArray.constant(2, 1, 1, 0.1)
+    with pytest.raises(TypeError):
+        SigmaArray.constant(2, 1, 2, {(1, 1): 1, (1, 2): 0.5})
+    s = SigmaArray.constant(2, 1, 1, Fraction(1, 10))
+    assert s.get(1, 1, 1) == RatFun.const(2, Fraction(1, 10))

@@ -98,11 +98,9 @@ def test_newton_style_identity():
 
 def test_chi_partial_fraction_identity_small():
     # sum_j h_j^L/chi_j vanishes for L <= n-2 and gives H_{L-n+1} above that
-    assert verify_chi_identity(2, 3)
-    assert verify_chi_identity(3, 0)
-    assert verify_chi_identity(3, 1)
-    assert verify_chi_identity(4, 2)
-    assert verify_chi_identity(4, 6)
+    for n, L in ((2, 3), (3, 0), (3, 1), (4, 2), (4, 6)):
+        rep = verify_chi_identity(n, L)
+        assert rep.passed and rep.total == 1, (n, L)
 
 
 def test_identity_sweeps_n2():
@@ -129,6 +127,16 @@ def test_checkreport_accounting():
     assert rep.total == 3
     assert rep.failures == ["b"]
     assert rep.summary() == "demo: 2/3 pass"
+
+
+def test_checkreport_has_no_truth_value():
+    # an object is true by default: `assert report` must not pass silently
+    for failures in (["f"], []):
+        rep = CheckReport("x", 1, failures)
+        with pytest.raises(TypeError):
+            bool(rep)
+        with pytest.raises(TypeError):
+            assert rep
 
 
 # the closed forms written as quotients, evaluated by division
@@ -202,7 +210,7 @@ def test_no_internal_path_factors(monkeypatch):
     assert verify_dybe(3).passed
     assert verify_skew_inverse(3).passed
     assert verify_q_identity(3).passed
-    assert verify_chi_identity(3, 4)
+    assert verify_chi_identity(3, 4).passed
 
     n = 3
     f = (RatFun.from_poly(complete_symmetric(n, 2))
