@@ -3,13 +3,16 @@ and its coefficients c_1..c_n, which are central for flat sigma.
 
 rho(t) solves Delta_j rho(t) = prod_{m != j}(1 + h_m t) sigma_j.  It has
 degree n-1 in t and is held as the list [rho_0, ..., rho_{n-1}] of its
-coefficients, each a RatFun in h, so t never enters denominators.
+coefficients, each a RatFun in h, so t never enters denominators.  The
+symmetric part of each rho_k is one polynomial, by the chi identity
+sum_j h_j^{p+n-1} / chi_j = H_p; only the pole parts of f are summed as
+RatFuns.  The closing check Delta_j rho_k = sigma_j e_k(no j) is the proof.
 """
 
 from __future__ import annotations
 
 from .ratfield import Poly, RatFun
-from .rmatrix import CheckReport, chi_inv, elementary_symmetric
+from .rmatrix import CheckReport, complete_symmetric, elementary_symmetric
 from .potential import MismatchError, sigma_from_potential, w_decompose
 from .diffring import RingSpec, commutator
 
@@ -22,21 +25,17 @@ def rho_for(f):
     """
     n = f.n
     dec = w_decompose(f, pivot=1)
-    # g_j: the part of f whose poles run along h_j, with the polynomial part
-    # re-expanded as H_L = sum_j h_j^{L+n-1} / chi_j
-    g = {j: RatFun.zero(n) for j in range(1, n + 1)}
-    for j in dec.parts:
-        g[j] = g[j] + dec.summand(j)
-    for L, c in dec.symmetric:
-        for j in range(1, n + 1):
-            g[j] = g[j] + (Poly.var(n, j) ** (L + n - 1)).scale(c) * chi_inv(n, j)
-    # rho(t) = sum_j prod_{m != j}(1 + h_m t) g_j, read off by power of t
+    # rho_k = sum_j e_k(no j) g_j, with g_j the part of f with poles along h_j.
+    # As e_k(no j) = sum_i (-h_j)^i e_{k-i}, the chi identity turns the share of
+    # c_L H_L into the polynomial sum_{i<=k} (-1)^i c_L e_{k-i} H_{L+i}
+    hs = [sum((complete_symmetric(n, L + i).scale((-1) ** i * c)
+               for L, c in dec.symmetric), Poly.zero(n)) for i in range(n)]
     rho = []
     for k in range(n):
-        r = RatFun.zero(n)
-        for j in range(1, n + 1):
-            r = r + g[j] * elementary_symmetric(n, k, skip=j)
-        rho.append(r)
+        sym = sum((elementary_symmetric(n, k - i) * hs[i] for i in range(k + 1)),
+                  Poly.zero(n))
+        rho.append(sum((dec.summand(j) * elementary_symmetric(n, k, skip=j)
+                        for j in dec.parts), RatFun.from_poly(sym)))
     sigma = sigma_from_potential(f)
     for j in range(1, n + 1):
         for k in range(n):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .central import MismatchError
 from .diffring import NormalElement, module_form
-from .ratfield import exact_coeff
+from .ratfield import exact_coeff, ring_mismatch
 
 
 class NonGenericWeight(ValueError):
@@ -91,9 +91,11 @@ class LWVector:
 
 
 def act(spec, elem, vec):
-    """Apply a ring element to a module vector."""
+    """Apply a ring element to a module vector at a weight of the same n."""
     n = spec.n
     lam = vec.weight
+    if lam.n != n:
+        raise ring_mismatch(n, lam.n)
     out = {}
     for bv, cv in vec.terms.items():
         xw = NormalElement._mono_tokens((0,) * n, bv)
@@ -110,11 +112,14 @@ def central_character(fam, weight):
     """Scalars of c_1..c_n on the lowest vector, two ways.
 
     (a) act with the elements on the vacuum;
-    (b) evaluate -rho(t)[-e_1-..-e_n] at lambda.
-    Raises MismatchError if the routes disagree; returns (acted, predicted).
+    (b) evaluate -rho(t)[-e_1-..-e_n] at lambda, i.e. -rho(t) at lambda - (1,..,1).
+    Raises DomainError at a weight of another n, MismatchError if the routes
+    disagree; returns (acted, predicted).
     """
     spec = fam.spec
     n = spec.n
+    if weight.n != n:
+        raise ring_mismatch(n, weight.n)
     vac = LWVector.vacuum(weight)
     acted = []
     for k, c in enumerate(fam.elements, start=1):
@@ -123,8 +128,7 @@ def central_character(fam, weight):
         if s is None:
             raise MismatchError(f"c_{k} does not act by a scalar on the vacuum")
         acted.append(s)
-    shift_all = tuple([-1] * n)
-    predicted = [(-r.shift(shift_all)).evaluate(weight.values) for r in fam.rho]
+    predicted = [-r.evaluate(weight.shifted([-1] * n)) for r in fam.rho]
     if acted != predicted:
         raise MismatchError(f"character routes disagree: {acted} vs {predicted}")
     return acted, predicted

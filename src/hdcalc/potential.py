@@ -139,13 +139,8 @@ class WDecomposition:
         return pk * chi_inv(n, k)
 
     def reassemble(self):
-        n = self.n
-        total = RatFun.zero(n)
-        for k in self.parts:
-            total = total + self.summand(k)
-        for L, c in self.symmetric:
-            total = total + RatFun.from_poly(complete_symmetric(n, L).scale(c))
-        return total
+        return sum((self.summand(k) for k in self.parts),
+                   RatFun.from_poly(_poly_from_sym(self.n, self.symmetric)))
 
     def __repr__(self):
         return f"WDecomposition<pivot={self.pivot}, parts={self.parts}, symmetric={self.symmetric}>"

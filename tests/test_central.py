@@ -1,13 +1,14 @@
 """Commutative family c_1..c_n and its lowest weight characters."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from hdcalc.ratfield import DomainError, Poly, RatFun
 from hdcalc import central
-from hdcalc.rmatrix import chi, complete_symmetric, elementary_symmetric
-from hdcalc.potential import NotInW
+from hdcalc.rmatrix import chi, chi_inv, complete_symmetric, elementary_symmetric
+from hdcalc.potential import NotInW, w_decompose
 from hdcalc.central import (MismatchError, central_family, verify_central,
                             character_map, rho_for)
 from hdcalc.diffring import commutator
@@ -32,11 +33,51 @@ def test_central_family_rejects_another_n():
 def test_rho_for_h1():
     # for f = H_1 the solution of Delta_j rho(t) = prod_{m != j}(1 + h_m t)
     # is rho(t) = e_1 + e_2 t + ... + e_n t^{n-1}
-    for n in (2, 3, 4):
-        rho = rho_for(Hpot(n, 1))
+    for n in (2, 3, 4, 8):
+        rho = rho_for(RatFun.from_poly(complete_symmetric(n, 1)))
         assert isinstance(rho, list) and len(rho) == n
         assert rho == [RatFun.from_poly(elementary_symmetric(n, k))
                        for k in range(1, n + 1)]
+
+
+def rho_by_reexpansion(f):
+    """rho_k = sum_j g_j e_k(no j), where g_j is the part of f with poles
+    along h_j and each c_L H_L is re-expanded as sum_j c_L h_j^{L+n-1}/chi_j."""
+    n = f.n
+    dec = w_decompose(f, pivot=1)
+    g = {j: RatFun.zero(n) for j in range(1, n + 1)}
+    for j in dec.parts:
+        g[j] = g[j] + dec.summand(j)
+    for L, c in dec.symmetric:
+        for j in range(1, n + 1):
+            g[j] = g[j] + (Poly.var(n, j) ** (L + n - 1)).scale(c) * chi_inv(n, j)
+    rho = []
+    for k in range(n):
+        r = RatFun.zero(n)
+        for j in range(1, n + 1):
+            r = r + g[j] * elementary_symmetric(n, k, skip=j)
+        rho.append(r)
+    return rho
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rho_for_matches_the_reexpansion(n):
+    # a constant H_0, two higher H_L and pole parts pi_k(h_k)/chi_k on up to
+    # two k != 1, so w_decompose(f, pivot=1) holds exactly these terms
+    rng = random.Random(n)
+    Ls = [0] + rng.sample(range(1, 4), 2)
+    f = RatFun.zero(n)
+    for L in Ls:
+        f = f + RatFun.from_poly(complete_symmetric(n, L).scale(rng.randint(-5, 5) or 1))
+    ks = rng.sample(range(2, n + 1), min(n - 1, 2))
+    for k in ks:
+        pk = Poly(n, {tuple(d if m == k else 0 for m in range(1, n + 1)):
+                      rng.randint(-3, 3) or 1 for d in range(3)})
+        f = f + pk * chi_inv(n, k)
+    dec = w_decompose(f, pivot=1)
+    assert [L for L, _ in dec.symmetric] == sorted(Ls)
+    assert sorted(dec.parts) == sorted(ks)
+    assert rho_for(f) == rho_by_reexpansion(f)
 
 
 def test_rho_for_rejects_a_wrong_sigma(monkeypatch):

@@ -19,6 +19,8 @@ from hdcalc.diffring import (RingSpec, NormalElement, normal_form, multiply,
 from hdcalc.multicopy import (SigmaArray, ambiguity_oracle, flatness_check,
                                mixed_normal_form, vcopy_normal_form)
 from hdcalc.expressions import evaluate, parse
+from hdcalc.central import central_family
+from hdcalc.lowestweight import LWVector, Weight, act, central_character
 
 
 def Hpot(n, L):
@@ -48,6 +50,10 @@ def test_generators_and_zero():
     assert spec.x(1).terms == {((0, 0), (1, 0)): RatFun.one(2)}
     assert spec.d(2).terms == {((0, 1), (0, 0)): RatFun.one(2)}
     assert spec.gamma(1) == multiply(spec, spec.d(1), spec.x(1))
+
+
+def weight3():
+    return Weight((Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)))
 
 
 def identity_images(n):
@@ -94,6 +100,8 @@ def identity_images(n):
     lambda: check_assignment(RingSpec(3), RingSpec(3),
                              GeneratorAssignment(*identity_images(2))),
     lambda: Poly(2, {(1, 1): 1}).permuted((1, 1)),
+    lambda: act(flat_spec(2), flat_spec(2).x(1), LWVector.vacuum(weight3())),
+    lambda: central_character(central_family(Hpot(2, 1)), weight3()),
 ], ids=["eps_vec-0", "eps_vec-3", "var-0", "delta-0", "diff-i-i",
         "poly-pow-neg", "x0", "d3", "short-sigma", "zhelobenko-0",
         "zhelobenko-n", "poly-add-n", "poly-mul-n", "poly-evaluate-n",
@@ -102,7 +110,7 @@ def identity_images(n):
         "oracle-budget", "mixed-x-copy", "mixed-d-copy", "mixed-index-0",
         "subst-0", "subst-above-n", "ratfun-subst-0", "degree-in-0",
         "assign-short-x", "assign-image-n", "assign-perm", "assign-src-n",
-        "permuted-not-perm"])
+        "permuted-not-perm", "act-weight-n", "character-weight-n"])
 def test_library_input_guards_raise_domain_error(call):
     """Out-of-range library input is refused also under python -O, where an
     assert is skipped: index 0 once wrapped round to n, h_i - h_i was -h_i,
@@ -110,8 +118,10 @@ def test_library_input_guards_raise_domain_error(call):
     held exponent tuples of both lengths, evaluation at a short point
     dropped the missing variables, the multi-copy oracle and normal form
     read a sigma entry outside the array's copies as zero, a generator
-    assignment one image short failed with IndexError, and relabelling by a
-    map that is not a permutation merged two variables."""
+    assignment one image short failed with IndexError, relabelling by a
+    map that is not a permutation merged two variables, and a module vector
+    or central character at a weight of another n was computed with
+    exponent tuples of the wrong length."""
     with pytest.raises(DomainError):
         call()
 
