@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import rmatrix
 from .ratfield import (RatFun, DomainError, PoleError, checked_int,
-                       reading_input)
+                       int_from_text, number_text, reading_input)
 from .diffring import RingSpec, NormalElement, multiply, \
     verify_pbw, zhelobenko_assignment, check_assignment
 from .potential import (NotFlat, NotInW, delta_system_check, w_decompose,
@@ -100,9 +100,10 @@ def _cmd_nf(args):
     else:
         if os.path.exists(args.expr):
             with open(args.expr, encoding="utf-8") as fh:
-                val = value_from_json(json.load(fh))
+                val = value_from_json(json.load(fh, parse_int=int_from_text))
         else:
-            val = value_from_json(json.loads(args.expr))
+            val = value_from_json(json.loads(args.expr,
+                                             parse_int=int_from_text))
         if args.n is not None and args.n != val.n:
             raise DomainError(f"--n {args.n} does not match input n={val.n}")
         args.n = val.n  # the input fixes n; the sigma entries must fit it
@@ -125,11 +126,13 @@ def _cmd_check_pbw(args):
     if not report.agree:
         _fail("internal: double reduction and sigma system disagree")
         return 1
+    residual = (None if report.residual is None
+                else format_value(report.residual))
     print("flat" if report.flat else "not flat")
     if not report.flat:
         _fails(report.direct.failures + report.system.failures, 5)
-        if report.residual is not None:
-            _fail(f"residual: {format_value(report.residual)}")
+        if residual is not None:
+            _fail(f"residual: {residual}")
     return 0 if report.flat else 1
 
 
@@ -156,8 +159,9 @@ def _cmd_decompose(args):
         obj = {
             "n": n,
             "pivot": dec.pivot,
-            "parts": {str(k): [str(c) for c in v] for k, v in dec.parts.items()},
-            "symmetric": [[L, str(c)] for L, c in dec.symmetric],
+            "parts": {str(k): [number_text(c) for c in v]
+                      for k, v in dec.parts.items()},
+            "symmetric": [[L, number_text(c)] for L, c in dec.symmetric],
         }
         print(json.dumps(obj, sort_keys=True))
     else:
@@ -168,10 +172,12 @@ def _cmd_decompose(args):
 def _cmd_central(args):
     spec = _ring(args)
     fam = central_family(reconstruct_potential(spec.sigma), n=spec.n)
-    for k in range(spec.n):
-        print(f"rho_{k} = {format_value(fam.rho[k], args.fmt)}")
-    for k, c in enumerate(fam.elements, start=1):
-        print(f"c_{k} = {format_value(c, args.fmt)}")
+    # every line is formatted before the first is printed
+    lines = [f"rho_{k} = {format_value(fam.rho[k], args.fmt)}"
+             for k in range(spec.n)]
+    lines += [f"c_{k} = {format_value(c, args.fmt)}"
+              for k, c in enumerate(fam.elements, start=1)]
+    print("\n".join(lines))
     return 0
 
 
@@ -194,8 +200,8 @@ def _cmd_lw_character(args):
     lam = _weight(args, spec.n)
     fam = central_family(reconstruct_potential(spec.sigma), n=spec.n)
     acted, _ = central_character(fam, lam)
-    for k, v in enumerate(acted, start=1):
-        print(f"c_{k} = {v}")
+    print("\n".join(f"c_{k} = {number_text(v)}"
+                    for k, v in enumerate(acted, start=1)))
     return 0
 
 
@@ -231,7 +237,7 @@ def _cmd_zhelobenko(args):
 
 def _cmd_flatness(args):
     with open(args.sigma_file, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=int_from_text)
     with reading_input("--copies"):
         nd, nx = (checked_int(int(v), 1) for v in args.copies.split(","))
     if isinstance(data, list):

@@ -208,26 +208,34 @@ def _rewrite(n, words, order, resolve, strategy):
 
     Returns dict: ordered generator tuple -> RatFun (no zero values)."""
     acc = {}
+    keys = {}  # generator -> order(generator)
+    left = strategy == "left"
     stack = [(RatFun.one(n), list(w)) for w in words]
     while stack:
         coeff, toks = stack.pop()
         gens = []
+        ranks = []
         svec = [0] * n
         for t in toks:
             if isinstance(t, RatFun):
-                if any(svec):
+                if gens and any(svec):
                     t = t.shift(tuple(svec))
                 coeff = coeff * t
             else:
                 gens.append(t)
+                k = keys.get(t)
+                if k is None:
+                    k = keys[t] = order(t)
+                ranks.append(k)
                 svec[t[1] - 1] += -1 if t[0] == 'x' else 1
         if coeff.is_zero():
             continue
-        pairs = range(len(gens) - 1)
-        if strategy != "left":
-            pairs = reversed(pairs)
-        idx = next((p for p in pairs if order(gens[p]) > order(gens[p + 1])),
-                   None)
+        idx = None
+        for p in (range(len(ranks) - 1) if left
+                  else range(len(ranks) - 2, -1, -1)):
+            if ranks[p] > ranks[p + 1]:
+                idx = p
+                break
         if idx is None:
             _add_term(acc, tuple(gens), coeff)
             continue

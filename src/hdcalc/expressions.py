@@ -27,7 +27,8 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .ratfield import (RatFun, DomainError, checked_int, reading_input,
+from .ratfield import (RatFun, DomainError, checked_int, int_from_text,
+                       number_text, printing_numbers, reading_input,
                        ring_mismatch)
 from .rmatrix import chi as _chi, elementary_symmetric, complete_symmetric
 from .diffring import RingSpec, NormalElement, multiply
@@ -47,7 +48,7 @@ def _tokenize(text):
                 break
             raise SyntaxError(f"column {pos + 1}: unexpected character {tail[0]!r}")
         if m.group(1):
-            out.append(("num", int(m.group(1)), m.start(1)))
+            out.append(("num", int_from_text(m.group(1)), m.start(1)))
         elif m.group(2):
             out.append(("name", (m.group(2), m.group(3)), m.start(2)))
         else:
@@ -97,10 +98,11 @@ class _Parser:
     def index(self, v):
         """int(v), an index written at the current token, which is consumed;
         v is a number token or the digits after a name, as 2 of x2."""
-        if int(v) < 1:
+        v = int_from_text(v) if isinstance(v, str) else v
+        if v < 1:
             self.fail("index must be positive")
         self.next()
-        return int(v)
+        return v
 
     # grammar
 
@@ -403,8 +405,9 @@ def _gen(st, g, i, m):
 
 def _const(st, c):
     if c.denominator == 1:
-        return str(c.numerator)
-    return st.quotient(str(c.numerator), [str(c.denominator)], 1)
+        return number_text(c.numerator)
+    return st.quotient(number_text(c.numerator),
+                       [number_text(c.denominator)], 1)
 
 
 def _term(st, c, mono):
@@ -441,7 +444,7 @@ def _ratfun(st, f):
     for (i, j, a), m in sorted(f.den.items()):
         fac = _gen(st, "h", i, 1) + st.op("-") + _gen(st, "h", j, 1)
         if a:
-            fac += st.op("+" if a > 0 else "-") + str(abs(a))
+            fac += st.op("+" if a > 0 else "-") + number_text(abs(a))
         dens.append(_pow(st, f"({fac})", m))
     return st.quotient(num, dens, len(f.num.terms))
 
@@ -521,7 +524,8 @@ def value_from_json(obj):
 def format_value(v, mode="text"):
     if mode == "json":
         import json
-        return json.dumps(value_to_json(v), sort_keys=True)
+        with printing_numbers():
+            return json.dumps(value_to_json(v), sort_keys=True)
     if mode not in _STYLES:
         raise ValueError(f"unknown format {mode!r}")
     return (_ratfun if isinstance(v, RatFun) else _element)(_STYLES[mode], v)

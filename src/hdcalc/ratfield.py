@@ -12,10 +12,14 @@ partial fractions exact and cheap.  The two kernels on such a factor are
 single passes over the term dict: Poly.mul_linfactor lifts a numerator by
 (h_i - h_j + a)^k as k passes of three shifted copies, and
 Poly.div_linfactor divides exactly by synthetic division in h_i, with no
-intermediate Poly.  Poly.subst_var_linear (h_i := h_j + a) is the one
-substitution kernel: j == i is the shift, which Poly.shift loops over, and
-RatFun.subst_var renames h_j in every denominator factor by one rule.  An
-index outside 1..n and a mix of two ring sizes raise DomainError.
+intermediate Poly.  The lift adds ints only: Fraction coefficients are
+multiplied by their common denominator L before the k passes and the result
+is divided by L once; a numerator of ints costs one type test a term.
+Poly.subst_var_linear (h_i := h_j + a) is the one substitution kernel, with
+the binomial row of each degree built once per call: j == i is the shift,
+which Poly.shift loops over, and RatFun.subst_var renames h_j in every
+denominator factor by one rule.  An index outside 1..n and a mix of two
+ring sizes raise DomainError.
 
 A RatFun is canonical: no denominator factor divides its numerator.  A
 construction that is not known to be canonical cancels: for each denominator
@@ -42,6 +46,7 @@ factor of num(f).
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
@@ -71,6 +76,35 @@ def reading_input(what):
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise DomainError(f"malformed {what}: {e!r}") from None
+
+
+def int_from_text(digits):
+    """int(digits) for an integer literal read from outside the program;
+    DomainError past the interpreter's limit on the digits of an int/str
+    conversion (sys.get_int_max_str_digits(), which is kept)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(f"an integer of {len(digits)} digits is past the"
+                          f" limit of {sys.get_int_max_str_digits()}") from None
+
+
+@contextmanager
+def printing_numbers():
+    """Report the ValueError of an int-to-str conversion past that limit, in
+    a block that prints numbers, as a DomainError."""
+    try:
+        yield
+    except ValueError:
+        raise DomainError("a number past the limit of"
+                          f" {sys.get_int_max_str_digits()} digits cannot be"
+                          " printed") from None
+
+
+def number_text(c):
+    """str(c) of an int or a Fraction; DomainError past that limit."""
+    with printing_numbers():
+        return str(c)
 
 
 def checked_int(v, lo=-inf, hi=inf):
@@ -307,6 +341,7 @@ class Poly:
         out = {}
         idx = i - 1
         jdx = j - 1
+        rows = {}  # d -> the nonzero terms (m, comb(d, m) a^(d-m)) of (h_j+a)^d
         for e, v in self.terms.items():
             d = e[idx]
             if d == 0:  # free of h_i: the term stays
@@ -316,14 +351,23 @@ class Poly:
                 else:
                     out.pop(e, None)
                 continue
-            # expand (h_j + a)^d term by term, highest power of h_j first
+            row = rows.get(d)
+            if row is None:  # highest power of h_j first
+                if a:
+                    row, b = [], 1
+                    for m in range(d, -1, -1):
+                        row.append((m, comb(d, m) * b))
+                        b *= a
+                else:  # only h_j^d is left
+                    row = ((d, 1),)
+                rows[d] = row
             base = list(e)
             base[idx] = 0
             dj = base[jdx]
-            for m in range(d, -1, -1):
+            for m, b in row:
                 base[jdx] = dj + m
                 key = tuple(base)
-                s = out.get(key, 0) + v * (comb(d, m) * a ** (d - m))
+                s = out.get(key, 0) + v * b
                 if s:
                     out[key] = s if type(s) is int else exact_coeff(s)
                 else:
@@ -352,9 +396,12 @@ class Poly:
                     continue
                 if type(c) is not int:
                     c = exact_coeff(c)
-                q = e[:idx] + (d - 1,) + e[idx + 1:]
+                b = list(e)
+                b[idx] = d - 1
+                q = tuple(b)
                 out[q] = c
-                qj = q[:jdx] + (q[jdx] + 1,) + q[jdx + 1:]
+                b[jdx] += 1
+                qj = tuple(b)
                 low[qj] = low.get(qj, 0) + c
                 if a:
                     low[q] = low.get(q, 0) - a * c
@@ -363,10 +410,19 @@ class Poly:
         return Poly(self.n, out)
 
     def mul_linfactor(self, i, j, a, k=1):
-        """self * (h_i - h_j + a)^k: k passes, each adding three shifted
-        copies of the terms (times h_i, times -h_j, times a)."""
+        """self * (h_i - h_j + a)^k, for an integer a: k passes, each adding
+        three shifted copies of the terms (times h_i, times -h_j, times a).
+        The passes add ints only: Fraction coefficients are first lifted by
+        their common denominator L, and the result is divided by L once."""
         idx, jdx = i - 1, j - 1
         terms = self.terms
+        L = 1
+        for c in terms.values():
+            if type(c) is not int:
+                L = lcm(*(c.denominator for c in terms.values()))
+                terms = {e: c.numerator * (L // c.denominator)
+                         for e, c in terms.items()}
+                break
         for _ in range(k):
             out = {}
             for e, c in terms.items():
@@ -376,8 +432,9 @@ class Poly:
                 out[ej] = out.get(ej, 0) - c
                 if a:
                     out[e] = out.get(e, 0) + a * c
-            terms = {e: c if type(c) is int else exact_coeff(c)
-                     for e, c in out.items() if c}
+            terms = {e: c for e, c in out.items() if c}
+        if L != 1:
+            terms = {e: exact_coeff(Fraction(c, L)) for e, c in terms.items()}
         return Poly(self.n, terms)
 
     def permuted(self, perm):
@@ -513,9 +570,11 @@ def _may_vanish(num, i, j, a):
             if d % _P == 0:
                 return True
             v = c.numerator * pow(d, -1, _P)
-        for pows, k in zip(tables, e):
+        p = 0
+        for k in e:
             if k:
-                v *= pows[k]
+                v *= tables[p][k]
+            p += 1
         total += v
     return total % _P == 0
 
@@ -582,10 +641,12 @@ class RatFun:
 
     def _cancel(self):
         # The result goes to a fresh dict: the caller may still hold `den`.
-        if self.num.is_zero():
+        num = self.num
+        terms = num.terms
+        if not terms:
             self.den = {}
             return
-        if self.num.is_const():
+        if len(terms) == 1 and (0,) * num.n in terms:
             # no linear factor divides a nonzero constant
             self.den = dict(self.den)
             return
@@ -595,14 +656,14 @@ class RatFun:
         for fac, m in self.den.items():
             i, j, a = fac
             # h_i - h_j + a divides num iff num vanishes at h_i := h_j - a
-            while (m > 0 and _may_vanish(self.num, i, j, a)
-                   and self.num.subst_var_linear(i, j, -a).is_zero()):
-                q = self.num.div_linfactor(i, j, a)
-                assert q is not None
-                self.num = q
+            while (m > 0 and _may_vanish(num, i, j, a)
+                   and num.subst_var_linear(i, j, -a).is_zero()):
+                num = num.div_linfactor(i, j, a)
+                assert num is not None
                 m -= 1
             if m:
                 den[fac] = m
+        self.num = num
         self.den = den
 
     # -- predicates
@@ -645,21 +706,22 @@ class RatFun:
         return other
 
     def __add__(self, other):
-        other = self._coerce(other)
         if not isinstance(other, RatFun):
-            return NotImplemented
-        if self.n != other.n:
-            raise ring_mismatch(self.n, other.n)
-        if other.is_zero():
+            other = self._coerce(other)
+            if not isinstance(other, RatFun):
+                return NotImplemented
+        num1, num2 = self.num, other.num
+        n = num1.n
+        if n != num2.n:
+            raise ring_mismatch(n, num2.n)
+        if not num2.terms:
             return self
-        if self.is_zero():
+        if not num1.terms:
             return other
         # Lift both to the lcm of the denominators.  Only a factor F with the
         # same power in both can cancel: for a = p/F^m and b = q/F^k with
         # m > k the sum is (p + q F^(m-k))/F^m, and F does not divide p.
-        n = self.n
         den_a, den_b = self.den, other.den
-        num1, num2 = self.num, other.num
         den = dict(den_a)
         same = {}
         for fac, m in den_b.items():
@@ -695,18 +757,22 @@ class RatFun:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
         if not isinstance(other, RatFun):
-            return NotImplemented
-        if self.n != other.n:
-            raise ring_mismatch(self.n, other.n)
+            other = self._coerce(other)
+            if not isinstance(other, RatFun):
+                return NotImplemented
+        n = self.num.n
+        if n != other.num.n:
+            raise ring_mismatch(n, other.num.n)
         a, b = self, other
-        if a.is_zero() or b.is_zero():
-            return RatFun.zero(a.n)
-        if a.is_const():
-            a, b = b, a
-        if b.is_const():
-            c = b.num.const_value()
+        ta, tb = a.num.terms, b.num.terms
+        if not ta or not tb:
+            return RatFun.zero(n)
+        # a constant has no denominator and one term, of exponent 0
+        if not a.den and len(ta) == 1 and (0,) * n in ta:
+            a, b, tb = b, a, ta
+        if not b.den and len(tb) == 1 and (0,) * n in tb:
+            [c] = tb.values()
             return a if c == 1 else RatFun(a.num.scale(c), dict(a.den), _canonical=True)
         # A factor in both denominators divides neither numerator.  One in
         # den(a) alone can divide only num(b), and one in den(b) alone only

@@ -289,12 +289,18 @@ def test_usage_errors(capsys):
 
 
 _ONE = {"num": [[[0, 0], "1/1"]], "den": []}
+# an integer literal past the interpreter's int/str limit of 4,300 digits;
+# json.dumps cannot write it, so the JSON texts holding it are spliced
+_LONG = "7" * 5000
+_LONG_EXPONENT = '{"num": [[[%s, 0], "1/1"]], "den": []}' % _LONG
 _SIGMAS = {
     "not-json": "not json",
     "no-n": json.dumps({"copies": [1, 1], "entries": []}),
     "i-above-n": json.dumps({"n": 2, "copies": [1, 1], "entries": [
         {"i": 3, "alpha": 1, "beta": 1, "value": _ONE}]}),
     "fits": json.dumps({"n": 2, "copies": [1, 1], "entries": []}),
+    "long-exponent": '{"n": 2, "copies": [1, 1], "entries": [{"i": 1,'
+                     ' "alpha": 1, "beta": 1, "value": %s}]}' % _LONG_EXPONENT,
 }
 
 
@@ -319,11 +325,26 @@ def _element(d, coeff=_ONE):
     ["flatness", "-n", "3", "--copies", "1,1", "--sigma-file", "fits"],
     ["lw-eval", "x1", "-n", "2", "--lambda", "a;b"],
     ["solve-potential", "-n", "3", "--sigmas", "1;1"],
+    ["nf", "2^100000", "-n", "1"],
+    ["nf", "2^20000", "-n", "1", "--format", "json"],
+    ["nf", "2^20000", "-n", "1", "--format", "latex"],
+    ["nf", _LONG, "-n", "1"],
+    ["nf", '{"n":%s,"terms":[]}' % _LONG, "--in", "json"],
+    ["nf", '{"n": 2, "terms": [{"d": [0, 0], "x": [0, 0], "coeff": %s}]}'
+     % _LONG_EXPONENT, "--in", "json"],
+    ["flatness", "-n", "2", "--copies", "1,1", "--sigma-file",
+     "long-exponent"],
+    ["central", "-n", "2", "--potential", "H(1) + 2^20000*H(2)"],
+    ["lw-character", "-n", "2", "--potential", "2^20000*H(1)",
+     "--lambda", "1/3;1/5"],
 ], ids=["nf-not-json", "nf-no-num", "nf-list", "nf-d-too-long",
         "nf-negative-d", "nf-coeff-exponents-too-long", "flatness-not-json",
         "flatness-no-n", "flatness-i-above-n", "copies-not-ints",
         "copies-three", "flatness-n-3-file-n-2", "lambda-not-rational",
-        "sigma-count"])
+        "sigma-count", "print-long-text", "print-long-json",
+        "print-long-latex", "long-literal", "json-long-n",
+        "json-long-exponent", "sigma-file-long-exponent",
+        "central-long-line", "lw-character-long-line"])
 def test_malformed_outside_input_is_usage_error(tmp_path, capsys, argv):
     argv = list(argv)
     if "--sigma-file" in argv:

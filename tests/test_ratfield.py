@@ -1,6 +1,9 @@
 """Exact polynomial / rational-function layer, cross-checked against sympy."""
 
+import importlib.util
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import example, given, settings, assume, strategies as st
 
 from hdcalc.ratfield import (Poly, RatFun, DomainError, PoleError,
                              partial_fractions, factor_linfactors, rank_exact,
-                             eps_vec, canon_factor, _P, _point, _may_vanish)
+                             eps_vec, canon_factor, exact_coeff, _P, _point,
+                             _may_vanish)
 
 
 def sym_vars(n):
@@ -738,3 +742,88 @@ def test_cancellation_work_counts(monkeypatch):
     # also reduced all 16 ambiguity words at n=2, not just the 4 overlaps)
     assert calls["div_linfactor"] == 142
     assert calls["may_vanish"] <= 302
+
+
+def _layer_ops():
+    """The code objects of the RatFun and Poly methods that the benchmark's
+    tracer (perfbench/tracer.py) records as spans."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    classes = {"RatFun": RatFun, "Poly": Poly}
+    return {getattr(classes[c], m).__code__: f"{c}.{m}"
+            for c, methods in tracer.LAYER_METHODS.items() for m in methods}
+
+
+def test_divisions_and_divisibility_tests_run_inside_ratfun_init(monkeypatch):
+    """Every exact division and every divisibility test (a substitution
+    h_i := h_j - a with j != i) of two verifications runs inside
+    RatFun.__init__, with no other recorded RatFun or Poly operation in
+    between.  The tracer counts `ratfield.divisions` and
+    `ratfield.divisibility_tests` as exactly those calls, so a cancellation
+    reached another way would read 0 there."""
+    from hdcalc import diffring, rmatrix
+    from hdcalc.diffring import RingSpec, verify_pbw
+
+    for obj in list(vars(rmatrix).values()) + list(vars(diffring).values()):
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    ops = _layer_ops()
+    parents = {"div_linfactor": [], "subst_var_linear": []}
+
+    def caller_op():
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code not in ops:
+            frame = frame.f_back
+        return None if frame is None else ops[frame.f_code]
+
+    div_linfactor, subst_var_linear = Poly.div_linfactor, Poly.subst_var_linear
+
+    def recorded_div(self, i, j, a):
+        parents["div_linfactor"].append(caller_op())
+        return div_linfactor(self, i, j, a)
+
+    def recorded_subst(self, i, j, a):
+        if j != i:
+            parents["subst_var_linear"].append(caller_op())
+        return subst_var_linear(self, i, j, a)
+
+    monkeypatch.setattr(Poly, "div_linfactor", recorded_div)
+    monkeypatch.setattr(Poly, "subst_var_linear", recorded_subst)
+    n = 2
+    assert verify_pbw(RingSpec(n, (RatFun.one(n), RatFun.one(n)))).flat
+    assert rmatrix.verify_dybe(3).passed
+    for name, seen in parents.items():
+        assert seen, name
+        assert set(seen) == {"RatFun.__init__"}, name
+
+
+_NEAR_P = st.sampled_from([_P, 2 * _P, 3 * _P])
+
+
+@st.composite
+def _poly_and_factor(draw):
+    """A polynomial at n = 2..4 with exponents up to 3 and int or Fraction
+    coefficients, some with a denominator that _P divides, and a factor
+    h_i - h_j + a with i != j."""
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), _NEAR_P))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    p = Poly(n, {e: exact_coeff(c) for e, c in terms.items() if c})
+    i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                         unique=True))
+    return p, i, j, draw(st.integers(-4, 4))
+
+
+@settings(max_examples=300)
+@given(_poly_and_factor())
+def test_may_vanish_never_rejects_a_multiple_of_the_factor(case):
+    """The pre-filter's False is a proof: on p * (h_i - h_j + a) it answers
+    True for every p."""
+    p, i, j, a = case
+    assert _may_vanish(p * Poly.diff(p.n, i, j, a), i, j, a)
