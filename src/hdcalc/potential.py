@@ -8,9 +8,10 @@ its closing check Delta_i f = sigma_i is the proof.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .ratfield import (Poly, RatFun, check_index, eps_vec, partial_fractions,
-                       ring_mismatch)
+from .ratfield import (Poly, RatFun, check_index, eps_vec, lcm_lift,
+                       partial_fractions, ring_mismatch)
 from .rmatrix import chi_inv, complete_symmetric
 
 
@@ -45,14 +46,28 @@ def sigma_from_potential(f, n=None):
 def sigma_system_check(sigma):
     """h_ij * Delta_j sigma_i = sigma_i - sigma_j for all i, j.
 
+    Each equation is decided as one numerator identity, with nothing
+    cancelled: (h_ij - 1) sigma_i + sigma_j = h_ij sigma_i[-e_j], both
+    sides lifted to the lcm of their denominators.
     Returns (ok, failing_pair_or_None)."""
     n = len(sigma)
+    # each equation is linear in sigma, so one constant factor on every
+    # sigma_i keeps its truth: clearing the coefficient denominators lets
+    # the lifts add ints only
+    L = lcm(*(c.denominator for f in sigma for c in f.num.terms.values()))
+    if L != 1:
+        sigma = [f * L for f in sigma]
     for i in range(1, n + 1):
+        s = sigma[i - 1]
         for j in range(1, n + 1):
             if i == j:
                 continue
-            lhs = RatFun.from_poly(Poly.diff(n, i, j)) * sigma[i - 1].delta(j)
-            if not (lhs - sigma[i - 1] + sigma[j - 1]).is_zero():
+            t, shifted = sigma[j - 1], s.shift(eps_vec(n, j, -1))
+            p, q, den, _ = lcm_lift(Poly.diff(n, i, j, -1) * s.num, s.den,
+                                    t.num, t.den)
+            p, q, _, _ = lcm_lift(p + q, den,
+                                  Poly.diff(n, i, j) * shifted.num, shifted.den)
+            if p != q:
                 return False, (i, j)
     return True, None
 

@@ -34,10 +34,14 @@ operands are canonical and distinct factors are coprime, so in a * b a
 factor of den(a) alone can only divide num(b), and one of den(b) alone only
 num(a); each numerator is cancelled against those before the product, and a
 factor of both denominators is not tested.  In a + b only a factor with the
-same power in both denominators can divide the lifted sum.  A product with
-a constant and a sum with zero are canonical as they stand.  Cancelling a
-nonzero constant numerator tests nothing, since no linear factor divides
-it; so RatFun.build, which often has one, needs no case of its own.
+same power in both denominators can divide the lifted sum.  The lift to the
+lcm of two denominators is one function, lcm_lift, which cancels nothing;
+the R-matrix sweeps and the sigma system use it to decide an equality as
+one numerator identity.  A product with a constant and a sum with zero are
+canonical as they stand.  Cancelling a one-term numerator tests nothing,
+since no linear factor h_i - h_j + a divides a nonzero monomial; so
+RatFun.build, which often has a constant numerator, needs no case of its
+own.
 Powers and inverses are canonical as they stand: a linear factor is
 prime, so one that does not divide num does not divide num^k, and the
 numerator of 1/f is built from the factors of den(f), none of which is a
@@ -521,6 +525,31 @@ def _add_factor(den, i, j, a, m):
     return -1 if s < 0 and m % 2 else 1
 
 
+def lcm_lift(p, dp, q, dq):
+    """Lift p/dp and q/dq, numerator Polys over factor dicts, to the lcm of
+    the two denominators, cancelling nothing: returns (p', q', den, same)
+    with p/dp = p'/den and q/dq = q'/den, and same mapping each factor of
+    equal power in dp and dq to that power.  The lift is exact for any
+    pair; as den is a nonzero product of linear factors, p/dp = q/dq iff
+    p' == q'.  When both pairs are canonical only a factor in same can
+    divide p' + q': for a = p/F^m and b = q/F^k with m > k the sum is
+    (p + q F^(m-k))/F^m, and F does not divide p."""
+    den = dict(dp)
+    same = {}
+    for fac, m in dq.items():
+        k = dp.get(fac, 0)
+        if k == m:
+            same[fac] = m
+        elif k < m:
+            den[fac] = m
+            p = p.mul_linfactor(*fac, m - k)
+    for fac, k in dp.items():
+        extra = k - dq.get(fac, 0)
+        if extra > 0:
+            q = q.mul_linfactor(*fac, extra)
+    return p, q, den, same
+
+
 # Pre-filter for the divisibility test in RatFun._cancel.  If the factor
 # h_i - h_j + a divides num over Q, num vanishes at every integer point with
 # h_i = h_j - a, hence so does its value reduced mod a prime P that divides
@@ -646,8 +675,8 @@ class RatFun:
         if not terms:
             self.den = {}
             return
-        if len(terms) == 1 and (0,) * num.n in terms:
-            # no linear factor divides a nonzero constant
+        if len(terms) == 1:
+            # no linear factor h_i - h_j + a divides a nonzero monomial
             self.den = dict(self.den)
             return
         # Distinct factors are coprime, so a factor that does not divide num
@@ -718,23 +747,8 @@ class RatFun:
             return self
         if not num1.terms:
             return other
-        # Lift both to the lcm of the denominators.  Only a factor F with the
-        # same power in both can cancel: for a = p/F^m and b = q/F^k with
-        # m > k the sum is (p + q F^(m-k))/F^m, and F does not divide p.
-        den_a, den_b = self.den, other.den
-        den = dict(den_a)
-        same = {}
-        for fac, m in den_b.items():
-            k = den_a.get(fac, 0)
-            if k == m:
-                same[fac] = m
-            elif k < m:
-                den[fac] = m
-                num1 = num1.mul_linfactor(*fac, m - k)
-        for fac, k in den_a.items():
-            extra = k - den_b.get(fac, 0)
-            if extra > 0:
-                num2 = num2.mul_linfactor(*fac, extra)
+        # only a factor with the same power in both denominators can cancel
+        num1, num2, den, same = lcm_lift(num1, self.den, num2, other.den)
         num = num1 + num2
         if num.is_zero():
             return RatFun.zero(n)

@@ -13,7 +13,15 @@ by visiting only the ice-rule support of each factor, and one loop
 (`_sweep`) compares the keys found in either row.  Every other lower tuple
 is an empty sum on both sides, 0 = 0, and is counted as a pass without
 being visited.  `verify_ice` stays exhaustive, and is the independent check
-of the support rule that the rows rely on.
+of the support rule that the rows rely on.  A row entry is an uncancelled
+(numerator Poly, denominator dict) pair, as its value is only compared:
+R factors multiply numerators and add denominator powers, each Psi * R
+product stays a canonical RatFun (Psi's numerators share factors with R's
+denominators, which left in make the sums far larger), sums are lifted to
+the lcm of the denominators by ratfield.lcm_lift, and one numerator
+identity decides each compared tuple: lhs and rhs lifted to the lcm of
+their denominators, a nonzero product of linear factors, have equal
+numerators.  No pair leaves this module.
 
 Every quotient here (components, phi, Q^+-, 1/chi) has a denominator known
 as a product of shifted differences, so it is built from those factors with
@@ -26,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .ratfield import Poly, RatFun, eps_vec
+from .ratfield import Poly, RatFun, eps_vec, lcm_lift
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +220,28 @@ class CheckReport:
 # verifiers
 
 
+def _pair(f):
+    """A RatFun as a row entry: its (numerator, denominator) pair."""
+    return f.num, f.den
+
+
+def _add_pairs(x, y):
+    """The sum of two row entries over the lcm of their denominators."""
+    p, q, den, _ = lcm_lift(*x, *y)
+    return p + q, den
+
+
 def _times_r(n, row, s, t, u=None):
     """A sparse row times R acting on slots s, t (0-based) of its tuples.
 
-    row maps index tuples to values.  Each entry row[x] is spread over the
-    tuples y that equal x off slots s, t and have (y_s, y_t) on the ice-rule
-    support of R^{x_s x_t}, with the factor R^{x_s x_t}_{y_s y_t}, shifted
-    by -e_{x_u} when slot u is given."""
+    row maps index tuples to uncancelled (numerator, denominator) pairs.
+    Each entry row[x] is spread over the tuples y that equal x off slots
+    s, t and have (y_s, y_t) on the ice-rule support of R^{x_s x_t}, times
+    the factor R^{x_s x_t}_{y_s y_t}, shifted by -e_{x_u} when slot u is
+    given: numerators multiply and denominator powers add."""
     out = {}
-    for x, v in row.items():
+    one = {(0,) * n: 1}
+    for x, (num, den) in row.items():
         svec = None if u is None else eps_vec(n, x[u], -1)
         for c, d in _nonzero_lower(x[s], x[t]):
             if svec is None:
@@ -230,8 +251,15 @@ def _times_r(n, row, s, t, u=None):
             y = list(x)
             y[s], y[t] = c, d
             y = tuple(y)
-            term = v * r
-            out[y] = out[y] + term if y in out else term
+            if r.den:
+                yden = dict(den)
+                for fac, m in r.den.items():
+                    yden[fac] = yden.get(fac, 0) + m
+                term = num * r.num, yden
+            else:
+                # a factor 1 (R^{ii}_{ii}, R^{ij}_{ji} for i > j) is skipped
+                term = (num if r.num.terms == one else num * r.num), den
+            out[y] = _add_pairs(out[y], term) if y in out else term
     return out
 
 
@@ -240,14 +268,17 @@ def _sweep(name, n, arity, sides):
     `arity` indices in 1..n, with failures in `product` order.
 
     sides(n, *upper) gives both sides for every lower tuple at once, as
-    sparse rows {lower: value}.  Only keys found in either row are compared;
-    every other tuple is 0 = 0, a pass that is counted but not visited."""
+    sparse rows {lower: (numerator, denominator)}, uncancelled.  Only keys
+    found in either row are compared, each by one numerator identity: both
+    sides lifted to the lcm of their denominators have equal numerators.
+    Every other tuple is 0 = 0, a pass that is counted but not visited."""
     failures = []
-    zero = RatFun.zero(n)
+    zero = (Poly.zero(n), {})
     for upper in product(range(1, n + 1), repeat=arity):
         lhs, rhs = sides(n, *upper)
         for lower in sorted(lhs.keys() | rhs.keys()):
-            if lhs.get(lower, zero) != rhs.get(lower, zero):
+            p, q, _, _ = lcm_lift(*lhs.get(lower, zero), *rhs.get(lower, zero))
+            if p != q:
                 failures.append(upper + lower)
     return CheckReport(f"{name} n={n}", n ** (2 * arity), failures)
 
@@ -257,8 +288,10 @@ def _dybe_rows(n, i, j, k):
     rows {(m, p, r): value}.  Each is the unit row at (i, j, k) times three
     factors; the unit row times the first factor is that factor's row."""
     si = eps_vec(n, i, -1)
-    lhs = {(a, b, k): r_component(n, i, j, a, b) for a, b in _nonzero_lower(i, j)}
-    rhs = {(i, a, b): r_shifted(n, j, k, a, b, si) for a, b in _nonzero_lower(j, k)}
+    lhs = {(a, b, k): _pair(r_component(n, i, j, a, b))
+           for a, b in _nonzero_lower(i, j)}
+    rhs = {(i, a, b): _pair(r_shifted(n, j, k, a, b, si))
+           for a, b in _nonzero_lower(j, k)}
     return (_times_r(n, _times_r(n, lhs, 1, 2, 0), 0, 1),
             _times_r(n, _times_r(n, rhs, 0, 1), 1, 2, 0))
 
@@ -280,8 +313,8 @@ def verify_dybe(n):
 def _r_squared_rows(n, i, j):
     """Both sides of R^2 = 1 for upper indices (i, j), as sparse rows
     {(k, l): value}: R's row at (i, j) times R, and the unit row."""
-    row = {(a, b): r_component(n, i, j, a, b) for a, b in _nonzero_lower(i, j)}
-    return _times_r(n, row, 0, 1), {(i, j): RatFun.one(n)}
+    row = {(a, b): _pair(r_component(n, i, j, a, b)) for a, b in _nonzero_lower(i, j)}
+    return _times_r(n, row, 0, 1), {(i, j): (Poly.const(n, 1), {})}
 
 
 def verify_r_squared(n):
@@ -317,7 +350,9 @@ def _skew_rows(n, i, j):
     """Both sides of the skew-inverse identity for upper indices (i, j), as
     sparse rows {(m, p): value}: the sums over k, l of
     Psi^{ik}_{jl} R^{ml}_{pk}[e_m], each factor visited only on its
-    ice-rule support, and the unit row at (j, i)."""
+    ice-rule support, and the unit row at (j, i).  Each product is
+    canonical, as Psi's numerators share factors with R's denominators;
+    the sums are not cancelled."""
     out = {}
     for k in range(1, n + 1):
         for a, l in _nonzero_lower(i, k):
@@ -328,9 +363,9 @@ def _skew_rows(n, i, j):
                 for p, b in _nonzero_lower(m, l):
                     if b != k:
                         continue
-                    term = v * r_shifted(n, m, l, p, k, eps_vec(n, m))
-                    out[m, p] = out[m, p] + term if (m, p) in out else term
-    return out, {(j, i): RatFun.one(n)}
+                    term = _pair(v * r_shifted(n, m, l, p, k, eps_vec(n, m)))
+                    out[m, p] = _add_pairs(out[m, p], term) if (m, p) in out else term
+    return out, {(j, i): (Poly.const(n, 1), {})}
 
 
 def verify_skew_inverse(n):

@@ -77,6 +77,41 @@ def test_sigma_system_accepts_gradients_rejects_perturbations():
         assert not ok and pair is not None
 
 
+def _sigma_system_by_subtraction(sigma):
+    """The sigma system in RatFun arithmetic, each equation cancelled."""
+    n = len(sigma)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                lhs = RatFun.from_poly(Poly.diff(n, i, j)) * sigma[i - 1].delta(j)
+                if not (lhs - sigma[i - 1] + sigma[j - 1]).is_zero():
+                    return False, (i, j)
+    return True, None
+
+
+def test_sigma_system_on_fraction_coefficients_matches_subtraction():
+    rng = random.Random(12)
+    n = 3
+    bumps = (RatFun.var(n, 2) * Fraction(1, 3),
+             RatFun.inverse_diff(n, 1, 2) * Fraction(-2, 5),
+             RatFun.inverse_diff(n, 2, 3, 1) * RatFun.var(n, 1) * Fraction(3, 7))
+    failed = 0
+    for _ in range(6):
+        f = RatFun.zero(n)
+        for L in range(1, 4):
+            f = f + Hpot(n, L) * Fraction(rng.randrange(-3, 4), rng.randrange(1, 6))
+        f = f + pole_part(n, rng.randrange(2, n + 1),
+                          [Fraction(rng.randrange(-2, 3), rng.randrange(1, 4))
+                           for _ in range(3)])
+        sig = list(sigma_from_potential(f))
+        assert sigma_system_check(sig) == (True, None)
+        sig[rng.randrange(n)] += rng.choice(bumps)
+        want = _sigma_system_by_subtraction(sig)
+        assert sigma_system_check(sig) == want
+        failed += not want[0]
+    assert failed == 6
+
+
 def test_delta_system_membership():
     n = 3
     assert delta_system_check(Hpot(n, 2))[0]

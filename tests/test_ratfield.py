@@ -10,10 +10,11 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, assume, strategies as st
 
+from hdcalc import ratfield
 from hdcalc.ratfield import (Poly, RatFun, DomainError, PoleError,
                              partial_fractions, factor_linfactors, rank_exact,
-                             eps_vec, canon_factor, exact_coeff, _P, _point,
-                             _may_vanish)
+                             eps_vec, canon_factor, exact_coeff, lcm_lift, _P,
+                             _point, _may_vanish)
 
 
 def sym_vars(n):
@@ -152,6 +153,83 @@ def test_cancel_with_coefficient_denominator_divisible_by_prime():
     f = RatFun(Poly.diff(n, 1, 2) ** 2 * rest, {(1, 2, 0): 3, (1, 2, 1): 1})
     assert f.num == rest
     assert f.den == {(1, 2, 0): 1, (1, 2, 1): 1}
+
+
+def _cancel_by_substitution(num, den):
+    """Cancel num / den with no pre-filter and no shortcut: divide by each
+    factor while the substitution h_i := h_j - a sends num to zero."""
+    out = {}
+    for (i, j, a), m in den.items():
+        while m and num.subst_var_linear(i, j, -a).is_zero():
+            num = num.div_linfactor(i, j, a)
+            m -= 1
+        if m:
+            out[(i, j, a)] = m
+    return num, out
+
+
+def test_one_term_numerator_makes_no_divisibility_test(monkeypatch):
+    # no linear factor h_i - h_j + a divides a nonzero monomial
+    calls = [0]
+    may_vanish = ratfield._may_vanish
+
+    def counted(*args):
+        calls[0] += 1
+        return may_vanish(*args)
+
+    monkeypatch.setattr(ratfield, "_may_vanish", counted)
+    den = {(1, 2, 0): 2, (1, 3, -1): 1, (2, 3, 4): 3}
+    for c in (1, -7, Fraction(3, 5)):
+        for e in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (0, 3, 1), (4, 4, 4)):
+            num = Poly(3, {e: c})
+            f = RatFun(num, den)
+            assert (f.num, f.den) == _cancel_by_substitution(num, den)
+            assert f.den is not den
+    assert calls[0] == 0
+
+
+def _uncancelled(rng, f):
+    """f as a pair (num * F^k, den * F^k) over random extra factors F."""
+    num, den = f.num, dict(f.den)
+    for fac in _POOL:
+        k = rng.randrange(3)
+        if k:
+            num = num.mul_linfactor(*fac, k)
+            den[fac] = den.get(fac, 0) + k
+    return num, den
+
+
+def test_lcm_lift_decides_equality_as_subtraction_does():
+    rng = random.Random(41)
+    n = 3
+    coeffs = (1, -2, Fraction(1, 3), Fraction(-5, 7))
+    extras = (Poly.var(n, 1) + Poly.var(n, 3), Poly.diff(n, 2, 3, 2),
+              Poly.var(n, 1) * Poly.var(n, 2) + Poly.const(n, Fraction(1, 2)))
+
+    def canonical():
+        num = rng.choice(extras).scale(rng.choice(coeffs))
+        den = {}
+        for fac in _POOL:
+            num = num * Poly.diff(n, *fac) ** rng.randrange(2)
+            if rng.randrange(2):
+                den[fac] = rng.randrange(1, 3)
+        return RatFun(num, den)
+
+    equal = 0
+    for _ in range(200):
+        f = canonical()
+        g = rng.choice((f, canonical(), f + RatFun.inverse_diff(n, 1, 2)))
+        x, y = _uncancelled(rng, f), _uncancelled(rng, g)
+        p, q, den, _ = lcm_lift(*x, *y)
+        assert RatFun(p, den) == f and RatFun(q, den) == g
+        assert (p == q) == (f - g).is_zero()
+        equal += p == q
+    assert 0 < equal < 200
+    # (h1 - h2 - 1)(h1 - h2 + 1) / (h1 - h2 - 1) against h1 - h2 + 1
+    plus = Poly.diff(2, 1, 2, 1)
+    p, q, den, _ = lcm_lift(Poly.diff(2, 1, 2, -1) * plus, {(1, 2, -1): 1},
+                           plus, {})
+    assert p == q and den == {(1, 2, -1): 1}
 
 
 @st.composite
@@ -737,10 +815,11 @@ def test_cancellation_work_counts(monkeypatch):
     n = 2
     assert verify_pbw(RingSpec(n, (RatFun.one(n), RatFun.one(n)))).flat
     assert rmatrix.verify_dybe(3).passed
-    # 142 since verify_dybe shares each partial product between the tuples
-    # it feeds (148 when each tuple recomputed its own; 172 when verify_pbw
-    # also reduced all 16 ambiguity words at n=2, not just the 4 overlaps)
-    assert calls["div_linfactor"] == 142
+    # 16 since verify_dybe decides each tuple by one numerator identity and
+    # cancels nothing (142 when its rows held canonical values; 148 when each
+    # tuple recomputed its own; 172 when verify_pbw also reduced all 16
+    # ambiguity words at n=2, not just the 4 overlaps)
+    assert calls["div_linfactor"] == 16
     assert calls["may_vanish"] <= 302
 
 

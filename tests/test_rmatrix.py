@@ -306,15 +306,17 @@ def _dense_skew(n, i, j, m, p):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_r_squared_and_skew_rows_match_the_dense_sums(n):
+    # a row entry is an uncancelled (numerator, denominator) pair
     idx = range(1, n + 1)
-    zero = RatFun.zero(n)
+    zero = (Poly.zero(n), {})
     for rows, dense in ((rmatrix._r_squared_rows, _dense_r_squared),
                         (rmatrix._skew_rows, _dense_skew)):
         for upper in product(idx, repeat=2):
             lhs, _ = rows(n, *upper)
             for lower in product(idx, repeat=2):
-                assert lhs.get(lower, zero) == dense(n, *upper, *lower), (
-                    rows.__name__, upper + lower)
+                got = RatFun(*lhs.get(lower, zero))
+                assert got == dense(n, *upper, *lower), (rows.__name__,
+                                                         upper + lower)
 
 
 @pytest.mark.parametrize("n, dybe, quartic", [(2, 20, 6), (3, 93, 15),
@@ -408,12 +410,13 @@ def _dense_dybe_sides(n, i, j, k, m, p, r):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_dybe_rows_match_the_dense_sums(n):
+    # a row entry is an uncancelled (numerator, denominator) pair
     idx = range(1, n + 1)
-    zero = RatFun.zero(n)
+    zero = (Poly.zero(n), {})
     for upper in product(idx, repeat=3):
         lhs, rhs = rmatrix._dybe_rows(n, *upper)
         for lower in product(idx, repeat=3):
-            got = (lhs.get(lower, zero), rhs.get(lower, zero))
+            got = (RatFun(*lhs.get(lower, zero)), RatFun(*rhs.get(lower, zero)))
             assert got == _dense_dybe_sides(n, *upper, *lower), upper + lower
 
 
@@ -446,20 +449,29 @@ def test_dybe_failures_match_the_dense_oracle(monkeypatch):
 
 
 def test_dybe_shares_partial_products(monkeypatch):
-    # 1,408 products when each tuple summed its own triple products
-    r_component.cache_clear()
-    r_shifted.cache_clear()
+    # the numerator products that _times_r makes, with every component
+    # already built; 1,408 products when each tuple summed its own triple
+    # products
+    assert verify_dybe(4).passed
     calls = [0]
-    mul = RatFun.__mul__
+    inside = [False]
+    times_r, mul = rmatrix._times_r, Poly.__mul__
 
-    def counted(*args):
-        calls[0] += 1
+    def counted_times_r(*args):
+        inside[0] = True
+        try:
+            return times_r(*args)
+        finally:
+            inside[0] = False
+
+    def counted_mul(*args):
+        calls[0] += inside[0]
         return mul(*args)
 
-    monkeypatch.setattr(RatFun, "__mul__", counted)
-    monkeypatch.setattr(RatFun, "__rmul__", counted)
+    monkeypatch.setattr(rmatrix, "_times_r", counted_times_r)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
     assert verify_dybe(4).passed
-    assert calls[0] <= 1096
+    assert 0 < calls[0] <= 1096
 
 
 def test_dybe_sweep_memory_does_not_grow_with_its_tuples():
