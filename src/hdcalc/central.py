@@ -11,7 +11,7 @@ RatFuns.  The closing check Delta_j rho_k = sigma_j e_k(no j) is the proof.
 
 from __future__ import annotations
 
-from .ratfield import Poly, RatFun
+from .ratfield import Poly, RatFun, clear_denominators
 from .rmatrix import CheckReport, complete_symmetric, elementary_symmetric
 from .potential import MismatchError, sigma_from_potential, w_decompose
 from .diffring import RingSpec, commutator
@@ -36,10 +36,12 @@ def rho_for(f):
                   Poly.zero(n))
         rho.append(sum((dec.summand(j) * elementary_symmetric(n, k, skip=j)
                         for j in dec.parts), RatFun.from_poly(sym)))
-    sigma = sigma_from_potential(f)
+    # the closing check is linear in (rho, sigma): one L clears both
+    scaled = clear_denominators(rho + list(sigma_from_potential(f)))
+    r, sigma = scaled[:n], scaled[n:]
     for j in range(1, n + 1):
         for k in range(n):
-            if rho[k].delta(j) != sigma[j - 1] * elementary_symmetric(n, k, skip=j):
+            if r[k].delta(j) != sigma[j - 1] * elementary_symmetric(n, k, skip=j):
                 raise MismatchError(
                     f"rho_{k} fails its difference equation at j={j}")
     return rho

@@ -13,6 +13,7 @@ its multi-copy form in `multicopy`: there the tokens carry a copy tag,
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -433,38 +434,57 @@ class PBWReport:
         return self.direct.passed and self.system.passed
 
 
-def verify_pbw(spec):
-    """Two independent flatness checks.
+def overlap_words(n, xtags=((),), dtags=((),)):
+    """The words of double reduction, x^i d_j d_k and x^j x^k d_i for all
+    i, j, k, with each x tagged by every tag of xtags and each d by every
+    tag of dtags: a ring token has no tag, a multi-copy token carries (a,)."""
+    words = []
+    for i, j, k in itertools.product(range(1, n + 1), repeat=3):
+        words += [(('x', i) + a, ('d', j) + b, ('d', k) + g)
+                  for a in xtags for b in dtags for g in dtags]
+        words += [(('x', j) + a, ('x', k) + g, ('d', i) + b)
+                  for a in xtags for g in xtags for b in dtags]
+    return words
 
-    (a) normal-order the words x^i d_j d_k and x^j x^k d_i with both
-        reduction strategies and compare;
-    (b) the closed difference system h_ij Delta_j sigma_i = sigma_i - sigma_j.
 
-    The report of (a) counts all 2n^3 words, but only the n^2(n-1) overlap
-    ambiguities (j < k) are reduced: on every other word both strategies
-    take the same steps (see is_overlap_ambiguity), so it is a pass.
-    """
-    n = spec.n
+def word_label(word):
+    """A word as failures name it: x1*d1*d2, and x1,2 for a tagged token."""
+    return "*".join(t[0] + ",".join(map(str, t[1:])) for t in word)
+
+
+def double_reduction(name, total, words, form):
+    """Compare form(word, "left") with form(word, "right") on the overlap
+    ambiguities among words; every other word counts as a pass, as both
+    strategies take the same steps on it (see is_overlap_ambiguity).
+    Returns the CheckReport of total checks, each failure labelled by its
+    word, and the two forms of the first word that differs, or None."""
     failures = []
-    residual = None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for label, w in (("xdd", [('x', i), ('d', j), ('d', k)]),
-                                 ("xxd", [('x', j), ('x', k), ('d', i)])):
-                    if not is_overlap_ambiguity(w):
-                        continue
-                    left = normal_form(spec, w, "left")
-                    right = normal_form(spec, w, "right")
-                    if left != right:
-                        if residual is None:
-                            residual = left - right
-                        failures.append((label, i, j, k))
+    first = None
+    for w in words:
+        if not is_overlap_ambiguity(w):
+            continue
+        left, right = form(w, "left"), form(w, "right")
+        if left != right:
+            failures.append(word_label(w))
+            if first is None:
+                first = left, right
+    return CheckReport(name, total, failures), first
+
+
+def verify_pbw(spec):
+    """Two independent flatness checks: (a) double reduction of the 2n^3
+    words x^i d_j d_k and x^j x^k d_i, which reduces the n^2(n-1) overlap
+    ambiguities (j < k); (b) the closed difference system
+    h_ij Delta_j sigma_i = sigma_i - sigma_j."""
+    n = spec.n
+    # normal_form is looked up on each call, so a rebinding of it is used
+    direct, first = double_reduction(
+        "double reduction", 2 * n ** 3, overlap_words(n),
+        lambda w, strategy: normal_form(spec, w, strategy))
     ok, pair = sigma_system_check(spec.sigma)
-    return PBWReport(
-        CheckReport("double reduction", 2 * n ** 3, failures),
-        CheckReport("sigma system", 1, [] if ok else [("sigma",) + pair]),
-        residual)
+    system = CheckReport("sigma system", 1, [] if ok else [("sigma",) + pair])
+    return PBWReport(direct, system,
+                     None if first is None else first[0] - first[1])
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +535,9 @@ def check_assignment(src, dst, assign):
     # d_i weight -e_{perm(i)} (so the weight relations map consistently)
     for i in range(1, n + 1):
         if not X[i - 1].weights() <= {eps_vec(n, assign.perm[i - 1])}:
-            failures.append(f"x{i}")
+            failures.append(word_label([('x', i)]))
         if not D[i - 1].weights() <= {eps_vec(n, assign.perm[i - 1], -1)}:
-            failures.append(f"d{i}")
+            failures.append(word_label([('d', i)]))
 
     # every pair the ring order rewrites: the n(n-1) same-species pairs,
     # then the n^2 pairs x^i d_j with the diagonal last
@@ -536,7 +556,7 @@ def check_assignment(src, dst, assign):
             rhs = multiply(dst, *g) if g else dst.one()
             lhs = lhs - (rhs if c is None else rhs.scale(c))
         if not lhs.is_zero():
-            failures.append(f"{t1[0]}{t1[1]}*{t2[0]}{t2[1]}")
+            failures.append(word_label((t1, t2)))
     return CheckReport("assignment", 2 * n + len(pairs), failures)
 
 

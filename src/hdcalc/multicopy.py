@@ -13,14 +13,14 @@ one-copy tokens ('x', i) and ('d', j) carry none.
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 
 from .ratfield import (DomainError, RatFun, checked_int, eps_vec, rank_exact,
                        reading_input)
 from .rmatrix import r_component, CheckReport
 from .potential import sigma_system_check
-from .diffring import _order, _resolve, _rewrite, is_overlap_ambiguity
+from .diffring import (_order, _resolve, _rewrite, double_reduction,
+                       overlap_words)
 
 
 class SigmaArray:
@@ -217,28 +217,9 @@ def flatness_check(n, nx, nd, s):
 # double-reduction oracle
 
 
-def _ambiguity_words(n, nx, nd):
-    words = []
-    idx = range(1, n + 1)
-    for i, j, k in itertools.product(idx, repeat=3):
-        for a in range(1, nx + 1):
-            for b, g in itertools.product(range(1, nd + 1), repeat=2):
-                words.append((('x', i, a), ('d', j, b), ('d', k, g)))
-        for a, g in itertools.product(range(1, nx + 1), repeat=2):
-            for b in range(1, nd + 1):
-                words.append((('x', i, a), ('x', j, g), ('d', k, b)))
-    return words
-
-
 def ambiguity_oracle(n, nx, nd, s, budget=10_000):
-    """Double-reduce the words x d d and x x d with the leftmost-first and
-    the rightmost-first strategies and compare.  Disagreement on any word
-    witnesses non-flatness.
-
-    By Bergman's diamond lemma only the overlap ambiguities, the words whose
-    two adjacent pairs are both out of order, need resolving.  Only those
-    are reduced; on every other word both strategies take the same steps
-    (see `diffring.is_overlap_ambiguity`), so it is counted as a pass.
+    """Double reduction (`diffring.double_reduction`) of the words x d d
+    and x x d over every copy; a word that differs witnesses non-flatness.
 
     The check is exhaustive: `budget` only caps the work, counted in all
     words, and more words than it raise DomainError, before any word is
@@ -248,10 +229,9 @@ def ambiguity_oracle(n, nx, nd, s, budget=10_000):
     if total > budget:
         raise DomainError(f"ambiguity oracle: {total} words exceed the "
                           f"budget of {budget}")
-    failures = []
-    for w in _ambiguity_words(n, nx, nd):
-        if (is_overlap_ambiguity(w)
-                and mixed_normal_form(n, s, list(w), "left")
-                != mixed_normal_form(n, s, list(w), "right")):
-            failures.append(" ".join(f"{sp}{i},{c}" for sp, i, c in w))
-    return CheckReport(f"ambiguity n={n} nx={nx} nd={nd}", total, failures)
+    tags = [[(a,) for a in range(1, m + 1)] for m in (nx, nd)]
+    # mixed_normal_form is looked up on each call, so a rebinding of it is used
+    report, _ = double_reduction(
+        f"ambiguity n={n} nx={nx} nd={nd}", total, overlap_words(n, *tags),
+        lambda w, strategy: mixed_normal_form(n, s, w, strategy))
+    return report

@@ -8,10 +8,9 @@ its closing check Delta_i f = sigma_i is the proof.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .ratfield import (Poly, RatFun, check_index, eps_vec, lcm_lift,
-                       partial_fractions, ring_mismatch)
+from .ratfield import (Poly, RatFun, check_index, clear_denominators, eps_vec,
+                       lcm_lift, partial_fractions, ring_mismatch)
 from .rmatrix import chi_inv, complete_symmetric
 
 
@@ -51,12 +50,7 @@ def sigma_system_check(sigma):
     sides lifted to the lcm of their denominators.
     Returns (ok, failing_pair_or_None)."""
     n = len(sigma)
-    # each equation is linear in sigma, so one constant factor on every
-    # sigma_i keeps its truth: clearing the coefficient denominators lets
-    # the lifts add ints only
-    L = lcm(*(c.denominator for f in sigma for c in f.num.terms.values()))
-    if L != 1:
-        sigma = [f * L for f in sigma]
+    sigma = clear_denominators(sigma)  # each equation is linear in sigma
     for i in range(1, n + 1):
         s = sigma[i - 1]
         for j in range(1, n + 1):

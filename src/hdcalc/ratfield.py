@@ -550,6 +550,15 @@ def lcm_lift(p, dp, q, dq):
     return p, q, den, same
 
 
+def clear_denominators(values):
+    """The RatFuns of values times L, the lcm of the denominators of their
+    numerators' coefficients, so that every numerator has int coefficients.
+    A linear homogeneous check holds for them exactly when it holds for
+    values, and its lifts then add ints only."""
+    L = lcm(*(c.denominator for f in values for c in f.num.terms.values()))
+    return list(values) if L == 1 else [f * L for f in values]
+
+
 # Pre-filter for the divisibility test in RatFun._cancel.  If the factor
 # h_i - h_j + a divides num over Q, num vanishes at every integer point with
 # h_i = h_j - a, hence so does its value reduced mod a prime P that divides

@@ -1,6 +1,7 @@
 """Several commuting copies: mixed normal forms and flatness of sigma arrays."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,11 @@ from hdcalc import multicopy
 from hdcalc.ratfield import RatFun
 from hdcalc.rmatrix import chi
 from hdcalc.potential import sigma_from_potential
-from hdcalc.diffring import RingSpec, is_overlap_ambiguity, normal_form
+from hdcalc.diffring import (RingSpec, is_overlap_ambiguity, normal_form,
+                             overlap_words, verify_pbw)
 from hdcalc.multicopy import (SigmaArray, constant_profile, mixed_normal_form,
                               vcopy_normal_form, flatness_check,
-                              ambiguity_oracle, _ambiguity_words)
+                              ambiguity_oracle)
 
 
 def one_copy_sigma(n, f):
@@ -119,6 +121,13 @@ def test_ambiguity_oracle_is_exhaustive_or_refuses():
         ambiguity_oracle(2, 2, 2, s, budget=127)
 
 
+def oracle_words(n, nx, nd):
+    """The oracle's words, in its report order: each x over the copies
+    1..nx, each d over 1..nd."""
+    return overlap_words(n, [(a,) for a in range(1, nx + 1)],
+                         [(b,) for b in range(1, nd + 1)])
+
+
 def oracle_arrays(n, nx, nd):
     """A constant array and one with an h-dependent entry per i."""
     rng = random.Random(10 * n + nx + nd)
@@ -137,7 +146,7 @@ def test_skipped_oracle_words_take_the_same_steps_both_ways(rewrite_steps,
     # the words the oracle records as passes without reducing them: both
     # strategies rewrite the same pairs in the same order
     for s in oracle_arrays(n, nx, nd):
-        for w in _ambiguity_words(n, nx, nd):
+        for w in oracle_words(n, nx, nd):
             left, right = rewrite_steps(
                 lambda strategy: mixed_normal_form(n, s, list(w), strategy))
             assert left, w
@@ -160,20 +169,36 @@ def test_oracle_reduces_only_overlap_ambiguities(monkeypatch):
             reduced.clear()
             rep = ambiguity_oracle(2, nx, nd, s)
             assert len(reduced) == 2 * computed
-            assert rep.total == total == len(_ambiguity_words(2, nx, nd))
+            assert rep.total == total == len(oracle_words(2, nx, nd))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("nx, nd", [(2, 1), (1, 2), (2, 2)])
 def test_oracle_failures_are_the_overlap_words_that_differ(n, nx, nd):
     _, s = oracle_arrays(n, nx, nd)
-    want = [" ".join(f"{sp}{i},{c}" for sp, i, c in w)
-            for w in _ambiguity_words(n, nx, nd)
+    want = ["*".join(f"{sp}{i},{c}" for sp, i, c in w)
+            for w in oracle_words(n, nx, nd)
             if is_overlap_ambiguity(w)
             and mixed_normal_form(n, s, list(w), "left")
             != mixed_normal_form(n, s, list(w), "right")]
     assert want
     assert ambiguity_oracle(n, nx, nd, s).failures == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bumped", [False, True])
+def test_one_copy_oracle_is_verify_pbw(n, bumped):
+    # at one copy of each species the oracle double-reduces the ring's 2n^3
+    # words: the same failing words, once the copy tags are stripped
+    sigma = list(sigma_from_potential(RatFun.var(n, 1) ** (n + 1) / chi(n, 1),
+                                      n))
+    if bumped:
+        sigma[0] = sigma[0] + RatFun.var(n, 2)
+    rep = ambiguity_oracle(n, 1, 1, SigmaArray.from_one_copy(sigma))
+    direct = verify_pbw(RingSpec(n, sigma)).direct
+    assert rep.total == direct.total == 2 * n ** 3
+    assert [re.sub(r",\d+", "", w) for w in rep.failures] == direct.failures
+    assert bool(direct.failures) == bumped
 
 
 def test_copy_dependent_constants_fail_sigma_system():
