@@ -69,6 +69,7 @@ def sigma_system_check(sigma):
 def delta_system_check(f):
     """Delta_i Delta_j (h_ij * f) = 0 for all i < j (membership in W)."""
     n = f.n
+    [f] = clear_denominators([f])  # each equation is linear in f
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             g = (RatFun.from_poly(Poly.diff(n, i, j)) * f).delta(j).delta(i)

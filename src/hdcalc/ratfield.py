@@ -36,12 +36,11 @@ num(a); each numerator is cancelled against those before the product, and a
 factor of both denominators is not tested.  In a + b only a factor with the
 same power in both denominators can divide the lifted sum.  The lift to the
 lcm of two denominators is one function, lcm_lift, which cancels nothing;
-the R-matrix sweeps and the sigma system use it to decide an equality as
-one numerator identity.  A product with a constant and a sum with zero are
-canonical as they stand.  Cancelling a one-term numerator tests nothing,
-since no linear factor h_i - h_j + a divides a nonzero monomial; so
-RatFun.build, which often has a constant numerator, needs no case of its
-own.
+the sigma system uses it to decide an equality as one numerator identity.
+A product with a constant and a sum with zero are canonical as they stand.
+Cancelling a one-term numerator tests nothing, since no linear factor
+h_i - h_j + a divides a nonzero monomial; so RatFun.build, which often has
+a constant numerator, needs no case of its own.
 Powers and inverses are canonical as they stand: a linear factor is
 prime, so one that does not divide num does not divide num^k, and the
 numerator of 1/f is built from the factors of den(f), none of which is a

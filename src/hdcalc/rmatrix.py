@@ -1,11 +1,14 @@
 """Dynamical R-matrix of type A over the weight field, its skew inverse, and
 the structure functions built from products of weight differences.
 
-Each component, and each weight shift of one that a caller reads, is built
-once per process and memoised: a RatFun is never changed after it is built,
-so one cached value can be shared by every reader.  The "ice" sparsity
-pattern (R^{ij}_{kl} = 0 unless (k,l) is (i,j) or (j,i)) is used throughout,
-so identity checks run over O(n^2) nonzero components per index pair.
+Every R and Psi component is a constant times a product of linear factors
+h_i - h_j + a.  Each is built once, in that factored form, from its product
+formula, and r_component, r_shifted and psi_component are the canonical
+RatFuns of those factored values.  Every one is memoised per process and
+never changed after it is built, so one cached value can be shared by
+every reader.  The "ice" sparsity pattern (R^{ij}_{kl} = 0 unless (k,l)
+is (i,j) or (j,i)) is used throughout, so identity checks run over
+O(n^2) nonzero components per index pair.
 
 The DYBE, R^2 and skew-inverse identities are checked one way: for each
 upper index tuple, both sides are sparse rows over the lower tuples, built
@@ -13,20 +16,19 @@ by visiting only the ice-rule support of each factor, and one loop
 (`_sweep`) compares the keys found in either row.  Every other lower tuple
 is an empty sum on both sides, 0 = 0, and is counted as a pass without
 being visited.  `verify_ice` stays exhaustive, and is the independent check
-of the support rule that the rows rely on.  A row entry is an uncancelled
-(numerator Poly, denominator dict) pair, as its value is only compared:
-R factors multiply numerators and add denominator powers, each Psi * R
-product stays a canonical RatFun (Psi's numerators share factors with R's
-denominators, which left in make the sums far larger), sums are lifted to
-the lcm of the denominators by ratfield.lcm_lift, and one numerator
-identity decides each compared tuple: lhs and rhs lifted to the lcm of
-their denominators, a nonzero product of linear factors, have equal
-numerators.  No pair leaves this module.
+of the support rule that the rows rely on.  A row entry is a factored sum,
+{signed exponents over canonical linear factors: nonzero constant}: a
+product adds exponents and multiplies constants, and a sum merges like
+terms, so nothing is expanded or lifted while the rows are built.  Each
+compared tuple is decided exactly from lhs - rhs: an empty sum is zero, a
+single term is nonzero, and a longer sum is divided by its common factor
+and the rest multiplied out (the factored representation of classical
+computer algebra; Davenport, Siret and Tournier, Computer Algebra, 1988).
 
-Every quotient here (components, phi, Q^+-, 1/chi) has a denominator known
-as a product of shifted differences, so it is built from those factors with
-RatFun.build; nothing divides, and ratfield.factor_linfactors is left to
-user-typed division.
+Every quotient here (components, phi, Q^+, 1/chi) has a denominator known
+as a product of shifted differences, so it is built from those factors;
+nothing divides, and ratfield.factor_linfactors is left to user-typed
+division.
 """
 
 from __future__ import annotations
@@ -34,7 +36,62 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .ratfield import Poly, RatFun, eps_vec, lcm_lift
+from .ratfield import Poly, RatFun, canon_factor, eps_vec
+
+
+# ---------------------------------------------------------------------------
+# factored sums
+#
+# A factored sum is a dict {key: c}.  Each term is a nonzero constant c
+# times prod (h_i - h_j + a)^e over its key, a sorted tuple of
+# ((i, j, a), e) with every factor canonical (i < j) and every exponent a
+# nonzero int; the empty tuple is the term's constant.  Distinct linear
+# factors are coprime, so distinct keys are distinct functions and the
+# canonical RatFun of a one-term sum needs no cancelling.
+
+
+def _factored(factors):
+    """The one-term sum prod (h_i - h_j + a)^e over (i, j, a, e)."""
+    pows, c = {}, 1
+    for i, j, a, e in factors:
+        fac, sign = canon_factor(i, j, a)
+        pows[fac] = pows.get(fac, 0) + e
+        if sign < 0 and e % 2:
+            c = -c
+    return {tuple(sorted(item for item in pows.items() if item[1])): c}
+
+
+def _add_product(acc, f, g):
+    """acc += f * g, for factored sums f and g: exponents add, and like
+    terms merge."""
+    for kf, cf in f.items():
+        for kg, cg in g.items():
+            if kf and kg:
+                pows = dict(kf)
+                for fac, e in kg:
+                    pows[fac] = pows.get(fac, 0) + e
+                key = tuple(sorted(item for item in pows.items() if item[1]))
+            else:
+                key = kf or kg
+            c = acc.get(key, 0) + cf * cg
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
+
+
+def _ratfun(n, f):
+    """The canonical RatFun of the factored sum f."""
+    out = RatFun.zero(n)
+    for key, c in f.items():
+        num, den = Poly.const(n, c), {}
+        for fac, e in key:
+            if e > 0:
+                num = num.mul_linfactor(*fac, e)
+            else:
+                den[fac] = -e
+        out = out + RatFun(num, den, _canonical=True)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +140,16 @@ def chi_inv(n, i):
     return RatFun.build(Poly.const(n, 1), [(i, k, 0) for k in range(1, n + 1) if k != i])
 
 
+def _q_factors(n, i, sign):
+    """The factors (i, k, a, e) of Q^{+-}_i = chi_i[+-e_i] / chi_i."""
+    return [f for k in range(1, n + 1) if k != i
+            for f in ((i, k, sign, 1), (i, k, 0, -1))]
+
+
 @lru_cache(maxsize=None)
 def q_plus(n, i):
     """chi_i[e_i] / chi_i."""
-    return chi(n, i).shift(eps_vec(n, i)).num * chi_inv(n, i)
-
-
-@lru_cache(maxsize=None)
-def q_minus(n, i):
-    """chi_i[-e_i] / chi_i."""
-    return chi(n, i).shift(eps_vec(n, i, -1)).num * chi_inv(n, i)
+    return _ratfun(n, _factored(_q_factors(n, i, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,43 +196,63 @@ def e_generating(n, skip=0):
 
 
 # ---------------------------------------------------------------------------
-# R-matrix and skew inverse components
+# R-matrix and skew inverse components: factored from their product
+# formulas, and canonical RatFuns built from those
+
+
+@lru_cache(maxsize=None)
+def _r_terms(n, i, j, k, l):
+    """R^{ij}_{kl} as a factored sum."""
+    if (k, l) == (i, j):
+        return {(): 1} if i == j else _factored([(i, j, 0, -1)])
+    if (k, l) == (j, i):
+        if i >= j:
+            return {(): 1}
+        # (h_ij^2 - 1) / h_ij^2
+        return _factored([(i, j, -1, 1), (i, j, 1, 1), (i, j, 0, -2)])
+    return {}
+
+
+@lru_cache(maxsize=None)
+def _r_terms_shifted(n, i, j, k, l, svec):
+    """R^{ij}_{kl}[svec] as a factored sum: h_i - h_j + a becomes
+    h_i - h_j + a + s_i - s_j, which keeps each key canonical and sorted."""
+    return {tuple(((p, q, a + svec[p - 1] - svec[q - 1]), e)
+                  for (p, q, a), e in key): c
+            for key, c in _r_terms(n, i, j, k, l).items()}
+
+
+@lru_cache(maxsize=None)
+def _psi_terms(n, i, j, k, l):
+    """Psi^{ij}_{kl} as a factored sum."""
+    if (k, l) == (i, j):
+        # Q^+_i Q^-_j, over h_i - h_j + 1 when i != j
+        factors = _q_factors(n, i, 1) + _q_factors(n, j, -1)
+        return _factored(factors + [(i, j, 1, -1)] if i != j else factors)
+    if (k, l) == (j, i):
+        if i < j:
+            return {(): 1}
+        # (h_ij - 1)^2 / (h_ij (h_ij - 2))
+        return _factored([(i, j, -1, 2), (i, j, 0, -1), (i, j, -2, -1)])
+    return {}
 
 
 @lru_cache(maxsize=None)
 def r_component(n, i, j, k, l):
     """R^{ij}_{kl}."""
-    if (k, l) == (i, j):
-        if i == j:
-            return RatFun.one(n)
-        return RatFun.inverse_diff(n, i, j)
-    if (k, l) == (j, i):
-        if i >= j:
-            return RatFun.one(n)
-        hij = Poly.diff(n, i, j)
-        return RatFun.build(hij * hij - Poly.const(n, 1), [((i, j, 0), 2)])
-    return RatFun.zero(n)
+    return _ratfun(n, _r_terms(n, i, j, k, l))
 
 
 @lru_cache(maxsize=None)
 def r_shifted(n, i, j, k, l, svec):
     """R^{ij}_{kl}[svec], for an integer shift tuple svec."""
-    return r_component(n, i, j, k, l).shift(svec)
+    return _ratfun(n, _r_terms_shifted(n, i, j, k, l, svec))
 
 
 @lru_cache(maxsize=None)
 def psi_component(n, i, j, k, l):
     """Psi^{ij}_{kl}, the skew inverse of R."""
-    if (k, l) == (i, j):
-        num = q_plus(n, i) * q_minus(n, j)
-        if i == j:
-            return num
-        return num * RatFun.inverse_diff(n, i, j, 1)
-    if (k, l) == (j, i):
-        if i < j:
-            return RatFun.one(n)
-        return RatFun.build(Poly.diff(n, i, j, -1) ** 2, [(i, j, 0), (i, j, -2)])
-    return RatFun.zero(n)
+    return _ratfun(n, _psi_terms(n, i, j, k, l))
 
 
 def _nonzero_lower(i, j):
@@ -220,47 +297,60 @@ class CheckReport:
 # verifiers
 
 
-def _pair(f):
-    """A RatFun as a row entry: its (numerator, denominator) pair."""
-    return f.num, f.den
-
-
-def _add_pairs(x, y):
-    """The sum of two row entries over the lcm of their denominators."""
-    p, q, den, _ = lcm_lift(*x, *y)
-    return p + q, den
-
-
 def _times_r(n, row, s, t, u=None):
     """A sparse row times R acting on slots s, t (0-based) of its tuples.
 
-    row maps index tuples to uncancelled (numerator, denominator) pairs.
-    Each entry row[x] is spread over the tuples y that equal x off slots
-    s, t and have (y_s, y_t) on the ice-rule support of R^{x_s x_t}, times
-    the factor R^{x_s x_t}_{y_s y_t}, shifted by -e_{x_u} when slot u is
-    given: numerators multiply and denominator powers add."""
+    row maps index tuples to factored sums.  Each entry row[x] is spread
+    over the tuples y that equal x off slots s, t and have (y_s, y_t) on
+    the ice-rule support of R^{x_s x_t}, times the factor
+    R^{x_s x_t}_{y_s y_t}, shifted by -e_{x_u} when slot u is given."""
     out = {}
-    one = {(0,) * n: 1}
-    for x, (num, den) in row.items():
+    for x, f in row.items():
         svec = None if u is None else eps_vec(n, x[u], -1)
         for c, d in _nonzero_lower(x[s], x[t]):
             if svec is None:
-                r = r_component(n, x[s], x[t], c, d)
+                r = _r_terms(n, x[s], x[t], c, d)
             else:
-                r = r_shifted(n, x[s], x[t], c, d, svec)
+                r = _r_terms_shifted(n, x[s], x[t], c, d, svec)
             y = list(x)
             y[s], y[t] = c, d
-            y = tuple(y)
-            if r.den:
-                yden = dict(den)
-                for fac, m in r.den.items():
-                    yden[fac] = yden.get(fac, 0) + m
-                term = num * r.num, yden
-            else:
-                # a factor 1 (R^{ii}_{ii}, R^{ij}_{ji} for i > j) is skipped
-                term = (num if r.num.terms == one else num * r.num), den
-            out[y] = _add_pairs(out[y], term) if y in out else term
+            _add_product(out.setdefault(tuple(y), {}), f, r)
     return out
+
+
+def _renamed(terms):
+    """The factored sum terms with its variables renamed 1..m in increasing
+    order, as (m, frozenset of (key, c)).  The renaming keeps every factor
+    canonical and every key sorted, and the sum is zero exactly when the
+    renamed one is."""
+    used = {v for key in terms for (i, j, _), _ in key for v in (i, j)}
+    name = {v: m for m, v in enumerate(sorted(used), 1)}
+    return len(name), frozenset(
+        (tuple([((name[i], name[j], a), e) for (i, j, a), e in key]), c)
+        for key, c in terms.items())
+
+
+def _vanishes(m, terms):
+    """Whether a factored sum in h_1..h_m, an iterable of (key, c), is zero.
+    It is divided by its common factor, the least exponent of each factor
+    (0 where a term lacks it), and each term of the quotient is multiplied
+    out by Poly.mul_linfactor."""
+    terms = [(dict(key), c) for key, c in terms]
+    low = {}
+    for pows, _ in terms:
+        for fac in pows:
+            if fac not in low:
+                low[fac] = min(p.get(fac, 0) for p, _ in terms)
+    total = {}
+    for pows, c in terms:
+        poly = Poly.const(m, c)
+        for fac, k in low.items():
+            e = pows.get(fac, 0) - k
+            if e:
+                poly = poly.mul_linfactor(*fac, e)
+        for exps, v in poly.terms.items():
+            total[exps] = total.get(exps, 0) + v
+    return not any(total.values())
 
 
 def _sweep(name, n, arity, sides):
@@ -268,17 +358,31 @@ def _sweep(name, n, arity, sides):
     `arity` indices in 1..n, with failures in `product` order.
 
     sides(n, *upper) gives both sides for every lower tuple at once, as
-    sparse rows {lower: (numerator, denominator)}, uncancelled.  Only keys
-    found in either row are compared, each by one numerator identity: both
-    sides lifted to the lcm of their denominators have equal numerators.
-    Every other tuple is 0 = 0, a pass that is counted but not visited."""
+    sparse rows {lower: factored sum}.  Only keys found in either row are
+    compared, each exactly from lhs - rhs: an empty sum is zero, one term
+    is nonzero, and more terms are divided by their common factor and
+    multiplied out.  That last test is memoised for this call only, keyed
+    by the sum with its variables renamed.  Every other tuple is 0 = 0, a
+    pass that is counted but not visited."""
     failures = []
-    zero = (Poly.zero(n), {})
+    decided = {}
     for upper in product(range(1, n + 1), repeat=arity):
         lhs, rhs = sides(n, *upper)
         for lower in sorted(lhs.keys() | rhs.keys()):
-            p, q, _, _ = lcm_lift(*lhs.get(lower, zero), *rhs.get(lower, zero))
-            if p != q:
+            diff = dict(lhs.get(lower, {}))
+            for key, c in rhs.get(lower, {}).items():
+                c = diff.get(key, 0) - c
+                if c:
+                    diff[key] = c
+                else:
+                    del diff[key]
+            if len(diff) > 1:
+                renamed = _renamed(diff)
+                if renamed not in decided:
+                    decided[renamed] = _vanishes(*renamed)
+                if decided[renamed]:
+                    continue
+            if diff:
                 failures.append(upper + lower)
     return CheckReport(f"{name} n={n}", n ** (2 * arity), failures)
 
@@ -288,9 +392,8 @@ def _dybe_rows(n, i, j, k):
     rows {(m, p, r): value}.  Each is the unit row at (i, j, k) times three
     factors; the unit row times the first factor is that factor's row."""
     si = eps_vec(n, i, -1)
-    lhs = {(a, b, k): _pair(r_component(n, i, j, a, b))
-           for a, b in _nonzero_lower(i, j)}
-    rhs = {(i, a, b): _pair(r_shifted(n, j, k, a, b, si))
+    lhs = {(a, b, k): _r_terms(n, i, j, a, b) for a, b in _nonzero_lower(i, j)}
+    rhs = {(i, a, b): _r_terms_shifted(n, j, k, a, b, si)
            for a, b in _nonzero_lower(j, k)}
     return (_times_r(n, _times_r(n, lhs, 1, 2, 0), 0, 1),
             _times_r(n, _times_r(n, rhs, 0, 1), 1, 2, 0))
@@ -313,8 +416,8 @@ def verify_dybe(n):
 def _r_squared_rows(n, i, j):
     """Both sides of R^2 = 1 for upper indices (i, j), as sparse rows
     {(k, l): value}: R's row at (i, j) times R, and the unit row."""
-    row = {(a, b): _pair(r_component(n, i, j, a, b)) for a, b in _nonzero_lower(i, j)}
-    return _times_r(n, row, 0, 1), {(i, j): (Poly.const(n, 1), {})}
+    row = {(a, b): _r_terms(n, i, j, a, b) for a, b in _nonzero_lower(i, j)}
+    return _times_r(n, row, 0, 1), {(i, j): {(): 1}}
 
 
 def verify_r_squared(n):
@@ -350,22 +453,19 @@ def _skew_rows(n, i, j):
     """Both sides of the skew-inverse identity for upper indices (i, j), as
     sparse rows {(m, p): value}: the sums over k, l of
     Psi^{ik}_{jl} R^{ml}_{pk}[e_m], each factor visited only on its
-    ice-rule support, and the unit row at (j, i).  Each product is
-    canonical, as Psi's numerators share factors with R's denominators;
-    the sums are not cancelled."""
+    ice-rule support, and the unit row at (j, i)."""
     out = {}
     for k in range(1, n + 1):
         for a, l in _nonzero_lower(i, k):
             if a != j:
                 continue
-            v = psi_component(n, i, k, j, l)
+            v = _psi_terms(n, i, k, j, l)
             for m in range(1, n + 1):
                 for p, b in _nonzero_lower(m, l):
-                    if b != k:
-                        continue
-                    term = _pair(v * r_shifted(n, m, l, p, k, eps_vec(n, m)))
-                    out[m, p] = _add_pairs(out[m, p], term) if (m, p) in out else term
-    return out, {(j, i): (Poly.const(n, 1), {})}
+                    if b == k:
+                        _add_product(out.setdefault((m, p), {}), v,
+                                     _r_terms_shifted(n, m, l, p, k, eps_vec(n, m)))
+    return out, {(j, i): {(): 1}}
 
 
 def verify_skew_inverse(n):

@@ -123,6 +123,42 @@ def test_delta_system_membership():
     assert not ok
 
 
+def _delta_system_unscaled(f):
+    """delta_system_check's equations on f as given, first failure first."""
+    n = f.n
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            g = (RatFun.from_poly(Poly.diff(n, i, j)) * f).delta(j).delta(i)
+            if not g.is_zero():
+                return False, (i, j)
+    return True, None
+
+
+def test_delta_system_on_fraction_coefficients_matches_the_unscaled_check():
+    # the check scales f by the lcm of its coefficient denominators; the
+    # verdict and the witness pair must be those of f itself
+    rng = random.Random(13)
+    n = 3
+    bumps = (RatFun.var(n, 3) ** 2 * Fraction(2, 9),
+             RatFun.inverse_diff(n, 2, 3) * Fraction(-3, 4),
+             RatFun.inverse_diff(n, 1, 3, 1) * RatFun.var(n, 2) * Fraction(5, 7))
+    witnesses = set()
+    for _ in range(6):
+        f = RatFun.zero(n)
+        for L in range(1, 4):
+            f = f + Hpot(n, L) * Fraction(rng.randrange(-3, 4), rng.randrange(1, 6))
+        f = f + pole_part(n, rng.randrange(1, n + 1),
+                          [Fraction(rng.randrange(-2, 3), rng.randrange(1, 4))
+                           for _ in range(3)])
+        assert delta_system_check(f) == _delta_system_unscaled(f) == (True, None)
+        g = f + rng.choice(bumps)
+        want = _delta_system_unscaled(g)
+        assert not want[0]
+        assert delta_system_check(g) == want
+        witnesses.add(want[1])
+    assert len(witnesses) > 1
+
+
 def test_h_combination_reads_off_coefficients():
     n = 3
     p = complete_symmetric(n, 3).scale(Fraction(2)) \

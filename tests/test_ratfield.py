@@ -551,7 +551,7 @@ def test_no_float_reaches_a_coefficient(monkeypatch, capsys):
 
     monkeypatch.setattr(Poly, "__init__", checked)
     for cached in (rmatrix.psi, rmatrix.psi_prime, rmatrix.chi, rmatrix.phi,
-                   rmatrix.phi_inv, rmatrix.q_plus, rmatrix.q_minus,
+                   rmatrix.phi_inv, rmatrix.q_plus,
                    rmatrix.elementary_symmetric, rmatrix.complete_symmetric,
                    diffring._swap_coeff):
         cached.cache_clear()

@@ -15,7 +15,7 @@ from hdcalc.multicopy import SigmaArray, ambiguity_oracle, mixed_normal_form
 from hdcalc.potential import reconstruct_potential, sigma_from_potential
 from hdcalc.ratfield import Poly, RatFun, eps_vec
 from hdcalc.rmatrix import (r_component, r_shifted, psi_component, chi,
-                            chi_inv, phi, phi_inv, q_plus, q_minus,
+                            chi_inv, phi, phi_inv, q_plus,
                             elementary_symmetric,
                             complete_symmetric, CheckReport, verify_dybe,
                             verify_r_squared, verify_ice,
@@ -62,7 +62,6 @@ def test_chi_phi_q_relations():
     for i in range(1, n + 1):
         assert phi(n, i) * phi_inv(n, i) == RatFun.one(n)
         assert q_plus(n, i) == chi(n, i).shift(eps_vec(n, i)) / chi(n, i)
-        assert q_minus(n, i) == chi(n, i).shift(eps_vec(n, i, -1)) / chi(n, i)
 
 
 def test_elementary_symmetric_against_sympy():
@@ -185,7 +184,6 @@ def test_built_quotients_match_division():
                 (phi(n, i), psi_i / psi_i.shift(eps_vec(n, i, -1))),
                 (phi_inv(n, i), psi_i.shift(eps_vec(n, i, -1)) / psi_i),
                 (q_plus(n, i), _q_by_division(n, i, 1)),
-                (q_minus(n, i), _q_by_division(n, i, -1)),
                 (chi_inv(n, i), one / chi(n, i)),
             ]
         for built, divided in pairs:
@@ -201,7 +199,8 @@ def test_no_internal_path_factors(monkeypatch):
 
     monkeypatch.setattr(ratfield, "factor_linfactors", refuse)
     for cached in (rmatrix.psi, rmatrix.psi_prime, chi, phi, phi_inv, q_plus,
-                   q_minus, r_component, r_shifted, psi_component,
+                   rmatrix._r_terms, rmatrix._r_terms_shifted,
+                   rmatrix._psi_terms, r_component, r_shifted, psi_component,
                    diffring._swap_coeff):
         cached.cache_clear()
     with pytest.raises(AssertionError, match="reached"):
@@ -261,21 +260,70 @@ def test_memoised_components_are_not_mutated():
     n = 3
     held = [(fn, args, fn(*args)) for fn, args in _memo_keys(n)]
     before = [v.to_json() for _, _, v in held]
+    factored = {rmatrix.r_component: rmatrix._r_terms,
+                rmatrix.psi_component: rmatrix._psi_terms,
+                rmatrix.r_shifted: rmatrix._r_terms_shifted}
+    held_terms = [(factored[fn], args, factored[fn](*args))
+                  for fn, args, _ in held]
+    before_terms = [dict(v) for _, _, v in held_terms]
     assert verify_dybe(n).passed
+    assert verify_r_squared(n).passed
     assert verify_skew_inverse(n).passed
     sig = SigmaArray.constant(n, 2, 2, {(1, 1): 1, (1, 2): 2,
                                         (2, 1): 0, (2, 2): 3})
     assert ambiguity_oracle(n, 2, 2, sig).passed
-    for (fn, args, v), js in zip(held, before):
+    for (fn, args, v), js in zip(held + held_terms, before + before_terms):
         assert fn(*args) is v, (fn.__name__, args)
-        assert v.to_json() == js, (fn.__name__, args)
+        assert (v if isinstance(v, dict) else v.to_json()) == js, (fn.__name__, args)
 
 
-def test_dybe_fails_if_the_shift_is_dropped(monkeypatch):
-    monkeypatch.setattr(rmatrix, "r_shifted",
-                        lambda n, i, j, k, l, svec: r_component(n, i, j, k, l))
-    assert not verify_dybe(3).passed
+@pytest.fixture
+def mutant(monkeypatch):
+    """patch(name, fn) replaces one factored source of rmatrix for one test.
+    The component caches are emptied on each patch and after the test, so
+    the canonical components, and with them the dense oracles, see the
+    same mutant as the sweeps, and no mutant value outlives the test."""
+    def clear():
+        for fn in vars(rmatrix).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
 
+    def patch(name, fn):
+        monkeypatch.setattr(rmatrix, name, fn)
+        clear()
+
+    yield patch
+    clear()
+
+
+def _doubled(source, *at):
+    """source with the components at the index tuples `at` doubled (every
+    R^{ij}_{ij}, i != j, when none is given)."""
+    def value(n, i, j, k, l):
+        v = source(n, i, j, k, l)
+        hit = (i, j, k, l) in at if at else i != j and (k, l) == (i, j)
+        return {key: 2 * c for key, c in v.items()} if hit else v
+    return value
+
+
+def _drop_shift(n, i, j, k, l, svec):
+    return rmatrix._r_terms(n, i, j, k, l)
+
+
+def _as_ratfun(n, terms):
+    """A factored sum as a RatFun, each term built from its factors by
+    RatFun.build and the terms added."""
+    s = RatFun.zero(n)
+    for key, c in terms.items():
+        num = Poly.const(n, c)
+        den = []
+        for (i, j, a), e in key:
+            if e > 0:
+                num = num * Poly.diff(n, i, j, a) ** e
+            else:
+                den.append(((i, j, a), -e))
+        s = s + RatFun.build(num, den)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +352,31 @@ def _dense_skew(n, i, j, m, p):
     return s
 
 
+def _r_squared_oracle(n):
+    """The tuples where the dense sums break R^2 = 1, in sweep order."""
+    one, zero = RatFun.one(n), RatFun.zero(n)
+    return [(i, j, k, l) for i, j, k, l in product(range(1, n + 1), repeat=4)
+            if _dense_r_squared(n, i, j, k, l) != (one if (i, j) == (k, l) else zero)]
+
+
+def _skew_oracle(n):
+    """The tuples where the dense sums break the skew-inverse identity, in
+    sweep order."""
+    one, zero = RatFun.one(n), RatFun.zero(n)
+    return [(i, j, m, p) for i, j, m, p in product(range(1, n + 1), repeat=4)
+            if _dense_skew(n, i, j, m, p) != (one if (i, m) == (p, j) else zero)]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_r_squared_and_skew_rows_match_the_dense_sums(n):
-    # a row entry is an uncancelled (numerator, denominator) pair
+    # a row entry is a factored sum, compared here as a RatFun
     idx = range(1, n + 1)
-    zero = (Poly.zero(n), {})
     for rows, dense in ((rmatrix._r_squared_rows, _dense_r_squared),
                         (rmatrix._skew_rows, _dense_skew)):
         for upper in product(idx, repeat=2):
             lhs, _ = rows(n, *upper)
             for lower in product(idx, repeat=2):
-                got = RatFun(*lhs.get(lower, zero))
+                got = _as_ratfun(n, lhs.get(lower, {}))
                 assert got == dense(n, *upper, *lower), (rows.__name__,
                                                          upper + lower)
 
@@ -344,49 +406,30 @@ def test_sweeps_compare_only_conserving_tuples(monkeypatch, n, dybe, quartic):
     assert all(_conserves((i, m), (j, p)) for i, j, m, p in seen["skew-inverse"])
 
 
-def test_r_squared_failures_match_the_dense_oracle(monkeypatch):
+def test_r_squared_failures_match_the_dense_oracle(mutant):
     # with every R^{ij}_{ij}, i != j, doubled, R^2 = 1 fails; the sweep must
     # name the same tuples as the dense sums, in the same order
-    right = rmatrix.r_component
-
-    def doubled(n, i, j, k, l):
-        v = right(n, i, j, k, l)
-        return v * 2 if i != j and (k, l) == (i, j) else v
-
-    monkeypatch.setattr(rmatrix, "r_component", doubled)
-    n = 3
-    idx = range(1, n + 1)
-    want = [(i, j, k, l) for i, j, k, l in product(idx, repeat=4)
-            if _dense_r_squared(n, i, j, k, l)
-            != (RatFun.one(n) if (i, j) == (k, l) else RatFun.zero(n))]
+    mutant("_r_terms", _doubled(rmatrix._r_terms))
+    want = _r_squared_oracle(3)
     assert want
-    assert verify_r_squared(n).failures == want
+    assert verify_r_squared(3).failures == want
 
 
-def test_skew_inverse_failures_match_the_dense_oracle(monkeypatch):
+def test_skew_inverse_failures_match_the_dense_oracle(mutant):
     # with every Psi^{ij}_{ij}, i != j, doubled, the skew-inverse identity
     # fails; the sweep must name the same tuples as the dense sums, in the
     # same order
-    right = rmatrix.psi_component
-
-    def doubled(n, i, j, k, l):
-        v = right(n, i, j, k, l)
-        return v * 2 if i != j and (k, l) == (i, j) else v
-
-    monkeypatch.setattr(rmatrix, "psi_component", doubled)
-    n = 3
-    idx = range(1, n + 1)
-    want = [(i, j, m, p) for i, j, m, p in product(idx, repeat=4)
-            if _dense_skew(n, i, j, m, p)
-            != (RatFun.one(n) if (i, m) == (p, j) else RatFun.zero(n))]
+    mutant("_psi_terms", _doubled(rmatrix._psi_terms))
+    want = _skew_oracle(3)
     assert want
-    assert verify_skew_inverse(n).failures == want
+    assert verify_skew_inverse(3).failures == want
 
 
-def test_skew_inverse_fails_if_the_shift_is_dropped(monkeypatch):
-    monkeypatch.setattr(rmatrix, "r_shifted",
-                        lambda n, i, j, k, l, svec: r_component(n, i, j, k, l))
-    assert not verify_skew_inverse(3).passed
+def test_skew_inverse_fails_if_the_shift_is_dropped(mutant):
+    mutant("_r_terms_shifted", _drop_shift)
+    want = _skew_oracle(3)
+    assert want
+    assert verify_skew_inverse(3).failures == want
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +451,21 @@ def _dense_dybe_sides(n, i, j, k, m, p, r):
     return lhs, rhs
 
 
+def _dybe_oracle(n):
+    """The tuples where the dense sums break the DYBE, in sweep order."""
+    return [t for t in product(range(1, n + 1), repeat=6)
+            if operator.ne(*_dense_dybe_sides(n, *t))]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_dybe_rows_match_the_dense_sums(n):
-    # a row entry is an uncancelled (numerator, denominator) pair
+    # a row entry is a factored sum, compared here as a RatFun
     idx = range(1, n + 1)
-    zero = (Poly.zero(n), {})
     for upper in product(idx, repeat=3):
         lhs, rhs = rmatrix._dybe_rows(n, *upper)
         for lower in product(idx, repeat=3):
-            got = (RatFun(*lhs.get(lower, zero)), RatFun(*rhs.get(lower, zero)))
+            got = (_as_ratfun(n, lhs.get(lower, {})),
+                   _as_ratfun(n, rhs.get(lower, {})))
             assert got == _dense_dybe_sides(n, *upper, *lower), upper + lower
 
 
@@ -429,49 +478,52 @@ def test_dybe_rows_hold_exactly_the_conserving_keys(n):
         assert lhs.keys() == rhs.keys() == want, upper
 
 
-def test_dybe_failures_match_the_dense_oracle(monkeypatch):
+def test_dybe_failures_match_the_dense_oracle(mutant):
     # with R^{12}_{21} doubled the equation fails; the sweep must name the
     # same tuples as the dense sums, in the same order
-    right = rmatrix.r_component
-
-    def doubled(n, i, j, k, l):
-        v = right(n, i, j, k, l)
-        return v * 2 if (i, j, k, l) == (1, 2, 2, 1) else v
-
-    monkeypatch.setattr(rmatrix, "r_component", doubled)
-    monkeypatch.setattr(rmatrix, "r_shifted",
-                        lambda n, i, j, k, l, svec: doubled(n, i, j, k, l).shift(svec))
-    n = 3
-    want = [t for t in product(range(1, n + 1), repeat=6)
-            if operator.ne(*_dense_dybe_sides(n, *t))]
+    mutant("_r_terms", _doubled(rmatrix._r_terms, (1, 2, 2, 1)))
+    want = _dybe_oracle(3)
     assert want
-    assert verify_dybe(n).failures == want
+    assert verify_dybe(3).failures == want
 
 
-def test_dybe_shares_partial_products(monkeypatch):
-    # the numerator products that _times_r makes, with every component
-    # already built; 1,408 products when each tuple summed its own triple
-    # products
-    assert verify_dybe(4).passed
+def test_dybe_fails_if_the_shift_is_dropped(mutant):
+    mutant("_r_terms_shifted", _drop_shift)
+    want = _dybe_oracle(3)
+    assert want
+    assert verify_dybe(3).failures == want
+
+
+@pytest.mark.parametrize("n, at", [(3, (2, 3, 3, 2)), (4, (3, 4, 4, 3))])
+def test_one_mutated_index_tuple_fails_where_the_dense_sums_do(mutant, n, at):
+    # R^{ij}_{ji} for one (i, j) doubled: the sums of every other (i, j)
+    # are equal under an order-preserving renaming of the variables, so the
+    # memo of each sweep must not hand their verdicts to the mutated ones
+    mutant("_r_terms", _doubled(rmatrix._r_terms, at))
+    for sweep, oracle in ((verify_dybe, _dybe_oracle),
+                          (verify_r_squared, _r_squared_oracle),
+                          (verify_skew_inverse, _skew_oracle)):
+        want = oracle(n)
+        assert want, sweep.__name__
+        assert sweep(n).failures == want, sweep.__name__
+
+
+def test_dybe_multiplies_out_each_distinct_sum_once(monkeypatch):
+    # lhs - rhs keeps two or more terms at 60 compared tuples at n=3 and at
+    # 156 at n=4; with their variables renamed they are 25 distinct sums,
+    # and only those are multiplied out, once per sweep
     calls = [0]
-    inside = [False]
-    times_r, mul = rmatrix._times_r, Poly.__mul__
+    vanishes = rmatrix._vanishes
 
-    def counted_times_r(*args):
-        inside[0] = True
-        try:
-            return times_r(*args)
-        finally:
-            inside[0] = False
+    def counted(*args):
+        calls[0] += 1
+        return vanishes(*args)
 
-    def counted_mul(*args):
-        calls[0] += inside[0]
-        return mul(*args)
-
-    monkeypatch.setattr(rmatrix, "_times_r", counted_times_r)
-    monkeypatch.setattr(Poly, "__mul__", counted_mul)
-    assert verify_dybe(4).passed
-    assert 0 < calls[0] <= 1096
+    monkeypatch.setattr(rmatrix, "_vanishes", counted)
+    for n in (3, 4):
+        calls[0] = 0
+        assert verify_dybe(n).passed
+        assert calls[0] == 25, n
 
 
 def test_dybe_sweep_memory_does_not_grow_with_its_tuples():
