@@ -5,10 +5,24 @@ x-generators, each species in descending index, coefficients from the weight
 field on the far left".  A second ("module") ordering with x left of d is
 provided for evaluating on lowest weight vectors.
 
-Generator words are token lists: ('x', i), ('d', i), or a coefficient RatFun.
-One rule table (`_resolve`, with the order key `_order`) serves this ring and
-its multi-copy form in `multicopy`: there the tokens carry a copy tag,
-('x', i, a) and ('d', j, b), and in one copy they carry none.
+Generator words are token lists of three kinds: a generator ('x', i) or
+('d', i); a factored coefficient, the one-term factored sum {key: c} of
+`rmatrix` (a constant times a product of linear factors h_i - h_j + a),
+which is how the rule table writes every R, Psi and swap coefficient; and
+an opaque coefficient, any other RatFun: sigma, the vacuum values and a
+caller's coefficients.  One rule table (`_resolve`, with the order key
+`_order`) serves this ring and its multi-copy form in `multicopy`: there the
+tokens carry a copy tag, ('x', i, a) and ('d', j, b), and in one copy they
+carry none.
+
+The one rewriting engine, `_rewrite`, carries each path's coefficient as a
+path term: a constant, the exponents of its linear factors, and its opaque
+tokens, each with the shift it has picked up.  A product adds exponents, and
+paths that reach the same ordered word merge into that word's sum, term by
+term, with no RatFun computed.  The canonical forms (`normal_form`,
+`multiply`, `module_form`, `multicopy.mixed_normal_form`) turn each word's
+sum into one RatFun; `double_reduction` decides each overlap word from
+left - right of its two sums, by one numerator identity per ordered word.
 """
 
 from __future__ import annotations
@@ -19,8 +33,9 @@ from functools import lru_cache, partial
 
 from .ratfield import (DomainError, Poly, RatFun, checked_int, checked_perm,
                        eps_vec, json_exponents, reading_input, ring_mismatch)
-from .rmatrix import (CheckReport, phi, phi_inv, psi_component, psi_prime,
-                      r_component, r_shifted)
+from .rmatrix import (CheckReport, factored_value, phi, phi_inv,
+                      psi_component, psi_prime, psi_terms, r_terms,
+                      r_terms_shifted, vanishes)
 from .potential import sigma_system_check
 
 
@@ -196,40 +211,86 @@ def _add_term(acc, key, c):
         acc[key] = c
 
 
-def _rewrite(n, words, order, resolve, strategy):
-    """Rewrite a sum of token words into a sum of ordered generator words.
+def _product_key(keys):
+    """The sorted key of the product of factored terms with sorted keys:
+    exponents of one factor add, and a factor of exponent 0 drops."""
+    if len(keys) < 2:
+        return keys[0] if keys else ()
+    pows = {}
+    for key in keys:
+        for fac, e in key:
+            pows[fac] = pows.get(fac, 0) + e
+    return tuple(sorted(item for item in pows.items() if item[1]))
 
-    Tokens are generators (species, index, ...) with species 'x' or 'd', and
-    coefficient RatFuns.  A coefficient moved left across x_j is shifted by
-    -e_j, across d_j by +e_j.  An adjacent pair t1 t2 is out of order when
+
+def _rewrite(n, words, order, resolve, strategy):
+    """Rewrite a sum of token words into a factored sum over each ordered
+    generator word.
+
+    Tokens are generators (species, index, ...) with species 'x' or 'd',
+    and factored and opaque coefficients (see the module docstring).  A
+    coefficient moved left across x_j is shifted by -e_j, across d_j by
+    +e_j: a factored one on its keys, where h_p - h_q + a becomes
+    h_p - h_q + a + s_p - s_q, and an opaque one by keeping the shift
+    beside it.  An adjacent pair t1 t2 is out of order when
     order(t1) > order(t2), and resolve(t1, t2) returns its replacement as a
     list of token lists (a sum).  strategy picks which out-of-order pair is
     rewritten first, the leftmost ("left") or the rightmost ("right"); the
     result does not depend on it exactly when the rules are confluent.
 
-    Returns dict: ordered generator tuple -> RatFun (no zero values)."""
-    acc = {}
+    A path's coefficient is a constant, the factors it has met and its
+    opaque tokens with their shifts: a product multiplies constants and
+    adds exponents, and a constant opaque token folds into the constant, so
+    no RatFun is multiplied or added here.  A path that reaches an ordered
+    word merges into that word's sum, so memory grows with the distinct
+    terms, not with the paths.
+
+    Returns (sums, tokens).  sums maps each ordered generator tuple to its
+    sum {(key, refs): c}: c a nonzero constant, key the sorted factor
+    exponents of `rmatrix`, and refs the sorted (rank, shift) of the term's
+    opaque tokens, where tokens lists the opaque tokens in the order the
+    walk met them, its rank being the position there."""
+    sums = {}
+    tokens = []
+    opaque = {}  # id(token) -> (rank, constant value or None)
     keys = {}  # generator -> order(generator)
     left = strategy == "left"
-    stack = [(RatFun.one(n), list(w)) for w in words]
+    stack = [(1, (), (), list(w)) for w in words]
     while stack:
-        coeff, toks = stack.pop()
+        c, facs, refs, toks = stack.pop()
         gens = []
         ranks = []
         svec = [0] * n
         for t in toks:
-            if isinstance(t, RatFun):
-                if gens and any(svec):
-                    t = t.shift(tuple(svec))
-                coeff = coeff * t
-            else:
+            kind = type(t)
+            if kind is tuple:
                 gens.append(t)
                 k = keys.get(t)
                 if k is None:
                     k = keys[t] = order(t)
                 ranks.append(k)
                 svec[t[1] - 1] += -1 if t[0] == 'x' else 1
-        if coeff.is_zero():
+            elif kind is dict:
+                [(key, k)] = t.items()
+                c *= k
+                if key:
+                    # a shift moves every factor of one pair p < q alike, so
+                    # the shifted key is still sorted
+                    if gens and any(svec):
+                        key = tuple([((p, q, a + svec[p - 1] - svec[q - 1]), e)
+                                     for (p, q, a), e in key])
+                    facs += (key,)
+            else:
+                # tokens keeps t alive, so its id names it for the whole walk
+                ref = opaque.get(id(t))
+                if ref is None:
+                    ref = opaque[id(t)] = (len(tokens), t.const_value())
+                    tokens.append(t)
+                if ref[1] is None:
+                    refs += ((ref[0], tuple(svec)),)
+                else:
+                    c *= ref[1]
+        if not c:
             continue
         idx = None
         for p in (range(len(ranks) - 1) if left
@@ -238,12 +299,118 @@ def _rewrite(n, words, order, resolve, strategy):
                 idx = p
                 break
         if idx is None:
-            _add_term(acc, tuple(gens), coeff)
+            term = (_product_key(facs),
+                    refs if len(refs) < 2 else tuple(sorted(refs)))
+            slot = sums.setdefault(tuple(gens), {})
+            c += slot.get(term, 0)
+            if c:
+                slot[term] = c
+            else:
+                del slot[term]
             continue
         head, tail = gens[:idx], gens[idx + 2:]
         for repl in resolve(gens[idx], gens[idx + 1]):
-            stack.append((coeff, head + repl + tail))
-    return acc
+            stack.append((c, facs, refs, head + repl + tail))
+    return sums, tokens
+
+
+def _token_value(n, t):
+    """The RatFun of a coefficient token."""
+    if type(t) is dict:
+        [(key, c)] = t.items()
+        v = factored_value(n, key)
+        return v if c == 1 else v * c
+    return t
+
+
+def _values(n, result):
+    """The canonical RatFun of each ordered word's sum in an engine result,
+    for the words where it is not zero.  A term's factored part is the
+    cached canonical value of its key; the terms with the same opaque
+    tokens are added, and each such sum is multiplied by those tokens, one
+    at a time, so that its denominator cancels against each in turn."""
+    sums, tokens = result
+    out = {}
+    for gens, terms in sums.items():
+        groups = {}  # refs -> the sum of their terms' factored parts
+        for (key, refs), c in terms.items():
+            v = c  # a term without factors stays a scalar
+            if key:
+                v = factored_value(n, key)
+                if c != 1:
+                    v = -v if c == -1 else v * c
+            prev = groups.get(refs)
+            groups[refs] = v if prev is None else prev + v
+        total = None
+        for refs, v in groups.items():
+            for i, svec in refs:
+                f = tokens[i].shift(svec)
+                if type(v) is RatFun:
+                    v = v * f
+                else:
+                    v = f if v == 1 else f * v
+            if type(v) is not RatFun:
+                v = RatFun.const(n, v)
+            total = v if total is None else total + v
+        if total is not None and not total.is_zero():
+            out[gens] = total
+    return out
+
+
+def _differ(n, left, right):
+    """Whether two engine results have different values, decided from
+    left - right on each ordered word without a canonical form: an empty
+    sum is zero, and one term is not (no token of a term is zero).  In a
+    longer sum each opaque token's denominator joins its term's exponents,
+    and rmatrix.vanishes multiplies out the sum of the terms with the same
+    opaque tokens and then multiplies it by their numerators."""
+    (lsums, tokens), (rsums, rtokens) = left, right
+    # the right result's ranks as ranks of the left's tokens, by identity
+    rank = {id(t): i for i, t in enumerate(tokens)}
+    tokens = list(tokens)
+    moved = []
+    for t in rtokens:
+        if id(t) not in rank:
+            rank[id(t)] = len(tokens)
+            tokens.append(t)
+        moved.append(rank[id(t)])
+    shifted = {}  # (rank, shift) -> the shifted token
+    nums = {}  # refs -> the product of their shifted numerators
+    for gens in [*lsums, *(g for g in rsums if g not in lsums)]:
+        diff = dict(lsums.get(gens, {}))
+        for (key, refs), c in rsums.get(gens, {}).items():
+            term = key, tuple(sorted((moved[i], svec) for i, svec in refs))
+            c = diff.get(term, 0) - c
+            if c:
+                diff[term] = c
+            else:
+                del diff[term]
+        if len(diff) < 2:
+            if diff:
+                return True
+            continue
+        groups = {}
+        for (key, refs), c in diff.items():
+            if refs:
+                key = dict(key)
+                for ref in refs:
+                    f = shifted.get(ref)
+                    if f is None:
+                        f = shifted[ref] = tokens[ref[0]].shift(ref[1])
+                    for fac, m in f.den.items():
+                        key[fac] = key.get(fac, 0) - m
+            groups.setdefault(refs, []).append((key, c))
+        parts = []
+        for refs, terms in groups.items():
+            if refs and refs not in nums:
+                num = shifted[refs[0]].num
+                for ref in refs[1:]:
+                    num = num * shifted[ref].num
+                nums[refs] = num
+            parts.append((nums.get(refs), terms))
+        if not vanishes(n, parts):
+            return True
+    return False
 
 
 def _exponents(n, gens):
@@ -257,12 +424,11 @@ def _exponents(n, gens):
 
 @lru_cache(maxsize=None)
 def _swap_coeff(n, kind, i, j):
-    """Coefficient of the same-copy swap of generators i < j of one species:
-    x^i x^j = c x^j x^i, d_i d_j = c d_j d_i."""
-    hij = RatFun.from_poly(Poly.diff(n, i, j))
-    if kind == "xx":
-        return (hij + 1) * RatFun.inverse_diff(n, i, j)
-    return (hij - 1) * RatFun.inverse_diff(n, i, j)
+    """Coefficient of the same-copy swap of generators i < j of one species,
+    as a factored token: x^i x^j = (h_ij + 1)/h_ij x^j x^i and
+    d_i d_j = (h_ij - 1)/h_ij d_j d_i."""
+    a = 1 if kind == "xx" else -1
+    return {tuple(sorted((((i, j, a), 1), ((i, j, 0), -1)))): 1}
 
 
 def _order(t):
@@ -284,6 +450,9 @@ def is_overlap_ambiguity(word):
     return _order(word[0]) > _order(word[1]) > _order(word[2])
 
 
+_MINUS_ONE = {(): -1}
+
+
 def _resolve(n, sigma, t1, t2):
     """Replace the out-of-order pair t1 t2; returns list of token lists.
 
@@ -301,30 +470,31 @@ def _resolve(n, sigma, t1, t2):
         return [[t2, t1]]
     if s1 == 'x' and s2 == 'x':
         # x^{i,ta} x^{j,tb} = sum R^{ij}_{kl} x^{k,tb} x^{l,ta}   (ta > tb)
-        return [[r_component(n, i, j, i, j), ('x', i) + tb, ('x', j) + ta],
-                [r_component(n, i, j, j, i), ('x', j) + tb, ('x', i) + ta]]
+        return [[r_terms(n, i, j, i, j), ('x', i) + tb, ('x', j) + ta],
+                [r_terms(n, i, j, j, i), ('x', j) + tb, ('x', i) + ta]]
     if s1 == 'd':
         # d_{i,ta} d_{j,tb} = sum d_{l,tb} d_{k,ta} R^{kl}_{ji}   (ta > tb);
         # both coefficients only involve h_i - h_j, so moving them left past
         # the two d's costs no shift
-        return [[r_component(n, j, i, j, i), ('d', i) + tb, ('d', j) + ta],
-                [r_component(n, i, j, j, i), ('d', j) + tb, ('d', i) + ta]]
+        return [[r_terms(n, j, i, j, i), ('d', i) + tb, ('d', j) + ta],
+                [r_terms(n, i, j, j, i), ('d', j) + tb, ('d', i) + ta]]
     # x^{i,ta} d_{j,tb} = sum_{k,l} d_{k,tb} R^{ki}_{lj}[e_k] x^{l,ta}
     #                     - delta_ij sigma(i, ta, tb)
     if i < j:
         return [[t2, t1]]  # R^{ji}_{ij} = 1
     if i > j:
         # R^{ji}_{ij}[e_j] = h_ij (h_ij - 2) / (h_ij - 1)^2
-        return [[r_shifted(n, j, i, i, j, eps_vec(n, j)), t2, t1]]
+        return [[r_terms_shifted(n, j, i, i, j, eps_vec(n, j)), t2, t1]]
     out = []
     for k in range(1, n + 1):
         if k == i:
             out.append([t2, t1])  # R^{ii}_{ii} = 1
         else:
             # R^{ki}_{ki}[e_k] = 1/(h_k - h_i + 1)
-            out.append([r_shifted(n, k, i, k, i, eps_vec(n, k)),
+            out.append([r_terms_shifted(n, k, i, k, i, eps_vec(n, k)),
                         ('d', k) + tb, ('x', k) + ta])
-    out.append([-sigma(i, ta, tb)])
+    # -1 as its own token, so that sigma keeps its identity
+    out.append([_MINUS_ONE, sigma(i, ta, tb)])
     return out
 
 
@@ -336,7 +506,8 @@ def _ring_resolve(spec):
 def _ring_form(spec, words, strategy):
     """Normal form of the sum of the token words."""
     n = spec.n
-    terms = _rewrite(n, words, _order, _ring_resolve(spec), strategy)
+    terms = _values(n, _rewrite(n, words, _order, _ring_resolve(spec),
+                                strategy))
     return NormalElement(n, {_exponents(n, g): c for g, c in terms.items()})
 
 
@@ -348,12 +519,17 @@ def normal_form(spec, word, strategy="left"):
     return _ring_form(spec, [word], strategy)
 
 
+def _product_words(a, b):
+    """The token words whose sum is the product of two normal elements."""
+    mono = NormalElement._mono_tokens
+    return [[fa, *mono(am, bm), fb, *mono(an, bn)]
+            for (am, bm), fa in a.terms.items()
+            for (an, bn), fb in b.terms.items()]
+
+
 def multiply(spec, a, b, strategy="left"):
     """Product of two normal elements, re-normal-ordered."""
-    mono = NormalElement._mono_tokens
-    return _ring_form(spec, [[fa, *mono(am, bm), fb, *mono(an, bn)]
-                             for (am, bm), fa in a.terms.items()
-                             for (an, bn), fb in b.terms.items()], strategy)
+    return _ring_form(spec, _product_words(a, b), strategy)
 
 
 def commutator(spec, a, b):
@@ -378,8 +554,8 @@ def _resolve_module(spec, t1, t2):
         return _resolve(n, None, t1, t2)
     # d_j x^i -> sum_{k,l} Psi^{ik}_{jl} x^l d_k + sum_k Psi^{ik}_{jk} sigma_k
     if j != i:
-        return [[psi_component(n, i, j, j, i), ('x', i), ('d', j)]]
-    return [[psi_component(n, i, k, i, k), ('x', k), ('d', k)]
+        return [[psi_terms(n, i, j, j, i), ('x', i), ('d', j)]]
+    return [[psi_terms(n, i, k, i, k), ('x', k), ('d', k)]
             for k in range(1, n + 1)] + [[spec.vacuum_value(i)]]
 
 
@@ -387,8 +563,8 @@ def module_form(spec, word, strategy="left"):
     """Order a word with x left of d (both descending).  Used for module
     actions: terms still containing d annihilate a lowest weight vector."""
     n = spec.n
-    terms = _rewrite(n, [word], _module_order, partial(_resolve_module, spec),
-                     strategy)
+    terms = _values(n, _rewrite(n, [word], _module_order,
+                                partial(_resolve_module, spec), strategy))
     # dict (a, b) -> coeff, with coeff left of x^b d^a
     return {_exponents(n, g): c for g, c in terms.items()}
 
@@ -452,37 +628,44 @@ def word_label(word):
     return "*".join(t[0] + ",".join(map(str, t[1:])) for t in word)
 
 
-def double_reduction(name, total, words, form):
-    """Compare form(word, "left") with form(word, "right") on the overlap
-    ambiguities among words; every other word counts as a pass, as both
+def double_reduction(name, n, words, reduce, form):
+    """Reduce each overlap ambiguity among words both ways, the engine's
+    result of each way being reduce(word, strategy), and compare the two
+    by one numerator identity per ordered word (see _differ), with no
+    canonical form built.  Every other word counts as a pass, as both
     strategies take the same steps on it (see is_overlap_ambiguity).
-    Returns the CheckReport of total checks, each failure labelled by its
-    word, and the two forms of the first word that differs, or None."""
+    Returns the CheckReport of one check per word, each failure labelled
+    by its word, and form(word, "left"), form(word, "right"), the two
+    canonical forms of the first word that differs, or None."""
     failures = []
     first = None
     for w in words:
         if not is_overlap_ambiguity(w):
             continue
-        left, right = form(w, "left"), form(w, "right")
-        if left != right:
+        if _differ(n, reduce(w, "left"), reduce(w, "right")):
             failures.append(word_label(w))
             if first is None:
-                first = left, right
-    return CheckReport(name, total, failures), first
+                first = form(w, "left"), form(w, "right")
+    return CheckReport(name, len(words), failures), first
 
 
 def verify_pbw(spec):
     """Two independent flatness checks: (a) double reduction of the 2n^3
     words x^i d_j d_k and x^j x^k d_i, which reduces the n^2(n-1) overlap
     ambiguities (j < k); (b) the closed difference system
-    h_ij Delta_j sigma_i = sigma_i - sigma_j."""
+    h_ij Delta_j sigma_i = sigma_i - sigma_j, whose failure is labelled by
+    its pair, such as "sigma (i,j)=(1,2)"."""
     n = spec.n
-    # normal_form is looked up on each call, so a rebinding of it is used
+    resolve = _ring_resolve(spec)
+    # _rewrite and normal_form are looked up on each call, so a rebinding of
+    # either is used
     direct, first = double_reduction(
-        "double reduction", 2 * n ** 3, overlap_words(n),
+        "double reduction", n, overlap_words(n),
+        lambda w, strategy: _rewrite(n, [w], _order, resolve, strategy),
         lambda w, strategy: normal_form(spec, w, strategy))
     ok, pair = sigma_system_check(spec.sigma)
-    system = CheckReport("sigma system", 1, [] if ok else [("sigma",) + pair])
+    system = CheckReport("sigma system", 1,
+                         [] if ok else [f"sigma (i,j)=({pair[0]},{pair[1]})"])
     return PBWReport(direct, system,
                      None if first is None else first[0] - first[1])
 
@@ -518,7 +701,9 @@ class GeneratorAssignment:
 def check_assignment(src, dst, assign):
     """Verify that the assignment maps every defining relation of src to zero
     in dst.  The relations are read off the rule table: each out-of-order
-    pair t1 t2 must map to the image of its replacement.  Returns a
+    pair t1 t2 must map to the image of its replacement.  The image of
+    t1 t2 minus that of its replacement is one sum of words of dst, reduced
+    once, whose canonical value must be zero.  Returns a
     CheckReport of the 2n weight checks and the n(n-1) + n^2 relations: a
     failing weight check is labelled by the generator whose image it
     checks, e.g. "x1", and a failing relation by its word, e.g. "x1*d1"."""
@@ -547,15 +732,18 @@ def check_assignment(src, dst, assign):
                     if _order(t1) > _order(t2)),
                    key=lambda p: (p[0][0] != p[1][0], p[0][1] == p[1][1],
                                   p[0][1], p[1][1]))
-    resolve = _ring_resolve(src)
+    resolve, dst_resolve = _ring_resolve(src), _ring_resolve(dst)
     for t1, t2 in pairs:
-        lhs = multiply(dst, image[t1], image[t2])
+        # the image of t1 t2 minus the image of its replacement, as one sum
+        # of words of dst; the coefficient tokens of a rule stand first, so
+        # their images lead each word and are not shifted
+        words = _product_words(image[t1], image[t2])
         for repl in resolve(t1, t2):
-            c = mc(repl[0]) if isinstance(repl[0], RatFun) else None
-            g = [image[t] for t in repl if not isinstance(t, RatFun)]
-            rhs = multiply(dst, *g) if g else dst.one()
-            lhs = lhs - (rhs if c is None else rhs.scale(c))
-        if not lhs.is_zero():
+            coeffs = [_MINUS_ONE] + [mc(_token_value(n, t)) for t in repl
+                                     if type(t) is not tuple]
+            g = [image[t] for t in repl if type(t) is tuple]
+            words += [coeffs + w for w in (_product_words(*g) if g else [[]])]
+        if _values(n, _rewrite(n, words, _order, dst_resolve, "left")):
             failures.append(word_label((t1, t2)))
     return CheckReport("assignment", 2 * n + len(pairs), failures)
 

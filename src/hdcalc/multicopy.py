@@ -19,7 +19,7 @@ from .ratfield import (DomainError, RatFun, checked_int, eps_vec, rank_exact,
                        reading_input)
 from .rmatrix import r_component, CheckReport
 from .potential import sigma_system_check
-from .diffring import (_order, _resolve, _rewrite, double_reduction,
+from .diffring import (_order, _resolve, _rewrite, _values, double_reduction,
                        overlap_words)
 
 
@@ -123,11 +123,8 @@ def constant_profile(s):
 # mixed rewriting over tokens ('x', i, a) / ('d', j, b) / RatFun
 
 
-def mixed_normal_form(n, sig, word, strategy="left"):
-    """Normal-order a mixed multi-copy word.
-
-    Returns dict: canonical generator tuple -> RatFun.  Canonical order is
-    d-block then x-block, each sorted by (copy, descending index)."""
+def _mixed_rewrite(n, sig, word, strategy):
+    """The engine's result for a mixed multi-copy word."""
     copies = {'x': sig.nx, 'd': sig.nd}
     for t in word:
         if not (isinstance(t, RatFun)
@@ -136,6 +133,14 @@ def mixed_normal_form(n, sig, word, strategy="left"):
                               f" 1..{sig.nx} of x and 1..{sig.nd} of d")
     resolve = partial(_resolve, n, lambda i, ta, tb: sig.get(i, ta[0], tb[0]))
     return _rewrite(n, [word], _order, resolve, strategy)
+
+
+def mixed_normal_form(n, sig, word, strategy="left"):
+    """Normal-order a mixed multi-copy word.
+
+    Returns dict: canonical generator tuple -> RatFun.  Canonical order is
+    d-block then x-block, each sorted by (copy, descending index)."""
+    return _values(n, _mixed_rewrite(n, sig, word, strategy))
 
 
 def vcopy_normal_form(n, ncopies, word, strategy="left"):
@@ -230,8 +235,10 @@ def ambiguity_oracle(n, nx, nd, s, budget=10_000):
         raise DomainError(f"ambiguity oracle: {total} words exceed the "
                           f"budget of {budget}")
     tags = [[(a,) for a in range(1, m + 1)] for m in (nx, nd)]
-    # mixed_normal_form is looked up on each call, so a rebinding of it is used
+    # _rewrite and mixed_normal_form are looked up on each call, so a
+    # rebinding of either is used
     report, _ = double_reduction(
-        f"ambiguity n={n} nx={nx} nd={nd}", total, overlap_words(n, *tags),
+        f"ambiguity n={n} nx={nx} nd={nd}", n, overlap_words(n, *tags),
+        lambda w, strategy: _mixed_rewrite(n, s, w, strategy),
         lambda w, strategy: mixed_normal_form(n, s, w, strategy))
     return report

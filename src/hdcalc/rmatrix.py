@@ -3,12 +3,15 @@ the structure functions built from products of weight differences.
 
 Every R and Psi component is a constant times a product of linear factors
 h_i - h_j + a.  Each is built once, in that factored form, from its product
-formula, and r_component, r_shifted and psi_component are the canonical
-RatFuns of those factored values.  Every one is memoised per process and
-never changed after it is built, so one cached value can be shared by
-every reader.  The "ice" sparsity pattern (R^{ij}_{kl} = 0 unless (k,l)
-is (i,j) or (j,i)) is used throughout, so identity checks run over
-O(n^2) nonzero components per index pair.
+formula (r_terms, r_terms_shifted, psi_terms), and r_component, r_shifted
+and psi_component are the canonical RatFuns of those factored values.  The
+factored values are also the coefficients of the rewriting rules of
+`diffring`, whose double reduction shares the sweeps' zero test,
+`vanishes`.  Every one is memoised per process and never changed after it
+is built, so one cached value can be shared by every reader.  The "ice"
+sparsity pattern (R^{ij}_{kl} = 0 unless (k,l) is (i,j) or (j,i)) is used
+throughout, so identity checks run over O(n^2) nonzero components per index
+pair.
 
 The DYBE, R^2 and skew-inverse identities are checked one way: for each
 upper index tuple, both sides are sparse rows over the lower tuples, built
@@ -201,7 +204,7 @@ def e_generating(n, skip=0):
 
 
 @lru_cache(maxsize=None)
-def _r_terms(n, i, j, k, l):
+def r_terms(n, i, j, k, l):
     """R^{ij}_{kl} as a factored sum."""
     if (k, l) == (i, j):
         return {(): 1} if i == j else _factored([(i, j, 0, -1)])
@@ -214,16 +217,16 @@ def _r_terms(n, i, j, k, l):
 
 
 @lru_cache(maxsize=None)
-def _r_terms_shifted(n, i, j, k, l, svec):
+def r_terms_shifted(n, i, j, k, l, svec):
     """R^{ij}_{kl}[svec] as a factored sum: h_i - h_j + a becomes
     h_i - h_j + a + s_i - s_j, which keeps each key canonical and sorted."""
     return {tuple(((p, q, a + svec[p - 1] - svec[q - 1]), e)
                   for (p, q, a), e in key): c
-            for key, c in _r_terms(n, i, j, k, l).items()}
+            for key, c in r_terms(n, i, j, k, l).items()}
 
 
 @lru_cache(maxsize=None)
-def _psi_terms(n, i, j, k, l):
+def psi_terms(n, i, j, k, l):
     """Psi^{ij}_{kl} as a factored sum."""
     if (k, l) == (i, j):
         # Q^+_i Q^-_j, over h_i - h_j + 1 when i != j
@@ -237,22 +240,33 @@ def _psi_terms(n, i, j, k, l):
     return {}
 
 
+# The canonical values of the factored terms the rewriting engine meets.
+# Short words meet a few dozen keys, again and again; a long word meets
+# thousands, nearly all once (`lw-eval "x1*x2*x3*d1*d2*d3" -n 3` looks up
+# 3,539 distinct keys and repeats 186 lookups), so the cache is bounded.
+@lru_cache(maxsize=256)
+def factored_value(n, key):
+    """The canonical RatFun of prod (h_i - h_j + a)^e over the ((i, j, a), e)
+    of the sorted key of a factored term."""
+    return _ratfun(n, {key: 1})
+
+
 @lru_cache(maxsize=None)
 def r_component(n, i, j, k, l):
     """R^{ij}_{kl}."""
-    return _ratfun(n, _r_terms(n, i, j, k, l))
+    return _ratfun(n, r_terms(n, i, j, k, l))
 
 
 @lru_cache(maxsize=None)
 def r_shifted(n, i, j, k, l, svec):
     """R^{ij}_{kl}[svec], for an integer shift tuple svec."""
-    return _ratfun(n, _r_terms_shifted(n, i, j, k, l, svec))
+    return _ratfun(n, r_terms_shifted(n, i, j, k, l, svec))
 
 
 @lru_cache(maxsize=None)
 def psi_component(n, i, j, k, l):
     """Psi^{ij}_{kl}, the skew inverse of R."""
-    return _ratfun(n, _psi_terms(n, i, j, k, l))
+    return _ratfun(n, psi_terms(n, i, j, k, l))
 
 
 def _nonzero_lower(i, j):
@@ -309,9 +323,9 @@ def _times_r(n, row, s, t, u=None):
         svec = None if u is None else eps_vec(n, x[u], -1)
         for c, d in _nonzero_lower(x[s], x[t]):
             if svec is None:
-                r = _r_terms(n, x[s], x[t], c, d)
+                r = r_terms(n, x[s], x[t], c, d)
             else:
-                r = _r_terms_shifted(n, x[s], x[t], c, d, svec)
+                r = r_terms_shifted(n, x[s], x[t], c, d, svec)
             y = list(x)
             y[s], y[t] = c, d
             _add_product(out.setdefault(tuple(y), {}), f, r)
@@ -330,26 +344,40 @@ def _renamed(terms):
         for key, c in terms.items())
 
 
-def _vanishes(m, terms):
-    """Whether a factored sum in h_1..h_m, an iterable of (key, c), is zero.
-    It is divided by its common factor, the least exponent of each factor
-    (0 where a term lacks it), and each term of the quotient is multiplied
-    out by Poly.mul_linfactor."""
-    terms = [(dict(key), c) for key, c in terms]
+def vanishes(n, groups):
+    """Whether a sum of factored terms in h_1..h_n is zero.
+
+    groups is an iterable of (num, terms): num is a Poly, or None for 1,
+    and terms an iterable of (key, c), each c times prod (h_i - h_j + a)^e
+    over the ((i, j, a), e) of key (a tuple of items or a dict, every
+    factor canonical).  The sum over the groups of num times the sum of
+    its terms is divided by its common factor, the least exponent of each
+    factor over every term (0 where a term lacks it); each term of the
+    quotient is multiplied out by Poly.mul_linfactor, the terms of a group
+    are added, and each group's sum is multiplied by its num once."""
+    groups = [(num, [(dict(key), c) for key, c in terms])
+              for num, terms in groups]
+    every = [pows for _, terms in groups for pows, _ in terms]
     low = {}
-    for pows, _ in terms:
+    for pows in every:
         for fac in pows:
             if fac not in low:
-                low[fac] = min(p.get(fac, 0) for p, _ in terms)
+                low[fac] = min(p.get(fac, 0) for p in every)
     total = {}
-    for pows, c in terms:
-        poly = Poly.const(m, c)
-        for fac, k in low.items():
-            e = pows.get(fac, 0) - k
-            if e:
-                poly = poly.mul_linfactor(*fac, e)
-        for exps, v in poly.terms.items():
-            total[exps] = total.get(exps, 0) + v
+    for num, terms in groups:
+        acc = total if num is None else {}
+        for pows, c in terms:
+            poly = Poly.const(n, c)
+            for fac, k in low.items():
+                e = pows.get(fac, 0) - k
+                if e:
+                    poly = poly.mul_linfactor(*fac, e)
+            for exps, v in poly.terms.items():
+                acc[exps] = acc.get(exps, 0) + v
+        if num is not None:
+            product = Poly(n, {e: v for e, v in acc.items() if v}) * num
+            for exps, v in product.terms.items():
+                total[exps] = total.get(exps, 0) + v
     return not any(total.values())
 
 
@@ -379,7 +407,8 @@ def _sweep(name, n, arity, sides):
             if len(diff) > 1:
                 renamed = _renamed(diff)
                 if renamed not in decided:
-                    decided[renamed] = _vanishes(*renamed)
+                    m, terms = renamed
+                    decided[renamed] = vanishes(m, [(None, terms)])
                 if decided[renamed]:
                     continue
             if diff:
@@ -392,8 +421,8 @@ def _dybe_rows(n, i, j, k):
     rows {(m, p, r): value}.  Each is the unit row at (i, j, k) times three
     factors; the unit row times the first factor is that factor's row."""
     si = eps_vec(n, i, -1)
-    lhs = {(a, b, k): _r_terms(n, i, j, a, b) for a, b in _nonzero_lower(i, j)}
-    rhs = {(i, a, b): _r_terms_shifted(n, j, k, a, b, si)
+    lhs = {(a, b, k): r_terms(n, i, j, a, b) for a, b in _nonzero_lower(i, j)}
+    rhs = {(i, a, b): r_terms_shifted(n, j, k, a, b, si)
            for a, b in _nonzero_lower(j, k)}
     return (_times_r(n, _times_r(n, lhs, 1, 2, 0), 0, 1),
             _times_r(n, _times_r(n, rhs, 0, 1), 1, 2, 0))
@@ -416,7 +445,7 @@ def verify_dybe(n):
 def _r_squared_rows(n, i, j):
     """Both sides of R^2 = 1 for upper indices (i, j), as sparse rows
     {(k, l): value}: R's row at (i, j) times R, and the unit row."""
-    row = {(a, b): _r_terms(n, i, j, a, b) for a, b in _nonzero_lower(i, j)}
+    row = {(a, b): r_terms(n, i, j, a, b) for a, b in _nonzero_lower(i, j)}
     return _times_r(n, row, 0, 1), {(i, j): {(): 1}}
 
 
@@ -459,12 +488,12 @@ def _skew_rows(n, i, j):
         for a, l in _nonzero_lower(i, k):
             if a != j:
                 continue
-            v = _psi_terms(n, i, k, j, l)
+            v = psi_terms(n, i, k, j, l)
             for m in range(1, n + 1):
                 for p, b in _nonzero_lower(m, l):
                     if b == k:
                         _add_product(out.setdefault((m, p), {}), v,
-                                     _r_terms_shifted(n, m, l, p, k, eps_vec(n, m)))
+                                     r_terms_shifted(n, m, l, p, k, eps_vec(n, m)))
     return out, {(j, i): {(): 1}}
 
 

@@ -1,5 +1,6 @@
 """PBW normal ordering, flatness detection, ring (anti)morphisms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from hdcalc.rmatrix import chi, complete_symmetric
 from hdcalc.potential import sigma_from_potential
 from hdcalc.diffring import (RingSpec, NormalElement, normal_form, multiply,
                              commutator, module_form, epsilon_antiauto,
-                             verify_pbw, is_overlap_ambiguity,
+                             verify_pbw, is_overlap_ambiguity, overlap_words,
+                             word_label,
                              GeneratorAssignment,
                              check_assignment, zhelobenko_assignment, scaling_assignment,
                              localized_coordinates_commute)
@@ -324,20 +326,23 @@ def test_skipped_pbw_words_take_the_same_steps_both_ways(rewrite_steps, n):
 
 
 def test_verify_pbw_reduces_only_overlap_ambiguities(monkeypatch):
+    # the words the engine reduces, each with its strategy
     reduced = []
-    nf = diffring.normal_form
+    rewrite = diffring._rewrite
 
-    def counted(spec, word, strategy="left"):
-        reduced.append(tuple(word))
-        return nf(spec, word, strategy)
+    def counted(n, words, order, resolve, strategy):
+        reduced.extend((tuple(w), strategy) for w in words)
+        return rewrite(n, words, order, resolve, strategy)
 
-    monkeypatch.setattr(diffring, "normal_form", counted)
+    monkeypatch.setattr(diffring, "_rewrite", counted)
     # n^2 (n - 1) of the 2 n^3 words, each reduced both ways
     for n, computed in ((2, 4), (3, 18), (4, 48)):
         reduced.clear()
         rep = verify_pbw(flat_spec(n))
         assert rep.flat and rep.residual is None
         assert len(reduced) == 2 * computed
+        assert {w for w, _ in reduced} == {
+            tuple(w) for _, w in pbw_words(n) if is_overlap_ambiguity(w)}
         assert rep.direct.total == 2 * n ** 3 == len(pbw_words(n))
         assert rep.system.total == 1
 
@@ -363,7 +368,84 @@ def test_verify_pbw_failures_are_the_words_that_differ(n):
             if normal_form(spec, w, "left") != normal_form(spec, w, "right")]
     assert want and rep.direct.failures == want
     assert rep.direct.total == 2 * n ** 3
-    assert rep.system.failures == [("sigma", 1, 2)]
+    assert rep.system.failures == ["sigma (i,j)=(1,2)"]
+
+
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_NONZERO = _FRACTIONS.filter(bool)
+
+
+@st.composite
+def _bumps(draw, n):
+    """A nonzero term to add to one sigma_i: a multiple of h_j, a constant
+    or a pole 1/(h_1 - h_2 + a)."""
+    c = draw(_NONZERO)
+    kind = draw(st.sampled_from(["h", "const", "pole"]))
+    if kind == "h":
+        return RatFun.var(n, draw(st.integers(1, n))) * c
+    if kind == "const":
+        return RatFun.const(n, c)
+    return RatFun.inverse_diff(n, 1, 2, draw(st.integers(-2, 2))) * c
+
+
+@st.composite
+def _seeded_specs(draw):
+    """sigma = Delta f at n = 2, 3 for f with Fraction coefficients, a
+    symmetric and a pole part, and with one sigma_i bumped in most
+    examples."""
+    n = draw(st.integers(2, 3))
+    f = Hpot(n, 1) * draw(_FRACTIONS) + Hpot(n, 2) * draw(_FRACTIONS)
+    k = draw(st.integers(2, n))
+    pi = (RatFun.var(n, k) ** draw(st.integers(0, 2)) * draw(_FRACTIONS)
+          + draw(_FRACTIONS))
+    sigma = list(sigma_from_potential(f + pi / chi(n, k)))
+    if draw(st.integers(0, 3)):
+        i = draw(st.integers(1, n))
+        sigma[i - 1] = sigma[i - 1] + draw(_bumps(n))
+    return RingSpec(n, sigma)
+
+
+@settings(max_examples=24)
+@given(_seeded_specs())
+def test_verify_pbw_decides_each_word_as_its_normal_forms_do(spec):
+    # the report's failures and residual against every word's two
+    # canonical normal forms, compared one by one
+    rep = verify_pbw(spec)
+    forms = [(label, normal_form(spec, w, "left"),
+              normal_form(spec, w, "right")) for label, w in pbw_words(spec.n)]
+    differ = [(label, left - right) for label, left, right in forms
+              if left != right]
+    assert rep.direct.failures == [label for label, _ in differ]
+    assert rep.residual == (differ[0][1] if differ else None)
+
+
+@st.composite
+def _seeded_arrays(draw):
+    """A multi-copy sigma array at n = 2 with two copies of one species or
+    both: every entry one constant, or entries drawn one by one (constant,
+    a multiple of h_j, a pole, or missing)."""
+    n = 2
+    nx, nd = draw(st.sampled_from([(2, 1), (1, 2), (2, 2)]))
+    if draw(st.booleans()):
+        return SigmaArray.constant(n, nx, nd, draw(_FRACTIONS))
+    entries = {}
+    for key in itertools.product(range(1, n + 1), range(1, nx + 1),
+                                 range(1, nd + 1)):
+        if draw(st.booleans()):
+            entries[key] = draw(_bumps(n))
+    return SigmaArray(n, nx, nd, entries)
+
+
+@settings(max_examples=16)
+@given(_seeded_arrays())
+def test_oracle_decides_each_word_as_its_mixed_forms_do(sig):
+    n = sig.n
+    words = overlap_words(n, [(a,) for a in range(1, sig.nx + 1)],
+                          [(b,) for b in range(1, sig.nd + 1)])
+    want = [word_label(w) for w in words if is_overlap_ambiguity(w)
+            and mixed_normal_form(n, sig, list(w), "left")
+            != mixed_normal_form(n, sig, list(w), "right")]
+    assert ambiguity_oracle(n, sig.nx, sig.nd, sig).failures == want
 
 
 def test_commutator_of_center_candidate():

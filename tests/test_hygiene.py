@@ -1,10 +1,10 @@
 """Source hygiene: every module of the package uses each name it imports,
 none imports `random`, so that no verdict rests on a random test, and none
-imports a private name from a sibling module, except the shared rewriting
-rule table that `multicopy` reads from `diffring`.  No module holds an
-`assert` statement, which `python -O` skips, except the invariant that
-`RatFun._cancel` states after its exact divisibility test: so no guard or
-verdict rests on one.
+imports a private name from a sibling module, except the shared rule table
+and rewriting engine that `multicopy` reads from `diffring`.  No module
+holds an `assert` statement, which `python -O` skips, except the invariant
+that `RatFun._cancel` states after its exact divisibility test: so no guard
+or verdict rests on one.
 
 `__init__.py` is exempt from the unused-import check, because it imports
 names only to re-export them.
@@ -45,9 +45,10 @@ def imported_modules(source):
     return names
 
 
-# (module, sibling, name): the rule table and engine shared by both rings
+# (module, sibling, name): the rule table and engine shared by both rings,
+# and the engine's canonical values
 SHARED_PRIVATE = {("multicopy", "diffring", name)
-                  for name in ("_order", "_resolve", "_rewrite")}
+                  for name in ("_order", "_resolve", "_rewrite", "_values")}
 
 
 def private_imports(source):

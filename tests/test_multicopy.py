@@ -155,20 +155,25 @@ def test_skipped_oracle_words_take_the_same_steps_both_ways(rewrite_steps,
 
 
 def test_oracle_reduces_only_overlap_ambiguities(monkeypatch):
+    # the words the engine reduces, each with its strategy; a failing array
+    # reduces its first failing word once more, for its canonical forms
     reduced = []
-    mnf = multicopy.mixed_normal_form
+    rewrite = multicopy._rewrite
 
-    def counted(n, sig, word, strategy="left"):
-        reduced.append(tuple(word))
-        return mnf(n, sig, word, strategy)
+    def counted(n, words, order, resolve, strategy):
+        reduced.extend((tuple(w), strategy) for w in words)
+        return rewrite(n, words, order, resolve, strategy)
 
-    monkeypatch.setattr(multicopy, "mixed_normal_form", counted)
+    monkeypatch.setattr(multicopy, "_rewrite", counted)
     for (nx, nd), computed, total in (((2, 1), 16, 48), ((1, 2), 16, 48),
                                       ((2, 2), 48, 128)):
         for s in oracle_arrays(2, nx, nd):
             reduced.clear()
             rep = ambiguity_oracle(2, nx, nd, s)
-            assert len(reduced) == 2 * computed
+            assert len(reduced) == 2 * computed + (0 if rep.passed else 2)
+            assert len(set(reduced)) == 2 * computed
+            assert {w for w, _ in reduced} == {
+                w for w in oracle_words(2, nx, nd) if is_overlap_ambiguity(w)}
             assert rep.total == total == len(oracle_words(2, nx, nd))
 
 

@@ -788,13 +788,14 @@ def test_div_linfactor_is_exact_division(pf, times_factor):
 
 
 def test_cancellation_work_counts(monkeypatch):
-    """Operation counts of two verifications, which do not jitter the way
-    time does.  Every cancellation still happens (the divisions), and no
-    futile divisibility test comes back (the pre-filter calls: 3,209 when
-    every product and sum tested every factor, 1,237 when a constant
-    numerator was tested against its denominator)."""
+    """Operation counts, which do not jitter the way time does.  Every
+    cancellation still happens (the divisions), and no futile divisibility
+    test comes back (the pre-filter calls: 3,209 when every product and sum
+    tested every factor, 1,237 when a constant numerator was tested against
+    its denominator)."""
     from hdcalc import diffring, ratfield, rmatrix
-    from hdcalc.diffring import RingSpec, verify_pbw
+    from hdcalc.diffring import (RingSpec, is_overlap_ambiguity, normal_form,
+                                 overlap_words, verify_pbw)
 
     for obj in list(vars(rmatrix).values()) + list(vars(diffring).values()):
         if hasattr(obj, "cache_clear"):
@@ -813,14 +814,23 @@ def test_cancellation_work_counts(monkeypatch):
     monkeypatch.setattr(ratfield, "_may_vanish", counted_may_vanish)
     monkeypatch.setattr(Poly, "div_linfactor", counted_div_linfactor)
     n = 2
-    assert verify_pbw(RingSpec(n, (RatFun.one(n), RatFun.one(n)))).flat
+    spec = RingSpec(n, (RatFun.one(n), RatFun.one(n)))
+    # both decide each word or tuple by one numerator identity and cancel
+    # nothing (16 divisions when verify_pbw compared canonical normal forms;
+    # 142 when verify_dybe's rows held canonical values)
+    assert verify_pbw(spec).flat
     assert rmatrix.verify_dybe(3).passed
-    # 16 since verify_dybe decides each tuple by one numerator identity and
-    # cancels nothing (142 when its rows held canonical values; 148 when each
-    # tuple recomputed its own; 172 when verify_pbw also reduced all 16
-    # ambiguity words at n=2, not just the 4 overlaps)
-    assert calls["div_linfactor"] == 16
-    assert calls["may_vanish"] <= 302
+    assert calls == {"may_vanish": 0, "div_linfactor": 0}
+    # the canonical normal forms of the 4 overlap ambiguities at n=2, both
+    # ways: 4 divisions, as a product of factored coefficients cancels
+    # equal factors by their exponents (16 when every product along a path
+    # was a canonical RatFun; 20 when verify_pbw also reduced all 16 words)
+    for w in overlap_words(n):
+        if is_overlap_ambiguity(w):
+            left, right = (normal_form(spec, w, s) for s in ("left", "right"))
+            assert left == right
+    assert calls["div_linfactor"] == 4
+    assert calls["may_vanish"] <= 4
 
 
 def _layer_ops():
@@ -837,7 +847,7 @@ def _layer_ops():
 
 def test_divisions_and_divisibility_tests_run_inside_ratfun_init(monkeypatch):
     """Every exact division and every divisibility test (a substitution
-    h_i := h_j - a with j != i) of two verifications runs inside
+    h_i := h_j - a with j != i) of three verifications runs inside
     RatFun.__init__, with no other recorded RatFun or Poly operation in
     between.  The tracer counts `ratfield.divisions` and
     `ratfield.divisibility_tests` as exactly those calls, so a cancellation
@@ -873,6 +883,9 @@ def test_divisions_and_divisibility_tests_run_inside_ratfun_init(monkeypatch):
     n = 2
     assert verify_pbw(RingSpec(n, (RatFun.one(n), RatFun.one(n)))).flat
     assert rmatrix.verify_dybe(3).passed
+    # those two cancel nothing; a bumped sigma's residual still divides
+    bumped = verify_pbw(RingSpec(n, (RatFun.one(n), RatFun.var(n, 1))))
+    assert not bumped.flat and not bumped.residual.is_zero()
     for name, seen in parents.items():
         assert seen, name
         assert set(seen) == {"RatFun.__init__"}, name

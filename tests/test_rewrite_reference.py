@@ -1,22 +1,39 @@
-"""The rewriting engine against a reference copy of its plain stack loop.
+"""The rewriting engine against a reference copy of a plain stack loop.
 
-`_rewrite_reference` is the engine as a word stack with no bookkeeping: it
-pops a (coefficient, word) pair, moves every coefficient token to the left,
-finds the out-of-order pair with `order` on each visit, and pushes the
-replacements.  The engine in `diffring` must give the same terms, in the
-same order, for the ring's normal form, the module form and the multi-copy
-mixed form, in both strategies, also where sigma is not flat and the two
-strategies disagree.
+`_rewrite_reference` is the engine as a word stack of canonical RatFun
+coefficients, with no bookkeeping: it pops a (coefficient, word) pair, moves
+every coefficient token to the left, a factored one first turned into a
+RatFun factor by factor, finds the out-of-order pair with `order` on each
+visit, and pushes the replacements.  The public forms in `diffring` and
+`multicopy` must give the same terms, in the same order, for the ring's
+normal form, the module form and the multi-copy mixed form, in both
+strategies, also where sigma is not flat and the two strategies disagree.
 """
 
 import random
+from functools import partial
 
 import pytest
 
-from hdcalc import diffring, multicopy
+from hdcalc import diffring
 from hdcalc.diffring import RingSpec, module_form, normal_form
 from hdcalc.multicopy import SigmaArray, mixed_normal_form
 from hdcalc.ratfield import Poly, RatFun
+
+
+def _token_ratfun(n, t):
+    """A coefficient token as a RatFun: a factored one {key: c} built
+    factor by factor, an opaque one as it is."""
+    if not isinstance(t, dict):
+        return t
+    [(key, c)] = t.items()
+    num, den = Poly.const(n, c), []
+    for (i, j, a), e in key:
+        if e > 0:
+            num = num * Poly.diff(n, i, j, a) ** e
+        else:
+            den.append(((i, j, a), -e))
+    return RatFun.build(num, den)
 
 
 def _rewrite_reference(n, words, order, resolve, strategy):
@@ -27,7 +44,8 @@ def _rewrite_reference(n, words, order, resolve, strategy):
         gens = []
         svec = [0] * n
         for t in toks:
-            if isinstance(t, RatFun):
+            if not isinstance(t, tuple):
+                t = _token_ratfun(n, t)
                 if any(svec):
                     t = t.shift(tuple(svec))
                 coeff = coeff * t
@@ -82,14 +100,19 @@ def _items(form):
     return list(getattr(form, "terms", form).items())
 
 
-def _both_engines(monkeypatch, compute):
-    """compute() with the engine, then with the reference loop."""
-    got = compute()
-    with monkeypatch.context() as m:
-        for module in (diffring, multicopy):
-            m.setattr(module, "_rewrite", _rewrite_reference)
-        want = compute()
-    return got, want
+def _ring_reference(spec, word, strategy):
+    n = spec.n
+    terms = _rewrite_reference(n, [word], diffring._order,
+                               diffring._ring_resolve(spec), strategy)
+    return {diffring._exponents(n, g): c for g, c in terms.items()}
+
+
+def _module_reference(spec, word, strategy):
+    n = spec.n
+    terms = _rewrite_reference(n, [word], diffring._module_order,
+                               partial(diffring._resolve_module, spec),
+                               strategy)
+    return {diffring._exponents(n, g): c for g, c in terms.items()}
 
 
 def _not_flat_specs():
@@ -99,22 +122,20 @@ def _not_flat_specs():
 
 
 @pytest.mark.parametrize("spec", _not_flat_specs(), ids=["n2", "n3"])
-def test_ring_and_module_forms_match_the_reference(monkeypatch, spec):
+def test_ring_and_module_forms_match_the_reference(spec):
     n = spec.n
     words = _words(random.Random(20 + n), n, 40)
-
-    def compute():
-        return [_items(f(spec, w, strategy)) for w in words
-                for f in (normal_form, module_form)
-                for strategy in ("left", "right")]
-
-    got, want = _both_engines(monkeypatch, compute)
+    pairs = ((normal_form, _ring_reference), (module_form, _module_reference))
+    got = [_items(f(spec, w, strategy)) for w in words for f, _ in pairs
+           for strategy in ("left", "right")]
+    want = [_items(ref(spec, w, strategy)) for w in words for _, ref in pairs
+            for strategy in ("left", "right")]
     assert got == want
     # the sigmas are not flat: the two strategies differ on some word
     assert any(got[k] != got[k + 1] for k in range(0, len(got), 2))
 
 
-def test_mixed_forms_match_the_reference(monkeypatch):
+def test_mixed_forms_match_the_reference():
     n = 2
     sig = SigmaArray(2, 2, 2, {(1, 1, 1): RatFun.one(n),
                                (2, 1, 1): _h(n, 1),
@@ -122,11 +143,12 @@ def test_mixed_forms_match_the_reference(monkeypatch):
                                (2, 2, 1): _h(n, 2) - 1,
                                (1, 2, 2): RatFun.one(n)})
     words = _words(random.Random(5), n, 50, copies=2)
-
-    def compute():
-        return [_items(mixed_normal_form(n, sig, w, strategy))
-                for w in words for strategy in ("left", "right")]
-
-    got, want = _both_engines(monkeypatch, compute)
+    resolve = partial(diffring._resolve, n,
+                      lambda i, ta, tb: sig.get(i, ta[0], tb[0]))
+    got = [_items(mixed_normal_form(n, sig, w, strategy))
+           for w in words for strategy in ("left", "right")]
+    want = [_items(_rewrite_reference(n, [w], diffring._order, resolve,
+                                      strategy))
+            for w in words for strategy in ("left", "right")]
     assert got == want
     assert any(got[k] != got[k + 1] for k in range(0, len(got), 2))

@@ -199,8 +199,8 @@ def test_no_internal_path_factors(monkeypatch):
 
     monkeypatch.setattr(ratfield, "factor_linfactors", refuse)
     for cached in (rmatrix.psi, rmatrix.psi_prime, chi, phi, phi_inv, q_plus,
-                   rmatrix._r_terms, rmatrix._r_terms_shifted,
-                   rmatrix._psi_terms, r_component, r_shifted, psi_component,
+                   rmatrix.r_terms, rmatrix.r_terms_shifted,
+                   rmatrix.psi_terms, r_component, r_shifted, psi_component,
                    diffring._swap_coeff):
         cached.cache_clear()
     with pytest.raises(AssertionError, match="reached"):
@@ -260,9 +260,9 @@ def test_memoised_components_are_not_mutated():
     n = 3
     held = [(fn, args, fn(*args)) for fn, args in _memo_keys(n)]
     before = [v.to_json() for _, _, v in held]
-    factored = {rmatrix.r_component: rmatrix._r_terms,
-                rmatrix.psi_component: rmatrix._psi_terms,
-                rmatrix.r_shifted: rmatrix._r_terms_shifted}
+    factored = {rmatrix.r_component: rmatrix.r_terms,
+                rmatrix.psi_component: rmatrix.psi_terms,
+                rmatrix.r_shifted: rmatrix.r_terms_shifted}
     held_terms = [(factored[fn], args, factored[fn](*args))
                   for fn, args, _ in held]
     before_terms = [dict(v) for _, _, v in held_terms]
@@ -307,7 +307,7 @@ def _doubled(source, *at):
 
 
 def _drop_shift(n, i, j, k, l, svec):
-    return rmatrix._r_terms(n, i, j, k, l)
+    return rmatrix.r_terms(n, i, j, k, l)
 
 
 def _as_ratfun(n, terms):
@@ -409,7 +409,7 @@ def test_sweeps_compare_only_conserving_tuples(monkeypatch, n, dybe, quartic):
 def test_r_squared_failures_match_the_dense_oracle(mutant):
     # with every R^{ij}_{ij}, i != j, doubled, R^2 = 1 fails; the sweep must
     # name the same tuples as the dense sums, in the same order
-    mutant("_r_terms", _doubled(rmatrix._r_terms))
+    mutant("r_terms", _doubled(rmatrix.r_terms))
     want = _r_squared_oracle(3)
     assert want
     assert verify_r_squared(3).failures == want
@@ -419,14 +419,14 @@ def test_skew_inverse_failures_match_the_dense_oracle(mutant):
     # with every Psi^{ij}_{ij}, i != j, doubled, the skew-inverse identity
     # fails; the sweep must name the same tuples as the dense sums, in the
     # same order
-    mutant("_psi_terms", _doubled(rmatrix._psi_terms))
+    mutant("psi_terms", _doubled(rmatrix.psi_terms))
     want = _skew_oracle(3)
     assert want
     assert verify_skew_inverse(3).failures == want
 
 
 def test_skew_inverse_fails_if_the_shift_is_dropped(mutant):
-    mutant("_r_terms_shifted", _drop_shift)
+    mutant("r_terms_shifted", _drop_shift)
     want = _skew_oracle(3)
     assert want
     assert verify_skew_inverse(3).failures == want
@@ -481,14 +481,14 @@ def test_dybe_rows_hold_exactly_the_conserving_keys(n):
 def test_dybe_failures_match_the_dense_oracle(mutant):
     # with R^{12}_{21} doubled the equation fails; the sweep must name the
     # same tuples as the dense sums, in the same order
-    mutant("_r_terms", _doubled(rmatrix._r_terms, (1, 2, 2, 1)))
+    mutant("r_terms", _doubled(rmatrix.r_terms, (1, 2, 2, 1)))
     want = _dybe_oracle(3)
     assert want
     assert verify_dybe(3).failures == want
 
 
 def test_dybe_fails_if_the_shift_is_dropped(mutant):
-    mutant("_r_terms_shifted", _drop_shift)
+    mutant("r_terms_shifted", _drop_shift)
     want = _dybe_oracle(3)
     assert want
     assert verify_dybe(3).failures == want
@@ -499,7 +499,7 @@ def test_one_mutated_index_tuple_fails_where_the_dense_sums_do(mutant, n, at):
     # R^{ij}_{ji} for one (i, j) doubled: the sums of every other (i, j)
     # are equal under an order-preserving renaming of the variables, so the
     # memo of each sweep must not hand their verdicts to the mutated ones
-    mutant("_r_terms", _doubled(rmatrix._r_terms, at))
+    mutant("r_terms", _doubled(rmatrix.r_terms, at))
     for sweep, oracle in ((verify_dybe, _dybe_oracle),
                           (verify_r_squared, _r_squared_oracle),
                           (verify_skew_inverse, _skew_oracle)):
@@ -513,13 +513,13 @@ def test_dybe_multiplies_out_each_distinct_sum_once(monkeypatch):
     # 156 at n=4; with their variables renamed they are 25 distinct sums,
     # and only those are multiplied out, once per sweep
     calls = [0]
-    vanishes = rmatrix._vanishes
+    vanishes = rmatrix.vanishes
 
     def counted(*args):
         calls[0] += 1
         return vanishes(*args)
 
-    monkeypatch.setattr(rmatrix, "_vanishes", counted)
+    monkeypatch.setattr(rmatrix, "vanishes", counted)
     for n in (3, 4):
         calls[0] = 0
         assert verify_dybe(n).passed

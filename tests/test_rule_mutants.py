@@ -23,16 +23,18 @@ from hdcalc.rmatrix import complete_symmetric
 def patched_coefficient(family, patch):
     """The mutant that replaces the coefficient c of the first replacement
     of each rule of a family, the pairs t1 t2 for which family(t1, t2)
-    holds, by patch(c); a rule without a coefficient has c = 1."""
+    holds, by patch(c), as a RatFun token; c is the value of the rule's
+    coefficient token, factored or not, and 1 for a rule without one."""
     def mutant(resolve):
         def mutated(n, sigma, t1, t2):
             out = resolve(n, sigma, t1, t2)
             if not family(t1, t2):
                 return out
             first, *rest = out
-            if isinstance(first[0], RatFun):
-                return [[patch(first[0]), *first[1:]], *rest]
-            return [[patch(RatFun.one(n)), *first], *rest]
+            if isinstance(first[0], tuple):
+                return [[patch(RatFun.one(n)), *first], *rest]
+            c = diffring._token_value(n, first[0])
+            return [[patch(c), *first[1:]], *rest]
         return mutated
     return mutant
 
