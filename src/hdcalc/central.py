@@ -77,13 +77,14 @@ def central_family(f, n=None):
 
 def verify_central(fam):
     """[c_k, g] = 0 for every generator g (x^j, d_j, h_j); exact.  A
-    failing check is labelled (k, g), e.g. (1, "x2")."""
+    failing check is labelled by its commutator, e.g. [c1,x2]."""
     spec = fam.spec
     n = spec.n
     gens = [(f"x{j}", spec.x(j)) for j in range(1, n + 1)]
     gens += [(f"d{j}", spec.d(j)) for j in range(1, n + 1)]
     gens += [(f"h{j}", spec.h(j)) for j in range(1, n + 1)]
-    failures = [(k, label) for k, c in enumerate(fam.elements, start=1)
+    failures = [f"[c{k},{label}]"
+                for k, c in enumerate(fam.elements, start=1)
                 for label, g in gens
                 if not commutator(spec, c, g).is_zero()]
     return CheckReport("central", len(fam.elements) * len(gens), failures)

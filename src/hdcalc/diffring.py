@@ -19,10 +19,13 @@ The one rewriting engine, `_rewrite`, carries each path's coefficient as a
 path term: a constant, the exponents of its linear factors, and its opaque
 tokens, each with the shift it has picked up.  A product adds exponents, and
 paths that reach the same ordered word merge into that word's sum, term by
-term, with no RatFun computed.  The canonical forms (`normal_form`,
-`multiply`, `module_form`, `multicopy.mixed_normal_form`) turn each word's
-sum into one RatFun; `double_reduction` decides each overlap word from
-left - right of its two sums, by one numerator identity per ordered word.
+term, with no RatFun computed.  Each word of a walk carries its own
+strategy, so one walk can reduce a word "left" and minus it "right".  The
+canonical forms (`normal_form`, `multiply`, `module_form`,
+`multicopy.mixed_normal_form`) turn each word's sum into one RatFun; the
+checks (`double_reduction`, `check_assignment`) need only know whether a
+result is zero, which `_is_zero` decides by one numerator identity per
+ordered word.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from functools import lru_cache, partial
 
 from .ratfield import (DomainError, Poly, RatFun, checked_int, checked_perm,
                        eps_vec, json_exponents, reading_input, ring_mismatch)
-from .rmatrix import (CheckReport, factored_value, phi, phi_inv,
-                      psi_component, psi_prime, psi_terms, r_terms,
-                      r_terms_shifted, vanishes)
+from .rmatrix import (CheckReport, factored, factored_value, key_product,
+                      phi, phi_inv, psi_component, psi_prime, psi_terms,
+                      r_terms, r_terms_shifted, shifted_key, vanishes)
 from .potential import sigma_system_check
 
 
@@ -53,7 +56,7 @@ class RingSpec:
     def __init__(self, n, sigma=None):
         self.n = n
         if sigma is None:
-            sigma = tuple(RatFun.zero(n) for _ in range(n))
+            sigma = (RatFun.zero(n),) * n
         sigma = tuple(sigma)
         if len(sigma) != n:
             raise DomainError(f"expected {n} sigma entries, got {len(sigma)}")
@@ -211,21 +214,9 @@ def _add_term(acc, key, c):
         acc[key] = c
 
 
-def _product_key(keys):
-    """The sorted key of the product of factored terms with sorted keys:
-    exponents of one factor add, and a factor of exponent 0 drops."""
-    if len(keys) < 2:
-        return keys[0] if keys else ()
-    pows = {}
-    for key in keys:
-        for fac, e in key:
-            pows[fac] = pows.get(fac, 0) + e
-    return tuple(sorted(item for item in pows.items() if item[1]))
-
-
-def _rewrite(n, words, order, resolve, strategy):
+def _rewrite(n, walks, order, resolve):
     """Rewrite a sum of token words into a factored sum over each ordered
-    generator word.
+    generator word.  walks lists the words as (strategy, word) pairs.
 
     Tokens are generators (species, index, ...) with species 'x' or 'd',
     and factored and opaque coefficients (see the module docstring).  A
@@ -234,16 +225,17 @@ def _rewrite(n, words, order, resolve, strategy):
     h_p - h_q + a + s_p - s_q, and an opaque one by keeping the shift
     beside it.  An adjacent pair t1 t2 is out of order when
     order(t1) > order(t2), and resolve(t1, t2) returns its replacement as a
-    list of token lists (a sum).  strategy picks which out-of-order pair is
-    rewritten first, the leftmost ("left") or the rightmost ("right"); the
-    result does not depend on it exactly when the rules are confluent.
+    list of token lists (a sum).  A word's strategy picks which out-of-order
+    pair of it, and of every word it rewrites to, is rewritten first: the
+    leftmost ("left") or the rightmost ("right").  The result does not
+    depend on the strategies exactly when the rules are confluent.
 
     A path's coefficient is a constant, the factors it has met and its
     opaque tokens with their shifts: a product multiplies constants and
     adds exponents, and a constant opaque token folds into the constant, so
     no RatFun is multiplied or added here.  A path that reaches an ordered
-    word merges into that word's sum, so memory grows with the distinct
-    terms, not with the paths.
+    word merges into that word's sum, whatever its strategy, so memory grows
+    with the distinct terms, not with the paths.
 
     Returns (sums, tokens).  sums maps each ordered generator tuple to its
     sum {(key, refs): c}: c a nonzero constant, key the sorted factor
@@ -254,10 +246,9 @@ def _rewrite(n, words, order, resolve, strategy):
     tokens = []
     opaque = {}  # id(token) -> (rank, constant value or None)
     keys = {}  # generator -> order(generator)
-    left = strategy == "left"
-    stack = [(1, (), (), list(w)) for w in words]
+    stack = [(strategy == "left", 1, (), (), list(w)) for strategy, w in walks]
     while stack:
-        c, facs, refs, toks = stack.pop()
+        left, c, facs, refs, toks = stack.pop()
         gens = []
         ranks = []
         svec = [0] * n
@@ -274,11 +265,8 @@ def _rewrite(n, words, order, resolve, strategy):
                 [(key, k)] = t.items()
                 c *= k
                 if key:
-                    # a shift moves every factor of one pair p < q alike, so
-                    # the shifted key is still sorted
                     if gens and any(svec):
-                        key = tuple([((p, q, a + svec[p - 1] - svec[q - 1]), e)
-                                     for (p, q, a), e in key])
+                        key = shifted_key(key, svec)
                     facs += (key,)
             else:
                 # tokens keeps t alive, so its id names it for the whole walk
@@ -299,7 +287,7 @@ def _rewrite(n, words, order, resolve, strategy):
                 idx = p
                 break
         if idx is None:
-            term = (_product_key(facs),
+            term = (key_product(facs),
                     refs if len(refs) < 2 else tuple(sorted(refs)))
             slot = sums.setdefault(tuple(gens), {})
             c += slot.get(term, 0)
@@ -310,7 +298,7 @@ def _rewrite(n, words, order, resolve, strategy):
             continue
         head, tail = gens[:idx], gens[idx + 2:]
         for repl in resolve(gens[idx], gens[idx + 1]):
-            stack.append((c, facs, refs, head + repl + tail))
+            stack.append((left, c, facs, refs, head + repl + tail))
     return sums, tokens
 
 
@@ -357,40 +345,23 @@ def _values(n, result):
     return out
 
 
-def _differ(n, left, right):
-    """Whether two engine results have different values, decided from
-    left - right on each ordered word without a canonical form: an empty
-    sum is zero, and one term is not (no token of a term is zero).  In a
-    longer sum each opaque token's denominator joins its term's exponents,
-    and rmatrix.vanishes multiplies out the sum of the terms with the same
-    opaque tokens and then multiplies it by their numerators."""
-    (lsums, tokens), (rsums, rtokens) = left, right
-    # the right result's ranks as ranks of the left's tokens, by identity
-    rank = {id(t): i for i, t in enumerate(tokens)}
-    tokens = list(tokens)
-    moved = []
-    for t in rtokens:
-        if id(t) not in rank:
-            rank[id(t)] = len(tokens)
-            tokens.append(t)
-        moved.append(rank[id(t)])
+def _is_zero(n, result):
+    """Whether an engine result is zero, decided on each ordered word
+    without a canonical form: an empty sum is zero, and one term is not (no
+    token of a term is zero).  In a longer sum each opaque token's
+    denominator joins its term's exponents, and rmatrix.vanishes multiplies
+    out the sum of the terms with the same opaque tokens and then
+    multiplies it by their numerators."""
+    sums, tokens = result
     shifted = {}  # (rank, shift) -> the shifted token
     nums = {}  # refs -> the product of their shifted numerators
-    for gens in [*lsums, *(g for g in rsums if g not in lsums)]:
-        diff = dict(lsums.get(gens, {}))
-        for (key, refs), c in rsums.get(gens, {}).items():
-            term = key, tuple(sorted((moved[i], svec) for i, svec in refs))
-            c = diff.get(term, 0) - c
-            if c:
-                diff[term] = c
-            else:
-                del diff[term]
-        if len(diff) < 2:
-            if diff:
-                return True
+    for terms in sums.values():
+        if len(terms) < 2:
+            if terms:
+                return False
             continue
         groups = {}
-        for (key, refs), c in diff.items():
+        for (key, refs), c in terms.items():
             if refs:
                 key = dict(key)
                 for ref in refs:
@@ -409,8 +380,8 @@ def _differ(n, left, right):
                 nums[refs] = num
             parts.append((nums.get(refs), terms))
         if not vanishes(n, parts):
-            return True
-    return False
+            return False
+    return True
 
 
 def _exponents(n, gens):
@@ -427,8 +398,7 @@ def _swap_coeff(n, kind, i, j):
     """Coefficient of the same-copy swap of generators i < j of one species,
     as a factored token: x^i x^j = (h_ij + 1)/h_ij x^j x^i and
     d_i d_j = (h_ij - 1)/h_ij d_j d_i."""
-    a = 1 if kind == "xx" else -1
-    return {tuple(sorted((((i, j, a), 1), ((i, j, 0), -1)))): 1}
+    return factored([(i, j, 1 if kind == "xx" else -1, 1), (i, j, 0, -1)])
 
 
 def _order(t):
@@ -506,8 +476,8 @@ def _ring_resolve(spec):
 def _ring_form(spec, words, strategy):
     """Normal form of the sum of the token words."""
     n = spec.n
-    terms = _values(n, _rewrite(n, words, _order, _ring_resolve(spec),
-                                strategy))
+    terms = _values(n, _rewrite(n, [(strategy, w) for w in words], _order,
+                                _ring_resolve(spec)))
     return NormalElement(n, {_exponents(n, g): c for g, c in terms.items()})
 
 
@@ -563,8 +533,8 @@ def module_form(spec, word, strategy="left"):
     """Order a word with x left of d (both descending).  Used for module
     actions: terms still containing d annihilate a lowest weight vector."""
     n = spec.n
-    terms = _values(n, _rewrite(n, [word], _module_order,
-                                partial(_resolve_module, spec), strategy))
+    terms = _values(n, _rewrite(n, [(strategy, word)], _module_order,
+                                partial(_resolve_module, spec)))
     # dict (a, b) -> coeff, with coeff left of x^b d^a
     return {_exponents(n, g): c for g, c in terms.items()}
 
@@ -628,21 +598,29 @@ def word_label(word):
     return "*".join(t[0] + ",".join(map(str, t[1:])) for t in word)
 
 
-def double_reduction(name, n, words, reduce, form):
-    """Reduce each overlap ambiguity among words both ways, the engine's
-    result of each way being reduce(word, strategy), and compare the two
-    by one numerator identity per ordered word (see _differ), with no
-    canonical form built.  Every other word counts as a pass, as both
-    strategies take the same steps on it (see is_overlap_ambiguity).
-    Returns the CheckReport of one check per word, each failure labelled
-    by its word, and form(word, "left"), form(word, "right"), the two
-    canonical forms of the first word that differs, or None."""
+def index_label(names, values):
+    """Indices as failures name them: index_label("ij", (1, 2)) is
+    (i,j)=(1,2)."""
+    return f"({','.join(names)})=({','.join(map(str, values))})"
+
+
+def double_reduction(name, n, words, resolve, form):
+    """Reduce each overlap ambiguity w among words both ways under the rules
+    resolve, as one engine walk of w "left" minus w "right", and decide
+    that difference by one numerator identity per ordered word (see
+    _is_zero), with no canonical form built.  Every other word counts as a
+    pass, as both strategies take the same steps on it (see
+    is_overlap_ambiguity).  Returns the CheckReport of one check per word,
+    each failure labelled by its word, and form(word, "left"),
+    form(word, "right"), the two canonical forms of the first word that
+    differs, or None."""
     failures = []
     first = None
     for w in words:
         if not is_overlap_ambiguity(w):
             continue
-        if _differ(n, reduce(w, "left"), reduce(w, "right")):
+        walks = [("left", w), ("right", [_MINUS_ONE, *w])]
+        if not _is_zero(n, _rewrite(n, walks, _order, resolve)):
             failures.append(word_label(w))
             if first is None:
                 first = form(w, "left"), form(w, "right")
@@ -656,16 +634,12 @@ def verify_pbw(spec):
     h_ij Delta_j sigma_i = sigma_i - sigma_j, whose failure is labelled by
     its pair, such as "sigma (i,j)=(1,2)"."""
     n = spec.n
-    resolve = _ring_resolve(spec)
-    # _rewrite and normal_form are looked up on each call, so a rebinding of
-    # either is used
-    direct, first = double_reduction(
-        "double reduction", n, overlap_words(n),
-        lambda w, strategy: _rewrite(n, [w], _order, resolve, strategy),
-        lambda w, strategy: normal_form(spec, w, strategy))
+    direct, first = double_reduction("double reduction", n, overlap_words(n),
+                                     _ring_resolve(spec),
+                                     partial(normal_form, spec))
     ok, pair = sigma_system_check(spec.sigma)
     system = CheckReport("sigma system", 1,
-                         [] if ok else [f"sigma (i,j)=({pair[0]},{pair[1]})"])
+                         [] if ok else ["sigma " + index_label("ij", pair)])
     return PBWReport(direct, system,
                      None if first is None else first[0] - first[1])
 
@@ -703,7 +677,7 @@ def check_assignment(src, dst, assign):
     in dst.  The relations are read off the rule table: each out-of-order
     pair t1 t2 must map to the image of its replacement.  The image of
     t1 t2 minus that of its replacement is one sum of words of dst, reduced
-    once, whose canonical value must be zero.  Returns a
+    once, which must be zero (see _is_zero).  Returns a
     CheckReport of the 2n weight checks and the n(n-1) + n^2 relations: a
     failing weight check is labelled by the generator whose image it
     checks, e.g. "x1", and a failing relation by its word, e.g. "x1*d1"."""
@@ -743,7 +717,8 @@ def check_assignment(src, dst, assign):
                                      if type(t) is not tuple]
             g = [image[t] for t in repl if type(t) is tuple]
             words += [coeffs + w for w in (_product_words(*g) if g else [[]])]
-        if _values(n, _rewrite(n, words, _order, dst_resolve, "left")):
+        if not _is_zero(n, _rewrite(n, [("left", w) for w in words], _order,
+                                    dst_resolve)):
             failures.append(word_label((t1, t2)))
     return CheckReport("assignment", 2 * n + len(pairs), failures)
 
@@ -788,10 +763,12 @@ def scaling_assignment(spec, gamma):
 
 def localized_coordinates_commute(spec):
     """The rescaled coordinates x^i psi'_i commute pairwise inside the ring:
-    one check per pair i < j, labelled (i, j) when it fails."""
+    one check per pair i < j, labelled by its pair, such as (i,j)=(1,2),
+    when it fails."""
     n = spec.n
     elems = [normal_form(spec, [('x', i), psi_prime(n, i)])
              for i in range(1, n + 1)]
-    failures = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    failures = [index_label("ij", (i, j))
+                for i in range(1, n + 1) for j in range(i + 1, n + 1)
                 if not commutator(spec, elems[i - 1], elems[j - 1]).is_zero()]
     return CheckReport("localized coordinates", n * (n - 1) // 2, failures)

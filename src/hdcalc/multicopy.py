@@ -20,7 +20,7 @@ from .ratfield import (DomainError, RatFun, checked_int, eps_vec, rank_exact,
 from .rmatrix import r_component, CheckReport
 from .potential import sigma_system_check
 from .diffring import (_order, _resolve, _rewrite, _values, double_reduction,
-                       overlap_words)
+                       index_label, overlap_words)
 
 
 class SigmaArray:
@@ -123,16 +123,10 @@ def constant_profile(s):
 # mixed rewriting over tokens ('x', i, a) / ('d', j, b) / RatFun
 
 
-def _mixed_rewrite(n, sig, word, strategy):
-    """The engine's result for a mixed multi-copy word."""
-    copies = {'x': sig.nx, 'd': sig.nd}
-    for t in word:
-        if not (isinstance(t, RatFun)
-                or 1 <= t[1] <= n and 1 <= t[2] <= copies.get(t[0], 0)):
-            raise DomainError(f"token {t!r} is outside indices 1..{n}, copies"
-                              f" 1..{sig.nx} of x and 1..{sig.nd} of d")
-    resolve = partial(_resolve, n, lambda i, ta, tb: sig.get(i, ta[0], tb[0]))
-    return _rewrite(n, [word], _order, resolve, strategy)
+def _mixed_resolve(n, sig):
+    """The rule table on copy-tagged tokens, with sig's entries as the
+    zero-order terms."""
+    return partial(_resolve, n, lambda i, ta, tb: sig.get(i, ta[0], tb[0]))
 
 
 def mixed_normal_form(n, sig, word, strategy="left"):
@@ -140,7 +134,14 @@ def mixed_normal_form(n, sig, word, strategy="left"):
 
     Returns dict: canonical generator tuple -> RatFun.  Canonical order is
     d-block then x-block, each sorted by (copy, descending index)."""
-    return _values(n, _mixed_rewrite(n, sig, word, strategy))
+    copies = {'x': sig.nx, 'd': sig.nd}
+    for t in word:
+        if not (isinstance(t, RatFun)
+                or 1 <= t[1] <= n and 1 <= t[2] <= copies.get(t[0], 0)):
+            raise DomainError(f"token {t!r} is outside indices 1..{n}, copies"
+                              f" 1..{sig.nx} of x and 1..{sig.nd} of d")
+    return _values(n, _rewrite(n, [(strategy, word)], _order,
+                               _mixed_resolve(n, sig)))
 
 
 def vcopy_normal_form(n, ncopies, word, strategy="left"):
@@ -207,13 +208,13 @@ def flatness_check(n, nx, nd, s):
             fam = s.family(a, b)
             ok, pair = sigma_system_check(fam)
             if not ok:
-                failures.append(f"eqsigib a={a} b={b} at (i,j)={pair}")
+                failures.append(f"sigma a={a} b={b} {index_label('ij', pair)}")
             if not multi:
                 continue
             for eq, failure in (("ysy1", _ysy1_failure), ("ysy2", _ysy2_failure)):
                 w = failure(n, fam)
                 if w is not None:
-                    failures.append(f"{eq} a={a} b={b} at (u,i,k,j)={w}")
+                    failures.append(f"{eq} a={a} b={b} {index_label('uikj', w)}")
     total = nx * nd * (3 if multi else 1)
     return CheckReport(f"flatness n={n} nx={nx} nd={nd}", total, failures)
 
@@ -235,10 +236,7 @@ def ambiguity_oracle(n, nx, nd, s, budget=10_000):
         raise DomainError(f"ambiguity oracle: {total} words exceed the "
                           f"budget of {budget}")
     tags = [[(a,) for a in range(1, m + 1)] for m in (nx, nd)]
-    # _rewrite and mixed_normal_form are looked up on each call, so a
-    # rebinding of either is used
     report, _ = double_reduction(
         f"ambiguity n={n} nx={nx} nd={nd}", n, overlap_words(n, *tags),
-        lambda w, strategy: _mixed_rewrite(n, s, w, strategy),
-        lambda w, strategy: mixed_normal_form(n, s, w, strategy))
+        _mixed_resolve(n, s), partial(mixed_normal_form, n, s))
     return report

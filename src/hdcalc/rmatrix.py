@@ -53,7 +53,7 @@ from .ratfield import Poly, RatFun, canon_factor, eps_vec
 # canonical RatFun of a one-term sum needs no cancelling.
 
 
-def _factored(factors):
+def factored(factors):
     """The one-term sum prod (h_i - h_j + a)^e over (i, j, a, e)."""
     pows, c = {}, 1
     for i, j, a, e in factors:
@@ -64,18 +64,32 @@ def _factored(factors):
     return {tuple(sorted(item for item in pows.items() if item[1])): c}
 
 
+def key_product(keys):
+    """The key of the product of the terms with the given keys: exponents
+    of one factor add, and a factor of exponent 0 drops."""
+    if len(keys) < 2:
+        return keys[0] if keys else ()
+    pows = {}
+    for key in keys:
+        for fac, e in key:
+            pows[fac] = pows.get(fac, 0) + e
+    return tuple(sorted(item for item in pows.items() if item[1]))
+
+
+def shifted_key(key, svec):
+    """The key of a term shifted by the integer vector svec: h_i - h_j + a
+    becomes h_i - h_j + a + s_i - s_j.  Every factor of one pair i < j
+    moves alike, so the key stays canonical and sorted."""
+    return tuple([((i, j, a + svec[i - 1] - svec[j - 1]), e)
+                  for (i, j, a), e in key])
+
+
 def _add_product(acc, f, g):
     """acc += f * g, for factored sums f and g: exponents add, and like
     terms merge."""
     for kf, cf in f.items():
         for kg, cg in g.items():
-            if kf and kg:
-                pows = dict(kf)
-                for fac, e in kg:
-                    pows[fac] = pows.get(fac, 0) + e
-                key = tuple(sorted(item for item in pows.items() if item[1]))
-            else:
-                key = kf or kg
+            key = key_product((kf, kg)) if kf and kg else kf or kg
             c = acc.get(key, 0) + cf * cg
             if c:
                 acc[key] = c
@@ -152,7 +166,7 @@ def _q_factors(n, i, sign):
 @lru_cache(maxsize=None)
 def q_plus(n, i):
     """chi_i[e_i] / chi_i."""
-    return _ratfun(n, _factored(_q_factors(n, i, 1)))
+    return _ratfun(n, factored(_q_factors(n, i, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +221,19 @@ def e_generating(n, skip=0):
 def r_terms(n, i, j, k, l):
     """R^{ij}_{kl} as a factored sum."""
     if (k, l) == (i, j):
-        return {(): 1} if i == j else _factored([(i, j, 0, -1)])
+        return {(): 1} if i == j else factored([(i, j, 0, -1)])
     if (k, l) == (j, i):
         if i >= j:
             return {(): 1}
         # (h_ij^2 - 1) / h_ij^2
-        return _factored([(i, j, -1, 1), (i, j, 1, 1), (i, j, 0, -2)])
+        return factored([(i, j, -1, 1), (i, j, 1, 1), (i, j, 0, -2)])
     return {}
 
 
 @lru_cache(maxsize=None)
 def r_terms_shifted(n, i, j, k, l, svec):
-    """R^{ij}_{kl}[svec] as a factored sum: h_i - h_j + a becomes
-    h_i - h_j + a + s_i - s_j, which keeps each key canonical and sorted."""
-    return {tuple(((p, q, a + svec[p - 1] - svec[q - 1]), e)
-                  for (p, q, a), e in key): c
+    """R^{ij}_{kl}[svec] as a factored sum, each key shifted by svec."""
+    return {shifted_key(key, svec): c
             for key, c in r_terms(n, i, j, k, l).items()}
 
 
@@ -231,12 +243,12 @@ def psi_terms(n, i, j, k, l):
     if (k, l) == (i, j):
         # Q^+_i Q^-_j, over h_i - h_j + 1 when i != j
         factors = _q_factors(n, i, 1) + _q_factors(n, j, -1)
-        return _factored(factors + [(i, j, 1, -1)] if i != j else factors)
+        return factored(factors + [(i, j, 1, -1)] if i != j else factors)
     if (k, l) == (j, i):
         if i < j:
             return {(): 1}
         # (h_ij - 1)^2 / (h_ij (h_ij - 2))
-        return _factored([(i, j, -1, 2), (i, j, 0, -1), (i, j, -2, -1)])
+        return factored([(i, j, -1, 2), (i, j, 0, -1), (i, j, -2, -1)])
     return {}
 
 

@@ -114,6 +114,13 @@ def test_central_elements_commute_with_generators():
         assert rep.passed and rep.total == 3 * n * n, rep.failures
 
 
+def test_failing_central_check_is_labelled_by_its_commutator():
+    fam = central_family(Hpot(2, 1))
+    spec = fam.spec
+    bad = central.CentralFamily(spec, fam.rho, [spec.h(1)] + fam.elements[1:])
+    assert verify_central(bad).failures == ["[c1,x1]", "[c1,d1]"]
+
+
 def test_central_for_pole_potential():
     n = 2
     fam = central_family(RatFun.one(n) / chi(n, 1))

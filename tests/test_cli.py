@@ -378,6 +378,12 @@ def test_nf_inverse_of_huge_shift(capsys):
     assert out.strip() == "1/(h1-h2+100000000000000000000)"
 
 
+def test_nf_of_the_empty_element_of_a_huge_ring(capsys):
+    # a ring without sigmas shares one zero among its n sigma entries
+    blob = '{"n":1000000,"terms":[]}'
+    assert run(capsys, "nf", "--in", "json", blob) == (0, "0\n", "")
+
+
 @pytest.mark.parametrize("expr", ["(" * 3000 + "h1" + ")" * 3000,
                                   "+".join(["h1"] * 3000)],
                          ids=["parentheses", "flat-sum"])

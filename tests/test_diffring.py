@@ -1,5 +1,6 @@
 """PBW normal ordering, flatness detection, ring (anti)morphisms."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -326,21 +327,27 @@ def test_skipped_pbw_words_take_the_same_steps_both_ways(rewrite_steps, n):
 
 
 def test_verify_pbw_reduces_only_overlap_ambiguities(monkeypatch):
-    # the words the engine reduces, each with its strategy
+    # the words the engine reduces, each with its strategy, and its calls
     reduced = []
+    calls = []
     rewrite = diffring._rewrite
 
-    def counted(n, words, order, resolve, strategy):
-        reduced.extend((tuple(w), strategy) for w in words)
-        return rewrite(n, words, order, resolve, strategy)
+    def counted(n, walks, order, resolve):
+        calls.append(len(walks))
+        reduced.extend((tuple(t for t in w if type(t) is tuple), strategy)
+                       for strategy, w in walks)
+        return rewrite(n, walks, order, resolve)
 
     monkeypatch.setattr(diffring, "_rewrite", counted)
-    # n^2 (n - 1) of the 2 n^3 words, each reduced both ways
+    # n^2 (n - 1) of the 2 n^3 words, each reduced both ways in one call
     for n, computed in ((2, 4), (3, 18), (4, 48)):
         reduced.clear()
+        calls.clear()
         rep = verify_pbw(flat_spec(n))
         assert rep.flat and rep.residual is None
         assert len(reduced) == 2 * computed
+        assert calls == [2] * computed
+        assert len(set(reduced)) == 2 * computed
         assert {w for w, _ in reduced} == {
             tuple(w) for _, w in pbw_words(n) if is_overlap_ambiguity(w)}
         assert rep.direct.total == 2 * n ** 3 == len(pbw_words(n))
@@ -448,6 +455,57 @@ def test_oracle_decides_each_word_as_its_mixed_forms_do(sig):
     assert ambiguity_oracle(n, sig.nx, sig.nd, sig).failures == want
 
 
+@functools.cache
+def _flat_and_bumped(n):
+    bumped = list(flat_spec(n).sigma)
+    bumped[0] = bumped[0] + RatFun.var(n, 2)
+    return flat_spec(n), RingSpec(n, bumped)
+
+
+@st.composite
+def _token_words(draw, n):
+    """A word of one to three generators with up to two opaque
+    coefficients (see _bumps) at random places."""
+    word = [draw(st.tuples(st.sampled_from("xd"), st.integers(1, n)))
+            for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        word.insert(draw(st.integers(0, len(word))), draw(_bumps(n)))
+    return word
+
+
+@st.composite
+def _engine_results(draw):
+    """(n, an engine result, whether it is zero by construction) at n = 2, 3:
+    a sum of 2-4 random words, each with its strategy; a word minus the
+    words of its own normal form; or, on a flat sigma, a word "left" minus
+    the same word "right"."""
+    n = draw(st.integers(2, 3))
+    flat, bumped = _flat_and_bumped(n)
+    kind = draw(st.sampled_from(["words", "normal form", "both ways"]))
+    spec = flat if kind == "both ways" else draw(st.sampled_from([flat, bumped]))
+    w = draw(_token_words(n))
+    if kind == "words":
+        walks = [(draw(st.sampled_from(["left", "right"])), draw(_token_words(n)))
+                 for _ in range(draw(st.integers(2, 4)))]
+    elif kind == "normal form":
+        walks = [("left", w)] + [
+            ("left", [-f, *NormalElement._mono_tokens(a, b)])
+            for (a, b), f in normal_form(spec, w).terms.items()]
+    else:
+        walks = [("left", w), ("right", [RatFun.const(n, -1), *w])]
+    result = diffring._rewrite(n, walks, diffring._order,
+                               diffring._ring_resolve(spec))
+    return n, result, kind != "words"
+
+
+@settings(max_examples=60)
+@given(_engine_results())
+def test_is_zero_is_an_empty_canonical_value(case):
+    n, result, zero = case
+    assert diffring._is_zero(n, result) == (not diffring._values(n, result))
+    assert diffring._is_zero(n, result) or not zero
+
+
 def test_commutator_of_center_candidate():
     # gamma_1 + gamma_2 - e_1(h) commutes with everything when sigma = (1, 1)
     n = 2
@@ -547,6 +605,43 @@ def test_check_assignment_labels_weight_failure_by_generator():
         assert "x1*d1" in failed
 
 
+def test_check_assignment_fails_where_the_multiply_route_does():
+    # images with Fraction and pole coefficients: the image of each
+    # relation, built by multiply, is nonzero exactly where the report
+    # fails it
+    for n in (2, 3):
+        spec = flat_spec(n)
+        idx = range(1, n + 1)
+        X = [spec.x(i).scale(Fraction(3, 2)) for i in idx]
+        D = [spec.d(i).scale(Fraction(2, 3)) for i in idx]
+        D[0] = spec.d(1).scale(RatFun.inverse_diff(n, 1, 2, 3) * Fraction(2, 3))
+        assign = GeneratorAssignment(X, D)
+        image = {**{('x', i): X[i - 1] for i in idx},
+                 **{('d', i): D[i - 1] for i in idx}}
+        pairs = ([((s, i), (s, j)) for i in idx for j in idx if i < j
+                  for s in "xd"]
+                 + [(('x', i), ('d', j)) for i in idx for j in idx if i != j]
+                 + [(('x', i), ('d', i)) for i in idx])
+        resolve = diffring._ring_resolve(spec)
+        want = []
+        for t1, t2 in pairs:
+            rel = multiply(spec, image[t1], image[t2])
+            for repl in resolve(t1, t2):
+                # a rule's coefficient tokens lead its word
+                c, elem = RatFun.one(n), spec.one()
+                for t in repl:
+                    if type(t) is tuple:
+                        elem = multiply(spec, elem, image[t])
+                    else:
+                        c = c * assign.map_coeff(diffring._token_value(n, t))
+                rel = rel - elem.scale(c)
+            if not rel.is_zero():
+                want.append(word_label((t1, t2)))
+        rep = check_assignment(spec, spec, assign)
+        assert want and len(want) < len(pairs)
+        assert rep.failures == want
+
+
 def test_scaling_assignment_into_scaled_ring():
     n = 2
     src = flat_spec(n, 1)
@@ -561,3 +656,10 @@ def test_localized_coordinates_commute():
         spec = flat_spec(n)
         rep = localized_coordinates_commute(spec)
         assert rep.passed and rep.total == n * (n - 1) // 2, rep.failures
+
+
+def test_localized_coordinates_failure_is_labelled_by_its_pair(monkeypatch):
+    # without psi'_i the coordinates x^i no longer commute
+    monkeypatch.setattr(diffring, "psi_prime", lambda n, i: RatFun.one(n))
+    rep = localized_coordinates_commute(flat_spec(3))
+    assert rep.failures == ["(i,j)=(1,2)", "(i,j)=(1,3)", "(i,j)=(2,3)"]

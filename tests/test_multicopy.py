@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hdcalc import multicopy
+from hdcalc import diffring, multicopy
 from hdcalc.ratfield import RatFun
 from hdcalc.rmatrix import chi
 from hdcalc.potential import sigma_from_potential
@@ -155,22 +155,29 @@ def test_skipped_oracle_words_take_the_same_steps_both_ways(rewrite_steps,
 
 
 def test_oracle_reduces_only_overlap_ambiguities(monkeypatch):
-    # the words the engine reduces, each with its strategy; a failing array
-    # reduces its first failing word once more, for its canonical forms
+    # the words the engine reduces, each with its strategy, and its calls:
+    # one per word for double reduction, and a failing array reduces its
+    # first failing word once more each way, for its canonical forms
     reduced = []
-    rewrite = multicopy._rewrite
+    calls = []
+    rewrite = diffring._rewrite
 
-    def counted(n, words, order, resolve, strategy):
-        reduced.extend((tuple(w), strategy) for w in words)
-        return rewrite(n, words, order, resolve, strategy)
+    def counted(n, walks, order, resolve):
+        calls.append(len(walks))
+        reduced.extend((tuple(t for t in w if type(t) is tuple), strategy)
+                       for strategy, w in walks)
+        return rewrite(n, walks, order, resolve)
 
-    monkeypatch.setattr(multicopy, "_rewrite", counted)
+    for module in (diffring, multicopy):
+        monkeypatch.setattr(module, "_rewrite", counted)
     for (nx, nd), computed, total in (((2, 1), 16, 48), ((1, 2), 16, 48),
                                       ((2, 2), 48, 128)):
         for s in oracle_arrays(2, nx, nd):
             reduced.clear()
+            calls.clear()
             rep = ambiguity_oracle(2, nx, nd, s)
             assert len(reduced) == 2 * computed + (0 if rep.passed else 2)
+            assert sorted(calls) == ([] if rep.passed else [1, 1]) + [2] * computed
             assert len(set(reduced)) == 2 * computed
             assert {w for w, _ in reduced} == {
                 w for w in oracle_words(2, nx, nd) if is_overlap_ambiguity(w)}
@@ -214,7 +221,16 @@ def test_copy_dependent_constants_fail_sigma_system():
     rep = flatness_check(n, 1, 1, s)
     assert rep.total == 1
     assert not rep.passed
-    assert any("eqsigib" in lbl for lbl in rep.failures)
+    assert rep.failures == ["sigma a=1 b=1 (i,j)=(1,2)"]
+
+
+def test_flatness_failures_name_their_indices():
+    n = 2
+    ent = {(i, 1, 1): RatFun.var(n, i) for i in (1, 2)}
+    rep = flatness_check(n, 2, 2, SigmaArray(n, 2, 2, ent))
+    assert rep.failures == ["sigma a=1 b=1 (i,j)=(1,2)",
+                            "ysy1 a=1 b=1 (u,i,k,j)=(1,1,1,1)",
+                            "ysy2 a=1 b=1 (u,i,k,j)=(1,1,1,1)"]
 
 
 def test_one_copy_rational_sigma_flat():
