@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from hdcalc import diffring, ratfield, rmatrix
 from hdcalc.central import central_family
@@ -430,6 +431,135 @@ def test_skew_inverse_fails_if_the_shift_is_dropped(mutant):
     want = _skew_oracle(3)
     assert want
     assert verify_skew_inverse(3).failures == want
+
+
+# ---------------------------------------------------------------------------
+# shift invariance as a sweep
+
+
+def _shift_oracle(n):
+    """The tuples where a canonical component changes under its shift by
+    e_i + e_j, over all n^4 tuples in sweep order."""
+    out = []
+    for i, j, k, l in product(range(1, n + 1), repeat=4):
+        s = [0] * n
+        s[i - 1] += 1
+        s[j - 1] += 1
+        v = rmatrix.r_component(n, i, j, k, l)
+        if v.shift(tuple(s)) != v:
+            out.append((i, j, k, l))
+    return out
+
+
+def _replaced(source, at, factors):
+    """source with the component at the index tuple `at` replaced by the
+    one-term sum of the given factors (i, j, a, e)."""
+    def value(n, i, j, k, l):
+        if (i, j, k, l) == at:
+            return rmatrix.factored(factors)
+        return source(n, i, j, k, l)
+    return value
+
+
+@pytest.mark.parametrize("n, at, factors", [
+    # R^{11}_{11} := h_1 - h_2
+    (2, (1, 1, 1, 1), [(1, 2, 0, 1)]),
+    # R^{12}_{12} times h_1 - h_3
+    (3, (1, 2, 1, 2), [(1, 2, 0, -1), (1, 3, 0, 1)]),
+])
+def test_shift_invariance_failures_match_the_dense_oracle(mutant, n, at, factors):
+    mutant("r_terms", _replaced(rmatrix.r_terms, at, factors))
+    want = _shift_oracle(n)
+    assert at in want
+    rep = verify_shift_invariance(n)
+    assert rep.failures == want
+    assert rep.total == n ** 4
+
+
+# ---------------------------------------------------------------------------
+# the one zero test against canonical sums
+
+
+def _add_terms(acc, terms, c=1):
+    """acc += c * terms, for factored sums as dicts."""
+    for key, v in terms.items():
+        v = acc.get(key, 0) + c * v
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+
+
+@st.composite
+def _factored_sums(draw):
+    """A factored sum at n = 2..5 with int and Fraction constants,
+    exponents in -3..3 and shifts a in -2..2, plus, in most draws, a zero
+    by construction times a random term: (h^2 - 1)/h^2 - (1 - h^-2), or
+    h_ij + a - (h_ik + b) - (h_kj + a - b) with i < k < j."""
+    n = draw(st.integers(2, 5))
+    idx = st.integers(1, n)
+    factor = st.tuples(idx, idx, st.integers(-2, 2), st.integers(-3, 3)).filter(
+        lambda f: f[0] != f[1])
+    const = st.one_of(st.integers(-4, 4),
+                      st.fractions(-3, 3, max_denominator=4)).filter(bool)
+    term = st.tuples(const, st.lists(factor, max_size=4))
+    total = {}
+    for c, factors in draw(st.lists(term, max_size=4)):
+        _add_terms(total, rmatrix.factored(factors), c)
+    kinds = ["none", "square"] + (["telescope"] if n > 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "square":
+        i, j = sorted(draw(st.lists(idx, min_size=2, max_size=2, unique=True)))
+        parts = [(1, [(i, j, -1, 1), (i, j, 1, 1), (i, j, 0, -2)]), (-1, []),
+                 (1, [(i, j, 0, -2)])]
+    elif kind == "telescope":
+        i, k, j = sorted(draw(st.lists(idx, min_size=3, max_size=3, unique=True)))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        parts = [(1, [(i, j, a, 1)]), (-1, [(i, k, b, 1)]),
+                 (-1, [(k, j, a - b, 1)])]
+    else:
+        parts = []
+    c, factors = draw(term)
+    for sign, part in parts:
+        _add_terms(total, rmatrix.factored(part + factors), sign * c)
+    return n, total
+
+
+@settings(max_examples=200)
+@given(_factored_sums())
+@example((2, {}))
+@example((3, {(((1, 3, 0), 1),): 1, (((1, 2, 0), 1),): -1,
+              (((2, 3, 0), 1),): -1}))
+@example((4, {(((1, 4, 2), 1),): Fraction(1, 2),
+              (((1, 4, 0), 1),): Fraction(-1, 2), (): -1}))
+def test_vanishes_is_the_canonical_zero_test(nf):
+    n, terms = nf
+    got = rmatrix.vanishes(n, [(None, terms.items())])
+    assert got == _as_ratfun(n, terms).is_zero()
+
+
+def test_vanishes_decides_a_zero_by_construction():
+    # (h^2 - 1)/h^2 against 1 - h^-2 with h = h_2 - h_4, times h_1 - h_3 + 1
+    n, times = 4, [(1, 3, 1, 1)]
+    total = {}
+    for sign, part in ((1, [(2, 4, -1, 1), (2, 4, 1, 1), (2, 4, 0, -2)]),
+                       (-1, []), (1, [(2, 4, 0, -2)])):
+        _add_terms(total, rmatrix.factored(part + times), sign)
+    assert len(total) == 3
+    assert rmatrix.vanishes(n, [(None, total.items())])
+    _add_terms(total, rmatrix.factored(times))
+    assert not rmatrix.vanishes(n, [(None, total.items())])
+
+
+def test_vanishes_multiplies_a_numerator_in_every_variable():
+    # h_1 - (h_1 - h_2) is h_2, not zero; with h_2 := 0 applied to the
+    # factor but not to the numerator h_1 it would read h_1 - h_1 = 0
+    n = 2
+    h1, h2 = Poly.var(n, 1), Poly.var(n, 2)
+    diff = (((1, 2, 0), 1),)
+    assert not rmatrix.vanishes(n, [(h1, [((), 1)]), (None, [(diff, -1)])])
+    assert rmatrix.vanishes(n, [(h1, [((), 1)]), (h2, [((), -1)]),
+                                (None, [(diff, -1)])])
 
 
 # ---------------------------------------------------------------------------
