@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import rmatrix
 from .ratfield import (RatFun, DomainError, PoleError, checked_int,
                        int_from_text, number_text, reading_input)
-from .diffring import RingSpec, NormalElement, multiply, \
+from .diffring import RingSpec, NormalElement, \
     verify_pbw, zhelobenko_assignment, check_assignment
 from .potential import (NotFlat, NotInW, delta_system_check, w_decompose,
                         reconstruct_potential, sigma_from_potential)
@@ -107,9 +107,9 @@ def _cmd_nf(args):
         if args.n is not None and args.n != val.n:
             raise DomainError(f"--n {args.n} does not match input n={val.n}")
         args.n = val.n  # the input fixes n; the sigma entries must fit it
-        spec = _ring(args)
-        if isinstance(val, NormalElement):
-            val = multiply(spec, spec.one(), val, args.strategy)
+        _ring(args)
+        # an element read from JSON is already in normal form: its key
+        # (a, b) stands for d^a x^b, and like keys were added as it was read
     _print_value(val, args)
     return 0
 

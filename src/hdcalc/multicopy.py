@@ -17,7 +17,8 @@ from functools import partial
 
 from .ratfield import (DomainError, RatFun, checked_int, eps_vec, rank_exact,
                        reading_input)
-from .rmatrix import r_component, CheckReport
+from .rmatrix import (CheckReport, add_product, key_product, r_component,
+                      r_terms_shifted, vanishes)
 from .potential import sigma_system_check
 from .diffring import (_order, _resolve, _rewrite, _values, double_reduction,
                        index_label, overlap_words)
@@ -168,22 +169,36 @@ def _ysy1_failure(n, fam):
 
 def _ysy2_failure(n, fam):
     # delta^i_j delta^u_k sigma_i = sum_ab R^{ab}_{kj}[-e_i] R^{ui}_{ab}[e_u]
-    #                                       sigma_a[e_u]
+    #                                       sigma_a[e_u],
+    # as one sum of factored terms: a constant sigma folds into the
+    # constants, any other is the numerator of a group over its denominator
+    shifted = {}
     for u in range(1, n + 1):
+        su = eps_vec(n, u)
         for i in range(1, n + 1):
+            si = eps_vec(n, i, -1)
             pairs = {(u, i), (i, u)}
             for (k, j) in pairs:
-                rhs = RatFun.zero(n)
+                sides = [(fam[i - 1], {(): 1})] if (i, u) == (j, k) else []
                 for (a, b) in pairs:
-                    r1 = r_component(n, a, b, k, j)
-                    if r1.is_zero():
-                        continue
-                    r2 = r_component(n, u, i, a, b)
-                    rhs = rhs + (r1.shift(eps_vec(n, i, -1))
-                                 * r2.shift(eps_vec(n, u))
-                                 * fam[a - 1].shift(eps_vec(n, u)))
-                lhs = fam[i - 1] if (i == j and u == k) else RatFun.zero(n)
-                if not (lhs - rhs).is_zero():
+                    rhs = {}
+                    add_product(rhs, r_terms_shifted(n, a, b, k, j, si),
+                                r_terms_shifted(n, u, i, a, b, su))
+                    if (a, u) not in shifted:
+                        shifted[a, u] = fam[a - 1].shift(su)
+                    sides.append((shifted[a, u],
+                                  {key: -c for key, c in rhs.items()}))
+                consts, groups = {}, []
+                for f, terms in sides:
+                    c = f.const_value()
+                    if c is None:
+                        groups.append((f.num, [
+                            (key_product((key, tuple([(fac, -m) for fac, m
+                                                      in f.den.items()]))),
+                             v) for key, v in terms.items()]))
+                    elif c:
+                        add_product(consts, terms, {(): c})
+                if not vanishes(n, [(None, consts.items())] + groups):
                     return (u, i, k, j)
     return None
 

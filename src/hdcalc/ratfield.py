@@ -607,9 +607,9 @@ def _hyperplane_powers(n, i, j, a):
     return tuple(_Powers(x) for x in pt)
 
 
-def _may_vanish(num, i, j, a):
-    """False only if num is provably nonzero on the hyperplane h_i = h_j - a."""
-    tables = _hyperplane_powers(num.n, i, j, a)
+def _mod_value(num, tables):
+    """num mod _P at the point whose coordinates have the power tables
+    tables, or None when _P divides a coefficient's denominator."""
     total = 0
     for e, c in num.terms.items():
         if type(c) is int:
@@ -617,7 +617,7 @@ def _may_vanish(num, i, j, a):
         else:
             d = c.denominator
             if d % _P == 0:
-                return True
+                return None
             v = c.numerator * pow(d, -1, _P)
         p = 0
         for k in e:
@@ -625,7 +625,77 @@ def _may_vanish(num, i, j, a):
                 v *= tables[p][k]
             p += 1
         total += v
-    return total % _P == 0
+    return total % _P
+
+
+def _may_vanish(num, i, j, a):
+    """False only if num is provably nonzero on the hyperplane h_i = h_j - a."""
+    return not _mod_value(num, _hyperplane_powers(num.n, i, j, a))
+
+
+@lru_cache(maxsize=4096)
+def _factor_value(n, i, j, a):
+    """h_i - h_j + a at _point(n) mod _P, and its inverse (None for 0)."""
+    pt = _point(n)
+    x = (pt[i - 1] - pt[j - 1] + a) % _P
+    return x, pow(x, -1, _P) if x else None
+
+
+@lru_cache(maxsize=4096)
+def _coordinate_powers(x):
+    """The power table of the coordinate value x mod _P."""
+    return _Powers(x % _P)
+
+
+class ModularPoint:
+    """Values mod the prime _P at the pre-filter's fixed point of n
+    coordinates, moved by integer shift vectors.
+
+    Reducing mod _P maps the rationals whose denominators _P does not
+    divide onto the integers mod _P, and keeps sums and products; so when
+    f = 0 in Q(h), f at the point is 0 mod _P wherever every denominator is
+    invertible there.  A nonzero value is thus a proof that f is not zero;
+    a zero value proves nothing.  A value whose denominator is not
+    invertible mod _P is None."""
+
+    __slots__ = ("n", "point")
+    P = _P
+
+    def __init__(self, n):
+        self.n = n
+        self.point = _point(n)
+
+    @staticmethod
+    def scalar(c):
+        """An int or Fraction mod _P, or None."""
+        if type(c) is int:
+            return c % _P
+        d = c.denominator % _P
+        return c.numerator * pow(d, -1, _P) % _P if d else None
+
+    def factors(self, items, svec=None):
+        """prod (h_i - h_j + a)^e over the ((i, j, a), e) of items at the
+        point + svec, or None when a factor of negative e is 0 there."""
+        v = 1
+        for (i, j, a), e in items:
+            if svec is not None:
+                a += svec[i - 1] - svec[j - 1]
+            x, inv = _factor_value(self.n, i, j, a)
+            if e < 0:
+                if inv is None:
+                    return None
+                x, e = inv, -e
+            v = v * (x if e == 1 else pow(x, e, _P)) % _P
+        return v
+
+    def value(self, f, svec):
+        """The RatFun f at the point + svec, or None."""
+        num = _mod_value(f.num, [_coordinate_powers(x + s)
+                                 for x, s in zip(self.point, svec)])
+        den = self.factors([(fac, -m) for fac, m in f.den.items()], svec)
+        if num is None or den is None:
+            return None
+        return num * den % _P
 
 
 # ---------------------------------------------------------------------------

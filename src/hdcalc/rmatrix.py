@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .ratfield import Poly, RatFun, canon_factor, eps_vec
 
@@ -86,7 +87,7 @@ def shifted_key(key, svec):
                   for (i, j, a), e in key])
 
 
-def _add_product(acc, f, g):
+def add_product(acc, f, g):
     """acc += f * g, for factored sums f and g: exponents add, and like
     terms merge."""
     for kf, cf in f.items():
@@ -342,7 +343,7 @@ def _times_r(n, row, s, t, u=None):
                 r = r_terms_shifted(n, x[s], x[t], c, d, svec)
             y = list(x)
             y[s], y[t] = c, d
-            _add_product(out.setdefault(tuple(y), {}), f, r)
+            add_product(out.setdefault(tuple(y), {}), f, r)
     return out
 
 
@@ -358,6 +359,21 @@ def _renamed(terms):
         for key, c in terms.items())
 
 
+def divided_keys(keys):
+    """The keys of a sum's terms, each a tuple of items or a dict, divided
+    by the sum's common factor: the least exponent of each factor over
+    every term, 0 where a term lacks it.  Each quotient is a dict of
+    exponents, none negative, and the division is injective: distinct keys
+    stay distinct."""
+    pows = [dict(key) for key in keys]
+    for fac in {fac for p in pows for fac in p}:
+        k = min([p.get(fac, 0) for p in pows])
+        if k:
+            for p in pows:
+                p[fac] = p.get(fac, 0) - k
+    return pows
+
+
 def vanishes(n, groups):
     """Whether a sum of factored terms in h_1..h_n is zero.
 
@@ -365,10 +381,17 @@ def vanishes(n, groups):
     and terms an iterable of (key, c), each c times prod (h_i - h_j + a)^e
     over the ((i, j, a), e) of key (a tuple of items or a dict, every
     factor canonical).  The sum over the groups of num times the sum of
-    its terms is divided by its common factor, the least exponent of each
-    factor over every term (0 where a term lacks it); each term of the
-    quotient is multiplied out by Poly.mul_linfactor, the terms of a group
-    are added, and each group's sum is multiplied by its num once.
+    its terms is divided by its common factor (`divided_keys`); each term
+    of the quotient is multiplied out by Poly.mul_linfactor, the terms of
+    a group are added, and each group's sum is multiplied by its num once.
+    The common factor is a nonzero product of linear factors, so the
+    quotient is zero exactly when the sum is.
+
+    When a num has Fraction coefficients, the sum is first multiplied by a
+    nonzero integer, so that every product is over ints: each num by d,
+    the lcm of its coefficients' denominators, and each constant by L / d,
+    where L is the lcm over all groups (d = 1 for a group without a num),
+    and by D, the lcm of the constants' denominators.
 
     When no group has a num, the quotient is multiplied out with h_v := 0,
     v the highest index of its factors, so in one variable fewer: each
@@ -379,27 +402,31 @@ def vanishes(n, groups):
     exactly when its restriction is.  A num need not be invariant (sigma
     in double reduction is not), so a sum with one is multiplied out in
     every variable."""
-    groups = [(num, [(dict(key), c) for key, c in terms])
-              for num, terms in groups]
-    every = [pows for _, terms in groups for pows, _ in terms]
-    low = {}
-    for pows in every:
-        for fac in pows:
-            if fac not in low:
-                low[fac] = min(p.get(fac, 0) for p in every)
-    drop = None
-    if all(num is None for num, _ in groups):
-        drop = max((fac[1] for fac in low), default=None)
+    groups = [(num, list(terms)) for num, terms in groups]
+    plain = all(num is None for num, _ in groups)
+    if not plain:
+        lifts = [1 if num is None
+                 else lcm(*(c.denominator for c in num.terms.values()))
+                 for num, _ in groups]
+        L = lcm(*lifts)
+        D = lcm(*(c.denominator for _, terms in groups for _, c in terms))
+        if L * D != 1:
+            groups = [(num if d == 1 else num.scale(d),
+                       [(key, int(c * (L // d * D))) for key, c in terms])
+                      for (num, terms), d in zip(groups, lifts)]
+    quotients = divided_keys([key for _, terms in groups for key, _ in terms])
+    drop = max((fac[1] for key in quotients for fac in key),
+               default=None) if plain else None
+    quotients = iter(quotients)
     total = {}
     for num, terms in groups:
         acc = total if num is None else {}
-        for pows, c in terms:
+        for _, c in terms:
             poly = Poly.const(n, c)
-            for fac, k in low.items():
-                e = pows.get(fac, 0) - k
+            for (i, j, a), e in next(quotients).items():
                 if e:
-                    i, j, a = fac
-                    poly = poly.mul_linfactor(i, None if j == drop else j, a, e)
+                    poly = poly.mul_linfactor(i, None if j == drop else j,
+                                              a, e)
             for exps, v in poly.terms.items():
                 acc[exps] = acc.get(exps, 0) + v
         if num is not None:
@@ -522,8 +549,8 @@ def _skew_rows(n, i, j):
             for m in range(1, n + 1):
                 for p, b in _nonzero_lower(m, l):
                     if b == k:
-                        _add_product(out.setdefault((m, p), {}), v,
-                                     r_terms_shifted(n, m, l, p, k, eps_vec(n, m)))
+                        add_product(out.setdefault((m, p), {}), v,
+                                    r_terms_shifted(n, m, l, p, k, eps_vec(n, m)))
     return out, {(j, i): {(): 1}}
 
 

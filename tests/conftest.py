@@ -1,4 +1,5 @@
-"""Shared test configuration: one hypothesis profile for every property test.
+"""Shared test configuration: one hypothesis profile for every property test,
+and the fixtures that patch the rule table and the R-matrix.
 
 Examples are derived from each test's source, not drawn at random, and no
 example database is kept, so a run is reproducible; no deadline, because
@@ -7,7 +8,7 @@ exact arithmetic on large inputs has no fixed time per example."""
 import pytest
 from hypothesis import settings
 
-from hdcalc import diffring, multicopy
+from hdcalc import diffring, multicopy, rmatrix
 
 settings.register_profile("hdcalc", derandomize=True, database=None, deadline=None)
 settings.load_profile("hdcalc")
@@ -36,3 +37,22 @@ def rewrite_steps(monkeypatch):
             out.append(list(seen))
         return out
     return steps
+
+
+@pytest.fixture
+def mutant(monkeypatch):
+    """patch(name, fn) replaces one factored source of rmatrix for one test.
+    The component caches are emptied on each patch and after the test, so
+    the canonical components, and with them the dense oracles, see the
+    same mutant as the sweeps, and no mutant value outlives the test."""
+    def clear():
+        for fn in vars(rmatrix).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+    def patch(name, fn):
+        monkeypatch.setattr(rmatrix, name, fn)
+        clear()
+
+    yield patch
+    clear()

@@ -10,7 +10,7 @@ import shlex
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdcalc import cli
+from hdcalc import cli, diffring
 from hdcalc.cli import main
 from hdcalc.diffring import RingSpec, multiply, normal_form
 from hdcalc.expressions import evaluate, format_value, parse, value_from_json
@@ -126,6 +126,29 @@ def test_nf_json_reingestion(capsys):
     rc, out2, _ = run(capsys, "nf", blob, "--in", "json", *args, "--format", "json")
     assert rc == 0
     assert out2.strip() == blob
+
+
+def test_nf_json_prints_the_element_it_read(capsys, monkeypatch):
+    # an element read from JSON is in normal form already: nf prints it
+    # without walking its words, so a huge d exponent costs no rewriting
+    def refuse(*args):
+        raise AssertionError("nf --in json rewrote its input")
+
+    monkeypatch.setattr(diffring, "_rewrite", refuse)
+    args = ("-n", "2", "--sigmas", "1;h1")
+    blob = json.dumps({"n": 2, "terms": [
+        {"d": [4_000_000, 0], "x": [0, 0], "coeff": {"num": [[[0, 0], "1/1"]]}},
+        {"d": [1, 0], "x": [0, 2], "coeff": {"num": [[[1, 0], "-2/3"]],
+                                             "den": [[1, 2, 1, 1]]}}]})
+    rc, text, _ = run(capsys, "nf", blob, "--in", "json", *args)
+    assert rc == 0
+    assert text.strip() == format_value(value_from_json(json.loads(blob)))
+    assert "d1^4000000" in text
+    rc, out, _ = run(capsys, "nf", blob, "--in", "json", *args,
+                     "--format", "json")
+    assert rc == 0
+    assert json.loads(out) == value_from_json(json.loads(blob)).to_json()
+    assert value_from_json(json.loads(out)) == value_from_json(json.loads(blob))
 
 
 def test_nf_strategy_flag(capsys):

@@ -2,13 +2,14 @@
 
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdcalc import diffring
+from hdcalc import diffring, rmatrix
 from hdcalc.ratfield import DomainError, Poly, RatFun, eps_vec
 from hdcalc.rmatrix import chi, complete_symmetric
 from hdcalc.potential import sigma_from_potential
@@ -504,6 +505,152 @@ def test_is_zero_is_an_empty_canonical_value(case):
     n, result, zero = case
     assert diffring._is_zero(n, result) == (not diffring._values(n, result))
     assert diffring._is_zero(n, result) or not zero
+
+
+def _witnessed(n, result):
+    """The words of an engine result whose sums, of two or more terms with
+    opaque tokens, the modular witness calls nonzero."""
+    sums, tokens = result
+    state = diffring._CheckState(n)
+    names = [id(t) for t in tokens]
+    state.held.update(zip(names, tokens))
+    return [gens for gens, terms in sums.items()
+            if len(terms) > 1 and any(refs for _, refs in terms)
+            and state.witness(diffring._named(terms, names))]
+
+
+@settings(max_examples=40)
+@given(_engine_results())
+def test_the_modular_witness_only_proves_nonzero_sums(case):
+    # a word's sum that the witness calls nonzero has a canonical value
+    n, result, _ = case
+    assert set(_witnessed(n, result)) <= set(diffring._values(n, result))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_witness_of_double_reduction_proves_only_failing_words(n):
+    # every overlap word of a flat, a bumped and a Fraction sigma: a sum
+    # the witness calls nonzero has a canonical value, and on the bumped
+    # sigma the witness proves some
+    flat, bumped = _flat_and_bumped(n)
+    fractions = RingSpec(n, [s * Fraction(2, 7) + Fraction(1, 3)
+                             for s in bumped.sigma])
+    proved = 0
+    for spec in (flat, bumped, fractions):
+        for _, w in pbw_words(n):
+            if is_overlap_ambiguity(w):
+                result = diffring._rewrite(
+                    n, [("left", w), ("right", [diffring._MINUS_ONE, *w])],
+                    diffring._order, diffring._ring_resolve(spec))
+                nonzero = _witnessed(n, result)
+                assert set(nonzero) <= set(diffring._values(n, result))
+                assert not nonzero or spec is not flat
+                proved += len(nonzero)
+    assert proved
+
+
+@settings(max_examples=20)
+@given(st.lists(_engine_results(), min_size=2, max_size=4))
+def test_one_state_shared_by_many_results_decides_as_fresh_ones(cases):
+    # every result twice, so that the second visit reads the memo
+    states = {}
+    for n, result, _ in cases + cases:
+        shared = states.setdefault(n, diffring._CheckState(n))
+        assert diffring._is_zero(n, result, shared) == diffring._is_zero(n, result)
+
+
+def _tokens(n):
+    """Three distinct opaque tokens of n variables."""
+    return (RatFun.var(n, 1) + 1, RatFun.inverse_diff(n, 1, 2, 1) * 3,
+            RatFun.var(n, 2) * Fraction(2, 5))
+
+
+def _named_sum(state, n, svecs, tokens):
+    """A sum of three terms of state's names, as _named writes one: tokens
+    [0], [0] and [1] at the shifts svecs, with three factored keys."""
+    names = [id(t) for t in tokens]
+    state.held.update(zip(names, tokens))
+    keys = [next(iter(rmatrix.factored(f))) for f in (
+        [(1, 2, 0, -1), (1, 2, 1, 2)], [(1, 2, -1, 1)], [(1, n, 2, -2)])]
+    return [(keys[0], ((names[0], svecs[0]),), 2),
+            (keys[1], ((names[0], svecs[1]),), -3),
+            (keys[2], ((names[1], svecs[2]),), Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_sum_its_translates_and_multiples_share_one_normal_form(n):
+    state = diffring._CheckState(n)
+    tokens = _tokens(n)
+    e1, e2 = eps_vec(n, 1), eps_vec(n, 2)
+    svecs = [e1, (0,) * n, tuple(map(operator.add, e1, e2))]
+    terms = _named_sum(state, n, svecs, tokens)
+    form = state.normalized(terms)
+    [(fkey, fc)] = rmatrix.factored([(1, 2, 3, 1), (1, n, 0, -2)]).items()
+    for t in (eps_vec(n, 2, -3), tuple(range(1, n + 1)), (5,) * n):
+        moved = [(rmatrix.shifted_key(key, t),
+                  tuple((name, tuple(map(operator.add, s, t)))
+                        for name, s in refs), c) for key, refs, c in terms]
+        assert state.normalized(moved) == form
+        times = [(rmatrix.key_product((key, fkey)), refs, c * fc * 7)
+                 for key, refs, c in moved]
+        assert state.normalized(times) == form
+    # another token, or another shift of one token relative to the others
+    other = _named_sum(state, n, svecs, (tokens[0], tokens[2]))
+    assert state.normalized(other) != form
+    svecs[1] = e2
+    assert state.normalized(_named_sum(state, n, svecs, tokens)) != form
+
+
+def _counted(monkeypatch, name):
+    """calls[0] counts the calls of diffring's name from now on."""
+    calls = [0]
+    fn = getattr(diffring, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(diffring, name, counted)
+    return calls
+
+
+def test_double_reduction_multiplies_out_each_distinct_sum_once(monkeypatch):
+    # sigma = 1 leaves no opaque token, and each of the 36 sums of two or
+    # more terms is multiplied out; Delta H_2 leaves 12 sums with sigma
+    # tokens, 6 distinct up to translation and a factored multiple, and
+    # 24 pure sums
+    calls = _counted(monkeypatch, "vanishes")
+    for L, want in ((1, 36), (2, 30)):
+        calls[0] = 0
+        assert verify_pbw(flat_spec(3, L)).flat
+        assert calls[0] == want, L
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_word_the_witness_decides_multiplies_nothing_out(monkeypatch, n):
+    _, bumped = _flat_and_bumped(n)
+    calls = _counted(monkeypatch, "vanishes")
+    witnessed = []
+    witness = diffring._CheckState.witness
+
+    def recorded(state, terms):
+        witnessed.append(witness(state, terms))
+        return witnessed[-1]
+
+    monkeypatch.setattr(diffring._CheckState, "witness", recorded)
+    decided = 0
+    for label, w in pbw_words(n):
+        if not is_overlap_ambiguity(w):
+            continue
+        calls[0] = 0
+        witnessed.clear()
+        zero = diffring._is_zero(n, diffring._rewrite(
+            n, [("left", w), ("right", [diffring._MINUS_ONE, *w])],
+            diffring._order, diffring._ring_resolve(bumped)))
+        if any(witnessed):
+            assert not zero and calls[0] == 0, label
+            decided += 1
+    assert decided >= 4
 
 
 def test_commutator_of_center_candidate():

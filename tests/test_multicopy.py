@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from hdcalc import diffring, multicopy
-from hdcalc.ratfield import RatFun
+from hdcalc import diffring, multicopy, rmatrix
+from hdcalc.ratfield import RatFun, eps_vec
 from hdcalc.rmatrix import chi
 from hdcalc.potential import sigma_from_potential
 from hdcalc.diffring import (RingSpec, is_overlap_ambiguity, normal_form,
@@ -282,3 +282,71 @@ def test_float_constant_is_refused():
         SigmaArray.constant(2, 1, 2, {(1, 1): 1, (1, 2): 0.5})
     s = SigmaArray.constant(2, 1, 1, Fraction(1, 10))
     assert s.get(1, 1, 1) == RatFun.const(2, Fraction(1, 10))
+
+
+# ---------------------------------------------------------------------------
+# the second YSY equation on factored sums, against canonical RatFuns
+
+
+def _ysy2_dense(n, fam):
+    """The first (u, i, k, j) where the second YSY equation fails, each side
+    a canonical RatFun built from the R components; None if none does."""
+    for u in range(1, n + 1):
+        for i in range(1, n + 1):
+            pairs = {(u, i), (i, u)}
+            for (k, j) in pairs:
+                rhs = RatFun.zero(n)
+                for (a, b) in pairs:
+                    r1 = rmatrix.r_component(n, a, b, k, j)
+                    r2 = rmatrix.r_component(n, u, i, a, b)
+                    rhs = rhs + (r1.shift(eps_vec(n, i, -1))
+                                 * r2.shift(eps_vec(n, u))
+                                 * fam[a - 1].shift(eps_vec(n, u)))
+                lhs = fam[i - 1] if (i == j and u == k) else RatFun.zero(n)
+                if lhs != rhs:
+                    return (u, i, k, j)
+    return None
+
+
+# family of one copy pair -> whether the equation holds for it under the
+# true R-matrix
+YSY2_FAMILIES = {
+    "zero": (lambda n: (RatFun.zero(n),) * n, True),
+    "constant": (lambda n: (RatFun.const(n, Fraction(-2, 3)),) * n, True),
+    "constants by index": (
+        lambda n: tuple(RatFun.const(n, i) for i in range(1, n + 1)), False),
+    "last entry bumped": (lambda n: (RatFun.one(n),) * (n - 1)
+                          + (RatFun.one(n) + RatFun.var(n, 1),), False),
+    "flat one copy": (
+        lambda n: sigma_from_potential(RatFun.var(n, 2) ** 2 / chi(n, 2), n),
+        False),
+    "h and a pole": (lambda n: tuple(
+        RatFun.var(n, i) * Fraction(1, 2) + RatFun.inverse_diff(n, 1, 2, i)
+        for i in range(1, n + 1)), False),
+}
+
+
+def _r_doubled(right, at):
+    """r_terms with the components at the index tuples `at` doubled (every
+    R^{ij}_{ij}, i != j, when `at` is empty)."""
+    def value(n, i, j, k, l):
+        v = right(n, i, j, k, l)
+        hit = (i, j, k, l) in at if at else i != j and (k, l) == (i, j)
+        return {key: 2 * c for key, c in v.items()} if hit else v
+    return value
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", list(YSY2_FAMILIES))
+@pytest.mark.parametrize("doubled", [None, (), ((1, 2, 2, 1),)],
+                         ids=["R", "R^ij_ij x2", "R^12_21 x2"])
+def test_ysy2_on_factored_sums_fails_where_the_canonical_sums_do(
+        mutant, n, family, doubled):
+    build, holds = YSY2_FAMILIES[family]
+    fam = build(n)
+    if doubled is not None:
+        mutant("r_terms", _r_doubled(rmatrix.r_terms, doubled))
+    want = _ysy2_dense(n, fam)
+    assert multicopy._ysy2_failure(n, fam) == want
+    if doubled is None:
+        assert (want is None) == holds

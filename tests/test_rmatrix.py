@@ -278,25 +278,6 @@ def test_memoised_components_are_not_mutated():
         assert (v if isinstance(v, dict) else v.to_json()) == js, (fn.__name__, args)
 
 
-@pytest.fixture
-def mutant(monkeypatch):
-    """patch(name, fn) replaces one factored source of rmatrix for one test.
-    The component caches are emptied on each patch and after the test, so
-    the canonical components, and with them the dense oracles, see the
-    same mutant as the sweeps, and no mutant value outlives the test."""
-    def clear():
-        for fn in vars(rmatrix).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-
-    def patch(name, fn):
-        monkeypatch.setattr(rmatrix, name, fn)
-        clear()
-
-    yield patch
-    clear()
-
-
 def _doubled(source, *at):
     """source with the components at the index tuples `at` doubled (every
     R^{ij}_{ij}, i != j, when none is given)."""
@@ -560,6 +541,33 @@ def test_vanishes_multiplies_a_numerator_in_every_variable():
     assert not rmatrix.vanishes(n, [(h1, [((), 1)]), (None, [(diff, -1)])])
     assert rmatrix.vanishes(n, [(h1, [((), 1)]), (h2, [((), -1)]),
                                 (None, [(diff, -1)])])
+
+
+def test_vanishes_multiplies_fraction_numerators_over_ints(monkeypatch):
+    # over h_1 - h_2 + 1: 2/3 h_1 + 1/5 h_2 (h_1 - h_2)
+    # - 1/5 (h_1 h_2 - h_2^2) + 2 c h_1, zero for c = -1/3 only; every
+    # product that vanishes forms is of two int polynomials
+    n = 2
+    seen = []
+    mul = Poly.__mul__
+
+    def recorded(p, q):
+        seen.extend(type(c) for c in (*p.terms.values(), *q.terms.values()))
+        return mul(p, q)
+
+    monkeypatch.setattr(Poly, "__mul__", recorded)
+    num1 = Poly.var(n, 1).scale(Fraction(2, 3))
+    num2 = Poly.var(n, 2).scale(Fraction(1, 5))
+    over = (((1, 2, 1), -1),)
+    for extra, zero in ((Fraction(-1, 3), True), (Fraction(1, 3), False)):
+        groups = [(num1, [(over, 1)]),
+                  (num2, [((((1, 2, 0), 1), ((1, 2, 1), -1)), 1)]),
+                  (Poly.var(n, 1) * Poly.var(n, 2) - Poly.var(n, 2) ** 2,
+                   [(over, Fraction(-1, 5))]),
+                  (Poly.var(n, 1), [(over, 2 * extra)])]
+        seen.clear()
+        assert rmatrix.vanishes(n, groups) is zero
+        assert seen and set(seen) == {int}
 
 
 # ---------------------------------------------------------------------------

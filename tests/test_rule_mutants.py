@@ -4,17 +4,29 @@ must be reported by the verifiers named for it.
 A mutant patches one coefficient of `diffring._resolve`, the rule table that
 the ring and its multi-copy form share (`multicopy` imports it by value, so
 both names are patched).  The ring is flat, with sigma from the potential
-H_2 - 2 H_1.  The verifiers are the double reduction of `verify_pbw`, the
-same check run by the multi-copy oracle at one copy of each species, and
-`verify_central`, which ties the ring to its potential.
+H_2 - 2 H_1, and so is the two-copy ring with a constant sigma array.  The
+verifiers are the double reduction of `verify_pbw`, the same check run by
+the multi-copy oracle at one copy of each species and at two, and
+`verify_central`, which ties the ring to its potential.  The copy-tagged
+mutants break a rule between two copies, which only the two-copy oracle
+reads.
+
+Under every mutant, each double reduction must also report exactly the
+words whose two canonical forms differ, and `verify_pbw` the first such
+word's residual: the memo and the modular witness of the shared zero test
+may not change a verdict.
 """
+
+import functools
 
 import pytest
 
 from hdcalc import diffring, multicopy
 from hdcalc.central import central_family, verify_central
-from hdcalc.diffring import RingSpec, verify_pbw
-from hdcalc.multicopy import SigmaArray, ambiguity_oracle
+from hdcalc.diffring import (RingSpec, is_overlap_ambiguity, normal_form,
+                             overlap_words, verify_pbw, word_label)
+from hdcalc.multicopy import (SigmaArray, ambiguity_oracle, flatness_check,
+                              mixed_normal_form)
 from hdcalc.potential import sigma_from_potential
 from hdcalc.ratfield import RatFun
 from hdcalc.rmatrix import complete_symmetric
@@ -49,12 +61,18 @@ def xd(t1, t2):
     return t1[0] == 'x' and t2[0] == 'd'
 
 
-CAUGHT = (False, False, False)
+def cross_copy(t1, t2):
+    return t1[2:] != t2[2:]
+
+
+CAUGHT = (False, False, False, False)
+ONLY_TWO_COPIES = (True, True, False, True)
 
 # mutant -> (the patch of the rule table, and the verdicts "passes" of the
-# double reduction, the one-copy oracle and verify_central)
+# double reduction, the one-copy oracle, the two-copy oracle and
+# verify_central)
 MUTANTS = {
-    None: (None, (True, True, True)),
+    None: (None, (True, True, True, True)),
     "xx swap x2": (patched_coefficient(
         lambda t1, t2: t1[0] == t2[0] == 'x', lambda c: c * 2), CAUGHT),
     "dd swap x2": (patched_coefficient(
@@ -65,26 +83,83 @@ MUTANTS = {
         lambda t1, t2: xd(t1, t2) and t1[1] < t2[1], lambda c: c * 2), CAUGHT),
     # 2 sigma is flat when sigma is, so both routes of the PBW check still
     # agree: a blind spot that only a check tying the ring to f closes
-    "sigma term of x_i d_i x2": (doubled_sigma, (True, True, False)),
+    "sigma term of x_i d_i x2": (doubled_sigma, (True, True, True, False)),
+    "cross-copy x x x2": (patched_coefficient(
+        lambda t1, t2: t1[0] == t2[0] == 'x' and cross_copy(t1, t2),
+        lambda c: c * 2), ONLY_TWO_COPIES),
+    "cross-copy x_i d_j (i > j) +1": (patched_coefficient(
+        lambda t1, t2: xd(t1, t2) and cross_copy(t1, t2) and t1[1] > t2[1],
+        lambda c: c + 1), ONLY_TWO_COPIES),
 }
+
+
+def flat_ring(n):
+    """sigma from H_2 - 2 H_1, and the potential."""
+    f = RatFun.from_poly(complete_symmetric(n, 2)
+                         - complete_symmetric(n, 1).scale(2))
+    return sigma_from_potential(f), f
+
+
+# a constant, and so flat, sigma array on two copies of each species
+TWO_COPIES = {(1, 1): 1, (1, 2): 2, (2, 1): 0, (2, 2): 3}
+
+
+def patch_rules(monkeypatch, mutant):
+    patch, expected = MUTANTS[mutant]
+    if patch is not None:
+        rule = patch(diffring._resolve)
+        for module in (diffring, multicopy):
+            monkeypatch.setattr(module, "_resolve", rule)
+    return expected
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("mutant", list(MUTANTS), ids=str)
 def test_each_rule_mutant_is_caught_by_its_named_verifiers(monkeypatch, n,
                                                            mutant):
-    f = RatFun.from_poly(complete_symmetric(n, 2)
-                         - complete_symmetric(n, 1).scale(2))
-    sigma = sigma_from_potential(f)
-    patch, expected = MUTANTS[mutant]
-    if patch is not None:
-        rule = patch(diffring._resolve)
-        for module in (diffring, multicopy):
-            monkeypatch.setattr(module, "_resolve", rule)
+    sigma, f = flat_ring(n)
+    expected = patch_rules(monkeypatch, mutant)
     pbw = verify_pbw(RingSpec(n, sigma))
     oracle = ambiguity_oracle(n, 1, 1, SigmaArray.from_one_copy(sigma))
+    two = SigmaArray.constant(n, 2, 2, TWO_COPIES)
     central = verify_central(central_family(f, n))
-    verdicts = pbw.direct.passed, oracle.passed, central.passed
+    verdicts = (pbw.direct.passed, oracle.passed,
+                ambiguity_oracle(n, 2, 2, two).passed, central.passed)
     assert verdicts == expected
-    # the difference system reads sigma alone, never the rules
+    # the difference system and the flatness equations read sigma alone,
+    # never the rules
     assert pbw.system.passed
+    assert flatness_check(n, 2, 2, two).passed
+
+
+def differing_words(words, form):
+    """The labels of the overlap words whose canonical forms "left" and
+    "right" differ, in order, and the first one's two forms."""
+    labels, first = [], None
+    for w in words:
+        if is_overlap_ambiguity(w):
+            forms = form(list(w), "left"), form(list(w), "right")
+            if forms[0] != forms[1]:
+                labels.append(word_label(w))
+                first = first or forms
+    return labels, first
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mutant", list(MUTANTS), ids=str)
+def test_each_double_reduction_reports_the_words_whose_forms_differ(
+        monkeypatch, n, mutant):
+    sigma, _ = flat_ring(n)
+    patch_rules(monkeypatch, mutant)
+    spec = RingSpec(n, sigma)
+    labels, first = differing_words(overlap_words(n),
+                                    functools.partial(normal_form, spec))
+    pbw = verify_pbw(spec)
+    assert pbw.direct.failures == labels
+    assert pbw.residual == (first and first[0] - first[1])
+    for copies, s in ((1, SigmaArray.from_one_copy(sigma)),
+                      (2, SigmaArray.constant(n, 2, 2, TWO_COPIES))):
+        tags = [(a,) for a in range(1, copies + 1)]
+        labels, _ = differing_words(overlap_words(n, tags, tags),
+                                    functools.partial(mixed_normal_form, n, s))
+        assert ambiguity_oracle(n, copies, copies, s).failures == labels
