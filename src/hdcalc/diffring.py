@@ -24,10 +24,8 @@ strategy, so one walk can reduce a word "left" and minus it "right".  The
 canonical forms (`normal_form`, `multiply`, `module_form`,
 `multicopy.mixed_normal_form`) turn each word's sum into one RatFun; the
 checks (`double_reduction`, `check_assignment`) need only know whether a
-result is zero, which `_is_zero` decides by one numerator identity per
-ordered word, through one state per check that shares the shifted tokens
-and the verdicts of sums that differ by a translation or a factored
-multiple, and proves a failing sum by one evaluation mod a prime.
+result is zero, which `_is_zero` decides on each ordered word's sum as the
+engine wrote it, by one `rmatrix.ZeroTest` per check.
 """
 
 from __future__ import annotations
@@ -35,16 +33,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import prod
-from operator import sub
 
-from .ratfield import (DomainError, ModularPoint, Poly, RatFun, checked_int,
-                       checked_perm, eps_vec, exact_coeff, json_exponents,
-                       reading_input, ring_mismatch)
-from .rmatrix import (CheckReport, divided_keys, factored, factored_value,
+from .ratfield import (DomainError, Poly, RatFun, checked_int, checked_perm,
+                       eps_vec, json_exponents, reading_input, ring_mismatch)
+from .rmatrix import (CheckReport, ZeroTest, factored, factored_value,
                       key_product, phi, phi_inv, psi_component, psi_prime,
-                      psi_terms, r_terms, r_terms_shifted, shifted_key,
-                      vanishes)
+                      psi_terms, r_terms, r_terms_shifted, shifted_key)
 from .potential import sigma_system_check
 
 
@@ -245,12 +239,12 @@ def _rewrite(n, walks, order, resolve):
 
     Returns (sums, tokens).  sums maps each ordered generator tuple to its
     sum {(key, refs): c}: c a nonzero constant, key the sorted factor
-    exponents of `rmatrix`, and refs the sorted (rank, shift) of the term's
-    opaque tokens, where tokens lists the opaque tokens in the order the
-    walk met them, its rank being the position there."""
+    exponents of `rmatrix`, and refs the sorted (name, shift) of the term's
+    opaque tokens, where tokens maps each name to its token, and a name is
+    the token's id."""
     sums = {}
-    tokens = []
-    opaque = {}  # id(token) -> (rank, constant value or None)
+    tokens = {}
+    consts = {}  # name -> the token's constant value, or None
     keys = {}  # generator -> order(generator)
     stack = [(strategy == "left", 1, (), (), list(w)) for strategy, w in walks]
     while stack:
@@ -276,14 +270,15 @@ def _rewrite(n, walks, order, resolve):
                     facs += (key,)
             else:
                 # tokens keeps t alive, so its id names it for the whole walk
-                ref = opaque.get(id(t))
-                if ref is None:
-                    ref = opaque[id(t)] = (len(tokens), t.const_value())
-                    tokens.append(t)
-                if ref[1] is None:
-                    refs += ((ref[0], tuple(svec)),)
+                name = id(t)
+                if name not in tokens:
+                    tokens[name] = t
+                    consts[name] = t.const_value()
+                k = consts[name]
+                if k is None:
+                    refs += ((name, tuple(svec)),)
                 else:
-                    c *= ref[1]
+                    c *= k
         if not c:
             continue
         idx = None
@@ -322,8 +317,11 @@ def _values(n, result):
     for the words where it is not zero.  A term's factored part is the
     cached canonical value of its key; the terms with the same opaque
     tokens are added, and each such sum is multiplied by those tokens, one
-    at a time, so that its denominator cancels against each in turn."""
+    at a time, so that its denominator cancels against each in turn, in the
+    order the walk met them: a token's name is its id, so name order would
+    change the operations from run to run, though not the result."""
     sums, tokens = result
+    rank = {name: r for r, name in enumerate(tokens)}.get
     out = {}
     for gens, terms in sums.items():
         groups = {}  # refs -> the sum of their terms' factored parts
@@ -337,8 +335,8 @@ def _values(n, result):
             groups[refs] = v if prev is None else prev + v
         total = None
         for refs, v in groups.items():
-            for i, svec in refs:
-                f = tokens[i].shift(svec)
+            for name, svec in sorted(refs, key=lambda ref: rank(ref[0])):
+                f = tokens[name].shift(svec)
                 if type(v) is RatFun:
                     v = v * f
                 else:
@@ -351,136 +349,13 @@ def _values(n, result):
     return out
 
 
-class _CheckState:
-    """What one check shares across the engine results it decides with
-    _is_zero: every opaque token it has met, so that a token's id names it
-    for the state's whole life; per (token id, shift) the shifted token and
-    its value mod P; per group of tokens the product of their shifted
-    numerators; and per normalized sum its verdict."""
-
-    __slots__ = ("n", "held", "shifted", "values", "nums", "verdicts",
-                 "point")
-
-    def __init__(self, n):
-        self.n = n
-        self.held = {}  # id(token) -> token
-        self.shifted = {}
-        self.values = {}
-        self.nums = {}
-        self.verdicts = {}
-        self.point = ModularPoint(n)
-
-    def shift(self, ref):
-        f = self.shifted.get(ref)
-        if f is None:
-            f = self.shifted[ref] = self.held[ref[0]].shift(ref[1])
-        return f
-
-    def witness(self, terms):
-        """True when the sum of terms, as (key, refs, c), is provably not
-        zero: its value mod P is not (see ratfield.ModularPoint)."""
-        point, values, total = self.point, self.values, 0
-        for key, refs, c in terms:
-            vals = [point.scalar(c), point.factors(key)]
-            for ref in refs:
-                if ref not in values:
-                    values[ref] = point.value(self.held[ref[0]], ref[1])
-                vals.append(values[ref])
-            if None in vals:
-                return False
-            total += prod(vals)
-        return total % point.P != 0
-
-    def normalized(self, terms):
-        """The sum of terms, as (key, refs, c), divided by its common factor
-        and its first term's constant, and translated by minus its least
-        token shift: sums that are such multiples and translates of each
-        other have one normalized form."""
-        low = min(svec for _, refs, _ in terms for _, svec in refs)
-        back = [-s for s in low] if any(low) else None
-        out = []
-        for key, (_, refs, c) in zip(
-                divided_keys([key for key, _, _ in terms]), terms):
-            key = tuple(sorted([f for f in key.items() if f[1]]))
-            if back:
-                key = shifted_key(key, back)
-                refs = tuple([(name, tuple(map(sub, svec, low)))
-                              for name, svec in refs])
-            out.append((key, refs, c))
-        out.sort()
-        c0 = out[0][2]
-        if c0 != 1:
-            out = [(key, refs,
-                    -c if c0 == -1 else exact_coeff(Fraction(c, c0)))
-                   for key, refs, c in out]
-        return tuple(out)
-
-    def exact(self, terms):
-        """Whether the sum of terms, as (key, refs, c), is zero: each opaque
-        token's denominator joins its term's exponents, and
-        rmatrix.vanishes multiplies out the sum of the terms with the same
-        opaque tokens and then multiplies it by their numerators."""
-        groups = {}
-        for key, refs, c in terms:
-            if refs:
-                key = dict(key)
-                for ref in refs:
-                    for fac, m in self.shift(ref).den.items():
-                        key[fac] = key.get(fac, 0) - m
-            groups.setdefault(refs, []).append((key, c))
-        for refs in groups:
-            if refs and refs not in self.nums:
-                self.nums[refs] = prod([self.shift(r).num for r in refs[1:]],
-                                       start=self.shift(refs[0]).num)
-        return vanishes(self.n, [(self.nums.get(refs), group)
-                                 for refs, group in groups.items()])
-
-
-def _is_zero(n, result, state=None):
-    """Whether an engine result is zero, decided on each ordered word
-    without a canonical form: an empty sum is zero, and one term is not (no
-    token of a term is zero).  A longer sum without opaque tokens is
-    decided by rmatrix.vanishes.  A longer sum with them is decided once
-    per normalized form in the check's state (a fresh one by default):
-    it is divided by its common factor and a constant, and translated by
-    h -> h + t for an integer vector t, with each token named by its
-    identity.  Both maps are injective on Q(h), so the sum is zero exactly
-    when its normalized form is, and a form seen before reuses its
-    verdict.  A new form is first evaluated mod P at a fixed point (see
-    ratfield.ModularPoint): a nonzero value proves the sum is not zero.  A
-    zero value proves nothing, and the sum is then multiplied out exactly
-    (see _CheckState.exact)."""
+def _is_zero(result, test):
+    """Whether an engine result is zero: whether the ZeroTest test finds
+    each ordered word's sum zero, with no canonical form built."""
     sums, tokens = result
-    if state is None:
-        state = _CheckState(n)
-    names = [id(t) for t in tokens]
-    state.held.update(zip(names, tokens))
-    for terms in sums.values():
-        if len(terms) < 2:
-            if terms:
-                return False
-            continue
-        if not any(refs for _, refs in terms):
-            if not vanishes(n, [(None, [(key, c) for (key, _), c
-                                        in terms.items()])]):
-                return False
-            continue
-        named = _named(terms, names)
-        form = state.normalized(named)
-        zero = state.verdicts.get(form)
-        if zero is None:
-            zero = state.verdicts[form] = (not state.witness(named)
-                                           and state.exact(named))
-        if not zero:
-            return False
-    return True
-
-
-def _named(terms, names):
-    """A word's sum {(key, refs): c} as a list of (key, refs, c), each ref
-    (rank, shift) renamed (names[rank], shift) and the refs sorted."""
-    return [(key, tuple(sorted([(names[r], svec) for r, svec in refs])), c)
-            for (key, refs), c in terms.items()]
+    for t in tokens.values():
+        test.hold(t)
+    return all(map(test.is_zero, sums.values()))
 
 
 def _exponents(n, gens):
@@ -706,25 +581,22 @@ def index_label(names, values):
 def double_reduction(name, n, words, resolve, form):
     """Reduce each overlap ambiguity w among words both ways under the rules
     resolve, as one engine walk of w "left" minus w "right", and decide
-    that difference by one numerator identity per ordered word (see
-    _is_zero), with no canonical form built.  Every other word counts as a
-    pass, as both strategies take the same steps on it (see
-    is_overlap_ambiguity).  All words share one check state: a sum with
-    sigma tokens that is a translate or a factored multiple of one decided
-    for an earlier word reuses that verdict, which is exact, as both maps
-    are injective on Q(h); and a new one is multiplied out only when its
-    value mod P is zero, since a nonzero value proves the word fails.
+    that difference per ordered word by one rmatrix.ZeroTest for every
+    word, with no canonical form built: a sum that is a renaming, a
+    translate or a factored multiple of one decided for an earlier word
+    reuses that verdict.  Every other word counts as a pass, as both
+    strategies take the same steps on it (see is_overlap_ambiguity).
     Returns the CheckReport of one check per word, each failure labelled by
     its word, and form(word, "left"), form(word, "right"), the two
     canonical forms of the first word that differs, or None."""
     failures = []
     first = None
-    state = _CheckState(n)
+    test = ZeroTest(n)
     for w in words:
         if not is_overlap_ambiguity(w):
             continue
         walks = [("left", w), ("right", [_MINUS_ONE, *w])]
-        if not _is_zero(n, _rewrite(n, walks, _order, resolve), state):
+        if not _is_zero(_rewrite(n, walks, _order, resolve), test):
             failures.append(word_label(w))
             if first is None:
                 first = form(w, "left"), form(w, "right")
@@ -811,7 +683,7 @@ def check_assignment(src, dst, assign):
                    key=lambda p: (p[0][0] != p[1][0], p[0][1] == p[1][1],
                                   p[0][1], p[1][1]))
     resolve, dst_resolve = _ring_resolve(src), _ring_resolve(dst)
-    state = _CheckState(n)
+    test = ZeroTest(n)
     for t1, t2 in pairs:
         # the image of t1 t2 minus the image of its replacement, as one sum
         # of words of dst; the coefficient tokens of a rule stand first, so
@@ -822,8 +694,8 @@ def check_assignment(src, dst, assign):
                                      if type(t) is not tuple]
             g = [image[t] for t in repl if type(t) is tuple]
             words += [coeffs + w for w in (_product_words(*g) if g else [[]])]
-        if not _is_zero(n, _rewrite(n, [("left", w) for w in words], _order,
-                                    dst_resolve), state):
+        if not _is_zero(_rewrite(n, [("left", w) for w in words], _order,
+                                 dst_resolve), test):
             failures.append(word_label((t1, t2)))
     return CheckReport("assignment", 2 * n + len(pairs), failures)
 

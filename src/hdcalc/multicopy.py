@@ -17,8 +17,8 @@ from functools import partial
 
 from .ratfield import (DomainError, RatFun, checked_int, eps_vec, rank_exact,
                        reading_input)
-from .rmatrix import (CheckReport, add_product, key_product, r_component,
-                      r_terms_shifted, vanishes)
+from .rmatrix import (CheckReport, ZeroTest, add_product, r_component,
+                      r_terms_shifted)
 from .potential import sigma_system_check
 from .diffring import (_order, _resolve, _rewrite, _values, double_reduction,
                        index_label, overlap_words)
@@ -170,35 +170,36 @@ def _ysy1_failure(n, fam):
 def _ysy2_failure(n, fam):
     # delta^i_j delta^u_k sigma_i = sum_ab R^{ab}_{kj}[-e_i] R^{ui}_{ab}[e_u]
     #                                       sigma_a[e_u],
-    # as one sum of factored terms: a constant sigma folds into the
-    # constants, any other is the numerator of a group over its denominator
-    shifted = {}
+    # as one sum of factored terms, rhs - lhs: each sigma is an opaque
+    # token, and a constant one folds into the constants
+    test = ZeroTest(n)
+    held = []
+    for f in fam:
+        k = f.const_value()
+        held.append((1, test.hold(f)) if k is None else (k, None))
+
+    def add(acc, terms, a, svec):
+        # acc += terms * sigma_a[svec]
+        k, name = held[a - 1]
+        refs = () if name is None else ((name, svec),)
+        for key, c in terms.items():
+            acc[key, refs] = acc.get((key, refs), 0) + c * k
+
     for u in range(1, n + 1):
         su = eps_vec(n, u)
         for i in range(1, n + 1):
             si = eps_vec(n, i, -1)
             pairs = {(u, i), (i, u)}
             for (k, j) in pairs:
-                sides = [(fam[i - 1], {(): 1})] if (i, u) == (j, k) else []
+                total = {}
+                if (i, u) == (j, k):
+                    add(total, {(): -1}, i, (0,) * n)
                 for (a, b) in pairs:
                     rhs = {}
                     add_product(rhs, r_terms_shifted(n, a, b, k, j, si),
                                 r_terms_shifted(n, u, i, a, b, su))
-                    if (a, u) not in shifted:
-                        shifted[a, u] = fam[a - 1].shift(su)
-                    sides.append((shifted[a, u],
-                                  {key: -c for key, c in rhs.items()}))
-                consts, groups = {}, []
-                for f, terms in sides:
-                    c = f.const_value()
-                    if c is None:
-                        groups.append((f.num, [
-                            (key_product((key, tuple([(fac, -m) for fac, m
-                                                      in f.den.items()]))),
-                             v) for key, v in terms.items()]))
-                    elif c:
-                        add_product(consts, terms, {(): c})
-                if not vanishes(n, [(None, consts.items())] + groups):
+                    add(total, rhs, a, su)
+                if not test.is_zero({t: c for t, c in total.items() if c}):
                     return (u, i, k, j)
     return None
 

@@ -7,7 +7,7 @@ formula (r_terms, r_terms_shifted, psi_terms), and r_component, r_shifted
 and psi_component are the canonical RatFuns of those factored values.  The
 factored values are also the coefficients of the rewriting rules of
 `diffring`, whose double reduction shares the sweeps' zero test,
-`vanishes`.  Every one is memoised per process and never changed after it
+`ZeroTest`.  Every one is memoised per process and never changed after it
 is built, so one cached value can be shared by every reader.  The "ice"
 sparsity pattern (R^{ij}_{kl} = 0 unless (k,l) is (i,j) or (j,i)) is used
 throughout, so identity checks run over O(n^2) nonzero components per index
@@ -22,13 +22,14 @@ being visited.  `verify_ice` stays exhaustive, and is the independent check
 of the support rule that the rows rely on.  A row entry is a factored sum,
 {signed exponents over canonical linear factors: nonzero constant}: a
 product adds exponents and multiplies constants, and a sum merges like
-terms, so nothing is expanded or lifted while the rows are built.  Each
-compared tuple is decided exactly from lhs - rhs: an empty sum is zero, a
-single term is nonzero, and a longer sum is divided by its common factor
-and the rest multiplied out (the factored representation of classical
-computer algebra; Davenport, Siret and Tournier, Computer Algebra, 1988),
-in one variable fewer, since a sum of products of differences is zero
-exactly when it is zero at h_v = 0, for v its highest index.
+terms, so nothing is expanded or lifted while the rows are built.
+
+Whether a sum of factored terms is zero (the factored representation of
+classical computer algebra; Davenport, Siret and Tournier, Computer
+Algebra, 1988) is decided by `ZeroTest`, one per check: for each compared
+tuple's lhs - rhs here, and for every sum of the rewriting engine's checks
+in `diffring` and of the second YSY equation in `multicopy`, whose terms
+may also carry opaque tokens.
 
 Every quotient here (components, phi, Q^+, 1/chi) has a denominator known
 as a product of shifted differences, so it is built from those factors;
@@ -38,11 +39,14 @@ division.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
+from operator import sub
 
-from .ratfield import Poly, RatFun, canon_factor, eps_vec
+from .ratfield import (ModularPoint, Poly, RatFun, canon_factor, eps_vec,
+                       exact_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +352,21 @@ def _times_r(n, row, s, t, u=None):
 
 
 def _renamed(terms):
-    """The factored sum terms with its variables renamed 1..m in increasing
-    order, as (m, frozenset of (key, c)).  The renaming keeps every factor
-    canonical and every key sorted, and the sum is zero exactly when the
-    renamed one is."""
-    used = {v for key in terms for (i, j, _), _ in key for v in (i, j)}
-    name = {v: m for m, v in enumerate(sorted(used), 1)}
+    """A sum without opaque tokens with its variables renamed 1..m in
+    increasing order, as (m, frozenset of ((key, ()), c)).  The renaming
+    keeps every factor canonical and every key sorted, and the sum is zero
+    exactly when the renamed one is."""
+    used = sorted({v for key, _ in terms for (i, j, _), _ in key
+                   for v in (i, j)})
+    if used[-1] == len(used):
+        return len(used), frozenset(terms.items())
+    name = {v: m for m, v in enumerate(used, 1)}
     return len(name), frozenset(
-        (tuple([((name[i], name[j], a), e) for (i, j, a), e in key]), c)
-        for key, c in terms.items())
+        ((tuple([((name[i], name[j], a), e) for (i, j, a), e in key]), ()), c)
+        for (key, _), c in terms.items())
 
 
-def divided_keys(keys):
+def _divided_keys(keys):
     """The keys of a sum's terms, each a tuple of items or a dict, divided
     by the sum's common factor: the least exponent of each factor over
     every term, 0 where a term lacks it.  Each quotient is a dict of
@@ -374,14 +381,113 @@ def divided_keys(keys):
     return pows
 
 
+def _translated(n, terms):
+    """A sum with opaque tokens divided by its common factor and by the
+    constant of its least term, and translated by h -> h - t for t its
+    least token shift, as (n, frozenset of ((key, refs), c)): sums that are
+    such multiples and translates of each other have one form, and each
+    map is injective on Q(h)."""
+    low = min(svec for _, refs in terms for _, svec in refs)
+    back = [-s for s in low] if any(low) else None
+    out = []
+    for key, ((_, refs), c) in zip(_divided_keys([key for key, _ in terms]),
+                                   terms.items()):
+        key = tuple(sorted([f for f in key.items() if f[1]]))
+        if back:
+            key = shifted_key(key, back)
+            refs = tuple([(name, tuple(map(sub, svec, low)))
+                          for name, svec in refs])
+        out.append(((key, refs), c))
+    c0 = min(out)[1]
+    if c0 != 1:
+        out = [(term, -c if c0 == -1 else exact_coeff(Fraction(c, c0)))
+               for term, c in out]
+    return n, frozenset(out)
+
+
+class ZeroTest:
+    """Whether sums of factored terms are zero, with one verdict memo for
+    one check.
+
+    A sum is a dict {(key, refs): c}, as the rewriting engine writes one
+    word's sum: each term is the nonzero constant c times
+    prod (h_i - h_j + a)^e over the ((i, j, a), e) of its key, times each
+    opaque token of refs, a sorted tuple of (name, shift), at h + shift;
+    hold(token) names a token.  An empty sum is zero, and one term is not
+    (no factor or token of a term is zero).  A longer sum is decided once
+    per normal form: `_renamed` without tokens, `_translated` with them.
+    A new form with tokens is first evaluated mod P at a fixed point (see
+    ratfield.ModularPoint): a nonzero value proves it is not zero, and a
+    zero value proves nothing.  Otherwise `vanishes` decides the form."""
+
+    __slots__ = ("n", "held", "verdicts", "point")
+
+    def __init__(self, n):
+        self.n = n
+        self.held = {}  # name -> token, so that a name stays unique
+        self.verdicts = {}
+        self.point = ModularPoint(n)
+
+    def hold(self, token):
+        """The name of an opaque token: its id, valid while the test
+        holds it."""
+        self.held[id(token)] = token
+        return id(token)
+
+    def is_zero(self, terms):
+        """Whether the sum terms, {(key, refs): c}, is zero."""
+        if len(terms) < 2:
+            return not terms
+        tokens = any(refs for _, refs in terms)
+        form = _translated(self.n, terms) if tokens else _renamed(terms)
+        zero = self.verdicts.get(form)
+        if zero is None:
+            zero = self.verdicts[form] = (
+                not (tokens and self._witness(form[1]))
+                and self._exact(*form))
+        return zero
+
+    def _witness(self, terms):
+        """True when the value of the sum of terms mod P is not zero."""
+        point, total = self.point, 0
+        for (key, refs), c in terms:
+            vals = [point.scalar(c), point.factors(key)]
+            vals += [point.value(self.held[name], svec) for name, svec in refs]
+            if None in vals:
+                return False
+            total += prod(vals)
+        return total % point.P != 0
+
+    def _exact(self, m, terms):
+        """Whether the sum of terms in h_1..h_m is zero: each token's
+        denominator joins its term's exponents, and `vanishes` multiplies
+        out the terms with the same tokens, adds them and multiplies the
+        sum by the product of the tokens' numerators."""
+        shifted = {ref: self.held[ref[0]].shift(ref[1])
+                   for (_, refs), _ in terms for ref in refs}
+        groups = {}
+        for (key, refs), c in terms:
+            if refs:
+                key = dict(key)
+                for ref in refs:
+                    for fac, e in shifted[ref].den.items():
+                        key[fac] = key.get(fac, 0) - e
+            groups.setdefault(refs, []).append((key, c))
+        return vanishes(m, [(prod([shifted[r].num for r in refs[1:]],
+                                  start=shifted[refs[0]].num)
+                             if refs else None, group)
+                            for refs, group in groups.items()])
+
+
 def vanishes(n, groups):
-    """Whether a sum of factored terms in h_1..h_n is zero.
+    """Whether a sum of factored terms in h_1..h_n is zero; the exact test
+    of `ZeroTest`.
 
     groups is an iterable of (num, terms): num is a Poly, or None for 1,
     and terms an iterable of (key, c), each c times prod (h_i - h_j + a)^e
     over the ((i, j, a), e) of key (a tuple of items or a dict, every
     factor canonical).  The sum over the groups of num times the sum of
-    its terms is divided by its common factor (`divided_keys`); each term
+    its terms is divided by its common factor (`_divided_keys`); each term
     of the quotient is multiplied out by Poly.mul_linfactor, the terms of
     a group are added, and each group's sum is multiplied by its num once.
     The common factor is a nonzero product of linear factors, so the
@@ -414,7 +520,7 @@ def vanishes(n, groups):
             groups = [(num if d == 1 else num.scale(d),
                        [(key, int(c * (L // d * D))) for key, c in terms])
                       for (num, terms), d in zip(groups, lifts)]
-    quotients = divided_keys([key for _, terms in groups for key, _ in terms])
+    quotients = _divided_keys([key for _, terms in groups for key, _ in terms])
     drop = max((fac[1] for key in quotients for fac in key),
                default=None) if plain else None
     quotients = iter(quotients)
@@ -442,13 +548,11 @@ def _sweep(name, n, arity, sides):
 
     sides(n, *upper) gives both sides for every lower tuple at once, as
     sparse rows {lower: factored sum}.  Only keys found in either row are
-    compared, each exactly from lhs - rhs: an empty sum is zero, one term
-    is nonzero, and more terms are divided by their common factor and
-    multiplied out.  That last test is memoised for this call only, keyed
-    by the sum with its variables renamed.  Every other tuple is 0 = 0, a
-    pass that is counted but not visited."""
+    compared, each by one ZeroTest of lhs - rhs for the whole sweep.  Every
+    other tuple, and every compared one whose terms all cancel, is 0 = 0, a
+    pass that is counted but not tested."""
     failures = []
-    decided = {}
+    is_zero = ZeroTest(n).is_zero
     for upper in product(range(1, n + 1), repeat=arity):
         lhs, rhs = sides(n, *upper)
         for lower in sorted(lhs.keys() | rhs.keys()):
@@ -459,14 +563,7 @@ def _sweep(name, n, arity, sides):
                     diff[key] = c
                 else:
                     del diff[key]
-            if len(diff) > 1:
-                renamed = _renamed(diff)
-                if renamed not in decided:
-                    m, terms = renamed
-                    decided[renamed] = vanishes(m, [(None, terms)])
-                if decided[renamed]:
-                    continue
-            if diff:
+            if diff and not is_zero({(key, ()): c for key, c in diff.items()}):
                 failures.append(upper + lower)
     return CheckReport(f"{name} n={n}", n ** (2 * arity), failures)
 

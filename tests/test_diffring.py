@@ -503,20 +503,21 @@ def _engine_results(draw):
 @given(_engine_results())
 def test_is_zero_is_an_empty_canonical_value(case):
     n, result, zero = case
-    assert diffring._is_zero(n, result) == (not diffring._values(n, result))
-    assert diffring._is_zero(n, result) or not zero
+    got = diffring._is_zero(result, rmatrix.ZeroTest(n))
+    assert got == (not diffring._values(n, result))
+    assert got or not zero
 
 
 def _witnessed(n, result):
     """The words of an engine result whose sums, of two or more terms with
-    opaque tokens, the modular witness calls nonzero."""
-    sums, tokens = result
-    state = diffring._CheckState(n)
-    names = [id(t) for t in tokens]
-    state.held.update(zip(names, tokens))
-    return [gens for gens, terms in sums.items()
+    opaque tokens, the modular witness calls nonzero, on the normal form
+    that ZeroTest.is_zero evaluates."""
+    test = rmatrix.ZeroTest(n)
+    for t in result[1].values():
+        test.hold(t)
+    return [gens for gens, terms in result[0].items()
             if len(terms) > 1 and any(refs for _, refs in terms)
-            and state.witness(diffring._named(terms, names))]
+            and test._witness(rmatrix._translated(n, terms)[1])]
 
 
 @settings(max_examples=40)
@@ -553,10 +554,11 @@ def test_the_witness_of_double_reduction_proves_only_failing_words(n):
 @given(st.lists(_engine_results(), min_size=2, max_size=4))
 def test_one_state_shared_by_many_results_decides_as_fresh_ones(cases):
     # every result twice, so that the second visit reads the memo
-    states = {}
+    tests = {}
     for n, result, _ in cases + cases:
-        shared = states.setdefault(n, diffring._CheckState(n))
-        assert diffring._is_zero(n, result, shared) == diffring._is_zero(n, result)
+        shared = tests.setdefault(n, rmatrix.ZeroTest(n))
+        assert (diffring._is_zero(result, shared)
+                == diffring._is_zero(result, rmatrix.ZeroTest(n)))
 
 
 def _tokens(n):
@@ -565,62 +567,63 @@ def _tokens(n):
             RatFun.var(n, 2) * Fraction(2, 5))
 
 
-def _named_sum(state, n, svecs, tokens):
-    """A sum of three terms of state's names, as _named writes one: tokens
-    [0], [0] and [1] at the shifts svecs, with three factored keys."""
-    names = [id(t) for t in tokens]
-    state.held.update(zip(names, tokens))
+def _named_sum(test, n, svecs, tokens):
+    """A sum of three terms, as the engine writes one, of tokens that test
+    holds: tokens [0], [0] and [1] at the shifts svecs, with three factored
+    keys."""
+    names = [test.hold(t) for t in tokens]
     keys = [next(iter(rmatrix.factored(f))) for f in (
         [(1, 2, 0, -1), (1, 2, 1, 2)], [(1, 2, -1, 1)], [(1, n, 2, -2)])]
-    return [(keys[0], ((names[0], svecs[0]),), 2),
-            (keys[1], ((names[0], svecs[1]),), -3),
-            (keys[2], ((names[1], svecs[2]),), Fraction(1, 2))]
+    return {(keys[0], ((names[0], svecs[0]),)): 2,
+            (keys[1], ((names[0], svecs[1]),)): -3,
+            (keys[2], ((names[1], svecs[2]),)): Fraction(1, 2)}
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_sum_its_translates_and_multiples_share_one_normal_form(n):
-    state = diffring._CheckState(n)
+    test = rmatrix.ZeroTest(n)
     tokens = _tokens(n)
     e1, e2 = eps_vec(n, 1), eps_vec(n, 2)
     svecs = [e1, (0,) * n, tuple(map(operator.add, e1, e2))]
-    terms = _named_sum(state, n, svecs, tokens)
-    form = state.normalized(terms)
+    terms = _named_sum(test, n, svecs, tokens)
+    form = rmatrix._translated(n, terms)
     [(fkey, fc)] = rmatrix.factored([(1, 2, 3, 1), (1, n, 0, -2)]).items()
     for t in (eps_vec(n, 2, -3), tuple(range(1, n + 1)), (5,) * n):
-        moved = [(rmatrix.shifted_key(key, t),
+        moved = {(rmatrix.shifted_key(key, t),
                   tuple((name, tuple(map(operator.add, s, t)))
-                        for name, s in refs), c) for key, refs, c in terms]
-        assert state.normalized(moved) == form
-        times = [(rmatrix.key_product((key, fkey)), refs, c * fc * 7)
-                 for key, refs, c in moved]
-        assert state.normalized(times) == form
+                        for name, s in refs)): c
+                 for (key, refs), c in terms.items()}
+        assert rmatrix._translated(n, moved) == form
+        times = {(rmatrix.key_product((key, fkey)), refs): c * fc * 7
+                 for (key, refs), c in moved.items()}
+        assert rmatrix._translated(n, times) == form
     # another token, or another shift of one token relative to the others
-    other = _named_sum(state, n, svecs, (tokens[0], tokens[2]))
-    assert state.normalized(other) != form
+    other = _named_sum(test, n, svecs, (tokens[0], tokens[2]))
+    assert rmatrix._translated(n, other) != form
     svecs[1] = e2
-    assert state.normalized(_named_sum(state, n, svecs, tokens)) != form
+    assert rmatrix._translated(n, _named_sum(test, n, svecs, tokens)) != form
 
 
 def _counted(monkeypatch, name):
-    """calls[0] counts the calls of diffring's name from now on."""
+    """calls[0] counts the calls of rmatrix's name from now on."""
     calls = [0]
-    fn = getattr(diffring, name)
+    fn = getattr(rmatrix, name)
 
     def counted(*args):
         calls[0] += 1
         return fn(*args)
 
-    monkeypatch.setattr(diffring, name, counted)
+    monkeypatch.setattr(rmatrix, name, counted)
     return calls
 
 
 def test_double_reduction_multiplies_out_each_distinct_sum_once(monkeypatch):
-    # sigma = 1 leaves no opaque token, and each of the 36 sums of two or
-    # more terms is multiplied out; Delta H_2 leaves 12 sums with sigma
-    # tokens, 6 distinct up to translation and a factored multiple, and
-    # 24 pure sums
+    # sigma = 1 leaves no opaque token: 36 sums of two or more terms, 20
+    # distinct with their variables renamed, are multiplied out.  Delta H_2
+    # leaves 12 sums with sigma tokens, 6 distinct up to translation and a
+    # factored multiple, and 24 pure sums, 16 distinct when renamed
     calls = _counted(monkeypatch, "vanishes")
-    for L, want in ((1, 36), (2, 30)):
+    for L, want in ((1, 20), (2, 22)):
         calls[0] = 0
         assert verify_pbw(flat_spec(3, L)).flat
         assert calls[0] == want, L
@@ -631,22 +634,23 @@ def test_a_word_the_witness_decides_multiplies_nothing_out(monkeypatch, n):
     _, bumped = _flat_and_bumped(n)
     calls = _counted(monkeypatch, "vanishes")
     witnessed = []
-    witness = diffring._CheckState.witness
+    witness = rmatrix.ZeroTest._witness
 
-    def recorded(state, terms):
-        witnessed.append(witness(state, terms))
+    def recorded(test, terms):
+        witnessed.append(witness(test, terms))
         return witnessed[-1]
 
-    monkeypatch.setattr(diffring._CheckState, "witness", recorded)
+    monkeypatch.setattr(rmatrix.ZeroTest, "_witness", recorded)
     decided = 0
     for label, w in pbw_words(n):
         if not is_overlap_ambiguity(w):
             continue
         calls[0] = 0
         witnessed.clear()
-        zero = diffring._is_zero(n, diffring._rewrite(
+        result = diffring._rewrite(
             n, [("left", w), ("right", [diffring._MINUS_ONE, *w])],
-            diffring._order, diffring._ring_resolve(bumped)))
+            diffring._order, diffring._ring_resolve(bumped))
+        zero = diffring._is_zero(result, rmatrix.ZeroTest(n))
         if any(witnessed):
             assert not zero and calls[0] == 0, label
             decided += 1

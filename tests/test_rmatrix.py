@@ -570,6 +570,108 @@ def test_vanishes_multiplies_fraction_numerators_over_ints(monkeypatch):
         assert seen and set(seen) == {int}
 
 
+def _opaque_tokens(n):
+    """Two opaque tokens of n variables: p = 2/3 h_1 + 1, with Fraction
+    coefficients, and the pole 3/(h_1 - h_2 + 1)."""
+    return (RatFun.var(n, 1) * Fraction(2, 3) + 1,
+            RatFun.inverse_diff(n, 1, 2, 1) * 3)
+
+
+@st.composite
+def _token_sums(draw):
+    """(n, terms) at n = 2..4, terms a list of (key, refs, c) with each ref
+    (index into _opaque_tokens(n), shift): a factored sum of
+    _factored_sums, all of whose terms carry no token or one token at a
+    shift in -1..1, plus, in some draws, a zero by construction times a
+    random term that mixes tokens and factors: p(h + s + e_1) - p(h + s)
+    - 2/3, or the pole at h + s against 3/(h_1 - h_2 + 1 + s_1 - s_2)."""
+    n, total = draw(_factored_sums().filter(lambda nf: nf[0] <= 4))
+    shift = st.tuples(*[st.integers(-1, 1)] * n)
+    refs = draw(st.sampled_from([[], [(0, draw(shift))], [(1, draw(shift))]]))
+    terms = [(key, refs, c) for key, c in total.items()]
+    kind = draw(st.sampled_from(["none", "polynomial", "pole"]))
+    s = draw(shift)
+    if kind == "polynomial":
+        up = tuple(map(operator.add, s, eps_vec(n, 1)))
+        parts = [((), [(0, up)], 1), ((), [(0, s)], -1),
+                 ((), [], Fraction(-2, 3))]
+    elif kind == "pole":
+        [(key, sign)] = rmatrix.factored([(1, 2, 1 + s[0] - s[1], -1)]).items()
+        parts = [((), [(1, s)], 1), (key, [], -3 * sign)]
+    else:
+        parts = []
+    [(times, c)] = rmatrix.factored(draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n), st.integers(-2, 2),
+                  st.integers(-2, 2)).filter(lambda f: f[0] != f[1]),
+        max_size=2))).items()
+    c *= draw(st.sampled_from([1, -2, Fraction(3, 5)]))
+    terms += [(rmatrix.key_product((key, times)), refs, c * v)
+              for key, refs, v in parts]
+    return n, terms
+
+
+def _engine_sum(names, terms):
+    """The sum {(key, refs): c} of terms as the engine writes one: each ref
+    (index, shift) becomes (names[index], shift), and like terms merge."""
+    out = {}
+    for key, refs, c in terms:
+        _add_terms(out, {(key, tuple(sorted((names[k], svec)
+                                            for k, svec in refs))): c})
+    return out
+
+
+def _token_value(n, tokens, terms):
+    """The canonical RatFun of a list of (key, refs, c)."""
+    total = RatFun.zero(n)
+    for key, refs, c in terms:
+        v = _as_ratfun(n, {key: c})
+        for k, svec in refs:
+            v = v * tokens[k].shift(svec)
+        total = total + v
+    return total
+
+
+@settings(max_examples=150)
+@given(_token_sums(), st.data())
+def test_zero_test_is_the_canonical_zero_test_and_reuses_its_verdicts(
+        case, data):
+    # a renamed sum without tokens, and a translate or a factored multiple
+    # of a sum with them, reuse the verdict of the sum: no second vanishes
+    n, terms = case
+    tokens = _opaque_tokens(n)
+    test = rmatrix.ZeroTest(n)
+    total = _engine_sum([test.hold(t) for t in tokens], terms)
+    zero = test.is_zero(total)
+    assert zero == _token_value(n, tokens, terms).is_zero()
+    if any(refs for _, refs in total):
+        t = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+        [(fkey, fc)] = rmatrix.factored([(1, 2, 3, 1), (1, n, 0, -2)]).items()
+        moved = {(rmatrix.shifted_key(key, t),
+                  tuple((name, tuple(map(operator.add, svec, t)))
+                        for name, svec in refs)): c
+                 for (key, refs), c in total.items()}
+        variants = [moved, {(rmatrix.key_product((key, fkey)), refs): -5 * fc * c
+                            for (key, refs), c in total.items()}]
+    else:
+        used = sorted({v for key, _ in total for (i, j, _), _ in key
+                       for v in (i, j)})
+        new = sorted(data.draw(st.lists(st.integers(1, n), unique=True,
+                                        min_size=len(used),
+                                        max_size=len(used))))
+        name = dict(zip(used, new))
+        variants = [{(tuple([((name[i], name[j], a), e)
+                             for (i, j, a), e in key]), ()): c
+                     for (key, _), c in total.items()}]
+    calls = []
+    vanishes = rmatrix.vanishes
+    rmatrix.vanishes = lambda *args: calls.append(args) or vanishes(*args)
+    try:
+        assert [test.is_zero(v) for v in variants] == [zero] * len(variants)
+    finally:
+        rmatrix.vanishes = vanishes
+    assert not calls
+
+
 # ---------------------------------------------------------------------------
 # the DYBE rows against the dense sums
 
