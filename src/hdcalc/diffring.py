@@ -583,9 +583,10 @@ def double_reduction(name, n, words, resolve, form):
     resolve, as one engine walk of w "left" minus w "right", and decide
     that difference per ordered word by one rmatrix.ZeroTest for every
     word, with no canonical form built: a sum that is a renaming, a
-    translate or a factored multiple of one decided for an earlier word
-    reuses that verdict.  Every other word counts as a pass, as both
-    strategies take the same steps on it (see is_overlap_ambiguity).
+    translate or a multiple by a product of linear factors of one decided
+    for an earlier word reuses that verdict.  Every other word counts as a
+    pass, as both strategies take the same steps on it (see
+    is_overlap_ambiguity).
     Returns the CheckReport of one check per word, each failure labelled by
     its word, and form(word, "left"), form(word, "right"), the two
     canonical forms of the first word that differs, or None."""

@@ -118,8 +118,6 @@ def central_character(fam, weight):
     """
     spec = fam.spec
     n = spec.n
-    if weight.n != n:
-        raise ring_mismatch(n, weight.n)
     vac = LWVector.vacuum(weight)
     acted = []
     for k, c in enumerate(fam.elements, start=1):

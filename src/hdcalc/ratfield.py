@@ -23,13 +23,25 @@ which Poly.shift loops over, and RatFun.subst_var renames h_j in every
 denominator factor by one rule.  An index outside 1..n and a mix of two
 ring sizes raise DomainError.
 
+One evaluator mod the prime P = 2**61 - 1 serves every pre-filter: one
+fixed integer point, one power-table cache keyed by coordinate value
+(_coordinate_powers), one reduction of an int or Fraction
+(ModularPoint.scalar, None when P divides the denominator, with the
+inverses mod P cached in _inverse) and the value of a product of linear
+factors (ModularPoint.factors).  Reducing mod P maps the rationals whose
+denominators P does not divide onto the integers mod P and keeps sums and
+products, so a function that is zero in Q(h) is 0 mod P wherever its
+denominators are invertible: a nonzero value proves a function nonzero,
+and a zero value proves nothing.  _may_vanish reads a numerator at the
+fixed point with coordinate i moved onto the hyperplane h_i = h_j - a,
+ModularPoint.value a RatFun at the point moved by a shift vector, and
+rmatrix.ZeroTest a sum of factored terms.  No answer rests on it alone.
+
 A RatFun is canonical: no denominator factor divides its numerator.  A
-construction that is not known to be canonical cancels: for each denominator
-factor h_i - h_j + a the numerator is first evaluated mod the prime
-2**61 - 1 at one fixed integer point of the hyperplane h_i = h_j - a.  A
-nonzero value proves the factor does not divide the numerator; only a zero
-value goes on to the exact test, the substitution h_i := h_j - a, and then to
-the exact division.  No answer rests on the pre-filter alone.
+construction that is not known to be canonical cancels: a denominator
+factor h_i - h_j + a on which _may_vanish proves the numerator nonzero does
+not divide it; any other goes on to the exact test, the substitution
+h_i := h_j - a, and then to the exact division.
 
 Arithmetic tests only the factors that can cancel (Henrici's rule).  Both
 operands are canonical and distinct factors are coprime, so in a * b a
@@ -458,15 +470,11 @@ class Poly:
         perm = checked_perm(perm, self.n)
         out = {}
         for e, c in self.terms.items():
+            # a relabelling is injective on exponent vectors: no terms merge
             ne = [0] * self.n
             for k, ek in enumerate(e):
                 ne[perm[k] - 1] = ek
-            key = tuple(ne)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s if type(s) is int else exact_coeff(s)
-            else:
-                out.pop(key, None)
+            out[tuple(ne)] = c
         return Poly(self.n, out)
 
     def evaluate(self, point):
@@ -570,18 +578,14 @@ def clear_denominators(values):
     return list(values) if L == 1 else [f * L for f in values]
 
 
-# Pre-filter for the divisibility test in RatFun._cancel.  If the factor
-# h_i - h_j + a divides num over Q, num vanishes at every integer point with
-# h_i = h_j - a, hence so does its value reduced mod a prime P that divides
-# no coefficient denominator.  A nonzero value mod P is therefore a proof of
-# non-divisibility; a zero value proves nothing and the exact test decides.
 _P = 2**61 - 1  # Mersenne prime
 _STEP = 0x9E3779B97F4A7C15 % _P  # golden-ratio step: coordinates far apart
 
 
+@lru_cache(maxsize=None)
 def _point(n):
-    """The fixed integer point (h_1, ..., h_n) the pre-filter starts from."""
-    return [k * _STEP % _P for k in range(1, n + 1)]
+    """The fixed integer point (h_1, ..., h_n) of the evaluator mod _P."""
+    return tuple(k * _STEP % _P for k in range(1, n + 1))
 
 
 class _Powers(dict):
@@ -599,26 +603,34 @@ class _Powers(dict):
 
 
 @lru_cache(maxsize=4096)
-def _hyperplane_powers(n, i, j, a):
-    """The power tables of the coordinates of the pre-filter's point on the
-    hyperplane h_i = h_j - a: _point(n) with coordinate i replaced."""
+def _coordinate_powers(x):
+    """The power table of the coordinate value x mod _P."""
+    return _Powers(x % _P)
+
+
+@lru_cache(maxsize=4096)
+def _inverse(x):
+    """1/x mod _P for x in 0.._P - 1, None for 0."""
+    return pow(x, -1, _P) if x else None
+
+
+@lru_cache(maxsize=4096)
+def _factor_value(n, i, j, a):
+    """h_i - h_j + a at _point(n) mod _P, and its inverse (None for 0)."""
     pt = _point(n)
-    pt[i - 1] = (pt[j - 1] - a) % _P
-    return tuple(_Powers(x) for x in pt)
+    x = (pt[i - 1] - pt[j - 1] + a) % _P
+    return x, _inverse(x)
 
 
-def _mod_value(num, tables):
-    """num mod _P at the point whose coordinates have the power tables
-    tables, or None when _P divides a coefficient's denominator."""
+def _mod_value(num, coords):
+    """The Poly num mod _P at the point of integer coordinates coords, or
+    None when _P divides a coefficient's denominator."""
+    tables = [_coordinate_powers(x) for x in coords]
     total = 0
     for e, c in num.terms.items():
-        if type(c) is int:
-            v = c
-        else:
-            d = c.denominator
-            if d % _P == 0:
-                return None
-            v = c.numerator * pow(d, -1, _P)
+        v = c if type(c) is int else ModularPoint.scalar(c)
+        if v is None:
+            return None
         p = 0
         for k in e:
             if k:
@@ -629,34 +641,16 @@ def _mod_value(num, tables):
 
 
 def _may_vanish(num, i, j, a):
-    """False only if num is provably nonzero on the hyperplane h_i = h_j - a."""
-    return not _mod_value(num, _hyperplane_powers(num.n, i, j, a))
-
-
-@lru_cache(maxsize=4096)
-def _factor_value(n, i, j, a):
-    """h_i - h_j + a at _point(n) mod _P, and its inverse (None for 0)."""
-    pt = _point(n)
-    x = (pt[i - 1] - pt[j - 1] + a) % _P
-    return x, pow(x, -1, _P) if x else None
-
-
-@lru_cache(maxsize=4096)
-def _coordinate_powers(x):
-    """The power table of the coordinate value x mod _P."""
-    return _Powers(x % _P)
+    """False only if num is provably nonzero on the hyperplane h_i = h_j - a:
+    its value at the fixed point with coordinate i moved there is not 0."""
+    pt = list(_point(num.n))
+    pt[i - 1] = pt[j - 1] - a
+    return not _mod_value(num, pt)
 
 
 class ModularPoint:
-    """Values mod the prime _P at the pre-filter's fixed point of n
-    coordinates, moved by integer shift vectors.
-
-    Reducing mod _P maps the rationals whose denominators _P does not
-    divide onto the integers mod _P, and keeps sums and products; so when
-    f = 0 in Q(h), f at the point is 0 mod _P wherever every denominator is
-    invertible there.  A nonzero value is thus a proof that f is not zero;
-    a zero value proves nothing.  A value whose denominator is not
-    invertible mod _P is None."""
+    """The evaluator mod _P at the fixed point of n coordinates, moved by
+    integer shift vectors."""
 
     __slots__ = ("n", "point")
     P = _P
@@ -670,8 +664,8 @@ class ModularPoint:
         """An int or Fraction mod _P, or None."""
         if type(c) is int:
             return c % _P
-        d = c.denominator % _P
-        return c.numerator * pow(d, -1, _P) % _P if d else None
+        inv = _inverse(c.denominator % _P)
+        return None if inv is None else c.numerator * inv % _P
 
     def factors(self, items, svec=None):
         """prod (h_i - h_j + a)^e over the ((i, j, a), e) of items at the
@@ -690,8 +684,7 @@ class ModularPoint:
 
     def value(self, f, svec):
         """The RatFun f at the point + svec, or None."""
-        num = _mod_value(f.num, [_coordinate_powers(x + s)
-                                 for x, s in zip(self.point, svec)])
+        num = _mod_value(f.num, map(add, self.point, svec))
         den = self.factors([(fac, -m) for fac, m in f.den.items()], svec)
         if num is None or den is None:
             return None

@@ -39,14 +39,12 @@ division.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 from operator import sub
 
-from .ratfield import (ModularPoint, Poly, RatFun, canon_factor, eps_vec,
-                       exact_coeff)
+from .ratfield import ModularPoint, Poly, RatFun, canon_factor, eps_vec
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +380,11 @@ def _divided_keys(keys):
 
 
 def _translated(n, terms):
-    """A sum with opaque tokens divided by its common factor and by the
-    constant of its least term, and translated by h -> h - t for t its
-    least token shift, as (n, frozenset of ((key, refs), c)): sums that are
-    such multiples and translates of each other have one form, and each
-    map is injective on Q(h)."""
+    """A sum with opaque tokens divided by its common factor and translated
+    by h -> h - t for t its least token shift, as (n, frozenset of
+    ((key, refs), c)): a sum, its translates and its multiples by a product
+    of linear factors have one form, and each map is injective on Q(h).  A
+    constant multiple keeps its own form."""
     low = min(svec for _, refs in terms for _, svec in refs)
     back = [-s for s in low] if any(low) else None
     out = []
@@ -398,10 +396,6 @@ def _translated(n, terms):
             refs = tuple([(name, tuple(map(sub, svec, low)))
                           for name, svec in refs])
         out.append(((key, refs), c))
-    c0 = min(out)[1]
-    if c0 != 1:
-        out = [(term, -c if c0 == -1 else exact_coeff(Fraction(c, c0)))
-               for term, c in out]
     return n, frozenset(out)
 
 
@@ -415,10 +409,12 @@ class ZeroTest:
     opaque token of refs, a sorted tuple of (name, shift), at h + shift;
     hold(token) names a token.  An empty sum is zero, and one term is not
     (no factor or token of a term is zero).  A longer sum is decided once
-    per normal form: `_renamed` without tokens, `_translated` with them.
-    A new form with tokens is first evaluated mod P at a fixed point (see
-    ratfield.ModularPoint): a nonzero value proves it is not zero, and a
-    zero value proves nothing.  Otherwise `vanishes` decides the form."""
+    per normal form: `_renamed` without tokens, and with them `_translated`,
+    which a sum shares with its translates and its multiples by a product
+    of linear factors.  A new form with tokens is first evaluated mod P at a
+    fixed point (ratfield's one evaluator, ModularPoint): a nonzero value
+    proves it is not zero, and a zero value proves nothing.  Otherwise
+    `vanishes` decides the form."""
 
     __slots__ = ("n", "held", "verdicts", "point")
 

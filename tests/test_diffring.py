@@ -587,16 +587,20 @@ def test_a_sum_its_translates_and_multiples_share_one_normal_form(n):
     svecs = [e1, (0,) * n, tuple(map(operator.add, e1, e2))]
     terms = _named_sum(test, n, svecs, tokens)
     form = rmatrix._translated(n, terms)
-    [(fkey, fc)] = rmatrix.factored([(1, 2, 3, 1), (1, n, 0, -2)]).items()
+    # a product of linear factors, of constant 1
+    [fkey] = rmatrix.factored([(1, 2, 3, 1), (1, n, 0, -2)])
     for t in (eps_vec(n, 2, -3), tuple(range(1, n + 1)), (5,) * n):
         moved = {(rmatrix.shifted_key(key, t),
                   tuple((name, tuple(map(operator.add, s, t)))
                         for name, s in refs)): c
                  for (key, refs), c in terms.items()}
         assert rmatrix._translated(n, moved) == form
-        times = {(rmatrix.key_product((key, fkey)), refs): c * fc * 7
+        times = {(rmatrix.key_product((key, fkey)), refs): c
                  for (key, refs), c in moved.items()}
         assert rmatrix._translated(n, times) == form
+        # a constant multiple has a form of its own
+        scaled = {term: c * 7 for term, c in times.items()}
+        assert rmatrix._translated(n, scaled) != form
     # another token, or another shift of one token relative to the others
     other = _named_sum(test, n, svecs, (tokens[0], tokens[2]))
     assert rmatrix._translated(n, other) != form
@@ -621,7 +625,8 @@ def test_double_reduction_multiplies_out_each_distinct_sum_once(monkeypatch):
     # sigma = 1 leaves no opaque token: 36 sums of two or more terms, 20
     # distinct with their variables renamed, are multiplied out.  Delta H_2
     # leaves 12 sums with sigma tokens, 6 distinct up to translation and a
-    # factored multiple, and 24 pure sums, 16 distinct when renamed
+    # multiple by a product of linear factors, and 24 pure sums, 16
+    # distinct when renamed
     calls = _counted(monkeypatch, "vanishes")
     for L, want in ((1, 20), (2, 22)):
         calls[0] = 0

@@ -4,7 +4,9 @@ imports a private name from a sibling module, except the shared rule table
 and rewriting engine that `multicopy` reads from `diffring`.  No module
 holds an `assert` statement, which `python -O` skips, except the invariant
 that `RatFun._cancel` states after its exact divisibility test: so no guard
-or verdict rests on one.
+or verdict rests on one.  No module but `ratfield` calls three-argument
+`pow` (a power or an inverse mod a prime), so that modular arithmetic has
+one home, its one evaluator mod 2**61 - 1.
 
 `__init__.py` is exempt from the unused-import check, because it imports
 names only to re-export them.
@@ -80,6 +82,16 @@ def assert_sites(source):
 ALLOWED_ASSERTS = {"ratfield.py": ["RatFun._cancel"]}
 
 
+def modular_pow_lines(source):
+    """Line of each call of the builtin pow with a modulus in source, as a
+    third argument or the keyword mod."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "pow"
+                  and (len(node.args) == 3
+                       or any(k.arg == "mod" for k in node.keywords)))
+
+
 def test_scanner_sees_unused_and_used_names():
     src = ("from __future__ import annotations\n"
            "import os.path\nfrom math import comb as C, lcm\n"
@@ -109,6 +121,12 @@ def test_assert_scanner_names_the_enclosing_scope():
     assert assert_sites(src) == ["", "A.f", "A.f.g"]
 
 
+def test_modular_pow_scanner():
+    src = ("x = pow(2, 5)\ny = pow(2, -1, 7)\n"
+           "def f(p):\n    return pow(3, 2, mod=p) + math.pow(2, 3)\n")
+    assert modular_pow_lines(src) == [2, 4]
+
+
 def test_package_modules_found():
     assert {"ratfield.py", "central.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -133,3 +151,10 @@ def test_no_private_import_from_sibling(path):
     found = {(path.stem, mod, name)
              for mod, name in private_imports(path.read_text())}
     assert sorted(found - SHARED_PRIVATE) == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "ratfield.py"],
+                         ids=lambda p: p.name)
+def test_no_modular_pow_outside_ratfield(path):
+    assert modular_pow_lines(path.read_text()) == []

@@ -635,8 +635,10 @@ def _token_value(n, tokens, terms):
 @given(_token_sums(), st.data())
 def test_zero_test_is_the_canonical_zero_test_and_reuses_its_verdicts(
         case, data):
-    # a renamed sum without tokens, and a translate or a factored multiple
-    # of a sum with them, reuse the verdict of the sum: no second vanishes
+    # a renamed sum without tokens, and a translate or a multiple by a
+    # product of linear factors of a sum with them, reuse the verdict of the
+    # sum: no second vanishes.  A constant multiple has its own normal form,
+    # and the same verdict
     n, terms = case
     tokens = _opaque_tokens(n)
     test = rmatrix.ZeroTest(n)
@@ -645,12 +647,13 @@ def test_zero_test_is_the_canonical_zero_test_and_reuses_its_verdicts(
     assert zero == _token_value(n, tokens, terms).is_zero()
     if any(refs for _, refs in total):
         t = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
-        [(fkey, fc)] = rmatrix.factored([(1, 2, 3, 1), (1, n, 0, -2)]).items()
+        # a product of linear factors, of constant 1
+        [fkey] = rmatrix.factored([(1, 2, 3, 1), (1, n, 0, -2)])
         moved = {(rmatrix.shifted_key(key, t),
                   tuple((name, tuple(map(operator.add, svec, t)))
                         for name, svec in refs)): c
                  for (key, refs), c in total.items()}
-        variants = [moved, {(rmatrix.key_product((key, fkey)), refs): -5 * fc * c
+        variants = [moved, {(rmatrix.key_product((key, fkey)), refs): c
                             for (key, refs), c in total.items()}]
     else:
         used = sorted({v for key, _ in total for (i, j, _), _ in key
@@ -670,6 +673,7 @@ def test_zero_test_is_the_canonical_zero_test_and_reuses_its_verdicts(
     finally:
         rmatrix.vanishes = vanishes
     assert not calls
+    assert test.is_zero({term: -5 * c for term, c in total.items()}) == zero
 
 
 # ---------------------------------------------------------------------------

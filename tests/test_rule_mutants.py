@@ -15,19 +15,32 @@ Under every mutant, each double reduction must also report exactly the
 words whose two canonical forms differ, and `verify_pbw` the first such
 word's residual: the memo and the modular witness of the shared zero test
 may not change a verdict.
+
+A module mutant patches one coefficient of `diffring._resolve_module`, the
+rules of the module order (x left of d) by which ring elements act on a
+lowest weight vector.  Its checks are the two routes of
+`central_character` (the central elements acted on the vacuum, against the
+rho prediction) and the representation identity
+act(u, act(v, w)) == act(multiply(u, v), w) for generators u, v and the
+vectors w = x^b v with |b| <= 2.  `verify_pbw` and `verify_central` read
+the ring's rules alone, so they pass under every module mutant.
 """
 
 import functools
+from itertools import product
 
 import pytest
 
 from hdcalc import diffring, multicopy
 from hdcalc.central import central_family, verify_central
-from hdcalc.diffring import (RingSpec, is_overlap_ambiguity, normal_form,
-                             overlap_words, verify_pbw, word_label)
+from hdcalc.diffring import (RingSpec, is_overlap_ambiguity, multiply,
+                             normal_form, overlap_words, verify_pbw,
+                             word_label)
+from hdcalc.lowestweight import (LWVector, act, central_character,
+                                 generic_lambda)
 from hdcalc.multicopy import (SigmaArray, ambiguity_oracle, flatness_check,
                               mixed_normal_form)
-from hdcalc.potential import sigma_from_potential
+from hdcalc.potential import MismatchError, sigma_from_potential
 from hdcalc.ratfield import RatFun
 from hdcalc.rmatrix import complete_symmetric
 
@@ -163,3 +176,79 @@ def test_each_double_reduction_reports_the_words_whose_forms_differ(
         labels, _ = differing_words(overlap_words(n, tags, tags),
                                     functools.partial(mixed_normal_form, n, s))
         assert ambiguity_oracle(n, copies, copies, s).failures == labels
+
+
+# ---------------------------------------------------------------------------
+# module rule mutants
+
+
+def doubled_module_rows(row):
+    """The mutant of `diffring._resolve_module` that doubles the coefficient
+    of each replacement r of a pair d_j x^i for which row(j, i, r) holds;
+    every replacement of such a pair starts with its coefficient."""
+    def mutant(resolve):
+        def mutated(spec, t1, t2):
+            out = resolve(spec, t1, t2)
+            if (t1[0], t2[0]) != ('d', 'x'):
+                return out
+            return [[diffring._token_value(spec.n, r[0]) * 2, *r[1:]]
+                    if row(t1[1], t2[1], r) else r for r in out]
+        return mutated
+    return mutant
+
+
+# mutant -> (the patch of the module rules, and the verdicts "passes" of
+# central_character's two routes and of the representation identity).  On
+# the vacuum every Psi row ends in d_k, which kills it, so only the vacuum
+# term reaches the characters; no mutant is a blind spot of both checks
+MODULE_MUTANTS = {
+    None: (None, (True, True)),
+    # the one replacement of d_i x^i without generators
+    "vacuum term x2": (doubled_module_rows(lambda j, i, r: len(r) == 1),
+                       (False, False)),
+    "diagonal Psi^{ik}_{ik} (k != i) x2": (doubled_module_rows(
+        lambda j, i, r: j == i and len(r) == 3 and r[1][1] != i),
+        (True, False)),
+    "off-diagonal Psi (j != i) x2": (doubled_module_rows(
+        lambda j, i, r: j != i), (True, False)),
+}
+
+
+def characters_agree(fam, weight):
+    """Whether central_character's two routes agree at weight."""
+    try:
+        central_character(fam, weight)
+    except MismatchError:
+        return False
+    return True
+
+
+def representation_holds(spec, weight):
+    """Whether act(u, act(v, w)) == act(multiply(u, v), w) for all
+    generators u, v and the vectors w = x^b v with |b| <= 2 at weight."""
+    n = spec.n
+    gens = ([spec.x(i) for i in range(1, n + 1)]
+            + [spec.d(i) for i in range(1, n + 1)])
+    vectors = [LWVector(weight, {b: 1})
+               for b in product(range(3), repeat=n) if sum(b) <= 2]
+    return all(act(spec, u, act(spec, v, w))
+               == act(spec, multiply(spec, u, v), w)
+               for u in gens for v in gens for w in vectors)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mutant", list(MODULE_MUTANTS), ids=str)
+def test_each_module_rule_mutant_is_caught_by_its_named_checks(monkeypatch, n,
+                                                               mutant):
+    patch, expected = MODULE_MUTANTS[mutant]
+    if patch is not None:
+        monkeypatch.setattr(diffring, "_resolve_module",
+                            patch(diffring._resolve_module))
+    _, f = flat_ring(n)
+    fam = central_family(f, n)
+    weight = generic_lambda(n)
+    assert (characters_agree(fam, weight),
+            representation_holds(fam.spec, weight)) == expected
+    # both read the ring's rules alone
+    assert verify_pbw(fam.spec).flat
+    assert verify_central(fam).passed
