@@ -12,7 +12,8 @@ RatFuns.  The closing check Delta_j rho_k = sigma_j e_k(no j) is the proof.
 from __future__ import annotations
 
 from .ratfield import Poly, RatFun, clear_denominators
-from .rmatrix import CheckReport, complete_symmetric, elementary_symmetric
+from .rmatrix import (CheckReport, complete_symmetric, elementary_symmetric,
+                      psi_component)
 from .potential import MismatchError, sigma_from_potential, w_decompose
 from .diffring import RingSpec, commutator
 
@@ -97,15 +98,19 @@ def verify_central(fam):
 def character_map(fam):
     """The scalars by which c_1..c_n act on a lowest weight vector, as
     functions of the weight: v_k = sum_i e_{k-1}(no i) gamma_i - rho_{k-1},
-    where gamma_i = spec.vacuum_value(i) is the vacuum value of d_i x^i."""
+    where gamma_i = sum_k Psi^{ik}_{ik} sigma_k is the value by which
+    d_i x^i acts on it."""
     spec = fam.spec
     n = spec.n
+    gammas = [sum((psi_component(n, i, k, i, k) * spec.sigma[k - 1]
+                   for k in range(1, n + 1)), RatFun.zero(n))
+              for i in range(1, n + 1)]
     out = []
     for k in range(1, n + 1):
         v = -fam.rho[k - 1]
         for i in range(1, n + 1):
             v = v + (RatFun.from_poly(elementary_symmetric(n, k - 1, skip=i))
-                     * spec.vacuum_value(i))
+                     * gammas[i - 1])
         out.append(v)
     return out
 

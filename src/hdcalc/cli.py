@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -71,9 +72,22 @@ def _ring(args, *asts):
 
 
 def _weight(args, n):
+    """The --lambda weight.  An entry with more digits in its numerator or
+    denominator than sys.get_int_max_str_digits() allows (0: no limit) is
+    refused before any work, by its exponent e before 10**e is built."""
     parts = [p for p in args.lam.split(";") if p.strip()]
+    limit = sys.get_int_max_str_digits()
+    values = []
     with reading_input("--lambda"):
-        values = tuple(Fraction(p) for p in parts)
+        for k, p in enumerate(parts, start=1):
+            e = re.search(r"e([-+]?[\d_]+)", p, re.I)
+            big = limit and e and abs(int(e[1])) > limit
+            v = None if big else Fraction(p)
+            if big or limit and max(abs(v.numerator),
+                                    v.denominator) >= 10 ** limit:
+                raise DomainError(f"--lambda entry {k} has more than {limit}"
+                                  " digits")
+            values.append(v)
     if len(values) != n:
         raise DomainError(f"lambda has {len(values)} entries but n={n}")
     return Weight(values)

@@ -9,8 +9,8 @@ Generator words are token lists of three kinds: a generator ('x', i) or
 ('d', i); a factored coefficient, the one-term factored sum {key: c} of
 `rmatrix` (a constant times a product of linear factors h_i - h_j + a),
 which is how the rule table writes every R, Psi and swap coefficient; and
-an opaque coefficient, any other RatFun: sigma, the vacuum values and a
-caller's coefficients.  One rule table (`_resolve`, with the order key
+an opaque coefficient, any other RatFun: sigma and a caller's
+coefficients.  One rule table (`_resolve`, with the order key
 `_order`) serves this ring and its multi-copy form in `multicopy`: there the
 tokens carry a copy tag, ('x', i, a) and ('d', j, b), and in one copy they
 carry none.
@@ -22,7 +22,8 @@ paths that reach the same ordered word merge into that word's sum, term by
 term, with no RatFun computed.  Each word of a walk carries its own
 strategy, so one walk can reduce a word "left" and minus it "right".  The
 canonical forms (`normal_form`, `multiply`, `module_form`,
-`multicopy.mixed_normal_form`) turn each word's sum into one RatFun; the
+`multicopy.mixed_normal_form`) turn each word's sum into one RatFun;
+`module_form` at a weight evaluates each word's sum there term by term; the
 checks (`double_reduction`, `check_assignment`) need only know whether a
 result is zero, which `_is_zero` decides on each ordered word's sum as the
 engine wrote it, by one `rmatrix.ZeroTest` per check.
@@ -33,11 +34,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import lcm, prod
+from operator import add
 
 from .ratfield import (DomainError, Poly, RatFun, checked_int, checked_perm,
                        eps_vec, json_exponents, reading_input, ring_mismatch)
 from .rmatrix import (CheckReport, ZeroTest, factored, factored_value,
-                      key_product, phi, phi_inv, psi_component, psi_prime,
+                      key_product, phi, phi_inv, psi_prime,
                       psi_terms, r_terms, r_terms_shifted, shifted_key)
 from .potential import sigma_system_check
 
@@ -47,11 +50,9 @@ class RingSpec:
 
     sigma is not validated here; non-flat specs still define the rewriting
     (normal forms are then order-dependent, which verify_pbw detects).
-    A spec is never changed after it is built, so its vacuum values are
-    computed once, on first use.
     """
 
-    __slots__ = ("n", "sigma", "_vacuum")
+    __slots__ = ("n", "sigma")
 
     def __init__(self, n, sigma=None):
         self.n = n
@@ -61,7 +62,6 @@ class RingSpec:
         if len(sigma) != n:
             raise DomainError(f"expected {n} sigma entries, got {len(sigma)}")
         self.sigma = sigma
-        self._vacuum = {}
 
     # -- element builders
 
@@ -95,19 +95,6 @@ class RingSpec:
         """d_i x^i, already normal."""
         e = eps_vec(self.n, i)
         return self._unit(e, e)
-
-    def vacuum_value(self, i):
-        """gamma_i = sum_k Psi^{ik}_{ik} sigma_k, the zero-order term of
-        d_i x^i in the module order: d_i x^i acts on a lowest weight vector
-        by gamma_i at its weight."""
-        v = self._vacuum.get(i)
-        if v is None:
-            n = self.n
-            v = RatFun.zero(n)
-            for k in range(1, n + 1):
-                v = v + psi_component(n, i, k, i, k) * self.sigma[k - 1]
-            self._vacuum[i] = v
-        return v
 
     def __eq__(self, other):
         return (isinstance(other, RingSpec) and self.n == other.n
@@ -490,6 +477,9 @@ def _module_order(t):
 
 
 def _resolve_module(spec, t1, t2):
+    """The module order's rules.  The zero-order term of d_i x^i, gamma_i,
+    is n words Psi^{ik}_{ik} sigma_k of one factored and one opaque token
+    each, so that no RatFun is added for it."""
     n = spec.n
     s1, j = t1
     s2, i = t2
@@ -499,18 +489,87 @@ def _resolve_module(spec, t1, t2):
     # d_j x^i -> sum_{k,l} Psi^{ik}_{jl} x^l d_k + sum_k Psi^{ik}_{jk} sigma_k
     if j != i:
         return [[psi_terms(n, i, j, j, i), ('x', i), ('d', j)]]
-    return [[psi_terms(n, i, k, i, k), ('x', k), ('d', k)]
-            for k in range(1, n + 1)] + [[spec.vacuum_value(i)]]
+    out = []
+    for k in range(1, n + 1):
+        psi_k = psi_terms(n, i, k, i, k)
+        out += [[psi_k, ('x', k), ('d', k)], [psi_k, spec.sigma[k - 1]]]
+    return out
 
 
-def module_form(spec, word, strategy="left"):
-    """Order a word with x left of d (both descending).  Used for module
-    actions: terms still containing d annihilate a lowest weight vector."""
+def _values_at(n, result, weight):
+    """{b: the value at weight + b of the sum of the ordered word x^b}, for
+    the words of a module-order engine result that hold no d, where that
+    value is not 0.  With D the common denominator of the weight and
+    X = D weight, a factor h_i - h_j + a at weight + s is F / D, for
+    F = X_i - X_j + (a + s_i - s_j) D, and an opaque token there is u / v,
+    its numerator's value, over its factors.  A term is then a product of
+    integer powers, and a word's terms are added in ints over one common
+    denominator, each integer to the lowest power a term takes it to, with
+    one division at the end, as Poly.evaluate adds."""
+    sums, tokens = result
+    D = lcm(*(x.denominator for x in weight))
+    X = [x.numerator * (D // x.denominator) for x in weight]
+    facs = {}  # (i, j, a) -> F
+    nums = {}  # (name, shift) -> (u, v)
+    out = {}
+    for gens, terms in sums.items():
+        if gens and gens[-1][0] == 'd':
+            continue  # a d-part kills the lowest vector
+        b = _exponents(n, gens)[1]
+        rows = []
+        for (key, refs), c in terms.items():
+            pows = {D: 0, c.denominator: -1}  # integer -> its exponent
+            parts = [(fac, e, b) for fac, e in key]
+            for name, svec in refs:
+                f = tokens[name]
+                shift = tuple(map(add, b, svec))
+                if (name, shift) not in nums:
+                    v = f.num.evaluate(tuple(map(add, weight, shift)))
+                    nums[name, shift] = v.numerator, v.denominator
+                u, v = nums[name, shift]
+                pows[u] = pows.get(u, 0) + 1
+                pows[v] = pows.get(v, 0) - 1
+                parts += [(fac, -m, shift) for fac, m in f.den.items()]
+            for (i, j, a), e, s in parts:
+                fac = (i, j, a + s[i - 1] - s[j - 1])
+                if fac not in facs:
+                    facs[fac] = X[i - 1] - X[j - 1] + fac[2] * D
+                pows[facs[fac]] = pows.get(facs[fac], 0) + e
+                pows[D] -= e
+            rows.append((c.numerator, pows))
+        low = {}  # integer -> the lowest exponent of a term, if below 0
+        for _, pows in rows:
+            for z, e in pows.items():
+                if e < low.get(z, 0):
+                    low[z] = e
+        total = 0
+        for t, pows in rows:
+            for z in pows.keys() | low.keys():
+                e = pows.get(z, 0) - low.get(z, 0)
+                if e:
+                    t *= z ** e
+            total += t
+        if total:
+            out[b] = Fraction(total, prod(z ** -e for z, e in low.items()))
+    return out
+
+
+def module_form(spec, words, strategy="left", weight=None):
+    """Order a sum of token words with x left of d, both descending, in one
+    walk, for acting on a lowest weight vector, which a term still holding
+    a d kills.  Without a weight: the canonical form, a dict (a, b) -> the
+    RatFun left of x^b d^a.  With a generic weight lambda (a tuple of
+    rationals, no lambda_i - lambda_j an integer): a dict b -> the value
+    of the coefficient of x^b at lambda + b, where it is not 0, read off the
+    walk term by term (_values_at).  That value is exact: every denominator
+    of a term is a product of h_i - h_j + a at lambda + b + s, s an integer
+    shift, and lambda_i - lambda_j plus an integer is never 0."""
     n = spec.n
-    terms = _values(n, _rewrite(n, [(strategy, word)], _module_order,
-                                partial(_resolve_module, spec)))
-    # dict (a, b) -> coeff, with coeff left of x^b d^a
-    return {_exponents(n, g): c for g, c in terms.items()}
+    result = _rewrite(n, [(strategy, w) for w in words], _module_order,
+                      partial(_resolve_module, spec))
+    if weight is not None:
+        return _values_at(n, result, weight)
+    return {_exponents(n, g): c for g, c in _values(n, result).items()}
 
 
 # ---------------------------------------------------------------------------

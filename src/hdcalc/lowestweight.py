@@ -3,7 +3,7 @@ lowest vector, h_i acts by lambda_i, and the module is free over the x's.
 
 Elements act through the module ordering (x left of d): terms still holding a
 d-generator annihilate the lowest vector, and a coefficient standing left of
-x^b evaluates at lambda + b.
+x^b evaluates at lambda + b, term by term as the rewriting engine wrote it.
 """
 
 from __future__ import annotations
@@ -91,20 +91,23 @@ class LWVector:
 
 
 def act(spec, elem, vec):
-    """Apply a ring element to a module vector at a weight of the same n."""
+    """Apply a ring element to a module vector at a weight of the same n:
+    for each basis vector x^b of vec, one module-order walk of the words of
+    elem times x^b, read at the weight with no canonical form built
+    (module_form with a weight; exact, as the weight is generic)."""
     n = spec.n
     lam = vec.weight
     if lam.n != n:
         raise ring_mismatch(n, lam.n)
+    mono = NormalElement._mono_tokens
+    words = [[f, *mono(a, b)] for (a, b), f in elem.terms.items()]
     out = {}
     for bv, cv in vec.terms.items():
-        xw = NormalElement._mono_tokens((0,) * n, bv)
-        for (a, b), f in elem.terms.items():
-            word = [f] + NormalElement._mono_tokens(a, b) + xw
-            for (ak, bk), coeff in module_form(spec, word).items():
-                if not any(ak):  # a d-part kills the lowest vector
-                    out[bk] = (out.get(bk, 0)
-                               + cv * coeff.evaluate(lam.shifted(bk)))
+        xw = mono((0,) * n, bv)
+        values = module_form(spec, [w + xw for w in words],
+                             weight=lam.values)
+        for b, v in values.items():
+            out[b] = out.get(b, 0) + cv * v
     return LWVector(lam, out)  # which drops the terms that cancelled
 
 

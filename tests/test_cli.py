@@ -6,6 +6,7 @@ import json
 import pathlib
 import re
 import shlex
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,6 +263,25 @@ def test_lw_nongeneric_weight_is_usage_error(capsys):
                      "--lambda", "1;2", "--potential", "H(1)")
     assert rc == 2
     assert "integer" in err
+
+
+@pytest.mark.parametrize("entry", ["1e1000000", "1e{L}", "-1e-{L}",
+                                   "0.{Z}1", "1e{LL}"],
+                         ids=["1e1000000", "numerator", "denominator",
+                              "decimal", "huge-exponent"])
+def test_lambda_past_the_digit_limit_is_refused_before_any_work(
+        capsys, monkeypatch, entry):
+    """An entry of more digits than the int/str conversion limit allows is
+    refused at once, its exponent read before 10**e is built."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no limit on int/str conversion")
+    entry = entry.format(L=limit, LL=10 ** 6 * limit, Z="0" * (limit - 1))
+    monkeypatch.setattr(cli, "central_family", None)  # never reached
+    rc, out, err = run(capsys, "lw-character", "-n", "2", "--lambda",
+                       "1/3;" + entry, "--potential", "H(1)")
+    assert (rc, out) == (2, "")
+    assert err == f"error: --lambda entry 2 has more than {limit} digits\n"
 
 
 def test_zhelobenko(capsys):

@@ -217,7 +217,8 @@ def test_strategy_independence_on_random_words():
               for _ in range(rng.randint(4, 5))] for _ in range(6)]
     differs = False
     for w in words:
-        for form in (normal_form, module_form):
+        for form in (normal_form,
+                     lambda s, w, strategy: module_form(s, [w], strategy)):
             assert form(flat, w, "left") == form(flat, w, "right")
             differs |= form(bumped, w, "left") != form(bumped, w, "right")
     assert differs
@@ -683,7 +684,7 @@ def test_module_form_roundtrip():
         [((a, b), f)] = el.terms.items()
         back = spec.zero()
         for (ma, mb), c in module_form(
-                spec, [f] + NormalElement._mono_tokens(a, b)).items():
+                spec, [[f] + NormalElement._mono_tokens(a, b)]).items():
             x_then_d = NormalElement._mono_tokens((0,) * n, mb) + \
                 NormalElement._mono_tokens(ma, (0,) * n)
             back = back + normal_form(spec, [c] + x_then_d)
@@ -694,7 +695,7 @@ def test_module_form_of_dx():
     # d_1 x^1 in x-left order picks up the sigma constants
     n = 2
     spec = RingSpec(n, (RatFun.one(n), RatFun.one(n)))
-    out = module_form(spec, [('d', 1), ('x', 1)])
+    out = module_form(spec, [[('d', 1), ('x', 1)]])
     z = (0, 0)
     const = out.get((z, z))
     assert const is not None and not const.is_zero()

@@ -1,15 +1,19 @@
 """Lowest weight modules at generic weights and central characters."""
 
+import functools
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdcalc.ratfield import Poly, RatFun
 from hdcalc.rmatrix import chi, elementary_symmetric, psi_component
-from hdcalc.diffring import NormalElement, RingSpec, module_form, multiply
+from hdcalc.diffring import (NormalElement, RingSpec, module_form, multiply,
+                             normal_form)
 from hdcalc.potential import sigma_from_potential
 from hdcalc.central import central_family, character_map
 from hdcalc.lowestweight import (Weight, NonGenericWeight, generic_lambda,
@@ -114,13 +118,15 @@ def test_vacuum_values_are_per_spec():
     lam = generic_lambda(n)
     vac = LWVector.vacuum(lam)
     z = (0,) * n
-    for _ in range(2):  # the second pass reads the memoised values
+    seen = []
+    for _ in range(2):  # the second pass follows a pass over both specs
         for fam, spec in zip(fams, specs):
             want = [_explicit_vacuum_value(spec, i) for i in range(1, n + 1)]
+            got = [module_form(spec, [[('d', i), ('x', i)]])[(z, z)]
+                   for i in range(1, n + 1)]
+            assert got == want
+            seen.append(got)
             for i in range(1, n + 1):
-                assert spec.vacuum_value(i) == want[i - 1]
-                word = [('d', i), ('x', i)]
-                assert module_form(spec, word)[(z, z)] == want[i - 1]
                 assert (act(spec, spec.gamma(i), vac).scalar_multiple_of_vacuum()
                         == want[i - 1].evaluate(lam.values))
             assert character_map(fam) == [
@@ -128,10 +134,10 @@ def test_vacuum_values_are_per_spec():
                     (RatFun.from_poly(elementary_symmetric(n, k - 1, skip=i))
                      * want[i - 1] for i in range(1, n + 1)), RatFun.zero(n))
                 for k in range(1, n + 1)]
-    assert ([specs[0].vacuum_value(i) for i in range(1, n + 1)]
-            != [specs[1].vacuum_value(i) for i in range(1, n + 1)])
+    assert seen[0] != seen[1]
 
 
+@functools.cache
 def _seeded_specs(n):
     flat = sigma_from_potential(Hpot(n, 1))
     bumped = (flat[0] + RatFun.var(n, 2),) + flat[1:]
@@ -151,7 +157,7 @@ def _module_and_act_digest(n, seed, count, length):
             word = [(rng.choice("xd"), rng.randint(1, n))
                     for _ in range(rng.randint(1, length))]
             coeff = RatFun.var(n, rng.randint(1, n)) + rng.randint(-2, 2)
-            form = module_form(spec, [coeff] + word)
+            form = module_form(spec, [[coeff] + word])
             out.append(sorted([list(a), list(b), c.to_json()]
                               for (a, b), c in form.items()))
             a, b = (tuple(word.count((s, j)) for j in range(1, n + 1))
@@ -169,3 +175,81 @@ def _module_and_act_digest(n, seed, count, length):
 def test_module_form_and_act_outputs_pinned(n, count, length, digest):
     """The outputs are pinned from before the vacuum values were memoised."""
     assert _module_and_act_digest(n, 7 + n, count, length) == digest
+
+
+def _act_by_canonical_forms(spec, elem, vec):
+    """act by the canonical route: module_form without a weight on each
+    term's word times each basis vector x^b, and each d-free coefficient
+    evaluated at lambda + b."""
+    n = spec.n
+    lam = vec.weight
+    mono = NormalElement._mono_tokens
+    out = {}
+    for bv, cv in vec.terms.items():
+        for (a, b), f in elem.terms.items():
+            word = [f, *mono(a, b), *mono((0,) * n, bv)]
+            for (ak, bk), coeff in module_form(spec, [word]).items():
+                if not any(ak):
+                    out[bk] = (out.get(bk, 0)
+                               + cv * coeff.evaluate(lam.shifted(bk)))
+    return LWVector(lam, out)
+
+
+def _coefficients(n):
+    """A Fraction constant, a polynomial with Fraction coefficients, and
+    rational functions with poles along h1 - h2 + 1 and h_n - h1 - 2."""
+    h = [RatFun.var(n, i) for i in range(1, n + 1)]
+    pole = RatFun.inverse_diff(n, 1, 2, 1)
+    return [RatFun.const(n, Fraction(3, 7)),
+            h[0] * Fraction(2, 3) - h[n - 1] * h[1] + Fraction(1, 2),
+            pole,
+            (h[1] + Fraction(1, 3)) * pole * RatFun.inverse_diff(n, n, 1, -2)]
+
+
+@functools.cache
+def _pole_specs(n):
+    """A flat sigma with poles, so that sigma tokens moved across
+    generators carry shifted denominators."""
+    return [RingSpec(n, sigma_from_potential(Hpot(n, 1)
+                                             + RatFun.one(n) / chi(n, 2)))]
+
+
+_WEIGHTS = [(Fraction(1, 3), Fraction(2, 5), Fraction(4, 7)),
+            (Fraction(-7, 4), Fraction(5, 6), Fraction(11, 9))]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_act_agrees_with_the_canonical_module_form(data):
+    """act, one walk per basis vector read at the weight term by term,
+    gives the vector that the canonical module forms give, evaluated: on
+    random words at n=2,3 with Fraction and pole coefficients, for flat,
+    bumped, zero and pole sigma, on vectors of two or more basis terms."""
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    spec = data.draw(st.sampled_from(_seeded_specs(n) + _pole_specs(n)),
+                     label="spec")
+    gen = st.tuples(st.sampled_from("xd"), st.integers(1, n))
+    word = data.draw(st.lists(gen, min_size=1, max_size=6 - n), label="word")
+    coeff = data.draw(st.sampled_from(_coefficients(n)), label="coeff")
+    elem = normal_form(spec, [coeff, *word])
+    basis = [b for b in itertools.product(range(3), repeat=n) if sum(b) <= 2]
+    scalars = st.fractions(min_value=-3, max_value=3,
+                           max_denominator=9).filter(bool)
+    terms = data.draw(st.dictionaries(st.sampled_from(basis), scalars,
+                                      min_size=2, max_size=3), label="vec")
+    lam = Weight(data.draw(st.sampled_from(_WEIGHTS), label="lambda")[:n])
+    vec = LWVector(lam, terms)
+    assert act(spec, elem, vec) == _act_by_canonical_forms(spec, elem, vec)
+
+
+def test_act_adds_no_ratfun(monkeypatch):
+    """The central elements act on the vacuum at n=3 with no RatFun added:
+    every sum is taken at the weight."""
+    fam = central_family(Hpot(3, 2) + RatFun.one(3) / chi(3, 2))
+
+    def refuse(self, other):
+        raise AssertionError("a RatFun was added")
+
+    monkeypatch.setattr(RatFun, "__add__", refuse)
+    acted, predicted = central_character(fam, generic_lambda(3))
+    assert acted == predicted

@@ -125,7 +125,9 @@ def _not_flat_specs():
 def test_ring_and_module_forms_match_the_reference(spec):
     n = spec.n
     words = _words(random.Random(20 + n), n, 40)
-    pairs = ((normal_form, _ring_reference), (module_form, _module_reference))
+    pairs = ((normal_form, _ring_reference),
+             (lambda s, w, strategy: module_form(s, [w], strategy),
+              _module_reference))
     got = [_items(f(spec, w, strategy)) for w in words for f, _ in pairs
            for strategy in ("left", "right")]
     want = [_items(ref(spec, w, strategy)) for w in words for _, ref in pairs

@@ -224,7 +224,8 @@ def test_no_internal_path_factors(monkeypatch):
     fam = central_family(f)
     assert len(fam.elements) == n
     word = [('d', 1), ('x', 2), ('d', 3), ('x', 1)]
-    assert module_form(spec, word, "left") == module_form(spec, word, "right")
+    assert module_form(spec, [word], "left") == module_form(spec, [word],
+                                                            "right")
     el = spec.x(1) + spec.d(2)
     assert epsilon_antiauto(spec, epsilon_antiauto(spec, el)) == el
     sig = SigmaArray.constant(n, 2, 2, {(1, 1): 1, (1, 2): 2, (2, 1): 0, (2, 2): 3})

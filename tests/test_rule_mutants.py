@@ -203,9 +203,11 @@ def doubled_module_rows(row):
 # term reaches the characters; no mutant is a blind spot of both checks
 MODULE_MUTANTS = {
     None: (None, (True, True)),
-    # the one replacement of d_i x^i without generators
-    "vacuum term x2": (doubled_module_rows(lambda j, i, r: len(r) == 1),
-                       (False, False)),
+    # the replacements of d_i x^i without generators, Psi^{ik}_{ik} sigma_k:
+    # doubling each one's Psi token doubles the vacuum term gamma_i
+    "vacuum term x2": (doubled_module_rows(
+        lambda j, i, r: not any(type(t) is tuple for t in r)),
+        (False, False)),
     "diagonal Psi^{ik}_{ik} (k != i) x2": (doubled_module_rows(
         lambda j, i, r: j == i and len(r) == 3 and r[1][1] != i),
         (True, False)),
