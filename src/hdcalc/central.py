@@ -23,6 +23,7 @@ def rho_for(f):
 
     f must lie in the solution space W (raises NotInW otherwise).  Returns
     the n coefficients [rho_0, ..., rho_{n-1}] of rho(t) by power of t.
+    f's constant c_0 H_0 is left out: rho depends on f only through Delta f.
     """
     n = f.n
     dec = w_decompose(f, pivot=1)
@@ -30,7 +31,7 @@ def rho_for(f):
     # As e_k(no j) = sum_i (-h_j)^i e_{k-i}, the chi identity turns the share of
     # c_L H_L into the polynomial sum_{i<=k} (-1)^i c_L e_{k-i} H_{L+i}
     hs = [sum((complete_symmetric(n, L + i).scale((-1) ** i * c)
-               for L, c in dec.symmetric), Poly.zero(n)) for i in range(n)]
+               for L, c in dec.symmetric if L), Poly.zero(n)) for i in range(n)]
     rho = []
     for k in range(n):
         sym = sum((elementary_symmetric(n, k - i) * hs[i] for i in range(k + 1)),
@@ -61,8 +62,8 @@ class CentralFamily:
 
 
 def central_family(f, n=None):
-    """Build c_1..c_n for the ring with potential f (c_k = t^{k-1} coefficient);
-    n, if given, must be f.n (DomainError otherwise)."""
+    """Build c_1..c_n (c_k = t^{k-1} coefficient) for the ring with potential
+    f, used as given; n, if given, must be f.n (DomainError otherwise)."""
     spec = RingSpec(f.n, sigma_from_potential(f, n))
     n = spec.n
     rho = rho_for(f)

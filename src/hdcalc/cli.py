@@ -45,11 +45,12 @@ def _h_value(ast, n):
 
 
 def _ring(args, *asts):
-    """The ring a command works in.  Each --sigmas entry or the --potential
-    text is parsed once.  n is --n, which must be at least every index in
-    `asts` and in the sigma texts and the number of sigma entries; without
-    --n it is the largest of these.  (`main` has checked that --n >= 1, and
-    RingSpec refuses a sigma count other than n.)"""
+    """The ring a command works in, and the --potential f it came from (None
+    without one).  Each --sigmas entry or the --potential text is parsed and
+    evaluated once.  n is --n, which must be at least every index in `asts`
+    and in the sigma texts and the number of sigma entries; without --n it is
+    the largest of these.  (`main` has checked that --n >= 1, and RingSpec
+    refuses a sigma count other than n.)"""
     sigmas = getattr(args, "sigmas", None)
     potential = getattr(args, "potential", None)
     if sigmas and potential:
@@ -65,10 +66,11 @@ def _ring(args, *asts):
     elif n < seen:
         raise DomainError(f"--n {n} is smaller than the highest index {seen}")
     if pot:
-        return RingSpec(n, sigma_from_potential(_h_value(pot[0], n), n))
+        f = _h_value(pot[0], n)
+        return RingSpec(n, sigma_from_potential(f, n)), f
     if entries:
-        return RingSpec(n, tuple(_h_value(a, n) for a in entries))
-    return RingSpec(n)
+        return RingSpec(n, tuple(_h_value(a, n) for a in entries)), None
+    return RingSpec(n), None
 
 
 def _weight(args, n):
@@ -109,7 +111,7 @@ def _print_value(v, args):
 def _cmd_nf(args):
     if args.input == "text":
         ast = parse(args.expr)
-        spec = _ring(args, ast)
+        spec, _ = _ring(args, ast)
         val = evaluate(ast, spec.n, spec, args.strategy)
     else:
         if os.path.exists(args.expr):
@@ -130,13 +132,13 @@ def _cmd_nf(args):
 
 def _cmd_mul(args):
     a1, a2 = parse(args.left), parse(args.right)
-    spec = _ring(args, a1, a2)
+    spec, _ = _ring(args, a1, a2)
     _print_value(evaluate(("*", a1, a2), spec.n, spec), args)
     return 0
 
 
 def _cmd_check_pbw(args):
-    report = verify_pbw(_ring(args))
+    report = verify_pbw(_ring(args)[0])
     if not report.agree:
         _fail("internal: double reduction and sigma system disagree")
         return 1
@@ -152,7 +154,7 @@ def _cmd_check_pbw(args):
 
 def _cmd_delta_check(args):
     ast = parse(args.expr)
-    ok, pair = delta_system_check(_h_value(ast, _ring(args, ast).n))
+    ok, pair = delta_system_check(_h_value(ast, _ring(args, ast)[0].n))
     print("pass" if ok else "fail")
     if not ok:
         _fail(f"Delta-system violated at (i,j)={pair}")
@@ -160,14 +162,14 @@ def _cmd_delta_check(args):
 
 
 def _cmd_solve_potential(args):
-    f = reconstruct_potential(_ring(args).sigma)
+    f = reconstruct_potential(_ring(args)[0].sigma)
     print(format_decomposition(w_decompose(f, 1)))
     return 0
 
 
 def _cmd_decompose(args):
     ast = parse(args.expr)
-    n = _ring(args, ast).n
+    n = _ring(args, ast)[0].n
     dec = w_decompose(_h_value(ast, n), args.pivot)
     if args.fmt == "json":
         obj = {
@@ -184,8 +186,9 @@ def _cmd_decompose(args):
 
 
 def _cmd_central(args):
-    spec = _ring(args)
-    fam = central_family(reconstruct_potential(spec.sigma), n=spec.n)
+    spec, f = _ring(args)
+    f = reconstruct_potential(spec.sigma) if f is None else f
+    fam = central_family(f, n=spec.n)
     # every line is formatted before the first is printed
     lines = [f"rho_{k} = {format_value(fam.rho[k], args.fmt)}"
              for k in range(spec.n)]
@@ -197,7 +200,7 @@ def _cmd_central(args):
 
 def _cmd_lw_eval(args):
     ast = parse(args.expr)
-    spec = _ring(args, ast)
+    spec, _ = _ring(args, ast)
     n = spec.n
     lam = _weight(args, n)
     v = evaluate(ast, n, spec)
@@ -210,9 +213,10 @@ def _cmd_lw_eval(args):
 
 
 def _cmd_lw_character(args):
-    spec = _ring(args)
+    spec, f = _ring(args)
     lam = _weight(args, spec.n)
-    fam = central_family(reconstruct_potential(spec.sigma), n=spec.n)
+    f = reconstruct_potential(spec.sigma) if f is None else f
+    fam = central_family(f, n=spec.n)
     acted, _ = central_character(fam, lam)
     print("\n".join(f"c_{k} = {number_text(v)}"
                     for k, v in enumerate(acted, start=1)))
@@ -236,7 +240,7 @@ def _cmd_verify(args):
 
 
 def _cmd_zhelobenko(args):
-    spec = _ring(args)
+    spec, _ = _ring(args)
     n = spec.n
     if n < 2:
         raise DomainError("needs n >= 2")

@@ -42,13 +42,17 @@ def test_rho_for_h1():
 
 def rho_by_reexpansion(f):
     """rho_k = sum_j g_j e_k(no j), where g_j is the part of f with poles
-    along h_j and each c_L H_L is re-expanded as sum_j c_L h_j^{L+n-1}/chi_j."""
+    along h_j and each c_L H_L with L >= 1 is re-expanded as
+    sum_j c_L h_j^{L+n-1}/chi_j.  The constant c_0 H_0 is left out, as
+    Delta_j of it is 0."""
     n = f.n
     dec = w_decompose(f, pivot=1)
     g = {j: RatFun.zero(n) for j in range(1, n + 1)}
     for j in dec.parts:
         g[j] = g[j] + dec.summand(j)
     for L, c in dec.symmetric:
+        if L == 0:
+            continue
         for j in range(1, n + 1):
             g[j] = g[j] + (Poly.var(n, j) ** (L + n - 1)).scale(c) * chi_inv(n, j)
     rho = []
@@ -78,6 +82,15 @@ def test_rho_for_matches_the_reexpansion(n):
     assert [L for L, _ in dec.symmetric] == sorted(Ls)
     assert sorted(dec.parts) == sorted(ks)
     assert rho_for(f) == rho_by_reexpansion(f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_constant_changes_neither_rho_nor_the_family(n):
+    f = Hpot(n, 2) + (RatFun.one(n) / chi(n, 2) if n > 1 else RatFun.zero(n))
+    c = RatFun.const(n, Fraction(-7, 3))
+    assert rho_for(c) == [RatFun.zero(n)] * n
+    assert rho_for(f + c) == rho_for(f)
+    assert central_family(f + c).elements == central_family(f).elements
 
 
 def test_rho_for_rejects_a_wrong_sigma(monkeypatch):

@@ -251,6 +251,75 @@ def test_lw_character(capsys):
     assert out.strip().splitlines() == ["c_1 = -2", "c_2 = -5/9"]
 
 
+_FRACTION_POTENTIAL = ("4/3*H(1) - 1/2*H(2) + 3/5*H(3)"
+                       " + (1/3 - 2*h2 + h2^2)/chi(2)")
+# each potential with the lowest n it is read at; H(0) is the constant 1
+_ROUTE_POTENTIALS = {
+    "H(2)-H(1)": 1,
+    "H(3)+2*H(1)": 1,
+    "1/chi(1)": 1,
+    "H(2)+h2/chi(2)": 2,
+    "1/chi(2)+h3/chi(3)": 3,
+    _FRACTION_POTENTIAL: 2,
+    _FRACTION_POTENTIAL + " + (3 + 1/7*h4)/chi(4)": 4,
+    "H(1)+5": 1,
+    "H(2)-3*H(0)+1/chi(2)": 2,
+}
+_LAMBDA = ("1/3", "2/5", "4/7", "5/9")
+
+
+def _sigmas_of(potential, n):
+    return ";".join(f"Delta({j},{potential})" for j in range(1, n + 1))
+
+
+def _family_commands(n):
+    return (["central", "-n", str(n)],
+            ["central", "-n", str(n), "--format", "latex"],
+            ["central", "-n", str(n), "--format", "json"],
+            ["lw-character", "-n", str(n), "--lambda", ";".join(_LAMBDA[:n])])
+
+
+@pytest.mark.parametrize("potential, n", [
+    (f, n) for f, low in _ROUTE_POTENTIALS.items() for n in range(low, 5)])
+def test_potential_and_its_sigmas_give_the_same_family(capsys, potential, n):
+    """--potential F and --sigmas "Delta(1,F);...;Delta(n,F)" print the
+    same lines: the family depends on F only through its sigma, so F's
+    constant term shows in neither."""
+    for argv in _family_commands(n):
+        given = run(capsys, *argv, "--potential", potential)
+        assert given[0] == 0 and given[1]
+        assert run(capsys, *argv, "--sigmas", _sigmas_of(potential, n)) == given
+
+
+def test_a_given_potential_is_not_reconstructed(capsys, monkeypatch):
+    """--potential builds the family from the potential as given; only
+    --sigmas reconstructs one."""
+    class Reconstructed(Exception):
+        pass
+
+    def refuse(sigma):
+        raise Reconstructed
+
+    monkeypatch.setattr(cli, "reconstruct_potential", refuse)
+    potential = "H(2)-3*H(0)+1/chi(2)"
+    for argv in _family_commands(3):
+        assert run(capsys, *argv, "--potential", potential)[0] == 0
+        with pytest.raises(Reconstructed):
+            run(capsys, *argv, "--sigmas", _sigmas_of(potential, 3))
+
+
+@pytest.mark.parametrize("argv", _family_commands(2),
+                         ids=["central", "central-latex", "central-json",
+                              "lw-character"])
+def test_a_potential_outside_w_fails_its_check(capsys, argv):
+    # the given potential fails W's membership system; its sigma, given
+    # instead, fails the flatness system
+    assert run(capsys, *argv, "--potential", "h1^2") == (
+        1, "", "check failed: delta system fails at (1, 2)\n")
+    assert run(capsys, *argv, "--sigmas", _sigmas_of("h1^2", 2)) == (
+        1, "", "check failed: sigma system fails at (i,j)=(1, 2)\n")
+
+
 def test_lw_eval(capsys):
     rc, out, _ = run(capsys, "lw-eval", "x2*x1", "-n", "2",
                      "--lambda", "4/3;8/3")
