@@ -6,12 +6,15 @@ degree n-1 in t and is held as the list [rho_0, ..., rho_{n-1}] of its
 coefficients, each a RatFun in h, so t never enters denominators.  The
 symmetric part of each rho_k is one polynomial, by the chi identity
 sum_j h_j^{p+n-1} / chi_j = H_p; only the pole parts of f are summed as
-RatFuns.  The closing check Delta_j rho_k = sigma_j e_k(no j) is the proof.
+RatFuns.  The closing check Delta_j rho_k = sigma_j e_k(no j) is the proof;
+it is linear in f, so it is decided per W-component of f.
 """
 
 from __future__ import annotations
 
-from .ratfield import Poly, RatFun, clear_denominators
+from math import lcm
+
+from .ratfield import Poly, RatFun, clear_denominators, eps_vec
 from .rmatrix import (CheckReport, complete_symmetric, elementary_symmetric,
                       psi_component)
 from .potential import MismatchError, sigma_from_potential, w_decompose
@@ -24,7 +27,15 @@ def rho_for(f):
     f must lie in the solution space W (raises NotInW otherwise).  Returns
     the n coefficients [rho_0, ..., rho_{n-1}] of rho(t) by power of t.
     f's constant c_0 H_0 is left out: rho depends on f only through Delta f.
-    """
+
+    The closing check Delta_j rho_k = e_k(no j) Delta_j f is the proof.  It
+    is linear in (rho, f), so it is decided per W-component of
+    f = sum_m g_m + P (`w_decompose`): the symmetric part P with its
+    polynomial share of each rho_k, as Poly identities, and each pole part
+    g_m with its share g_m e_k(no m), over its own denominator.  Once
+    f == sum_m g_m + P holds too, the component identities add up to the
+    whole one.  If any of these fails, the whole check is run on rho and f,
+    and decides (MismatchError names its first failing k and j)."""
     n = f.n
     dec = w_decompose(f, pivot=1)
     # rho_k = sum_j e_k(no j) g_j, with g_j the part of f with poles along h_j.
@@ -32,21 +43,46 @@ def rho_for(f):
     # c_L H_L into the polynomial sum_{i<=k} (-1)^i c_L e_{k-i} H_{L+i}
     hs = [sum((complete_symmetric(n, L + i).scale((-1) ** i * c)
                for L, c in dec.symmetric if L), Poly.zero(n)) for i in range(n)]
-    rho = []
-    for k in range(n):
-        sym = sum((elementary_symmetric(n, k - i) * hs[i] for i in range(k + 1)),
-                  Poly.zero(n))
-        rho.append(sum((dec.summand(j) * elementary_symmetric(n, k, skip=j)
-                        for j in dec.parts), RatFun.from_poly(sym)))
-    # the closing check is linear in (rho, sigma): one L clears both
-    scaled = clear_denominators(rho + list(sigma_from_potential(f)))
-    r, sigma = scaled[:n], scaled[n:]
-    for j in range(1, n + 1):
-        for k in range(n):
-            if r[k].delta(j) != sigma[j - 1] * elementary_symmetric(n, k, skip=j):
-                raise MismatchError(
-                    f"rho_{k} fails its difference equation at j={j}")
+    syms = [sum((elementary_symmetric(n, k - i) * hs[i] for i in range(k + 1)),
+                Poly.zero(n)) for k in range(n)]
+    parts = {m: dec.summand(m) for m in dec.parts}
+    shares = {m: [g * elementary_symmetric(n, k, skip=m) for k in range(n)]
+              for m, g in parts.items()}
+    rho = [sum((shares[m][k] for m in parts), RatFun.from_poly(syms[k]))
+           for k in range(n)]
+    # one integer clears the denominators of every c_L, and so of the
+    # symmetric part and its shares
+    L = lcm(*(c.denominator for _, c in dec.symmetric))
+    if not (_first_open([s.scale(L) for s in syms], hs[0].scale(L)) is None
+            and f == dec.reassemble()
+            and all(_first_open(*_cleared(shares[m], g)) is None
+                    for m, g in parts.items())):
+        first = _first_open(*_cleared(rho, f))
+        if first is not None:
+            k, j = first
+            raise MismatchError(
+                f"rho_{k} fails its difference equation at j={j}")
     return rho
+
+
+def _cleared(rho, g):
+    """rho and g, both scaled by one integer that clears their coefficient
+    denominators: the closing check is linear in (rho, g)."""
+    scaled = clear_denominators(rho + [g])
+    return scaled[:-1], scaled[-1]
+
+
+def _first_open(rho, g):
+    """The first (k, j), j before k, where Delta_j rho_k = e_k(no j)
+    Delta_j g fails, or None; rho and g are Polys or RatFuns in h_1..h_n."""
+    n = g.n
+    for j in range(1, n + 1):
+        s = eps_vec(n, j, -1)
+        dg = g - g.shift(s)
+        for k in range(n):
+            if rho[k] - rho[k].shift(s) != dg * elementary_symmetric(n, k, skip=j):
+                return k, j
+    return None
 
 
 class CentralFamily:

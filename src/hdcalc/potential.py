@@ -148,9 +148,13 @@ class WDecomposition:
         pk = Poly(n, {eps_vec(n, k, d): c for d, c in enumerate(self.parts[k]) if c})
         return pk * chi_inv(n, k)
 
+    def components(self):
+        """Each pi_k(h_k)/chi_k, then the symmetric part, as RatFuns."""
+        return [self.summand(k) for k in self.parts] + [
+            RatFun.from_poly(_poly_from_sym(self.n, self.symmetric))]
+
     def reassemble(self):
-        return sum((self.summand(k) for k in self.parts),
-                   RatFun.from_poly(_poly_from_sym(self.n, self.symmetric)))
+        return sum(self.components(), RatFun.zero(self.n))
 
     def __repr__(self):
         return f"WDecomposition<pivot={self.pivot}, parts={self.parts}, symmetric={self.symmetric}>"
@@ -160,13 +164,34 @@ def w_decompose(f, pivot=1):
     """Decompose f in W along the direct sum over k != pivot plus symmetric part.
 
     Raises NotInW if f fails the membership system or the expected pole
-    shape, and DomainError unless 1 <= pivot <= n.
+    shape, and DomainError unless 1 <= pivot <= n.  The membership system
+    is linear in f, so it is decided on the components: when they add up
+    to f and each passes the system, so does f.  Otherwise the system is
+    run on f itself, and its first failing pair is the error; if f passes
+    it, the decomposition, or its pole-shape error, stands.
     """
     n = f.n
     check_index(n, pivot)
+    try:
+        dec = _decomposition(f, pivot)
+    except NotInW as e:
+        dec, shape = None, e
+    else:
+        if f == dec.reassemble() and all(delta_system_check(g)[0]
+                                         for g in dec.components()):
+            return dec
     ok, pair = delta_system_check(f)
     if not ok:
         raise NotInW(f"delta system fails at {pair}")
+    if dec is None:
+        raise shape
+    return dec
+
+
+def _decomposition(f, pivot):
+    """f split along the pivot's partial fractions, as a WDecomposition;
+    NotInW if a pole or the regular part has an unexpected shape."""
+    n = f.n
     principal, regular = partial_fractions(f, pivot)
     parts = {}
     for k, a, nu, u in principal:

@@ -18,8 +18,13 @@ way: for each upper index tuple, both sides are sparse rows over the lower
 tuples, built by visiting only the ice-rule support of each factor, and one
 loop (`_sweep`) compares the keys found in either row.  Every other lower tuple
 is an empty sum on both sides, 0 = 0, and is counted as a pass without
-being visited.  `verify_ice` stays exhaustive, and is the independent check
-of the support rule that the rows rely on.  A row entry is a factored sum,
+being visited.  The DYBE rows are built for one upper tuple per order
+pattern of its indices (13 patterns from n = 3 on), once `_order_equivariant`
+has proved, per n, that every R component they read is the renamed
+component of its own pattern; the other sweeps' rows hold one or two
+products, or sum over every index, and are built for every upper tuple.
+`verify_ice` stays exhaustive, and is the independent check of the support
+rule that the rows rely on.  A row entry is a factored sum,
 {signed exponents over canonical linear factors: nonzero constant}: a
 product adds exponents and multiplies constants, and a sum merges like
 terms, so nothing is expanded or lifted while the rows are built.
@@ -538,7 +543,7 @@ def vanishes(n, groups):
     return not any(total.values())
 
 
-def _sweep(name, n, arity, sides):
+def _sweep(name, n, arity, sides, by_pattern=False):
     """Report an identity over every index tuple upper + lower, each of
     `arity` indices in 1..n, with failures in `product` order.
 
@@ -546,22 +551,87 @@ def _sweep(name, n, arity, sides):
     sparse rows {lower: factored sum}.  Only keys found in either row are
     compared, each by one ZeroTest of lhs - rhs for the whole sweep.  Every
     other tuple, and every compared one whose terms all cancel, is 0 = 0, a
-    pass that is counted but not tested."""
-    failures = []
+    pass that is counted but not tested.
+
+    With by_pattern, the caller has proved that the rows of an upper tuple
+    are those of its order pattern (its values replaced by their ranks
+    1..m) with every index and variable renamed by the increasing map from
+    ranks to values.  Then only the pattern's rows are compared, once, and
+    each upper tuple's failures are the pattern's, renamed."""
+    failures, memo = [], {}
     is_zero = ZeroTest(n).is_zero
     for upper in product(range(1, n + 1), repeat=arity):
-        lhs, rhs = sides(n, *upper)
-        for lower in sorted(lhs.keys() | rhs.keys()):
-            diff = dict(lhs.get(lower, {}))
-            for key, c in rhs.get(lower, {}).items():
-                c = diff.get(key, 0) - c
-                if c:
-                    diff[key] = c
-                else:
-                    del diff[key]
-            if diff and not is_zero({(key, ()): c for key, c in diff.items()}):
-                failures.append(upper + lower)
+        if not by_pattern:
+            failures += [upper + lower
+                         for lower in _failing(is_zero, *sides(n, *upper))]
+            continue
+        values = [0, *sorted(set(upper))]  # values[r] has rank r
+        pattern = tuple([values.index(v) for v in upper])
+        if pattern not in memo:
+            memo[pattern] = _failing(is_zero, *sides(n, *pattern))
+        failures += [upper + tuple([values[r] for r in lower])
+                     for lower in memo[pattern]]
     return CheckReport(f"{name} n={n}", n ** (2 * arity), failures)
+
+
+def _failing(is_zero, lhs, rhs):
+    """The sorted lower tuples where the rows lhs and rhs differ."""
+    out = []
+    for lower in sorted(lhs.keys() | rhs.keys()):
+        diff = dict(lhs.get(lower, {}))
+        for key, c in rhs.get(lower, {}).items():
+            c = diff.get(key, 0) - c
+            if c:
+                diff[key] = c
+            else:
+                del diff[key]
+        if diff and not is_zero({(key, ()): c for key, c in diff.items()}):
+            out.append(lower)
+    return out
+
+
+def _renamed_by(terms, name):
+    """The factored sum terms with every variable v renamed name[v], or None
+    when a key names a variable outside name."""
+    out = {}
+    for key, c in terms.items():
+        try:
+            out[tuple([((name[i], name[j], a), e)
+                       for (i, j, a), e in key])] = c
+        except KeyError:
+            return None
+    return out
+
+
+@lru_cache(maxsize=None)
+def _order_equivariant(n):
+    """Whether every R component that the DYBE rows can read is the
+    component of its own order pattern, renamed; memoised per n, so it is
+    emptied with the components.
+
+    The rows read R^{pq}_{cd} and R^{pq}_{cd}[-e_x] on the ice support.
+    For each, the indices (p, q, and x when shifted) are replaced by their
+    ranks 1..m among themselves; the component there, with each variable
+    renamed by the increasing map from ranks back to values, must equal
+    the component itself.  A key naming a variable outside those ranks
+    fails the proof.  Renaming by an increasing map commutes with the
+    products and sums that build the rows, which is what `verify_dybe`
+    relies on."""
+    svecs = [None] + [eps_vec(n, x, -1) for x in range(1, n + 1)]
+    for p, q, x in product(range(1, n + 1), repeat=3):
+        values = sorted({p, q, x})
+        rank = {v: r for r, v in enumerate(values, 1)}
+        name = dict(enumerate(values, 1))
+        for c, d in _nonzero_lower(p, q):
+            ranked = (n, rank[p], rank[q], rank[c], rank[d])
+            reads = [(r_terms_shifted(n, p, q, c, d, svecs[x]),
+                      r_terms_shifted(*ranked, svecs[rank[x]]))]
+            if x == p:  # the ranks of p, q alone: R^{pq}_{cd} itself
+                reads.append((r_terms(n, p, q, c, d), r_terms(*ranked)))
+            for got, base in reads:
+                if _renamed_by(base, name) != got:
+                    return False
+    return True
 
 
 def _dybe_rows(n, i, j, k):
@@ -586,8 +656,20 @@ def verify_dybe(n):
     slot 1's index, then R on slots 1,2; the right side is the mirrored
     chain.  A partial product such as R^{ij}_{ab} R^{bk}_{ur}[-e_a] is
     computed once for all the (m,p) it feeds.
+
+    By the ice rule the rows of (i, j, k) read only R^{pq}_{cd} and
+    R^{pq}_{cd}[-e_x] with p, q, x in {i, j, k}.  When each of those is the
+    component at its indices' ranks with the variables renamed back
+    (`_order_equivariant`, proved once per n), the rows of (i, j, k) are
+    those of its order pattern, its ranks 1..m, renamed by the increasing
+    map from ranks to values.  Like `_renamed`'s, that renaming keeps every
+    factor canonical and every key sorted, so each compared sum keeps its
+    verdict and the lower tuples keep their order: only one upper tuple per
+    pattern is compared.  Otherwise, and at n <= 2, every upper tuple is:
+    there 7 of the 8 upper tuples are patterns of their own, and the proof
+    would cost more than the one row it saves.
     """
-    return _sweep("dybe", n, 3, _dybe_rows)
+    return _sweep("dybe", n, 3, _dybe_rows, n > 2 and _order_equivariant(n))
 
 
 def _r_squared_rows(n, i, j):

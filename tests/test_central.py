@@ -93,18 +93,44 @@ def test_a_constant_changes_neither_rho_nor_the_family(n):
     assert central_family(f + c).elements == central_family(f).elements
 
 
-def test_rho_for_rejects_a_wrong_sigma(monkeypatch):
+def _pole_and_symmetric(n):
+    """H_1 - 2 H_2 + (1 + h_2)/chi_2: one pole part and two symmetric terms."""
+    return (RatFun.from_poly(complete_symmetric(n, 1)
+                             - complete_symmetric(n, 2).scale(2))
+            + (Poly.var(n, 2) + Poly.const(n, 1)) * chi_inv(n, 2))
+
+
+def test_rho_for_rejects_a_corrupted_share(monkeypatch):
+    # H_3 one h_1 too large: the polynomial share that c_2 H_2 adds to rho_1
+    # and rho_2 through H_{2+1} is wrong, so the symmetric part fails its
+    # own check, and the whole check names the first failing equation
     n = 3
-    right = central.sigma_from_potential
+    right = central.complete_symmetric
 
-    def bumped(f, *args):
-        sigma = list(right(f, *args))
-        sigma[2] = sigma[2] + RatFun.var(n, 1)
-        return tuple(sigma)
+    def bumped(m, L):
+        p = right(m, L)
+        return p + Poly.var(m, 1) if L == 3 else p
 
-    monkeypatch.setattr(central, "sigma_from_potential", bumped)
-    with pytest.raises(MismatchError, match="j=3"):
-        rho_for(Hpot(n, 1))
+    monkeypatch.setattr(central, "complete_symmetric", bumped)
+    with pytest.raises(MismatchError, match=r"rho_1 fails .* at j=1$"):
+        rho_for(_pole_and_symmetric(n))
+
+
+def test_rho_for_rejects_a_decomposition_that_is_not_f(monkeypatch):
+    # pi_2 one larger: every component and its share of rho still agree,
+    # but the components add up to another potential than f, so the whole
+    # check decides
+    n = 3
+    right = central.w_decompose
+
+    def wrong(f, pivot):
+        dec = right(f, pivot)
+        dec.parts[2] = [c + 1 for c in dec.parts[2]]
+        return dec
+
+    monkeypatch.setattr(central, "w_decompose", wrong)
+    with pytest.raises(MismatchError, match=r"rho_0 fails .* at j=1$"):
+        rho_for(_pole_and_symmetric(n))
 
 
 def test_family_h1_frozen():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hdcalc.ratfield import DomainError, Poly, RatFun
 from hdcalc.rmatrix import chi, complete_symmetric
-from hdcalc import central
+from hdcalc import central, potential
 from hdcalc.potential import (MismatchError, NotFlat, NotInW,
                               sigma_from_potential, sigma_system_check,
                               delta_system_check, h_combination, w_decompose,
@@ -219,6 +219,48 @@ def test_sigma_from_potential_rejects_another_n():
         sigma_from_potential(f, 2)
     assert sigma_from_potential(f, 3) == sigma_from_potential(f)
     assert len(sigma_from_potential(f)) == 3
+
+
+def test_w_decompose_decides_membership_on_the_parts(monkeypatch):
+    # the delta system is linear in f: the parts add up to f and each
+    # passes it, so f is in W without the system running on f itself
+    n = 3
+    seen = []
+    right = potential.delta_system_check
+
+    def recorded(g):
+        seen.append(g)
+        return right(g)
+
+    monkeypatch.setattr(potential, "delta_system_check", recorded)
+    f = (Hpot(n, 2) + RatFun.const(n, 4) + pole_part(n, 2, [1, 0, 5])
+         + pole_part(n, 3, [Fraction(2, 3)]))
+    dec = w_decompose(f, 1)
+    assert dec.reassemble() == f
+    assert len(seen) == 3 and f not in seen
+
+
+def _outside_w(n):
+    """Potentials outside W at n: two with a pole of the wrong shape, one
+    whose regular part is not symmetric, a W element plus h_1, and from
+    n = 3 on one whose pole data is not univariate."""
+    h1 = RatFun.var(n, 1)
+    out = [RatFun.inverse_diff(n, 1, 2) ** 2, h1 * h1,
+           h1 * RatFun.inverse_diff(n, 1, 2, 1),
+           Hpot(n, 2) + pole_part(n, 2, [1, 3]) + h1]
+    return out + [RatFun.inverse_diff(n, 1, 2)] if n > 2 else out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_w_decompose_outside_w_names_the_first_failing_pair(n):
+    # when the parts fail, the delta system on f decides, and its first
+    # failing pair is the error, as it was when the system ran first
+    for f in _outside_w(n):
+        ok, pair = delta_system_check(f)
+        assert not ok
+        with pytest.raises(NotInW) as err:
+            w_decompose(f, 1)
+        assert str(err.value) == f"delta system fails at {pair}"
 
 
 def test_w_decompose_rejects_outsiders():

@@ -364,19 +364,22 @@ def test_r_squared_and_skew_rows_match_the_dense_sums(n):
                                                          upper + lower)
 
 
-@pytest.mark.parametrize("n, dybe, quartic", [(2, 20, 6), (3, 93, 15),
-                                              (4, 256, 28)])
+@pytest.mark.parametrize("n, dybe, quartic", [(2, 20, 6), (3, 55, 15),
+                                              (4, 55, 28)])
 def test_sweeps_compare_only_conserving_tuples(monkeypatch, n, dybe, quartic):
+    # from n=3 on the DYBE rows are built once per order pattern of the
+    # upper indices: 13 patterns, holding 55 conserving lower tuples; at
+    # n=2 they are built for all 8 upper tuples
     seen = {}
     sweep = rmatrix._sweep
 
-    def recording(name, n, arity, sides):
+    def recording(name, n, arity, sides, *by_pattern):
         def rows(n, *upper):
             lhs, rhs = sides(n, *upper)
             seen.setdefault(name, []).extend(
                 upper + lower for lower in lhs.keys() | rhs.keys())
             return lhs, rhs
-        return sweep(name, n, arity, rows)
+        return sweep(name, n, arity, rows, *by_pattern)
 
     monkeypatch.setattr(rmatrix, "_sweep", recording)
     assert verify_dybe(n).passed
@@ -751,6 +754,74 @@ def test_one_mutated_index_tuple_fails_where_the_dense_sums_do(mutant, n, at):
         want = oracle(n)
         assert want, sweep.__name__
         assert sweep(n).failures == want, sweep.__name__
+
+
+def _swaps_doubled(source):
+    """source with every R^{ij}_{ji}, i < j, doubled: a mutant that leaves
+    every component a function of the order of its indices."""
+    def value(n, i, j, k, l):
+        v = source(n, i, j, k, l)
+        hit = i < j and (k, l) == (j, i)
+        return {key: 2 * c for key, c in v.items()} if hit else v
+    return value
+
+
+# each mutant, and the least n at which it changes a component the DYBE
+# reads (and breaks the DYBE)
+DYBE_MUTANTS = {
+    "real": (lambda: None, None),
+    "swaps doubled": (lambda: ("r_terms", _swaps_doubled(rmatrix.r_terms)),
+                      2),
+    "R^{12}_{21} doubled": (lambda: ("r_terms", _doubled(
+        rmatrix.r_terms, (1, 2, 2, 1))), 2),
+    "R^{23}_{32} doubled": (lambda: ("r_terms", _doubled(
+        rmatrix.r_terms, (2, 3, 3, 2))), 3),
+    "R^{34}_{43} doubled": (lambda: ("r_terms", _doubled(
+        rmatrix.r_terms, (3, 4, 4, 3))), 4),
+    "R^{ij}_{ij} doubled": (lambda: ("r_terms", _doubled(rmatrix.r_terms)),
+                            2),
+    "shift dropped": (lambda: ("r_terms_shifted", _drop_shift), 2),
+    # keys naming a variable outside the component's indices
+    "R^{11}_{11} := h1 - h2": (lambda: ("r_terms", _replaced(
+        rmatrix.r_terms, (1, 1, 1, 1), [(1, 2, 0, 1)])), 2),
+    "R^{12}_{12} times h1 - h3": (lambda: ("r_terms", _replaced(
+        rmatrix.r_terms, (1, 2, 1, 2), [(1, 2, 0, -1), (1, 3, 0, 1)])), 3),
+}
+
+
+@pytest.mark.parametrize("case, ns, equivariant", [
+    ("real", (1, 2, 3, 4, 5, 6), True),
+    ("swaps doubled", (1, 2, 3, 4, 5), True),
+    ("R^{ij}_{ij} doubled", (2, 3, 4), True),
+    ("shift dropped", (2, 3, 4), True),
+    # a mutant changes nothing below its highest index, and at n=2 the one
+    # pair (1, 2) is every pair i < j
+    ("R^{12}_{21} doubled", (1, 2), True),
+    ("R^{12}_{21} doubled", (3, 4, 5), False),
+    ("R^{23}_{32} doubled", (3, 4), False),
+    ("R^{34}_{43} doubled", (3,), True),
+    ("R^{34}_{43} doubled", (4, 5), False),
+    ("R^{11}_{11} := h1 - h2", (2, 3, 4), False),
+    ("R^{12}_{12} times h1 - h3", (3, 4), False),
+])
+def test_dybe_by_pattern_reports_what_the_full_sweep_does(mutant, case, ns,
+                                                          equivariant):
+    # verify_dybe decides one upper tuple per order pattern only after
+    # _order_equivariant proves that R allows it; either way its report is
+    # the full sweep's: total, failures and their order
+    make, breaks_from = DYBE_MUTANTS[case]
+    patched = make()
+    if patched:
+        mutant(*patched)
+    for n in ns:
+        assert rmatrix._order_equivariant(n) is equivariant, n
+        got = verify_dybe(n)
+        want = rmatrix._sweep("dybe", n, 3, rmatrix._dybe_rows)
+        assert (got.name, got.total) == (want.name, want.total) == (
+            f"dybe n={n}", n ** 6)
+        assert got.failures == want.failures, n
+        assert bool(got.failures) == (breaks_from is not None
+                                      and n >= breaks_from), n
 
 
 def test_dybe_multiplies_out_each_distinct_sum_once(monkeypatch):
