@@ -277,8 +277,6 @@ def evaluate(ast, n, spec=None, strategy="left"):
         if tag == "^":
             base, k = ev(node[1]), node[2]
             if isinstance(base, RatFun):
-                if k < 0:
-                    return base.inverse() ** (-k)
                 return base ** k
             if k < 0:
                 raise DomainError("negative power of a generator expression")

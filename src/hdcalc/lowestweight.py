@@ -92,8 +92,9 @@ class LWVector:
 
 def act(spec, elem, vec):
     """Apply a ring element to a module vector at a weight of the same n:
-    for each basis vector x^b of vec, one module-order walk of the words of
-    elem times x^b, read at the weight with no canonical form built
+    one module-order walk of the words c elem x^b, for every basis vector
+    x^b of vec and its scalar c, a constant token that the walk folds into
+    each path's constant, read at the weight with no canonical form built
     (module_form with a weight; exact, as the weight is generic)."""
     n = spec.n
     lam = vec.weight
@@ -101,14 +102,10 @@ def act(spec, elem, vec):
         raise ring_mismatch(n, lam.n)
     mono = NormalElement._mono_tokens
     words = [[f, *mono(a, b)] for (a, b), f in elem.terms.items()]
-    out = {}
-    for bv, cv in vec.terms.items():
-        xw = mono((0,) * n, bv)
-        values = module_form(spec, [w + xw for w in words],
-                             weight=lam.values)
-        for b, v in values.items():
-            out[b] = out.get(b, 0) + cv * v
-    return LWVector(lam, out)  # which drops the terms that cancelled
+    # an integral scalar leads as an int, so that the path constants stay ints
+    walks = [[{(): exact_coeff(cv)}, *w, *mono((0,) * n, bv)]
+             for bv, cv in vec.terms.items() for w in words]
+    return LWVector(lam, module_form(spec, walks, weight=lam.values))
 
 
 def central_character(fam, weight):

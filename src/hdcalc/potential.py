@@ -8,6 +8,7 @@ its closing check Delta_i f = sigma_i is the proof.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .ratfield import (Poly, RatFun, check_index, clear_denominators, eps_vec,
                        lcm_lift, partial_fractions, ring_mismatch)
@@ -36,10 +37,13 @@ class MismatchError(AssertionError):
 
 def sigma_from_potential(f, n=None):
     """sigma_i = Delta_i f for i = 1..n; n, if given, must be f.n
-    (DomainError otherwise)."""
+    (DomainError otherwise).  The differences are taken of L f in ints, L
+    the lcm of the denominators of f's coefficients, and divided by L."""
     if n is not None and n != f.n:
         raise ring_mismatch(f.n, n)
-    return tuple(f.delta(i) for i in range(1, f.n + 1))
+    L = lcm(*(c.denominator for c in f.num.terms.values()))
+    g = f * L
+    return tuple(g.delta(i) * Fraction(1, L) for i in range(1, f.n + 1))
 
 
 def sigma_system_check(sigma):

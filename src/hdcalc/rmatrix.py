@@ -122,49 +122,44 @@ def _ratfun(n, f):
 
 
 # ---------------------------------------------------------------------------
-# structure functions
+# structure functions, each the canonical RatFun of its factored product
 
 
 @lru_cache(maxsize=None)
 def psi(n, i):
     """prod_{k > i} (h_i - h_k)."""
-    p = Poly.const(n, 1)
-    for k in range(i + 1, n + 1):
-        p = p * Poly.diff(n, i, k)
-    return RatFun.from_poly(p)
+    return _ratfun(n, factored([(i, k, 0, 1) for k in range(i + 1, n + 1)]))
 
 
 @lru_cache(maxsize=None)
 def psi_prime(n, i):
     """prod_{k < i} (h_i - h_k)."""
-    p = Poly.const(n, 1)
-    for k in range(1, i):
-        p = p * Poly.diff(n, i, k)
-    return RatFun.from_poly(p)
+    return _ratfun(n, factored([(i, k, 0, 1) for k in range(1, i)]))
 
 
 @lru_cache(maxsize=None)
 def chi(n, i):
     """prod_{k != i} (h_i - h_k); empty product is 1 (so chi = 1 at n = 1)."""
-    return psi(n, i) * psi_prime(n, i)
+    return _ratfun(n, factored([(i, k, 0, 1) for k in range(1, n + 1) if k != i]))
 
 
 @lru_cache(maxsize=None)
 def phi(n, i):
     """psi_i / psi_i[-e_i] = prod_{k>i} (h_i - h_k)/(h_i - h_k - 1)."""
-    return RatFun.build(psi(n, i).num, [(i, k, -1) for k in range(i + 1, n + 1)])
+    return _ratfun(n, factored([f for k in range(i + 1, n + 1)
+                                for f in ((i, k, 0, 1), (i, k, -1, -1))]))
 
 
 @lru_cache(maxsize=None)
 def phi_inv(n, i):
     """prod_{k>i} (h_i - h_k - 1)/(h_i - h_k)."""
-    return RatFun.build(psi(n, i).shift(eps_vec(n, i, -1)).num,
-                        [(i, k, 0) for k in range(i + 1, n + 1)])
+    return _ratfun(n, factored([f for k in range(i + 1, n + 1)
+                                for f in ((i, k, -1, 1), (i, k, 0, -1))]))
 
 
 def chi_inv(n, i):
     """1 / chi_i = 1 / prod_{k != i} (h_i - h_k)."""
-    return RatFun.build(Poly.const(n, 1), [(i, k, 0) for k in range(1, n + 1) if k != i])
+    return _ratfun(n, factored([(i, k, 0, -1) for k in range(1, n + 1) if k != i]))
 
 
 def _q_factors(n, i, sign):

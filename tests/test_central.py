@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hdcalc.ratfield import DomainError, Poly, RatFun
+from hdcalc.ratfield import DomainError, Poly, RatFun, exact_coeff
 from hdcalc import central
 from hdcalc.rmatrix import chi, chi_inv, complete_symmetric, elementary_symmetric
 from hdcalc.potential import NotInW, w_decompose
@@ -67,21 +67,58 @@ def rho_by_reexpansion(f):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rho_for_matches_the_reexpansion(n):
     # a constant H_0, two higher H_L and pole parts pi_k(h_k)/chi_k on up to
-    # two k != 1, so w_decompose(f, pivot=1) holds exactly these terms
+    # two k != 1, with Fraction coefficients, so w_decompose(f, pivot=1)
+    # holds exactly these terms
     rng = random.Random(n)
+
+    def coeff(m):
+        return Fraction(rng.randint(-m, m) or 1, rng.randint(1, 6))
+
     Ls = [0] + rng.sample(range(1, 4), 2)
     f = RatFun.zero(n)
     for L in Ls:
-        f = f + RatFun.from_poly(complete_symmetric(n, L).scale(rng.randint(-5, 5) or 1))
+        f = f + RatFun.from_poly(complete_symmetric(n, L).scale(coeff(5)))
     ks = rng.sample(range(2, n + 1), min(n - 1, 2))
     for k in ks:
         pk = Poly(n, {tuple(d if m == k else 0 for m in range(1, n + 1)):
-                      rng.randint(-3, 3) or 1 for d in range(3)})
+                      exact_coeff(coeff(3)) for d in range(3)})
         f = f + pk * chi_inv(n, k)
     dec = w_decompose(f, pivot=1)
     assert [L for L, _ in dec.symmetric] == sorted(Ls)
     assert sorted(dec.parts) == sorted(ks)
     assert rho_for(f) == rho_by_reexpansion(f)
+
+
+def test_rho_for_multiplies_no_fraction_polynomials(monkeypatch):
+    """On a potential with Fraction coefficients, both in its symmetric
+    part and in its pole part, rho is built and checked over ints: no two
+    Polys of more than one term are multiplied while either holds a
+    Fraction.  The decomposition is computed beforehand, as w_decompose
+    is not under test."""
+    n = 4
+    f = (RatFun.from_poly(complete_symmetric(n, 1).scale(Fraction(4, 3))
+                          - complete_symmetric(n, 2).scale(Fraction(1, 2))
+                          + complete_symmetric(n, 3).scale(Fraction(3, 5)))
+         + Poly(n, {(0, 0, 0, 0): Fraction(1, 3), (0, 1, 0, 0): -2,
+                    (0, 2, 0, 0): 1}) * chi_inv(n, 2))
+    want = rho_by_reexpansion(f)
+    dec = w_decompose(f, pivot=1)
+    monkeypatch.setattr(central, "w_decompose", lambda g, pivot: dec)
+    mul = Poly.__mul__
+    seen = []
+
+    def ints_only(self, other):
+        if (isinstance(other, Poly) and len(self.terms) > 1
+                and len(other.terms) > 1
+                and any(type(c) is Fraction for p in (self, other)
+                        for c in p.terms.values())):
+            seen.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", ints_only)
+    rho = rho_for(f)
+    assert not seen
+    assert rho == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdcalc.ratfield import Poly, RatFun
+from hdcalc import lowestweight
 from hdcalc.rmatrix import chi, elementary_symmetric, psi_component
 from hdcalc.diffring import (NormalElement, RingSpec, module_form, multiply,
                              normal_form)
@@ -221,7 +222,7 @@ _WEIGHTS = [(Fraction(1, 3), Fraction(2, 5), Fraction(4, 7)),
 @settings(max_examples=40)
 @given(st.data())
 def test_act_agrees_with_the_canonical_module_form(data):
-    """act, one walk per basis vector read at the weight term by term,
+    """act, one walk for every basis vector read at the weight term by term,
     gives the vector that the canonical module forms give, evaluated: on
     random words at n=2,3 with Fraction and pole coefficients, for flat,
     bumped, zero and pole sigma, on vectors of two or more basis terms."""
@@ -253,3 +254,26 @@ def test_act_adds_no_ratfun(monkeypatch):
     monkeypatch.setattr(RatFun, "__add__", refuse)
     acted, predicted = central_character(fam, generic_lambda(3))
     assert acted == predicted
+
+
+def test_act_walks_once_for_a_vector_of_three_terms(monkeypatch):
+    """Every basis vector's words go into one module_form call, each led by
+    the vector's scalar, and the result is the canonical route's."""
+    n = 2
+    spec = _pole_specs(n)[0]
+    lam = generic_lambda(n)
+    vec = LWVector(lam, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-2, 3),
+                         (0, 2): Fraction(3)})
+    elem = (multiply(spec, spec.d(1), spec.d(2)) + spec.x(1)
+            + spec.gamma(2).scale(RatFun.var(n, 1)))
+    want = _act_by_canonical_forms(spec, elem, vec)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return module_form(*args, **kwargs)
+
+    monkeypatch.setattr(lowestweight, "module_form", counted)
+    assert act(spec, elem, vec) == want
+    assert len(calls) == 1
+    assert not want.is_zero()

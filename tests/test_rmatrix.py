@@ -16,7 +16,7 @@ from hdcalc.multicopy import SigmaArray, ambiguity_oracle, mixed_normal_form
 from hdcalc.potential import reconstruct_potential, sigma_from_potential
 from hdcalc.ratfield import Poly, RatFun, eps_vec
 from hdcalc.rmatrix import (r_component, r_shifted, psi_component, chi,
-                            chi_inv, phi, phi_inv, q_plus,
+                            chi_inv, phi, phi_inv, psi, psi_prime, q_plus,
                             elementary_symmetric,
                             complete_symmetric, CheckReport, verify_dybe,
                             verify_r_squared, verify_ice,
@@ -63,6 +63,29 @@ def test_chi_phi_q_relations():
     for i in range(1, n + 1):
         assert phi(n, i) * phi_inv(n, i) == RatFun.one(n)
         assert q_plus(n, i) == chi(n, i).shift(eps_vec(n, i)) / chi(n, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_structure_functions_equal_their_product_definitions(n):
+    """psi, psi', chi, phi and their inverses, built from their factors,
+    equal the products of h_i - h_k + a written out in Poly and RatFun
+    arithmetic."""
+    def prod_of(i, ks, a=0):
+        p = Poly.const(n, 1)
+        for k in ks:
+            p = p * Poly.diff(n, i, k, a)
+        return RatFun.from_poly(p)
+
+    for i in range(1, n + 1):
+        above, below = range(i + 1, n + 1), range(1, i)
+        others = [k for k in range(1, n + 1) if k != i]
+        assert psi(n, i) == prod_of(i, above)
+        assert psi_prime(n, i) == prod_of(i, below)
+        assert chi(n, i) == prod_of(i, others) == psi(n, i) * psi_prime(n, i)
+        assert chi_inv(n, i) == RatFun.one(n) / prod_of(i, others)
+        assert phi(n, i) == prod_of(i, above) / prod_of(i, above, -1)
+        assert phi_inv(n, i) == prod_of(i, above, -1) / prod_of(i, above)
+        assert phi(n, i) == psi(n, i) / psi(n, i).shift(eps_vec(n, i, -1))
 
 
 def test_elementary_symmetric_against_sympy():
