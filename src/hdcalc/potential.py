@@ -167,29 +167,27 @@ class WDecomposition:
 def w_decompose(f, pivot=1):
     """Decompose f in W along the direct sum over k != pivot plus symmetric part.
 
-    Raises NotInW if f fails the membership system or the expected pole
-    shape, and DomainError unless 1 <= pivot <= n.  The membership system
-    is linear in f, so it is decided on the components: when they add up
-    to f and each passes the system, so does f.  Otherwise the system is
-    run on f itself, and its first failing pair is the error; if f passes
-    it, the decomposition, or its pole-shape error, stands.
+    Raises NotInW if f fails the membership system, and DomainError unless
+    1 <= pivot <= n.  The system is linear in f, so it is decided on the
+    components: when they add up to f and each passes it, so does f.
+    Otherwise it is run on f itself, and its first failing pair is the
+    error.  If f passes it, f is in W, where the split always exists, so
+    the split is at fault: MismatchError.
     """
     n = f.n
     check_index(n, pivot)
     try:
         dec = _decomposition(f, pivot)
-    except NotInW as e:
-        dec, shape = None, e
-    else:
-        if f == dec.reassemble() and all(delta_system_check(g)[0]
-                                         for g in dec.components()):
-            return dec
+    except NotInW:
+        dec = None
+    if dec is not None and f == dec.reassemble() and all(
+            delta_system_check(g)[0] for g in dec.components()):
+        return dec
     ok, pair = delta_system_check(f)
     if not ok:
         raise NotInW(f"delta system fails at {pair}")
-    if dec is None:
-        raise shape
-    return dec
+    raise MismatchError(f"f passes the delta system, but its split along"
+                        f" h_{pivot} is not a decomposition of f in W")
 
 
 def _decomposition(f, pivot):

@@ -308,6 +308,32 @@ def test_a_given_potential_is_not_reconstructed(capsys, monkeypatch):
             run(capsys, *argv, "--sigmas", _sigmas_of(potential, 3))
 
 
+_POLE_ELEMENT = json.dumps({"n": 2, "terms": [
+    {"d": [1, 0], "x": [0, 1], "coeff": {"num": [[[1, 0], 3]]}}]})
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["central", "-n", "2"],
+     "rho_0 = (h1^3 - h2^3 - 1)/(h1-h2)\n"
+     "rho_1 = (h1^3*h2 - h1*h2^3 - h1)/(h1-h2)\n"
+     "c_1 = d2*x2 + d1*x1 + (-h1^3 + h2^3 + 1)/(h1-h2)\n"
+     "c_2 = h1*d2*x2 + h2*d1*x1 + (-h1^3*h2 + h1*h2^3 + h1)/(h1-h2)\n"),
+    (["lw-character", "-n", "2", "--lambda", "1/3;2/5"],
+     "c_1 = -3646/225\nc_2 = 788/75\n"),
+    (["nf", _POLE_ELEMENT, "--in", "json"], "3*h1*d1*x2\n"),
+], ids=["central", "lw-character", "nf-json"])
+def test_commands_that_never_read_the_ring_do_not_difference_f(
+        capsys, monkeypatch, argv, want):
+    """central and lw-character build their one ring from the potential in
+    `central_family`, and nf --in json only checks its sigma flags: none
+    of them differences --potential in the CLI."""
+    def refuse(*args):
+        raise AssertionError("Delta f taken in the CLI")
+
+    monkeypatch.setattr(cli, "sigma_from_potential", refuse)
+    assert run(capsys, *argv, "--potential", "H(2)+1/chi(2)") == (0, want, "")
+
+
 @pytest.mark.parametrize("argv", _family_commands(2),
                          ids=["central", "central-latex", "central-json",
                               "lw-character"])

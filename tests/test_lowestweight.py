@@ -178,6 +178,30 @@ def test_module_form_and_act_outputs_pinned(n, count, length, digest):
     assert _module_and_act_digest(n, 7 + n, count, length) == digest
 
 
+def test_act_follows_the_left_walk_which_a_bumped_sigma_tells_apart():
+    """act is the module walk leftmost pair first.  On the non-flat sigma
+    (1 + h2, 1) the walk rightmost pair first, the right-to-left action,
+    gives another vector for x1 d1 on x2 v, so an action by one scalar per
+    generator cannot keep act's outputs there; on the flat (1, 1) the two
+    walks agree."""
+    n = 2
+    lam = generic_lambda(n)
+    vec = LWVector(lam, {(0, 1): Fraction(1)})
+    mono = NormalElement._mono_tokens
+    walks = {}
+    for name, first in (("bumped", RatFun.var(n, 2) + 1),
+                        ("flat", RatFun.one(n))):
+        spec = RingSpec(n, (first, RatFun.one(n)))
+        elem = normal_form(spec, [('x', 1), ('d', 1)])
+        words = [[f, *mono(a, b), *mono((0,) * n, (0, 1))]
+                 for (a, b), f in elem.terms.items()]
+        walks[name] = (act(spec, elem, vec).terms,
+                       module_form(spec, words, weight=lam.values),
+                       module_form(spec, words, "right", weight=lam.values))
+    assert walks["bumped"] == ({}, {}, {(0, 1): Fraction(-72, 49)})
+    assert walks["flat"] == ({}, {}, {})
+
+
 def _act_by_canonical_forms(spec, elem, vec):
     """act by the canonical route: module_form without a weight on each
     term's word times each basis vector x^b, and each d-free coefficient

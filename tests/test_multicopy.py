@@ -224,6 +224,25 @@ def test_copy_dependent_constants_fail_sigma_system():
     assert rep.failures == ["sigma a=1 b=1 (i,j)=(1,2)"]
 
 
+@pytest.mark.parametrize("n, witnesses", [
+    (2, (None, (1, 1, 1, 1), (1, 2, 1, 2))),
+    (3, (None, (1, 1, 1, 1), (1, 3, 3, 1))),
+])
+def test_ysy1_decides_each_factor_without_the_product(monkeypatch, n,
+                                                      witnesses):
+    # R^{ui}_{kj} (sigma_k - sigma_i[-e_u]) is zero iff one factor is, so
+    # no RatFun product is formed; the witnesses are the product's
+    def refuse(self, other):
+        raise AssertionError("RatFun product formed")
+
+    constant = tuple(RatFun.const(n, Fraction(2, 3)) for _ in range(n))
+    varying = tuple(RatFun.var(n, i) for i in range(1, n + 1))
+    last = (RatFun.one(n),) * (n - 1) + (RatFun.var(n, 1),)
+    monkeypatch.setattr(RatFun, "__mul__", refuse)
+    assert tuple(multicopy._ysy1_failure(n, fam)
+                 for fam in (constant, varying, last)) == witnesses
+
+
 def test_flatness_failures_name_their_indices():
     n = 2
     ent = {(i, 1, 1): RatFun.var(n, i) for i in (1, 2)}

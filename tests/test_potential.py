@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hdcalc.ratfield import DomainError, Poly, RatFun
 from hdcalc.rmatrix import chi, complete_symmetric
 from hdcalc import central, potential
+from hdcalc.cli import main
 from hdcalc.potential import (MismatchError, NotFlat, NotInW,
                               sigma_from_potential, sigma_system_check,
                               delta_system_check, h_combination, w_decompose,
@@ -261,6 +262,31 @@ def test_w_decompose_outside_w_names_the_first_failing_pair(n):
         with pytest.raises(NotInW) as err:
             w_decompose(f, 1)
         assert str(err.value) == f"delta system fails at {pair}"
+
+
+def test_w_decompose_returns_only_a_decomposition_of_f_in_w(capsys,
+                                                            monkeypatch):
+    # f passes the delta system, so f is in W and the split along the pivot
+    # exists: a split that does not add up to f, or a shape error, is the
+    # split's fault and raises MismatchError
+    n = 3
+    f = Hpot(n, 2) + pole_part(n, 2, [1])
+    dec = potential._decomposition(f, 1)
+    assert (dec.parts, dec.symmetric) == ({2: [1]}, [(2, 1)])
+    dec.parts[2][0] += 1
+    monkeypatch.setattr(potential, "_decomposition", lambda f, pivot: dec)
+    with pytest.raises(MismatchError):
+        w_decompose(f, 1)
+    assert main(["decompose", "H(2)+1/chi(2)", "-n", "3"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("check failed: ")
+
+    def shape_error(f, pivot):
+        raise NotInW("unexpected pole")
+
+    monkeypatch.setattr(potential, "_decomposition", shape_error)
+    with pytest.raises(MismatchError):
+        w_decompose(f, 1)
 
 
 def test_w_decompose_rejects_outsiders():

@@ -33,6 +33,7 @@ import pytest
 
 from hdcalc import diffring, multicopy
 from hdcalc.central import central_family, verify_central
+from hdcalc.cli import main
 from hdcalc.diffring import (RingSpec, is_overlap_ambiguity, multiply,
                              normal_form, overlap_words, verify_pbw,
                              word_label)
@@ -143,6 +144,16 @@ def test_each_rule_mutant_is_caught_by_its_named_verifiers(monkeypatch, n,
     # never the rules
     assert pbw.system.passed
     assert flatness_check(n, 2, 2, two).passed
+
+
+def test_check_pbw_exits_1_when_its_two_routes_disagree(capsys, monkeypatch):
+    # sigma = (1, 1) is flat, so the difference system passes while the
+    # mutant's double reduction fails: no flatness verdict is printed
+    patch_rules(monkeypatch, "x_i d_j (i < j) x2")
+    assert main(["check-pbw", "-n", "2", "--sigmas", "1;1"]) == 1
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == (
+        "", "internal: double reduction and sigma system disagree\n")
 
 
 def differing_words(words, form):
