@@ -13,9 +13,10 @@ it is linear in f, so it is decided per W-component of f.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
-from .ratfield import Poly, RatFun, eps_vec
+from .ratfield import Poly, RatFun, eps_vec, ring_mismatch
 from .rmatrix import (CheckReport, complete_symmetric, elementary_symmetric,
                       psi_component)
 from .potential import MismatchError, sigma_from_potential, w_decompose
@@ -80,22 +81,27 @@ def _first_open(rho, g):
 
 
 class CentralFamily:
-    """The ring spec, rho(t) as its coefficient list [rho_0, ..., rho_{n-1}],
-    and the candidate central elements c_1..c_n."""
+    """The potential f, rho(t) as [rho_0, ..., rho_{n-1}], the candidate central
+    elements c_1..c_n, and f's ring spec, built on its first read and kept."""
 
-    __slots__ = ("spec", "rho", "elements")
-
-    def __init__(self, spec, rho, elements):
-        self.spec = spec
+    def __init__(self, f, rho, elements):
+        self.f = f
         self.rho = rho
         self.elements = elements
+
+    @cached_property
+    def spec(self):
+        return RingSpec(self.f.n, sigma_from_potential(self.f))
 
 
 def central_family(f, n=None):
     """Build c_1..c_n (c_k = t^{k-1} coefficient) for the ring with potential
-    f, used as given; n, if given, must be f.n (DomainError otherwise)."""
-    spec = RingSpec(f.n, sigma_from_potential(f, n))
-    n = spec.n
+    f, used as given; n, if given, must be f.n (DomainError otherwise).
+    They read no sigma, so they are built in RingSpec(n): f is not differenced."""
+    if n is not None and n != f.n:
+        raise ring_mismatch(f.n, n)
+    n = f.n
+    spec = RingSpec(n)
     rho = rho_for(f)
     elements = []
     for k in range(1, n + 1):
@@ -104,7 +110,7 @@ def central_family(f, n=None):
             c = RatFun.from_poly(elementary_symmetric(n, k - 1, skip=i))
             elem = elem + spec.gamma(i).scale(c)
         elements.append(elem)
-    return CentralFamily(spec, rho, elements)
+    return CentralFamily(f, rho, elements)
 
 
 def verify_central(fam):

@@ -70,10 +70,9 @@ def _input(args, *asts):
     return n, None, RingSpec(n, [_h_value(a, n) for a in entries] or None).sigma
 
 
-def _ring(args, *asts):
-    """The ring of a command that reads it: sigma is Delta_i f for a
-    --potential f, else the sigma vector of `_input`."""
-    n, f, sigma = _input(args, *asts)
+def _ring(n, f, sigma):
+    """The ring of a command that reads it, from `_input`'s (n, f, sigma):
+    sigma is Delta_i f for a --potential f, else the --sigmas vector."""
     return RingSpec(n, sigma if f is None else sigma_from_potential(f))
 
 
@@ -115,7 +114,7 @@ def _print_value(v, args):
 def _cmd_nf(args):
     if args.input == "text":
         ast = parse(args.expr)
-        spec = _ring(args, ast)
+        spec = _ring(*_input(args, ast))
         val = evaluate(ast, spec.n, spec, args.strategy)
     else:
         if os.path.exists(args.expr):
@@ -136,13 +135,13 @@ def _cmd_nf(args):
 
 def _cmd_mul(args):
     a1, a2 = parse(args.left), parse(args.right)
-    spec = _ring(args, a1, a2)
+    spec = _ring(*_input(args, a1, a2))
     _print_value(evaluate(("*", a1, a2), spec.n, spec), args)
     return 0
 
 
 def _cmd_check_pbw(args):
-    report = verify_pbw(_ring(args))
+    report = verify_pbw(_ring(*_input(args)))
     if not report.agree:
         _fail("internal: double reduction and sigma system disagree")
         return 1
@@ -166,8 +165,11 @@ def _cmd_delta_check(args):
 
 
 def _cmd_solve_potential(args):
-    f = reconstruct_potential(_ring(args).sigma)
-    print(format_decomposition(w_decompose(f, 1)))
+    _, f, sigma = _input(args)
+    dec = w_decompose(reconstruct_potential(sigma) if f is None else f, 1)
+    # a reconstructed potential has no constant term, so f's H(0) is left out
+    dec.symmetric = [(L, c) for L, c in dec.symmetric if L]
+    print(format_decomposition(dec))
     return 0
 
 
@@ -203,9 +205,9 @@ def _cmd_central(args):
 
 def _cmd_lw_eval(args):
     ast = parse(args.expr)
-    spec = _ring(args, ast)
-    n = spec.n
-    lam = _weight(args, n)
+    n, f, sigma = _input(args, ast)
+    lam = _weight(args, n)  # refused before the ring is built
+    spec = _ring(n, f, sigma)
     v = evaluate(ast, n, spec)
     el = v if isinstance(v, NormalElement) else spec.coeff(v)
     vec = act(spec, el, LWVector.vacuum(lam))
@@ -242,7 +244,7 @@ def _cmd_verify(args):
 
 
 def _cmd_zhelobenko(args):
-    spec = _ring(args)
+    spec = _ring(*_input(args))
     n = spec.n
     if n < 2:
         raise DomainError("needs n >= 2")
@@ -326,7 +328,7 @@ def build_parser():
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_delta_check)
 
-    p = sub.add_parser("solve-potential", help="reconstruct a potential from sigmas")
+    p = sub.add_parser("solve-potential", help="decompose a given or reconstructed potential")
     _add_common(p, fmt=False)
     _add_sigma_flags(p)
     p.set_defaults(func=_cmd_solve_potential)

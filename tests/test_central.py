@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from hdcalc.ratfield import DomainError, Poly, RatFun, exact_coeff
-from hdcalc import central
+from hdcalc import central, cli
 from hdcalc.rmatrix import chi, chi_inv, complete_symmetric, elementary_symmetric
-from hdcalc.potential import NotInW, w_decompose
+from hdcalc.potential import NotInW, sigma_from_potential, w_decompose
 from hdcalc.central import (MismatchError, central_family, verify_central,
                             character_map, rho_for)
-from hdcalc.diffring import commutator
+from hdcalc.diffring import RingSpec, commutator
 
 
 def Hpot(n, L):
@@ -193,8 +193,32 @@ def test_central_elements_commute_with_generators():
 def test_failing_central_check_is_labelled_by_its_commutator():
     fam = central_family(Hpot(2, 1))
     spec = fam.spec
-    bad = central.CentralFamily(spec, fam.rho, [spec.h(1)] + fam.elements[1:])
+    bad = central.CentralFamily(fam.f, fam.rho, [spec.h(1)] + fam.elements[1:])
     assert verify_central(bad).failures == ["[c1,x1]", "[c1,d1]"]
+
+
+def test_the_family_differences_f_only_when_its_ring_is_read(
+        capsys, monkeypatch):
+    """central_family builds c_1..c_n without Delta f, and `hdcalc central`
+    never reads the ring; its first read builds the ring of f and keeps it."""
+    n = 3
+    f = Hpot(n, 2) + RatFun.one(n) / chi(n, 2)
+    want = central_family(f)
+    argv = ["central", "-n", str(n), "--potential", "H(2)+1/chi(2)"]
+    printed = cli.main(argv), capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("Delta f taken")
+
+    monkeypatch.setattr(central, "sigma_from_potential", refuse)
+    fam = central_family(f)
+    assert (fam.rho, fam.elements) == (want.rho, want.elements)
+    assert (cli.main(argv), capsys.readouterr()) == printed
+    assert printed[0] == 0 and printed[1].out.count("\n") == 2 * n
+    monkeypatch.undo()
+    spec = fam.spec
+    assert spec == RingSpec(n, sigma_from_potential(f))
+    assert fam.spec is spec
 
 
 def test_central_for_pole_potential():

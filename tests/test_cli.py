@@ -276,7 +276,8 @@ def _family_commands(n):
     return (["central", "-n", str(n)],
             ["central", "-n", str(n), "--format", "latex"],
             ["central", "-n", str(n), "--format", "json"],
-            ["lw-character", "-n", str(n), "--lambda", ";".join(_LAMBDA[:n])])
+            ["lw-character", "-n", str(n), "--lambda", ";".join(_LAMBDA[:n])],
+            ["solve-potential", "-n", str(n)])
 
 
 @pytest.mark.parametrize("potential, n", [
@@ -321,12 +322,14 @@ _POLE_ELEMENT = json.dumps({"n": 2, "terms": [
     (["lw-character", "-n", "2", "--lambda", "1/3;2/5"],
      "c_1 = -3646/225\nc_2 = 788/75\n"),
     (["nf", _POLE_ELEMENT, "--in", "json"], "3*h1*d1*x2\n"),
-], ids=["central", "lw-character", "nf-json"])
+    (["solve-potential"], "(1)/chi(2) + H(2)\n"),
+], ids=["central", "lw-character", "nf-json", "solve-potential"])
 def test_commands_that_never_read_the_ring_do_not_difference_f(
         capsys, monkeypatch, argv, want):
-    """central and lw-character build their one ring from the potential in
-    `central_family`, and nf --in json only checks its sigma flags: none
-    of them differences --potential in the CLI."""
+    """central and lw-character build their family from the potential in
+    `central_family`, which reads no ring, nf --in json only checks its
+    sigma flags, and solve-potential decomposes the potential as given:
+    none of them differences --potential."""
     def refuse(*args):
         raise AssertionError("Delta f taken in the CLI")
 
@@ -336,7 +339,7 @@ def test_commands_that_never_read_the_ring_do_not_difference_f(
 
 @pytest.mark.parametrize("argv", _family_commands(2),
                          ids=["central", "central-latex", "central-json",
-                              "lw-character"])
+                              "lw-character", "solve-potential"])
 def test_a_potential_outside_w_fails_its_check(capsys, argv):
     # the given potential fails W's membership system; its sigma, given
     # instead, fails the flatness system
@@ -367,16 +370,24 @@ def test_lw_nongeneric_weight_is_usage_error(capsys):
 def test_lambda_past_the_digit_limit_is_refused_before_any_work(
         capsys, monkeypatch, entry):
     """An entry of more digits than the int/str conversion limit allows is
-    refused at once, its exponent read before 10**e is built."""
+    refused at once, its exponent read before 10**e is built, and before
+    the potential is differenced or the family built."""
     limit = sys.get_int_max_str_digits()
     if not limit:
         pytest.skip("no limit on int/str conversion")
     entry = entry.format(L=limit, LL=10 ** 6 * limit, Z="0" * (limit - 1))
+
+    def refuse(*args):
+        raise AssertionError("Delta f taken before --lambda was read")
+
     monkeypatch.setattr(cli, "central_family", None)  # never reached
-    rc, out, err = run(capsys, "lw-character", "-n", "2", "--lambda",
-                       "1/3;" + entry, "--potential", "H(1)")
-    assert (rc, out) == (2, "")
-    assert err == f"error: --lambda entry 2 has more than {limit} digits\n"
+    monkeypatch.setattr(cli, "sigma_from_potential", refuse)
+    for command in (["lw-character"], ["lw-eval", "x1"]):
+        rc, out, err = run(capsys, *command, "-n", "2", "--lambda",
+                           "1/3;" + entry, "--potential", "H(1)")
+        assert (rc, out) == (2, "")
+        assert err == (f"error: --lambda entry 2 has more than {limit}"
+                       " digits\n")
 
 
 def test_zhelobenko(capsys):
