@@ -10,9 +10,7 @@ are kept as factored multisets of LinFactor keys (i, j, a) with i < j, meaning
 h_i - h_j + a, and are never expanded; this keeps shifts, cancellation and
 partial fractions exact and cheap.  The two kernels on such a factor are
 single passes over the term dict: Poly.mul_linfactor lifts a numerator by
-(h_i - h_j + a)^k as k passes of three shifted copies (or by (h_i + a)^k,
-the factor with h_j := 0, as k passes of two, for a zero test in one
-variable fewer; the variant is chosen once per call), and
+(h_i - h_j + a)^k as k passes of three shifted copies, and
 Poly.div_linfactor divides exactly by synthetic division in h_i, with no
 intermediate Poly.  The lift adds ints only: Fraction coefficients are
 multiplied by their common denominator L before the k passes and the result
@@ -429,11 +427,9 @@ class Poly:
     def mul_linfactor(self, i, j, a, k=1):
         """self * (h_i - h_j + a)^k, for an integer a: k passes, each adding
         three shifted copies of the terms (times h_i, times -h_j, times a).
-        j = None stands for h_j := 0, the product self * (h_i + a)^k, whose
-        passes add two copies.  The passes add ints only: Fraction
-        coefficients are first lifted by their common denominator L, and
-        the result is divided by L once."""
-        idx = i - 1
+        The passes add ints only: Fraction coefficients are first lifted by
+        their common denominator L, and the result is divided by L once."""
+        idx, jdx = i - 1, j - 1
         terms = self.terms
         L = 1
         for c in terms.values():
@@ -442,23 +438,15 @@ class Poly:
                 terms = {e: c.numerator * (L // c.denominator)
                          for e, c in terms.items()}
                 break
-        jdx = None if j is None else j - 1
         for _ in range(k):
             out = {}
-            if jdx is None:
-                for e, c in terms.items():
-                    ei = e[:idx] + (e[idx] + 1,) + e[idx + 1:]
-                    out[ei] = out.get(ei, 0) + c
-                    if a:
-                        out[e] = out.get(e, 0) + a * c
-            else:
-                for e, c in terms.items():
-                    ei = e[:idx] + (e[idx] + 1,) + e[idx + 1:]
-                    out[ei] = out.get(ei, 0) + c
-                    ej = e[:jdx] + (e[jdx] + 1,) + e[jdx + 1:]
-                    out[ej] = out.get(ej, 0) - c
-                    if a:
-                        out[e] = out.get(e, 0) + a * c
+            for e, c in terms.items():
+                ei = e[:idx] + (e[idx] + 1,) + e[idx + 1:]
+                out[ei] = out.get(ei, 0) + c
+                ej = e[:jdx] + (e[jdx] + 1,) + e[jdx + 1:]
+                out[ej] = out.get(ej, 0) - c
+                if a:
+                    out[e] = out.get(e, 0) + a * c
             terms = {e: c for e, c in out.items() if c}
         if L != 1:
             terms = {e: exact_coeff(Fraction(c, L)) for e, c in terms.items()}

@@ -34,7 +34,11 @@ classical computer algebra; Davenport, Siret and Tournier, Computer
 Algebra, 1988) is decided by `ZeroTest`, one per check: for each compared
 tuple's lhs - rhs here, and for every sum of the rewriting engine's checks
 in `diffring` and of the second YSY equation in `multicopy`, whose terms
-may also carry opaque tokens.
+may also carry opaque tokens.  Its exact step, `vanishes`, expands
+nothing: it reads the sum, with every coefficient an int and divided by its
+common factor, at one integer point (Kronecker substitution), h_v := B^(w_v)
+with B = 2^(8w) above a bound on the coefficients, where the value is the
+coefficient list written in base B and so is 0 exactly when the sum is.
 
 Every quotient here (components, phi, Q^+, 1/chi) has a denominator known
 as a product of shifted differences, so it is built from those factors;
@@ -47,7 +51,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from operator import sub
+from operator import mul, sub
 
 from .ratfield import ModularPoint, Poly, RatFun, canon_factor, eps_vec
 
@@ -414,7 +418,7 @@ class ZeroTest:
     of linear factors.  A new form with tokens is first evaluated mod P at a
     fixed point (ratfield's one evaluator, ModularPoint): a nonzero value
     proves it is not zero, and a zero value proves nothing.  Otherwise
-    `vanishes` decides the form."""
+    `vanishes` decides the form by one exact value at a Kronecker point."""
 
     __slots__ = ("n", "held", "verdicts", "point")
 
@@ -456,9 +460,9 @@ class ZeroTest:
 
     def _exact(self, m, terms):
         """Whether the sum of terms in h_1..h_m is zero: each token's
-        denominator joins its term's exponents, and `vanishes` multiplies
-        out the terms with the same tokens, adds them and multiplies the
-        sum by the product of the tokens' numerators."""
+        denominator joins its term's exponents, and `vanishes` decides the
+        sum over the groups of terms with the same tokens, each group times
+        the product of its tokens' numerators."""
         shifted = {ref: self.held[ref[0]].shift(ref[1])
                    for (_, refs), _ in terms for ref in refs}
         groups = {}
@@ -482,60 +486,160 @@ def vanishes(n, groups):
     groups is an iterable of (num, terms): num is a Poly, or None for 1,
     and terms an iterable of (key, c), each c times prod (h_i - h_j + a)^e
     over the ((i, j, a), e) of key (a tuple of items or a dict, every
-    factor canonical).  The sum over the groups of num times the sum of
-    its terms is divided by its common factor (`_divided_keys`); each term
-    of the quotient is multiplied out by Poly.mul_linfactor, the terms of
-    a group are added, and each group's sum is multiplied by its num once.
-    The common factor is a nonzero product of linear factors, so the
-    quotient is zero exactly when the sum is.
+    factor canonical).  The sum S over the groups of num times the sum of
+    its terms is first multiplied by a nonzero integer, so that every
+    coefficient is an int: each num by d, the lcm of its coefficients'
+    denominators, and each constant by L / d, where L is the lcm over all
+    groups (d = 1 for a group without a num), and by D, the lcm of the
+    constants' denominators.  Then S is divided by its common factor, the
+    least exponent of each linear factor over every term (0 where a term
+    lacks it).  That factor is a nonzero product of linear factors, so the
+    quotient p, a polynomial with int coefficients, is zero exactly when S
+    is.
 
-    When a num has Fraction coefficients, the sum is first multiplied by a
-    nonzero integer, so that every product is over ints: each num by d,
-    the lcm of its coefficients' denominators, and each constant by L / d,
-    where L is the lcm over all groups (d = 1 for a group without a num),
-    and by D, the lcm of the constants' denominators.
+    When no group has a num, p is read with h_v := 0, v the highest index
+    of its factors, so in one variable fewer: each factor h_i - h_v + a
+    becomes h_i + a.  This decides the same thing.  Every term is a product
+    of differences, so p is invariant under h -> h + t (1, ..., 1); then
+    p(h) = p(h - h_v (1, ..., 1)), and setting h_v := 0, a ring map, is
+    injective on such sums: p is zero exactly when its restriction is.  A
+    num need not be invariant (sigma in double reduction is not), so a sum
+    with one keeps every variable.
 
-    When no group has a num, the quotient is multiplied out with h_v := 0,
-    v the highest index of its factors, so in one variable fewer: each
-    factor h_i - h_v + a becomes h_i + a.  This decides the same thing.
-    Every term is a product of differences, so the quotient p is invariant
-    under h -> h + t (1, ..., 1); then p(h) = p(h - h_v (1, ..., 1)), and
-    setting h_v := 0, a ring map, is injective on such sums: p is zero
-    exactly when its restriction is.  A num need not be invariant (sigma
-    in double reduction is not), so a sum with one is multiplied out in
-    every variable."""
+    p is decided by one exact value, at a Kronecker point (Kronecker 1882;
+    Fateman 2005), and is never multiplied out:
+
+    - Bounds.  d_v, the largest sum over a term of the exponents of its
+      factors that contain h_v, plus deg_v of its group's num, bounds the
+      degree of p in h_v.  With |f|, the sum of the absolute values of a
+      polynomial's coefficients, |h_i - h_j + a| = |a| + 2 and
+      |h_i + a| = |a| + 1, and |f| is subadditive and submultiplicative,
+      so C = sum over groups of |num| * sum over its terms of
+      |c| prod |factor|^e bounds the absolute value of every coefficient
+      of p.
+    - Point.  Take B = 2^(8w), the least such power above C, the weights
+      w_v = prod_{u < v} (d_u + 1) and h_v := B^(w_v).  A monomial with
+      every e_v <= d_v lands on B^k with k = sum e_v w_v, the mixed-radix
+      number of digits e_v, so distinct monomials of p land on distinct
+      powers of B.
+    - Exactness.  p's value there is its coefficient list written in base
+      B, each digit below B in absolute value.  If p is not zero, its
+      top nonzero digit contributes at least B^k in absolute value and the
+      lower digits less than (B - 1)(1 + B + ... + B^(k-1)) < B^k, so the
+      value is 0 exactly when p is zero.
+
+    The value is built on Python ints: each num is packed once, every
+    coefficient into its own w-byte slot of a positive or a negative byte
+    string (two int.from_bytes calls); a term starts from c times its
+    group's packed num, and each factor (h_i - h_j + a)^e is e passes of
+    x -> (x << s_i) - (x << s_j) + a x, with s_v = 8 w w_v.  No two large
+    ints are multiplied, and no Poly is formed."""
     groups = [(num, list(terms)) for num, terms in groups]
-    plain = all(num is None for num, _ in groups)
-    if not plain:
-        lifts = [1 if num is None
-                 else lcm(*(c.denominator for c in num.terms.values()))
-                 for num, _ in groups]
-        L = lcm(*lifts)
-        D = lcm(*(c.denominator for _, terms in groups for _, c in terms))
-        if L * D != 1:
-            groups = [(num if d == 1 else num.scale(d),
-                       [(key, int(c * (L // d * D))) for key, c in terms])
-                      for (num, terms), d in zip(groups, lifts)]
-    quotients = _divided_keys([key for _, terms in groups for key, _ in terms])
-    drop = max((fac[1] for key in quotients for fac in key),
-               default=None) if plain else None
-    quotients = iter(quotients)
-    total = {}
-    for num, terms in groups:
-        acc = total if num is None else {}
-        for _, c in terms:
-            poly = Poly.const(n, c)
-            for (i, j, a), e in next(quotients).items():
+    lifts = [1 if num is None
+             else lcm(*(c.denominator for c in num.terms.values()))
+             for num, _ in groups]
+    L = lcm(*lifts)
+    D = lcm(*(c.denominator for _, terms in groups for _, c in terms))
+    # the common factor: each factor's least exponent over the terms, kept
+    # where it is negative or where every term has the factor
+    low, seen, count = {}, {}, 0
+    for _, terms in groups:
+        count += len(terms)
+        for key, _ in terms:
+            for fac, e in key.items() if type(key) is dict else key:
                 if e:
-                    poly = poly.mul_linfactor(i, None if j == drop else j,
-                                              a, e)
-            for exps, v in poly.terms.items():
-                acc[exps] = acc.get(exps, 0) + v
+                    k = low.get(fac)
+                    if k is None:
+                        low[fac], seen[fac] = e, 1
+                    else:
+                        seen[fac] += 1
+                        if e < k:
+                            low[fac] = e
+    low = {fac: k for fac, k in low.items() if k < 0 or seen[fac] == count}
+    lifted = {fac: -k for fac, k in low.items() if k < 0}
+    drop = (max((j for _, j, _ in seen), default=None)
+            if all(num is None for num, _ in groups) else None)
+    # the quotient's terms, each (c, [(i, j, a, e)]), its degree bounds d_v
+    # and its coefficient bound C
+    deg, bound, parts = [0] * (n + 1), 0, []
+    for (num, terms), d in zip(groups, lifts):
+        if not terms:  # adds nothing, and its num is outside the bound
+            continue
+        m = L // d * D
+        top, size, quotients = {}, 0, []
+        for key, c in terms:
+            if m != 1 or type(c) is not int:
+                c = int(c * m)
+            q = dict(lifted)
+            for fac, e in key.items() if type(key) is dict else key:
+                if e:
+                    q[fac] = e - low.get(fac, 0)
+            factors, weight, vdeg = [], abs(c), {}
+            for (i, j, a), e in q.items():
+                if e:
+                    factors.append((i, j, a, e))
+                    vdeg[i] = vdeg.get(i, 0) + e
+                    if j == drop:
+                        weight *= (abs(a) + 1) ** e
+                    else:
+                        vdeg[j] = vdeg.get(j, 0) + e
+                        weight *= (abs(a) + 2) ** e
+            for v, e in vdeg.items():
+                if e > top.get(v, 0):
+                    top[v] = e
+            size += weight
+            quotients.append((c, factors))
         if num is not None:
-            product = Poly(n, {e: v for e, v in acc.items() if v}) * num
-            for exps, v in product.terms.items():
-                total[exps] = total.get(exps, 0) + v
-    return not any(total.values())
+            for v, e in enumerate(map(max, zip(*num.terms)), 1):
+                top[v] = top.get(v, 0) + e
+            size *= sum(map(abs, _lifted(num, d)))
+        for v, e in top.items():
+            if e > deg[v]:
+                deg[v] = e
+        bound += size
+        parts.append((num, d, quotients))
+    w = max(1, (bound.bit_length() + 7) // 8)
+    shifts, k = [0] * (n + 1), 8 * w
+    for v in range(1, n + 1):
+        shifts[v] = k
+        k *= deg[v] + 1
+    total = 0
+    for num, d, quotients in parts:
+        base = 1 if num is None else _packed(num, d, shifts[1:], w)
+        for c, factors in quotients:
+            x = c * base
+            for i, j, a, e in factors:
+                si, sj = shifts[i], None if j == drop else shifts[j]
+                for _ in range(e):
+                    y = x << si
+                    if sj is not None:
+                        y -= x << sj
+                    x = y + a * x if a else y
+            total += x
+    return total == 0
+
+
+def _lifted(num, d):
+    """The ints d c over the coefficients c of the Poly num, for d a
+    multiple of every denominator."""
+    return (c * d if type(c) is int else c.numerator * (d // c.denominator)
+            for c in num.terms.values())
+
+
+def _packed(num, d, shifts, w):
+    """d num at h_v := 2^(shifts[v-1]), each shift a multiple of 8 w, when
+    every coefficient of d num is below 2^(8w) in absolute value and
+    distinct monomials land on distinct w-byte slots: each coefficient is
+    written into its slot of a positive or a negative byte string."""
+    slots = [sum(map(mul, exps, shifts)) >> 3 for exps in num.terms]
+    size = max(slots, default=0) + w
+    pos, neg = bytearray(size), bytearray(size)
+    for k, c in zip(slots, _lifted(num, d)):
+        if c > 0:
+            pos[k:k + w] = c.to_bytes(w, "little")
+        else:
+            neg[k:k + w] = (-c).to_bytes(w, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _sweep(name, n, arity, sides, by_pattern=False):

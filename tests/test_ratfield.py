@@ -770,19 +770,6 @@ def test_mul_linfactor_is_the_product(pf, k):
 
 
 @settings(max_examples=150)
-@given(_poly_and_factor(), st.integers(0, 4))
-@example((Poly.zero(3), (2, 3, 0)), 2)
-@example((Poly(2, {(1, 0): Fraction(1, 2), (0, 1): 3}), (2, 1, -2)), 3)
-@example((Poly(3, {(0, 2, 1): Fraction(-2, 3), (1, 0, 0): 1}), (3, 1, 0)), 4)
-def test_mul_linfactor_with_h_j_dropped_is_the_product(pf, k):
-    # j = None is h_j := 0: the factor is h_i + a
-    p, (i, _, a) = pf
-    got = p.mul_linfactor(i, None, a, k)
-    assert got == p * (Poly.var(p.n, i) + Poly.const(p.n, a)) ** k
-    assert _int_when_integral(got)
-
-
-@settings(max_examples=150)
 @given(_poly_and_factor(), st.booleans())
 @example((Poly.zero(2), (2, 1, 0)), False)
 @example((Poly.const(2, 5), (1, 2, -1)), True)

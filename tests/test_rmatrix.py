@@ -499,12 +499,13 @@ def _add_terms(acc, terms, c=1):
 
 
 @st.composite
-def _factored_sums(draw):
-    """A factored sum at n = 2..5 with int and Fraction constants,
+def _factored_sums(draw, n=None):
+    """A factored sum at n, or at n = 2..5, with int and Fraction constants,
     exponents in -3..3 and shifts a in -2..2, plus, in most draws, a zero
     by construction times a random term: (h^2 - 1)/h^2 - (1 - h^-2), or
     h_ij + a - (h_ik + b) - (h_kj + a - b) with i < k < j."""
-    n = draw(st.integers(2, 5))
+    if n is None:
+        n = draw(st.integers(2, 5))
     idx = st.integers(1, n)
     factor = st.tuples(idx, idx, st.integers(-2, 2), st.integers(-3, 3)).filter(
         lambda f: f[0] != f[1])
@@ -570,10 +571,10 @@ def test_vanishes_multiplies_a_numerator_in_every_variable():
                                 (None, [(diff, -1)])])
 
 
-def test_vanishes_multiplies_fraction_numerators_over_ints(monkeypatch):
+def test_vanishes_forms_no_poly_product(monkeypatch):
     # over h_1 - h_2 + 1: 2/3 h_1 + 1/5 h_2 (h_1 - h_2)
-    # - 1/5 (h_1 h_2 - h_2^2) + 2 c h_1, zero for c = -1/3 only; every
-    # product that vanishes forms is of two int polynomials
+    # - 1/5 (h_1 h_2 - h_2^2) + 2 c h_1, zero for c = -1/3 only; vanishes
+    # decides it by one value on ints and multiplies no two polynomials
     n = 2
     seen = []
     mul = Poly.__mul__
@@ -594,7 +595,80 @@ def test_vanishes_multiplies_fraction_numerators_over_ints(monkeypatch):
                   (Poly.var(n, 1), [(over, 2 * extra)])]
         seen.clear()
         assert rmatrix.vanishes(n, groups) is zero
-        assert seen and set(seen) == {int}
+        assert not seen
+
+
+@st.composite
+def _numerator_groups(draw):
+    """Groups (num, terms) at n = 2..4, as ZeroTest passes them: each num is
+    None or a polynomial of degree <= 3 in several variables with negative
+    and Fraction coefficients, and each terms a factored sum as
+    `_factored_sums` draws it.  In most draws one more group cancels a drawn
+    one: num (h_i - h_j + a) times its terms over h_i - h_j + a, negated."""
+    n = draw(st.integers(2, 4))
+    exps = st.lists(st.integers(1, n), max_size=3).map(
+        lambda vs: tuple(vs.count(v) for v in range(1, n + 1)))
+    coeffs = st.one_of(st.integers(-6, 6),
+                       st.fractions(-5, 5, max_denominator=4)).filter(bool)
+    polys = st.dictionaries(exps, coeffs, min_size=1, max_size=4).map(
+        lambda t: Poly(n, {e: c.numerator if c.denominator == 1 else c
+                           for e, c in t.items()}))
+    nums = st.one_of(st.none(), polys)
+    groups = [(draw(nums), draw(_factored_sums(n))[1])
+              for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()) or draw(st.booleans()):
+        num, terms = draw(st.sampled_from(groups))
+        i, j = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                                    unique=True)))
+        a = draw(st.integers(-2, 2))
+        over = {}
+        rmatrix.add_product(over, terms, {(((i, j, a), -1),): -1})
+        times = Poly.diff(n, i, j, a)
+        groups.append((times if num is None else num * times, over))
+    return n, groups
+
+
+@settings(max_examples=100)
+@given(_numerator_groups())
+@example((2, [(Poly(2, {(1, 0): Fraction(-2, 3)}), {(): 1}),
+              (None, {(((1, 2, 0), 1),): Fraction(2, 3)}),
+              (Poly.var(2, 2), {(): Fraction(2, 3)})]))
+def test_vanishes_with_numerators_is_the_canonical_zero_test(ng):
+    n, groups = ng
+    want = RatFun.zero(n)
+    for num, terms in groups:
+        part = _as_ratfun(n, terms)
+        want = want + (part if num is None else RatFun.from_poly(num) * part)
+    assert rmatrix.vanishes(n, [(num, terms.items())
+                                for num, terms in groups]) == want.is_zero()
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_vanishes_at_the_packing_base(w):
+    # B = 2^(8w) is the base of a w-byte slot.  Each nonzero sum below is
+    # (h_1 - h_2) - B or (h_1 - h_2)^2 - B (h_1 - h_2), and reads 0 at
+    # h_1 := B, h_2 := 0, so the base that vanishes takes must exceed B: its
+    # bound counts every constant and every shift a.  Minus its product
+    # form, each sum is zero.
+    n, B = 2, 2 ** (8 * w)
+    h, hb, d = (1, 2, 0), (1, 2, -B), Poly.diff(n, 1, 2)
+    once, twice = {((hb, 1),): 1}, {((hb, 1), (h, 1)): 1}
+    for nonzero, form in (({((h, 1),): 1, (): -B}, once),
+                          ({(((1, 2, 2 - 2 * B), 1),): 1, (): B - 2}, once),
+                          ({((h, 2),): 1, ((h, 1),): -B}, twice)):
+        zero = dict(nonzero)
+        _add_terms(zero, form, -1)
+        assert not rmatrix.vanishes(n, [(None, nonzero.items())])
+        assert rmatrix.vanishes(n, [(None, zero.items())])
+    # the same with numerator groups, which keep h_2
+    for num, form in ((d - Poly.const(n, B), once),
+                      (d * d - d.scale(B), twice)):
+        [(key, _)] = form.items()
+        assert not rmatrix.vanishes(n, [(num, [((), 1)])])
+        assert not rmatrix.vanishes(n, [(num, [((), 1)]), (None, [(key, 1)])])
+        assert rmatrix.vanishes(n, [(num, [((), 1)]), (None, [(key, -1)])])
+        assert rmatrix.vanishes(n, [(num, [(((h, 1),), 1)]),
+                                    (d, [(key, -1)])])
 
 
 def _opaque_tokens(n):
