@@ -21,25 +21,11 @@ which Poly.shift loops over, and RatFun.subst_var renames h_j in every
 denominator factor by one rule.  An index outside 1..n and a mix of two
 ring sizes raise DomainError.
 
-One evaluator mod the prime P = 2**61 - 1 serves every pre-filter: one
-fixed integer point, one power-table cache keyed by coordinate value
-(_coordinate_powers), one reduction of an int or Fraction
-(ModularPoint.scalar, None when P divides the denominator, with the
-inverses mod P cached in _inverse) and the value of a product of linear
-factors (ModularPoint.factors).  Reducing mod P maps the rationals whose
-denominators P does not divide onto the integers mod P and keeps sums and
-products, so a function that is zero in Q(h) is 0 mod P wherever its
-denominators are invertible: a nonzero value proves a function nonzero,
-and a zero value proves nothing.  _may_vanish reads a numerator at the
-fixed point with coordinate i moved onto the hyperplane h_i = h_j - a,
-ModularPoint.value a RatFun at the point moved by a shift vector, and
-rmatrix.ZeroTest a sum of factored terms.  No answer rests on it alone.
-
 A RatFun is canonical: no denominator factor divides its numerator.  A
 construction that is not known to be canonical cancels: a denominator
-factor h_i - h_j + a on which _may_vanish proves the numerator nonzero does
-not divide it; any other goes on to the exact test, the substitution
-h_i := h_j - a, and then to the exact division.
+factor h_i - h_j + a divides the numerator exactly when the substitution
+h_i := h_j - a makes it zero, and each factor that passes this exact test
+is then divided out.
 
 Arithmetic tests only the factors that can cancel (Henrici's rule).  Both
 operands are canonical and distinct factors are coprime, so in a * b a
@@ -64,7 +50,6 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, inf, lcm
 from operator import add
 
@@ -566,119 +551,6 @@ def clear_denominators(values):
     return list(values) if L == 1 else [f * L for f in values]
 
 
-_P = 2**61 - 1  # Mersenne prime
-_STEP = 0x9E3779B97F4A7C15 % _P  # golden-ratio step: coordinates far apart
-
-
-@lru_cache(maxsize=None)
-def _point(n):
-    """The fixed integer point (h_1, ..., h_n) of the evaluator mod _P."""
-    return tuple(k * _STEP % _P for k in range(1, n + 1))
-
-
-class _Powers(dict):
-    """k -> x**k mod _P, computed on first use."""
-
-    __slots__ = ("x",)
-
-    def __init__(self, x):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, k):
-        v = self[k] = pow(self.x, k, _P)
-        return v
-
-
-@lru_cache(maxsize=4096)
-def _coordinate_powers(x):
-    """The power table of the coordinate value x mod _P."""
-    return _Powers(x % _P)
-
-
-@lru_cache(maxsize=4096)
-def _inverse(x):
-    """1/x mod _P for x in 0.._P - 1, None for 0."""
-    return pow(x, -1, _P) if x else None
-
-
-@lru_cache(maxsize=4096)
-def _factor_value(n, i, j, a):
-    """h_i - h_j + a at _point(n) mod _P, and its inverse (None for 0)."""
-    pt = _point(n)
-    x = (pt[i - 1] - pt[j - 1] + a) % _P
-    return x, _inverse(x)
-
-
-def _mod_value(num, coords):
-    """The Poly num mod _P at the point of integer coordinates coords, or
-    None when _P divides a coefficient's denominator."""
-    tables = [_coordinate_powers(x) for x in coords]
-    total = 0
-    for e, c in num.terms.items():
-        v = c if type(c) is int else ModularPoint.scalar(c)
-        if v is None:
-            return None
-        p = 0
-        for k in e:
-            if k:
-                v *= tables[p][k]
-            p += 1
-        total += v
-    return total % _P
-
-
-def _may_vanish(num, i, j, a):
-    """False only if num is provably nonzero on the hyperplane h_i = h_j - a:
-    its value at the fixed point with coordinate i moved there is not 0."""
-    pt = list(_point(num.n))
-    pt[i - 1] = pt[j - 1] - a
-    return not _mod_value(num, pt)
-
-
-class ModularPoint:
-    """The evaluator mod _P at the fixed point of n coordinates, moved by
-    integer shift vectors."""
-
-    __slots__ = ("n", "point")
-    P = _P
-
-    def __init__(self, n):
-        self.n = n
-        self.point = _point(n)
-
-    @staticmethod
-    def scalar(c):
-        """An int or Fraction mod _P, or None."""
-        if type(c) is int:
-            return c % _P
-        inv = _inverse(c.denominator % _P)
-        return None if inv is None else c.numerator * inv % _P
-
-    def factors(self, items, svec=None):
-        """prod (h_i - h_j + a)^e over the ((i, j, a), e) of items at the
-        point + svec, or None when a factor of negative e is 0 there."""
-        v = 1
-        for (i, j, a), e in items:
-            if svec is not None:
-                a += svec[i - 1] - svec[j - 1]
-            x, inv = _factor_value(self.n, i, j, a)
-            if e < 0:
-                if inv is None:
-                    return None
-                x, e = inv, -e
-            v = v * (x if e == 1 else pow(x, e, _P)) % _P
-        return v
-
-    def value(self, f, svec):
-        """The RatFun f at the point + svec, or None."""
-        num = _mod_value(f.num, map(add, self.point, svec))
-        den = self.factors([(fac, -m) for fac, m in f.den.items()], svec)
-        if num is None or den is None:
-            return None
-        return num * den % _P
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -756,8 +628,7 @@ class RatFun:
         for fac, m in self.den.items():
             i, j, a = fac
             # h_i - h_j + a divides num iff num vanishes at h_i := h_j - a
-            while (m > 0 and _may_vanish(num, i, j, a)
-                   and num.subst_var_linear(i, j, -a).is_zero()):
+            while m > 0 and num.subst_var_linear(i, j, -a).is_zero():
                 num = num.div_linfactor(i, j, a)
                 assert num is not None
                 m -= 1

@@ -53,7 +53,7 @@ from itertools import product
 from math import lcm, prod
 from operator import mul, sub
 
-from .ratfield import ModularPoint, Poly, RatFun, canon_factor, eps_vec
+from .ratfield import Poly, RatFun, canon_factor, eps_vec
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +415,15 @@ class ZeroTest:
     (no factor or token of a term is zero).  A longer sum is decided once
     per normal form: `_renamed` without tokens, and with them `_translated`,
     which a sum shares with its translates and its multiples by a product
-    of linear factors.  A new form with tokens is first evaluated mod P at a
-    fixed point (ratfield's one evaluator, ModularPoint): a nonzero value
-    proves it is not zero, and a zero value proves nothing.  Otherwise
-    `vanishes` decides the form by one exact value at a Kronecker point."""
+    of linear factors.  `vanishes` decides each new form by one exact value
+    at a Kronecker point."""
 
-    __slots__ = ("n", "held", "verdicts", "point")
+    __slots__ = ("n", "held", "verdicts")
 
     def __init__(self, n):
         self.n = n
         self.held = {}  # name -> token, so that a name stays unique
         self.verdicts = {}
-        self.point = ModularPoint(n)
 
     def hold(self, token):
         """The name of an opaque token: its id, valid while the test
@@ -442,21 +439,8 @@ class ZeroTest:
         form = _translated(self.n, terms) if tokens else _renamed(terms)
         zero = self.verdicts.get(form)
         if zero is None:
-            zero = self.verdicts[form] = (
-                not (tokens and self._witness(form[1]))
-                and self._exact(*form))
+            zero = self.verdicts[form] = self._exact(*form)
         return zero
-
-    def _witness(self, terms):
-        """True when the value of the sum of terms mod P is not zero."""
-        point, total = self.point, 0
-        for (key, refs), c in terms:
-            vals = [point.scalar(c), point.factors(key)]
-            vals += [point.value(self.held[name], svec) for name, svec in refs]
-            if None in vals:
-                return False
-            total += prod(vals)
-        return total % point.P != 0
 
     def _exact(self, m, terms):
         """Whether the sum of terms in h_1..h_m is zero: each token's

@@ -4,9 +4,8 @@ imports a private name from a sibling module, except the shared rule table
 and rewriting engine that `multicopy` reads from `diffring`.  No module
 holds an `assert` statement, which `python -O` skips, except the invariant
 that `RatFun._cancel` states after its exact divisibility test: so no guard
-or verdict rests on one.  No module but `ratfield` calls three-argument
-`pow` (a power or an inverse mod a prime), so that modular arithmetic has
-one home, its one evaluator mod 2**61 - 1.
+or verdict rests on one.  No module calls three-argument `pow` (a power
+or an inverse mod a prime), so no check rests on arithmetic mod a prime.
 
 `__init__.py` is exempt from the unused-import check, because it imports
 names only to re-export them.
@@ -153,8 +152,6 @@ def test_no_private_import_from_sibling(path):
     assert sorted(found - SHARED_PRIVATE) == []
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
-                                  if p.name != "ratfield.py"],
-                         ids=lambda p: p.name)
-def test_no_modular_pow_outside_ratfield(path):
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_modular_pow(path):
     assert modular_pow_lines(path.read_text()) == []

@@ -10,11 +10,9 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, assume, strategies as st
 
-from hdcalc import ratfield
 from hdcalc.ratfield import (Poly, RatFun, DomainError, PoleError,
                              partial_fractions, factor_linfactors, rank_exact,
-                             eps_vec, canon_factor, exact_coeff, lcm_lift, _P,
-                             _point, _may_vanish)
+                             eps_vec, canon_factor, exact_coeff, lcm_lift)
 
 
 def sym_vars(n):
@@ -135,29 +133,27 @@ def test_constant_numerator_keeps_its_factors_and_not_the_callers_den():
     assert g.den == {(1, 2, 0): 1, (1, 3, 2): 3}
 
 
-def test_cancel_keeps_factor_when_only_the_prefilter_point_vanishes():
-    # h3 - x3 vanishes at the pre-filter point for every hyperplane that
-    # leaves h3 alone, but h1 - h2 does not divide it
+def test_cancel_keeps_factor_when_only_a_point_of_its_hyperplane_vanishes():
+    # h3 - 7 vanishes at points of the hyperplane h1 = h2, but h1 - h2 does
+    # not divide it
     n = 3
-    num = Poly(n, {(0, 0, 1): Fraction(1), (0, 0, 0): Fraction(-_point(n)[2])})
-    assert _may_vanish(num, 1, 2, 0)
+    num = Poly(n, {(0, 0, 1): 1, (0, 0, 0): -7})
     f = RatFun(num, {(1, 2, 0): 1})
     assert f.den == {(1, 2, 0): 1}
     assert f.num == num
 
 
 def test_cancel_with_coefficient_denominator_divisible_by_prime():
-    n = 2
-    rest = Poly(n, {(1, 0): Fraction(1), (0, 0): Fraction(1, 3 * _P)})
-    assert _may_vanish(rest, 1, 2, 0)  # P | denominator: no verdict mod P
+    n, P = 2, 2**61 - 1
+    rest = Poly(n, {(1, 0): Fraction(1), (0, 0): Fraction(1, 3 * P)})
     f = RatFun(Poly.diff(n, 1, 2) ** 2 * rest, {(1, 2, 0): 3, (1, 2, 1): 1})
     assert f.num == rest
     assert f.den == {(1, 2, 0): 1, (1, 2, 1): 1}
 
 
 def _cancel_by_substitution(num, den):
-    """Cancel num / den with no pre-filter and no shortcut: divide by each
-    factor while the substitution h_i := h_j - a sends num to zero."""
+    """Cancel num / den with no shortcut: divide by each factor while the
+    substitution h_i := h_j - a sends num to zero."""
     out = {}
     for (i, j, a), m in den.items():
         while m and num.subst_var_linear(i, j, -a).is_zero():
@@ -171,18 +167,19 @@ def _cancel_by_substitution(num, den):
 def test_one_term_numerator_makes_no_divisibility_test(monkeypatch):
     # no linear factor h_i - h_j + a divides a nonzero monomial
     calls = [0]
-    may_vanish = ratfield._may_vanish
+    subst_var_linear = Poly.subst_var_linear
 
     def counted(*args):
         calls[0] += 1
-        return may_vanish(*args)
+        return subst_var_linear(*args)
 
-    monkeypatch.setattr(ratfield, "_may_vanish", counted)
     den = {(1, 2, 0): 2, (1, 3, -1): 1, (2, 3, 4): 3}
     for c in (1, -7, Fraction(3, 5)):
         for e in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (0, 3, 1), (4, 4, 4)):
             num = Poly(3, {e: c})
-            f = RatFun(num, den)
+            with monkeypatch.context() as m:
+                m.setattr(Poly, "subst_var_linear", counted)
+                f = RatFun(num, den)
             assert (f.num, f.den) == _cancel_by_substitution(num, den)
             assert f.den is not den
     assert calls[0] == 0
@@ -790,28 +787,29 @@ def test_div_linfactor_is_exact_division(pf, times_factor):
 def test_cancellation_work_counts(monkeypatch):
     """Operation counts, which do not jitter the way time does.  Every
     cancellation still happens (the divisions), and no futile divisibility
-    test comes back (the pre-filter calls: 3,209 when every product and sum
-    tested every factor, 1,237 when a constant numerator was tested against
-    its denominator)."""
-    from hdcalc import diffring, ratfield, rmatrix
+    test comes back (the substitutions h_i := h_j - a with j != i, as a
+    shift is j == i: 3,209 when every product and sum tested every factor,
+    1,237 when a constant numerator was tested against its denominator)."""
+    from hdcalc import diffring, rmatrix
     from hdcalc.diffring import (RingSpec, is_overlap_ambiguity, normal_form,
                                  overlap_words, verify_pbw)
 
     for obj in list(vars(rmatrix).values()) + list(vars(diffring).values()):
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
-    calls = {"may_vanish": 0, "div_linfactor": 0}
-    may_vanish, div_linfactor = ratfield._may_vanish, Poly.div_linfactor
+    calls = {"divisibility_tests": 0, "div_linfactor": 0}
+    subst_var_linear, div_linfactor = Poly.subst_var_linear, Poly.div_linfactor
 
-    def counted_may_vanish(*args):
-        calls["may_vanish"] += 1
-        return may_vanish(*args)
+    def counted_subst(self, i, j, a):
+        if j != i:
+            calls["divisibility_tests"] += 1
+        return subst_var_linear(self, i, j, a)
 
     def counted_div_linfactor(*args):
         calls["div_linfactor"] += 1
         return div_linfactor(*args)
 
-    monkeypatch.setattr(ratfield, "_may_vanish", counted_may_vanish)
+    monkeypatch.setattr(Poly, "subst_var_linear", counted_subst)
     monkeypatch.setattr(Poly, "div_linfactor", counted_div_linfactor)
     n = 2
     spec = RingSpec(n, (RatFun.one(n), RatFun.one(n)))
@@ -820,7 +818,7 @@ def test_cancellation_work_counts(monkeypatch):
     # 142 when verify_dybe's rows held canonical values)
     assert verify_pbw(spec).flat
     assert rmatrix.verify_dybe(3).passed
-    assert calls == {"may_vanish": 0, "div_linfactor": 0}
+    assert calls == {"divisibility_tests": 0, "div_linfactor": 0}
     # the canonical normal forms of the 4 overlap ambiguities at n=2, both
     # ways: 4 divisions, as a product of factored coefficients cancels
     # equal factors by their exponents (16 when every product along a path
@@ -830,7 +828,7 @@ def test_cancellation_work_counts(monkeypatch):
             left, right = (normal_form(spec, w, s) for s in ("left", "right"))
             assert left == right
     assert calls["div_linfactor"] == 4
-    assert calls["may_vanish"] <= 4
+    assert calls["divisibility_tests"] <= 4
 
 
 def _layer_ops():
@@ -890,32 +888,3 @@ def test_divisions_and_divisibility_tests_run_inside_ratfun_init(monkeypatch):
         assert seen, name
         assert set(seen) == {"RatFun.__init__"}, name
 
-
-_NEAR_P = st.sampled_from([_P, 2 * _P, 3 * _P])
-
-
-@st.composite
-def _poly_and_factor(draw):
-    """A polynomial at n = 2..4 with exponents up to 3 and int or Fraction
-    coefficients, some with a denominator that _P divides, and a factor
-    h_i - h_j + a with i != j."""
-    n = draw(st.integers(2, 4))
-    exps = st.tuples(*[st.integers(0, 3)] * n)
-    coeffs = st.one_of(
-        st.integers(-9, 9),
-        st.fractions(min_value=-5, max_value=5, max_denominator=7),
-        st.builds(Fraction, st.integers(-9, 9).filter(bool), _NEAR_P))
-    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
-    p = Poly(n, {e: exact_coeff(c) for e, c in terms.items() if c})
-    i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
-                         unique=True))
-    return p, i, j, draw(st.integers(-4, 4))
-
-
-@settings(max_examples=300)
-@given(_poly_and_factor())
-def test_may_vanish_never_rejects_a_multiple_of_the_factor(case):
-    """The pre-filter's False is a proof: on p * (h_i - h_j + a) it answers
-    True for every p."""
-    p, i, j, a = case
-    assert _may_vanish(p * Poly.diff(p.n, i, j, a), i, j, a)

@@ -13,8 +13,8 @@ reads.
 
 Under every mutant, each double reduction must also report exactly the
 words whose two canonical forms differ, and `verify_pbw` the first such
-word's residual: the memo and the modular witness of the shared zero test
-may not change a verdict.
+word's residual: the verdict memo of the shared zero test may not change
+a verdict.
 
 A module mutant patches one coefficient of `diffring._resolve_module`, the
 rules of the module order (x left of d) by which ring elements act on a
