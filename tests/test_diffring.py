@@ -614,6 +614,38 @@ def test_double_reduction_multiplies_out_each_distinct_sum_once(monkeypatch):
         assert calls[0] == want, L
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_word_is_decided_by_one_exact_value_per_new_sum(monkeypatch, n):
+    # every overlap word of a flat and a bumped sigma, each with a fresh
+    # zero test: the sums are read in order up to the first nonzero one,
+    # and each new normal form among them is multiplied out once; a sum of
+    # one term multiplies nothing out
+    calls = _counted(monkeypatch, "vanishes")
+    stopped = 0
+    for spec in _flat_and_bumped(n):
+        for label, w in pbw_words(n):
+            if not is_overlap_ambiguity(w):
+                continue
+            result = diffring._rewrite(
+                n, [("left", w), ("right", [diffring._MINUS_ONE, *w])],
+                diffring._order, diffring._ring_resolve(spec))
+            nonzero = diffring._values(n, result)
+            forms = set()
+            for gens, terms in result[0].items():
+                if len(terms) > 1:
+                    forms.add(rmatrix._translated(n, terms)
+                              if any(refs for _, refs in terms)
+                              else rmatrix._renamed(terms))
+                if gens in nonzero:
+                    stopped += 1
+                    break
+            calls[0] = 0
+            zero = diffring._is_zero(result, rmatrix.ZeroTest(n))
+            assert zero == (not nonzero), label
+            assert calls[0] == len(forms), label
+    assert stopped
+
+
 def test_commutator_of_center_candidate():
     # gamma_1 + gamma_2 - e_1(h) commutes with everything when sigma = (1, 1)
     n = 2

@@ -888,3 +888,61 @@ def test_divisions_and_divisibility_tests_run_inside_ratfun_init(monkeypatch):
         assert seen, name
         assert set(seen) == {"RatFun.__init__"}, name
 
+
+
+@st.composite
+def _poly_and_factor(draw):
+    """A polynomial at n = 2..4 with exponents up to 3 and int or Fraction
+    coefficients, some with a denominator that the prime 2**61 - 1
+    divides, and a factor h_i - h_j + a with i != j in either order."""
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    near_p = st.sampled_from([2**61 - 1, 2 * (2**61 - 1), 3 * (2**61 - 1)])
+    coeffs = st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), near_p))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    p = Poly(n, {e: exact_coeff(c) for e, c in terms.items() if c})
+    i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                         unique=True))
+    return p, i, j, draw(st.integers(-4, 4))
+
+
+@settings(max_examples=300)
+@given(_poly_and_factor())
+def test_cancel_removes_a_factor_from_every_multiple_of_it(case):
+    """p * (h_i - h_j + a) over that factor is p, whatever the
+    denominators of p's coefficients."""
+    p, i, j, a = case
+    fac, sign = canon_factor(i, j, a)
+    f = RatFun(p * Poly.diff(p.n, i, j, a), {fac: 1})
+    assert f.den == {}
+    assert f.num == p.scale(sign)
+
+
+@st.composite
+def _pooled_num_and_den(draw, n=3):
+    """(num, den): a sum of two or more terms times powers of the factors
+    of _POOL, over powers of the same factors, uncancelled."""
+    c = draw(st.sampled_from((1, -2, Fraction(1, 3), Fraction(5, 3 * (2**61 - 1)))))
+    num = draw(st.sampled_from((
+        Poly.var(n, 1) + Poly.var(n, 3),
+        Poly.var(n, 1) * Poly.var(n, 2) + Poly.const(n, Fraction(1, 2)),
+        Poly.diff(n, 2, 3, 2), Poly.diff(n, 1, 2, 1) * Poly.diff(n, 1, 3, 3)))).scale(c)
+    den = {}
+    for fac in _POOL:
+        num = num * Poly.diff(n, *fac) ** draw(st.integers(0, 3))
+        m = draw(st.integers(0, 3))
+        if m:
+            den[fac] = m
+    return num, den
+
+
+@settings(max_examples=100)
+@given(_pooled_num_and_den())
+def test_cancel_matches_cancellation_by_substitution(case):
+    num, den = case
+    f = RatFun(num, den)
+    assert (f.num, f.den) == _cancel_by_substitution(num, den)
+    assert f.den is not den
