@@ -1,8 +1,11 @@
 """Classification of flat potentials: the difference-equation system on the
 sigma vector, its solution space W = span of pi(h_k)/chi_k plus symmetric
 polynomials, and exact reconstruction of a potential from its sigma vector.
-Reconstruction reads the pole part off sigma_1 by one path for every n;
-its closing check Delta_i f = sigma_i is the proof.
+Each equation of the sigma system is a sum of sigma's numerators over
+products of linear factors, decided exactly by `rmatrix.vanishes`, the
+zero test of the rewriting engine's checks.  Reconstruction reads the pole
+part off sigma_1 by one path for every n; its closing check
+Delta_i f = sigma_i is the proof.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from fractions import Fraction
 from math import lcm
 
 from .ratfield import (Poly, RatFun, check_index, clear_denominators, eps_vec,
-                       lcm_lift, partial_fractions, ring_mismatch)
-from .rmatrix import chi_inv, complete_symmetric
+                       partial_fractions, ring_mismatch)
+from .rmatrix import chi_inv, complete_symmetric, factored, vanishes
 
 
 class NotFlat(ValueError):
@@ -49,25 +52,41 @@ def sigma_from_potential(f, n=None):
 def sigma_system_check(sigma):
     """h_ij * Delta_j sigma_i = sigma_i - sigma_j for all i, j.
 
-    Each equation is decided as one numerator identity, with nothing
-    cancelled: (h_ij - 1) sigma_i + sigma_j = h_ij sigma_i[-e_j], both
-    sides lifted to the lcm of their denominators.
+    Each equation (h_ij - 1) sigma_i + sigma_j - h_ij sigma_i[-e_j] = 0 is
+    decided by one `rmatrix.vanishes` call of three groups, with nothing
+    multiplied out or cancelled: each group is the numerator of sigma_i,
+    sigma_j or sigma_i[-e_j], over its term's factor h_ij - 1, 1 or h_ij
+    with that entry's denominator as negative exponents.  A pair of
+    constant entries needs no test: its equation is sigma_j - sigma_i = 0.
     Returns (ok, failing_pair_or_None)."""
     n = len(sigma)
-    sigma = clear_denominators(sigma)  # each equation is linear in sigma
     for i in range(1, n + 1):
         s = sigma[i - 1]
         for j in range(1, n + 1):
             if i == j:
                 continue
-            t, shifted = sigma[j - 1], s.shift(eps_vec(n, j, -1))
-            p, q, den, _ = lcm_lift(Poly.diff(n, i, j, -1) * s.num, s.den,
-                                    t.num, t.den)
-            p, q, _, _ = lcm_lift(p + q, den,
-                                  Poly.diff(n, i, j) * shifted.num, shifted.den)
-            if p != q:
+            t = sigma[j - 1]
+            if s.is_const() and t.is_const():
+                if s != t:
+                    return False, (i, j)
+                continue
+            shifted = s.shift(eps_vec(n, j, -1))
+            [(lower, c)] = factored([(i, j, -1, 1)]).items()
+            [(upper, d)] = factored([(i, j, 0, 1)]).items()
+            groups = [(s.num, [(_over(lower, s.den), c)]),
+                      (t.num, [(_over((), t.den), 1)]),
+                      (shifted.num, [(_over(upper, shifted.den), -d)])]
+            if not vanishes(n, groups):
                 return False, (i, j)
     return True, None
+
+
+def _over(key, den):
+    """The key of a factored term divided by the factor dict den."""
+    out = dict(key)
+    for fac, e in den.items():
+        out[fac] = out.get(fac, 0) - e
+    return out
 
 
 def delta_system_check(f):

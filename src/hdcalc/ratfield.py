@@ -33,8 +33,7 @@ factor of den(a) alone can only divide num(b), and one of den(b) alone only
 num(a); each numerator is cancelled against those before the product, and a
 factor of both denominators is not tested.  In a + b only a factor with the
 same power in both denominators can divide the lifted sum.  The lift to the
-lcm of two denominators is one function, lcm_lift, which cancels nothing;
-the sigma system uses it to decide an equality as one numerator identity.
+lcm of two denominators is one function, lcm_lift, which cancels nothing.
 A product with a constant and a sum with zero are canonical as they stand.
 Cancelling a one-term numerator tests nothing, since no linear factor
 h_i - h_j + a divides a nonzero monomial; so RatFun.build, which often has
@@ -519,13 +518,14 @@ def _add_factor(den, i, j, a, m):
 
 def lcm_lift(p, dp, q, dq):
     """Lift p/dp and q/dq, numerator Polys over factor dicts, to the lcm of
-    the two denominators, cancelling nothing: returns (p', q', den, same)
-    with p/dp = p'/den and q/dq = q'/den, and same mapping each factor of
-    equal power in dp and dq to that power.  The lift is exact for any
-    pair; as den is a nonzero product of linear factors, p/dp = q/dq iff
-    p' == q'.  When both pairs are canonical only a factor in same can
-    divide p' + q': for a = p/F^m and b = q/F^k with m > k the sum is
-    (p + q F^(m-k))/F^m, and F does not divide p."""
+    the two denominators, cancelling nothing; RatFun.__add__ is its one
+    caller.  Returns (p', q', den, same) with p/dp = p'/den and
+    q/dq = q'/den, and same mapping each factor of equal power in dp and
+    dq to that power.  The lift is exact for any pair; as den is a
+    nonzero product of linear factors, p/dp = q/dq iff p' == q'.  When
+    both pairs are canonical only a factor in same can divide p' + q': for
+    a = p/F^m and b = q/F^k with m > k the sum is (p + q F^(m-k))/F^m, and
+    F does not divide p."""
     den = dict(dp)
     same = {}
     for fac, m in dq.items():
@@ -546,7 +546,8 @@ def clear_denominators(values):
     """The RatFuns of values times L, the lcm of the denominators of their
     numerators' coefficients, so that every numerator has int coefficients.
     A linear homogeneous check holds for them exactly when it holds for
-    values, and its lifts then add ints only."""
+    values, and its lifts then add ints only; `delta_system_check` is its
+    one caller."""
     L = lcm(*(c.denominator for f in values for c in f.num.terms.values()))
     return list(values) if L == 1 else [f * L for f in values]
 

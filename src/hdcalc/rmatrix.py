@@ -34,10 +34,11 @@ classical computer algebra; Davenport, Siret and Tournier, Computer
 Algebra, 1988) is decided by `ZeroTest`, one per check: for each compared
 tuple's lhs - rhs here, and for every sum of the rewriting engine's checks
 in `diffring` and of the second YSY equation in `multicopy`, whose terms
-may also carry opaque tokens.  Its exact step, `vanishes`, expands
-nothing: it reads the sum, with every coefficient an int and divided by its
-common factor, at one integer point (Kronecker substitution), h_v := B^(w_v)
-with B = 2^(8w) above a bound on the coefficients, where the value is the
+may also carry opaque tokens.  Its exact step, `vanishes`, which also
+decides each equation of the sigma system in `potential`, expands nothing:
+it reads the sum, with every coefficient an int and divided by its common
+factor, at one integer point (Kronecker substitution), h_v := B^(w_v) with
+B = 2^(8w) above a bound on the coefficients, where the value is the
 coefficient list written in base B and so is 0 exactly when the sum is.
 
 Every quotient here (components, phi, Q^+, 1/chi) has a denominator known
@@ -416,14 +417,16 @@ class ZeroTest:
     per normal form: `_renamed` without tokens, and with them `_translated`,
     which a sum shares with its translates and its multiples by a product
     of linear factors.  `vanishes` decides each new form by one exact value
-    at a Kronecker point."""
+    at a Kronecker point.  Each token is shifted once per (name, shift)
+    and test: `_exact` keeps the shifted tokens in a memo."""
 
-    __slots__ = ("n", "held", "verdicts")
+    __slots__ = ("n", "held", "verdicts", "shifted")
 
     def __init__(self, n):
         self.n = n
         self.held = {}  # name -> token, so that a name stays unique
         self.verdicts = {}
+        self.shifted = {}  # (name, shift) -> the token at h + shift
 
     def hold(self, token):
         """The name of an opaque token: its id, valid while the test
@@ -447,8 +450,11 @@ class ZeroTest:
         denominator joins its term's exponents, and `vanishes` decides the
         sum over the groups of terms with the same tokens, each group times
         the product of its tokens' numerators."""
-        shifted = {ref: self.held[ref[0]].shift(ref[1])
-                   for (_, refs), _ in terms for ref in refs}
+        shifted = self.shifted
+        for (_, refs), _ in terms:
+            for ref in refs:
+                if ref not in shifted:
+                    shifted[ref] = self.held[ref[0]].shift(ref[1])
         groups = {}
         for (key, refs), c in terms:
             if refs:
@@ -465,7 +471,7 @@ class ZeroTest:
 
 def vanishes(n, groups):
     """Whether a sum of factored terms in h_1..h_n is zero; the exact test
-    of `ZeroTest`.
+    of `ZeroTest`, and of each equation of `potential.sigma_system_check`.
 
     groups is an iterable of (num, terms): num is a Poly, or None for 1,
     and terms an iterable of (key, c), each c times prod (h_i - h_j + a)^e
@@ -605,7 +611,9 @@ def vanishes(n, groups):
 
 def _lifted(num, d):
     """The ints d c over the coefficients c of the Poly num, for d a
-    multiple of every denominator."""
+    multiple of every denominator (for d = 1 each c is an int already)."""
+    if d == 1:
+        return num.terms.values()
     return (c * d if type(c) is int else c.numerator * (d // c.denominator)
             for c in num.terms.values())
 

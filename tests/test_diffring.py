@@ -614,6 +614,42 @@ def test_double_reduction_multiplies_out_each_distinct_sum_once(monkeypatch):
         assert calls[0] == want, L
 
 
+def test_a_zero_test_shifts_each_token_once(monkeypatch):
+    # verify_pbw at n = 3 on a flat and a bumped pole sigma: within one
+    # ZeroTest each (token, shift) is shifted at most once, some are read
+    # again from the memo, and every exact verdict is the one an empty memo
+    # gives
+    n = 3
+    f = Hpot(n, 2) + (RatFun.var(n, 2) * Fraction(1, 3) + 1) / chi(n, 2)
+    flat = RingSpec(n, sigma_from_potential(f))
+    bumped = RingSpec(n, [flat.sigma[0] + RatFun.inverse_diff(n, 2, 3, 1),
+                          *flat.sigma[1:]])
+    exact, shift = rmatrix.ZeroTest._exact, RatFun.shift
+    current, shifts, reads = [], [], [0]
+
+    def recorded_exact(test, m, terms):
+        reads[0] += sum(len(refs) for (_, refs), _ in terms)
+        current.append(test)
+        got = exact(test, m, terms)
+        current.pop()
+        memo, test.shifted = test.shifted, {}
+        assert exact(test, m, terms) == got
+        test.shifted = memo
+        return got
+
+    def recorded_shift(token, svec):
+        if current:
+            shifts.append((id(current[-1]), id(token), tuple(svec)))
+        return shift(token, svec)
+
+    monkeypatch.setattr(rmatrix.ZeroTest, "_exact", recorded_exact)
+    monkeypatch.setattr(RatFun, "shift", recorded_shift)
+    assert verify_pbw(flat).flat
+    assert not verify_pbw(bumped).flat
+    assert shifts and len(set(shifts)) == len(shifts)
+    assert reads[0] > len(shifts)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_word_is_decided_by_one_exact_value_per_new_sum(monkeypatch, n):
     # every overlap word of a flat and a bumped sigma, each with a fresh

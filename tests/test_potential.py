@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hdcalc.ratfield import DomainError, Poly, RatFun
 from hdcalc.rmatrix import chi, complete_symmetric
-from hdcalc import central, potential
+from hdcalc import central, potential, ratfield
 from hdcalc.cli import main
 from hdcalc.potential import (MismatchError, NotFlat, NotInW,
                               sigma_from_potential, sigma_system_check,
@@ -90,27 +90,85 @@ def _sigma_system_by_subtraction(sigma):
     return True, None
 
 
-def test_sigma_system_on_fraction_coefficients_matches_subtraction():
-    rng = random.Random(12)
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _sigma_entries(draw, n):
+    """One sigma entry at n: zero, a constant, a polynomial, or a polynomial
+    over one or two shifted differences, with Fraction coefficients."""
+    kind = draw(st.sampled_from(["zero", "constant", "polynomial", "pole"]))
+    if kind == "zero":
+        return RatFun.zero(n)
+    if kind == "constant":
+        return RatFun.const(n, draw(_COEFFS.filter(bool)))
+    exps = st.lists(st.integers(1, n), max_size=2).map(
+        lambda vs: tuple(vs.count(v) for v in range(1, n + 1)))
+    terms = draw(st.dictionaries(exps, _COEFFS.filter(bool), min_size=1, max_size=3))
+    p = RatFun.from_poly(Poly(n, {e: c.numerator if c.denominator == 1 else c
+                                  for e, c in terms.items()}))
+    if kind == "pole":
+        pair = st.tuples(st.integers(1, n), st.integers(1, n),
+                         st.integers(-2, 2)).filter(lambda t: t[0] != t[1])
+        for i, j, a in draw(st.lists(pair, min_size=1, max_size=2)):
+            p = p * RatFun.inverse_diff(n, i, j, a)
+    return p
+
+
+@st.composite
+def _sigma_vectors(draw, n):
+    """Sigma vectors at n: the sigma of a potential in W with poles and
+    Fraction coefficients, as it is or with one entry bumped; one constant
+    n times; or n entries drawn alone, which mixes constant, zero,
+    polynomial and pole entries."""
+    kind = draw(st.sampled_from(["flat", "bumped", "constant", "mixed"]))
+    if kind == "constant":
+        return [RatFun.const(n, draw(_COEFFS))] * n
+    if kind == "mixed":
+        return draw(st.lists(_sigma_entries(n), min_size=n, max_size=n))
+    f = RatFun.zero(n)
+    for L in range(1, 3):
+        f = f + RatFun.from_poly(complete_symmetric(n, L).scale(draw(_COEFFS)))
+    for k in range(2, n + 1):
+        f = f + pole_part(n, k, draw(st.lists(_COEFFS, max_size=2)))
+    sigma = list(sigma_from_potential(f))
+    if kind == "bumped":
+        sigma[draw(st.integers(0, n - 1))] += draw(_sigma_entries(n))
+    return sigma
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_sigma_system_matches_subtraction(n, data):
+    # the verdict and the first failing pair, as RatFun arithmetic finds them
+    sigma = data.draw(_sigma_vectors(n))
+    assert sigma_system_check(sigma) == _sigma_system_by_subtraction(sigma)
+
+
+def test_sigma_system_forms_no_poly_product(monkeypatch):
+    # each equation is one exact value at a Kronecker point: no two
+    # polynomials are multiplied, and nothing is lifted to an lcm
     n = 3
-    bumps = (RatFun.var(n, 2) * Fraction(1, 3),
-             RatFun.inverse_diff(n, 1, 2) * Fraction(-2, 5),
-             RatFun.inverse_diff(n, 2, 3, 1) * RatFun.var(n, 1) * Fraction(3, 7))
-    failed = 0
-    for _ in range(6):
-        f = RatFun.zero(n)
-        for L in range(1, 4):
-            f = f + Hpot(n, L) * Fraction(rng.randrange(-3, 4), rng.randrange(1, 6))
-        f = f + pole_part(n, rng.randrange(2, n + 1),
-                          [Fraction(rng.randrange(-2, 3), rng.randrange(1, 4))
-                           for _ in range(3)])
-        sig = list(sigma_from_potential(f))
-        assert sigma_system_check(sig) == (True, None)
-        sig[rng.randrange(n)] += rng.choice(bumps)
-        want = _sigma_system_by_subtraction(sig)
-        assert sigma_system_check(sig) == want
-        failed += not want[0]
-    assert failed == 6
+    f = (Hpot(n, 2) * Fraction(2, 3)
+         + pole_part(n, 2, [Fraction(1, 3), 0, -2]) + pole_part(n, 3, [1, 5]))
+    flat = sigma_from_potential(f)
+    bumped = (flat[0], flat[1] + RatFun.inverse_diff(n, 1, 2, 1), flat[2])
+    seen = []
+
+    def refused(name, fn):
+        def recorded(*args, **kwargs):
+            seen.append(name)
+            return fn(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(Poly, "__mul__", refused("__mul__", Poly.__mul__))
+    monkeypatch.setattr(Poly, "mul_linfactor",
+                        refused("mul_linfactor", Poly.mul_linfactor))
+    monkeypatch.setattr(ratfield, "lcm_lift", refused("lcm_lift", ratfield.lcm_lift))
+    assert sigma_system_check(flat) == (True, None)
+    assert sigma_system_check(bumped) == (False, (1, 2))
+    assert not seen
 
 
 def test_delta_system_membership():
