@@ -11,10 +11,9 @@ Delta_i f = sigma_i is the proof.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .ratfield import (Poly, RatFun, check_index, clear_denominators, eps_vec,
-                       partial_fractions, ring_mismatch)
+from .ratfield import (Poly, RatFun, check_index, eps_vec, partial_fractions,
+                       ring_mismatch)
 from .rmatrix import chi_inv, complete_symmetric, factored, vanishes
 
 
@@ -40,13 +39,10 @@ class MismatchError(AssertionError):
 
 def sigma_from_potential(f, n=None):
     """sigma_i = Delta_i f for i = 1..n; n, if given, must be f.n
-    (DomainError otherwise).  The differences are taken of L f in ints, L
-    the lcm of the denominators of f's coefficients, and divided by L."""
+    (DomainError otherwise)."""
     if n is not None and n != f.n:
         raise ring_mismatch(f.n, n)
-    L = lcm(*(c.denominator for c in f.num.terms.values()))
-    g = f * L
-    return tuple(g.delta(i) * Fraction(1, L) for i in range(1, f.n + 1))
+    return tuple(f.delta(i) for i in range(1, f.n + 1))
 
 
 def sigma_system_check(sigma):
@@ -92,7 +88,6 @@ def _over(key, den):
 def delta_system_check(f):
     """Delta_i Delta_j (h_ij * f) = 0 for all i < j (membership in W)."""
     n = f.n
-    [f] = clear_denominators([f])  # each equation is linear in f
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             g = (RatFun.from_poly(Poly.diff(n, i, j)) * f).delta(j).delta(i)

@@ -2,19 +2,17 @@
 weight variables h_1..h_n whose denominators are products of integer-shifted
 differences h_i - h_j + a.
 
-Polynomials are sparse exponent-dicts over Q.  A coefficient is a plain int
-when it is integral and a fractions.Fraction otherwise, never a float: the
-constructors store integral values as int, and integer inputs then never
-build a Fraction in the ring operations.  Denominators
+A Poly is a sparse int polynomial over one positive int denominator, the
+least one, so only this module knows how coefficients become ints and
+every kernel adds and multiplies ints; a float never becomes a
+coefficient.  Denominators of a RatFun
 are kept as factored multisets of LinFactor keys (i, j, a) with i < j, meaning
 h_i - h_j + a, and are never expanded; this keeps shifts, cancellation and
 partial fractions exact and cheap.  The two kernels on such a factor are
 single passes over the term dict: Poly.mul_linfactor lifts a numerator by
 (h_i - h_j + a)^k as k passes of three shifted copies, and
 Poly.div_linfactor divides exactly by synthetic division in h_i, with no
-intermediate Poly.  The lift adds ints only: Fraction coefficients are
-multiplied by their common denominator L before the k passes and the result
-is divided by L once; a numerator of ints costs one type test a term.
+intermediate Poly.
 Poly.subst_var_linear (h_i := h_j + a) is the one substitution kernel, with
 the binomial row of each degree built once per call: j == i is the shift,
 which Poly.shift loops over, and RatFun.subst_var renames h_j in every
@@ -49,7 +47,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, inf, lcm
+from math import comb, gcd, inf, lcm
 from operator import add
 
 F0 = Fraction(0)
@@ -143,9 +141,8 @@ def json_exponents(v, n):
 
 
 def exact_coeff(c):
-    """c as a Poly coefficient: an int if it is integral, else a Fraction.
-    A float is refused: its value is already rounded.  The ring operations
-    call it only on a result that is not already an int."""
+    """c as an exact coefficient: an int if it is integral, else a
+    Fraction.  A float is refused: its value is already rounded."""
     if type(c) is int:
         return c
     if isinstance(c, float):
@@ -155,45 +152,65 @@ def exact_coeff(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _exact(c, den):
+    """The coefficient c / den as an int if it is integral, else a Fraction."""
+    return c if den == 1 else Fraction(c, den) if c % den else c // den
+
+
 # ---------------------------------------------------------------------------
 # sparse polynomials
 
 
 class Poly:
-    """Sparse polynomial in h_1..h_n over exact rationals.
+    """Sparse polynomial in h_1..h_n over exact rationals: an int polynomial
+    over one denominator, the layout of FLINT's fmpq_poly.
 
-    terms maps exponent tuples (length n) to nonzero coefficients, each an
-    int or a Fraction and never a float.  Every constructor and operation
-    stores an integral value as an int, also a Fraction that arithmetic
-    makes integral; a result that is already an int costs one type test.
-    Instances are treated as immutable.
+    ints maps exponent tuples (length n) to nonzero ints, and den is the
+    least positive int that makes den times every coefficient an int: so
+    gcd(den, *ints.values()) == 1, and the zero Poly has den 1.  Poly(n,
+    terms) lifts exact coefficients (int or Fraction, never a float); the
+    operations pass ints and den, and each one that can leave a common
+    factor of the two divides it out once.  terms is the read-only view of
+    the exact coefficients, an int where one is integral and a Fraction
+    otherwise.  Instances are treated as immutable.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "ints", "den")
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, terms=None, den=None):
         self.n = n
-        if terms is None:
-            terms = {}
-        self.terms = terms
+        if den is None:
+            terms = {e: exact_coeff(c) for e, c in (terms or {}).items()}
+            den = lcm(*(c.denominator for c in terms.values()))
+            terms = {e: c.numerator * (den // c.denominator)
+                     for e, c in terms.items() if c}
+        self.ints = terms
+        self.den = den
+
+    @property
+    def terms(self):
+        den = self.den
+        if den == 1:
+            return self.ints
+        return {e: _exact(c, den) for e, c in self.ints.items()}
 
     # -- constructors
 
     @classmethod
     def zero(cls, n):
-        return cls(n, {})
+        return cls(n, {}, 1)
 
     @classmethod
     def const(cls, n, c):
         c = exact_coeff(c)
         if c == 0:
-            return cls(n, {})
-        return cls(n, {(0,) * n: c})
+            return cls(n, {}, 1)
+        return cls(n, {(0,) * n: c.numerator}, c.denominator)
 
     @classmethod
     def var(cls, n, i):
         """h_i, 1-based."""
-        return cls(n, {eps_vec(n, i): 1})
+        return cls(n, {eps_vec(n, i): 1}, 1)
 
     @classmethod
     def diff(cls, n, i, j, a=0):
@@ -201,67 +218,70 @@ class Poly:
         canon_factor(i, j, a)  # DomainError if i == j
         out = {eps_vec(n, i): 1, eps_vec(n, j): -1}
         if a:
-            out[(0,) * n] = exact_coeff(a)
+            out[(0,) * n] = a
         return cls(n, out)
 
     # -- predicates / shape
 
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.n in self.terms)
+        return not self.ints or (len(self.ints) == 1 and (0,) * self.n in self.ints)
 
     def const_value(self):
-        if not self.terms:
-            return F0
-        return self.terms.get((0,) * self.n, F0)
+        return self.coeff_of((0,) * self.n)
 
     def total_degree(self):
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.ints)
 
     def degree_in(self, i):
         check_index(self.n, i)
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(e[i - 1] for e in self.terms)
+        return max(e[i - 1] for e in self.ints)
 
     def support_vars(self):
         sup = set()
-        for e in self.terms:
+        for e in self.ints:
             for k, ek in enumerate(e):
                 if ek:
                     sup.add(k + 1)
         return sup
 
     def coeff_of(self, expvec):
-        return self.terms.get(tuple(expvec), F0)
+        c = self.ints.get(tuple(expvec))
+        return F0 if c is None else _exact(c, self.den)
 
     # -- ring ops
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
+        return (isinstance(other, Poly) and self.n == other.n
+                and self.den == other.den and self.ints == other.ints)
 
     __hash__ = None
 
     def __neg__(self):
-        return Poly(self.n, {e: -c for e, c in self.terms.items()})
+        return Poly(self.n, {e: -c for e, c in self.ints.items()}, self.den)
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         if self.n != other.n:
             raise ring_mismatch(self.n, other.n)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        # lift both to the lcm of the two denominators
+        g = gcd(self.den, other.den)
+        m1, m2 = other.den // g, self.den // g
+        out = {e: c * m1 for e, c in self.ints.items()} if m1 != 1 else dict(self.ints)
+        for e, c in other.ints.items():
+            s = out.get(e, 0) + c * m2
             if s:
-                out[e] = s if type(s) is int else exact_coeff(s)
+                out[e] = s
             else:
                 out.pop(e, None)
-        return Poly(self.n, out)
+        return _reduced(self.n, out, self.den * m1)
 
     def __sub__(self, other):
         return self + -other
@@ -274,26 +294,25 @@ class Poly:
         if self.n != other.n:
             raise ring_mismatch(self.n, other.n)
         out = {}
-        sterms = self.terms
-        oterms = other.terms
+        sterms = self.ints
+        oterms = other.ints
         if len(oterms) == 1:
             sterms, oterms = oterms, sterms
         if len(sterms) == 1:
             # adding one fixed exponent vector is injective: no terms merge
             [(e1, c1)] = sterms.items()
             for e2, c2 in oterms.items():
-                s = c1 * c2
-                out[tuple(map(add, e1, e2))] = s if type(s) is int else exact_coeff(s)
-            return Poly(self.n, out)
-        for e1, c1 in sterms.items():
-            for e2, c2 in oterms.items():
-                e = tuple(map(add, e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s if type(s) is int else exact_coeff(s)
-                else:
-                    del out[e]
-        return Poly(self.n, out)
+                out[tuple(map(add, e1, e2))] = c1 * c2
+        else:
+            for e1, c1 in sterms.items():
+                for e2, c2 in oterms.items():
+                    e = tuple(map(add, e1, e2))
+                    s = out.get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return _reduced(self.n, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -301,11 +320,9 @@ class Poly:
         c = exact_coeff(c)
         if c == 0:
             return Poly.zero(self.n)
-        out = {}
-        for e, v in self.terms.items():
-            s = c * v
-            out[e] = s if type(s) is int else exact_coeff(s)
-        return Poly(self.n, out)
+        m = c.numerator
+        return _reduced(self.n, {e: m * v for e, v in self.ints.items()},
+                        self.den * c.denominator)
 
     def __pow__(self, k):
         if k < 0:
@@ -331,8 +348,11 @@ class Poly:
         return p
 
     def subst_var_linear(self, i, j, a):
-        """Substitute h_i := h_j + a; for j != i the result has no h_i, and
-        j == i is the shift h_i := h_i + a.  The one substitution kernel."""
+        """Substitute h_i := h_j + a, for an integer a; for j != i the
+        result has no h_i, and j == i is the shift h_i := h_i + a.  The one
+        substitution kernel.  A shift is an automorphism of Z[h] and keeps
+        den; for j != i terms can merge into a common factor (h_1 + h_2 at
+        h_1 := h_2 is 2 h_2), which is divided out."""
         if not (0 < i <= self.n and 0 < j <= self.n):
             raise DomainError(f"indices {i}, {j} outside 1..{self.n}")
         if j == i and not a:
@@ -341,12 +361,12 @@ class Poly:
         idx = i - 1
         jdx = j - 1
         rows = {}  # d -> the nonzero terms (m, comb(d, m) a^(d-m)) of (h_j+a)^d
-        for e, v in self.terms.items():
+        for e, v in self.ints.items():
             d = e[idx]
             if d == 0:  # free of h_i: the term stays
                 s = out.get(e, 0) + v
                 if s:
-                    out[e] = s if type(s) is int else exact_coeff(s)
+                    out[e] = s
                 else:
                     out.pop(e, None)
                 continue
@@ -368,21 +388,24 @@ class Poly:
                 key = tuple(base)
                 s = out.get(key, 0) + v * b
                 if s:
-                    out[key] = s if type(s) is int else exact_coeff(s)
+                    out[key] = s
                 else:
                     out.pop(key, None)
-        return Poly(self.n, out)
+        if j == i:
+            return Poly(self.n, out, self.den)
+        return _reduced(self.n, out, self.den)
 
     def div_linfactor(self, i, j, a):
         """Exact division by h_i - h_j + a; None if not divisible.
 
-        Synthetic division in h_i by the root u = h_j - a, on the term dict:
+        Synthetic division in h_i by the root u = h_j - a, on the int terms:
         from the top degree in h_i down, each remainder term c h_i^d m moves
         to the quotient as c h_i^(d-1) m and leaves c h_i^(d-1) (h_j - a) m
-        in degree d - 1.  The factor divides iff degree 0 ends empty."""
+        in degree d - 1.  The factor divides iff degree 0 ends empty.  The
+        factor is primitive, so by Gauss's lemma the quotient keeps den."""
         idx, jdx = i - 1, j - 1
         bydeg = {}
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             bydeg.setdefault(e[idx], {})[e] = c
         out = {}
         for d in range(max(bydeg, default=0), 0, -1):
@@ -393,8 +416,6 @@ class Poly:
             for e, c in rem.items():
                 if not c:
                     continue
-                if type(c) is not int:
-                    c = exact_coeff(c)
                 b = list(e)
                 b[idx] = d - 1
                 q = tuple(b)
@@ -406,22 +427,14 @@ class Poly:
                     low[q] = low.get(q, 0) - a * c
         if any(bydeg.get(0, {}).values()):
             return None
-        return Poly(self.n, out)
+        return Poly(self.n, out, self.den)
 
     def mul_linfactor(self, i, j, a, k=1):
         """self * (h_i - h_j + a)^k, for an integer a: k passes, each adding
         three shifted copies of the terms (times h_i, times -h_j, times a).
-        The passes add ints only: Fraction coefficients are first lifted by
-        their common denominator L, and the result is divided by L once."""
+        The factor is primitive, so by Gauss's lemma the product keeps den."""
         idx, jdx = i - 1, j - 1
-        terms = self.terms
-        L = 1
-        for c in terms.values():
-            if type(c) is not int:
-                L = lcm(*(c.denominator for c in terms.values()))
-                terms = {e: c.numerator * (L // c.denominator)
-                         for e, c in terms.items()}
-                break
+        terms = self.ints
         for _ in range(k):
             out = {}
             for e, c in terms.items():
@@ -432,67 +445,76 @@ class Poly:
                 if a:
                     out[e] = out.get(e, 0) + a * c
             terms = {e: c for e, c in out.items() if c}
-        if L != 1:
-            terms = {e: exact_coeff(Fraction(c, L)) for e, c in terms.items()}
-        return Poly(self.n, terms)
+        return Poly(self.n, terms, self.den)
 
     def permuted(self, perm):
         """Relabel variables: h_i -> h_{perm[i]} (perm a permutation of
         1..n, DomainError otherwise)."""
         perm = checked_perm(perm, self.n)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             # a relabelling is injective on exponent vectors: no terms merge
             ne = [0] * self.n
             for k, ek in enumerate(e):
                 ne[perm[k] - 1] = ek
             out[tuple(ne)] = c
-        return Poly(self.n, out)
+        return Poly(self.n, out, self.den)
 
     def evaluate(self, point):
         """Evaluate at a tuple of rationals (int or Fraction), one per weight
         variable; the value is a Fraction.
 
         The sum is taken in integers, with one division at the end: with D
-        the common denominator of the point, X = D * point, L that of the
-        coefficients and deg the total degree, a term c h^e of degree d
-        contributes (L c) X^e D^(deg - d) over L D^deg."""
+        the common denominator of the point, X = D * point and deg the total
+        degree, a term c h^e of ints of degree d contributes c X^e D^(deg - d)
+        over den D^deg."""
         if len(point) != self.n:
             raise ring_mismatch(self.n, len(point))
-        if not self.terms:
+        if not self.ints:
             return F0
         D = lcm(*(x.denominator for x in point))
         X = [x.numerator * (D // x.denominator) for x in point]
-        L = lcm(*(c.denominator for c in self.terms.values()))
-        deg = max(map(sum, self.terms))
+        deg = max(map(sum, self.ints))
         total = 0
-        for e, c in self.terms.items():
-            v = c.numerator * (L // c.denominator) * D ** (deg - sum(e))
+        for e, c in self.ints.items():
+            v = c * D ** (deg - sum(e))
             for x, k in zip(X, e):
                 if k:
                     v *= x ** k
             total += v
-        return Fraction(total, L * D ** deg)
+        return Fraction(total, self.den * D ** deg)
 
     def homogeneous_components(self):
         """dict total degree -> Poly."""
         comps = {}
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             comps.setdefault(sum(e), {})[e] = c
-        return {d: Poly(self.n, t) for d, t in comps.items()}
+        return {d: _reduced(self.n, t, self.den) for d, t in comps.items()}
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "Poly<0>"
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            c = self.terms[e]
+        for e in sorted(terms, key=lambda t: (sum(t), t)):
+            c = terms[e]
             mono = "*".join(
                 f"h{k+1}" + (f"^{d}" if d > 1 else "")
                 for k, d in enumerate(e) if d
             )
             bits.append(f"{c}" + ("*" + mono if mono else ""))
         return "Poly<" + " + ".join(bits) + ">"
+
+
+def _reduced(n, ints, den):
+    """The Poly ints / den, with the common factor of den and the ints
+    divided out."""
+    if den > 1:
+        g = gcd(den, *ints.values())
+        if g > 1:
+            den //= g
+            ints = {e: c // g for e, c in ints.items()}
+    return Poly(n, ints, den)
 
 
 # ---------------------------------------------------------------------------
@@ -540,16 +562,6 @@ def lcm_lift(p, dp, q, dq):
         if extra > 0:
             q = q.mul_linfactor(*fac, extra)
     return p, q, den, same
-
-
-def clear_denominators(values):
-    """The RatFuns of values times L, the lcm of the denominators of their
-    numerators' coefficients, so that every numerator has int coefficients.
-    A linear homogeneous check holds for them exactly when it holds for
-    values, and its lifts then add ints only; `delta_system_check` is its
-    one caller."""
-    L = lcm(*(c.denominator for f in values for c in f.num.terms.values()))
-    return list(values) if L == 1 else [f * L for f in values]
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +627,7 @@ class RatFun:
     def _cancel(self):
         # The result goes to a fresh dict: the caller may still hold `den`.
         num = self.num
-        terms = num.terms
+        terms = num.ints
         if not terms:
             self.den = {}
             return
@@ -686,9 +698,9 @@ class RatFun:
         n = num1.n
         if n != num2.n:
             raise ring_mismatch(n, num2.n)
-        if not num2.terms:
+        if not num2.ints:
             return self
-        if not num1.terms:
+        if not num1.ints:
             return other
         # only a factor with the same power in both denominators can cancel
         num1, num2, den, same = lcm_lift(num1, self.den, num2, other.den)
@@ -722,14 +734,14 @@ class RatFun:
         if n != other.num.n:
             raise ring_mismatch(n, other.num.n)
         a, b = self, other
-        ta, tb = a.num.terms, b.num.terms
+        ta, tb = a.num.ints, b.num.ints
         if not ta or not tb:
             return RatFun.zero(n)
         # a constant has no denominator and one term, of exponent 0
         if not a.den and len(ta) == 1 and (0,) * n in ta:
             a, b, tb = b, a, ta
         if not b.den and len(tb) == 1 and (0,) * n in tb:
-            [c] = tb.values()
+            c = b.num.const_value()
             return a if c == 1 else RatFun(a.num.scale(c), dict(a.den), _canonical=True)
         # A factor in both denominators divides neither numerator.  One in
         # den(a) alone can divide only num(b), and one in den(b) alone only
@@ -850,8 +862,7 @@ class RatFun:
             terms = {}  # terms with the same exponents add up
             for e, c in obj["num"]:
                 e = json_exponents(e, n)
-                terms[e] = exact_coeff(terms.get(e, 0) + exact_coeff(c))
-            terms = {e: c for e, c in terms.items() if c}
+                terms[e] = terms.get(e, 0) + exact_coeff(c)
             den = [((checked_int(i, 1, n), checked_int(j, 1, n),
                      checked_int(a)), checked_int(m, 1))
                    for i, j, a, m in (obj["den"] if "den" in obj else ())]
@@ -955,7 +966,7 @@ def _pair_shifts(p, i, j):
     None if u has no such form.
     """
     top, u = None, {}
-    for e, c in p.terms.items():
+    for e, c in p.ints.items():
         if e[j - 1]:
             continue
         rest = e[:i - 1] + e[i:j - 1] + e[j:]
@@ -970,8 +981,8 @@ def _pair_shifts(p, i, j):
 
 
 def _integer_roots(coeffs):
-    """The roots, with multiplicity, of sum_k coeffs[k] t^k if all are
-    integers; None otherwise.
+    """The roots, with multiplicity, of sum_k coeffs[k] t^k, coeffs ints, if
+    all are integers; None otherwise.
 
     Floor-Newton from the Fujiwara root bound B.  Right of the largest root r of a
     real-rooted polynomial of degree d, a Newton step never passes r and
@@ -982,8 +993,7 @@ def _integer_roots(coeffs):
     integer.
     """
     deg = max(coeffs)
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    u = [int(coeffs.get(k, F0) * den) for k in range(deg + 1)]
+    u = [coeffs.get(k, 0) for k in range(deg + 1)]
     # Fujiwara: every root has |t| <= 2 * max_k |u[deg-k] / u[deg]|^(1/k);
     # each term is rounded up to a power of two
     e = 0

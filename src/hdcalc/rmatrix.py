@@ -478,8 +478,8 @@ def vanishes(n, groups):
     over the ((i, j, a), e) of key (a tuple of items or a dict, every
     factor canonical).  The sum S over the groups of num times the sum of
     its terms is first multiplied by a nonzero integer, so that every
-    coefficient is an int: each num by d, the lcm of its coefficients'
-    denominators, and each constant by L / d, where L is the lcm over all
+    coefficient is an int: each num by its denominator d = num.den, which
+    leaves num.ints, and each constant by L / d, where L is the lcm over all
     groups (d = 1 for a group without a num), and by D, the lcm of the
     constants' denominators.  Then S is divided by its common factor, the
     least exponent of each linear factor over every term (0 where a term
@@ -525,9 +525,7 @@ def vanishes(n, groups):
     x -> (x << s_i) - (x << s_j) + a x, with s_v = 8 w w_v.  No two large
     ints are multiplied, and no Poly is formed."""
     groups = [(num, list(terms)) for num, terms in groups]
-    lifts = [1 if num is None
-             else lcm(*(c.denominator for c in num.terms.values()))
-             for num, _ in groups]
+    lifts = [1 if num is None else num.den for num, _ in groups]
     L = lcm(*lifts)
     D = lcm(*(c.denominator for _, terms in groups for _, c in terms))
     # the common factor: each factor's least exponent over the terms, kept
@@ -580,22 +578,22 @@ def vanishes(n, groups):
             size += weight
             quotients.append((c, factors))
         if num is not None:
-            for v, e in enumerate(map(max, zip(*num.terms)), 1):
+            for v, e in enumerate(map(max, zip(*num.ints)), 1):
                 top[v] = top.get(v, 0) + e
-            size *= sum(map(abs, _lifted(num, d)))
+            size *= sum(map(abs, num.ints.values()))
         for v, e in top.items():
             if e > deg[v]:
                 deg[v] = e
         bound += size
-        parts.append((num, d, quotients))
+        parts.append((num, quotients))
     w = max(1, (bound.bit_length() + 7) // 8)
     shifts, k = [0] * (n + 1), 8 * w
     for v in range(1, n + 1):
         shifts[v] = k
         k *= deg[v] + 1
     total = 0
-    for num, d, quotients in parts:
-        base = 1 if num is None else _packed(num, d, shifts[1:], w)
+    for num, quotients in parts:
+        base = 1 if num is None else _packed(num.ints, shifts[1:], w)
         for c, factors in quotients:
             x = c * base
             for i, j, a, e in factors:
@@ -609,24 +607,15 @@ def vanishes(n, groups):
     return total == 0
 
 
-def _lifted(num, d):
-    """The ints d c over the coefficients c of the Poly num, for d a
-    multiple of every denominator (for d = 1 each c is an int already)."""
-    if d == 1:
-        return num.terms.values()
-    return (c * d if type(c) is int else c.numerator * (d // c.denominator)
-            for c in num.terms.values())
-
-
-def _packed(num, d, shifts, w):
-    """d num at h_v := 2^(shifts[v-1]), each shift a multiple of 8 w, when
-    every coefficient of d num is below 2^(8w) in absolute value and
-    distinct monomials land on distinct w-byte slots: each coefficient is
-    written into its slot of a positive or a negative byte string."""
-    slots = [sum(map(mul, exps, shifts)) >> 3 for exps in num.terms]
+def _packed(ints, shifts, w):
+    """The int polynomial ints at h_v := 2^(shifts[v-1]), each shift a
+    multiple of 8 w, when every int is below 2^(8w) in absolute value and
+    distinct monomials land on distinct w-byte slots: each int is written
+    into its slot of a positive or a negative byte string."""
+    slots = [sum(map(mul, exps, shifts)) >> 3 for exps in ints]
     size = max(slots, default=0) + w
     pos, neg = bytearray(size), bytearray(size)
-    for k, c in zip(slots, _lifted(num, d)):
+    for k, c in zip(slots, ints.values()):
         if c > 0:
             pos[k:k + w] = c.to_bytes(w, "little")
         else:

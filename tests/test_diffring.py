@@ -625,10 +625,12 @@ def test_a_zero_test_shifts_each_token_once(monkeypatch):
     bumped = RingSpec(n, [flat.sigma[0] + RatFun.inverse_diff(n, 2, 3, 1),
                           *flat.sigma[1:]])
     exact, shift = rmatrix.ZeroTest._exact, RatFun.shift
-    current, shifts, reads = [], [], [0]
+    # every ZeroTest stays alive, so that no two of them share an id()
+    current, alive, shifts, reads = [], [], [], [0]
 
     def recorded_exact(test, m, terms):
         reads[0] += sum(len(refs) for (_, refs), _ in terms)
+        alive.append(test)
         current.append(test)
         got = exact(test, m, terms)
         current.pop()

@@ -5,6 +5,7 @@ import pathlib
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -541,10 +542,12 @@ def test_no_float_reaches_a_coefficient(monkeypatch, capsys):
 
     init = Poly.__init__
 
-    def checked(self, n, terms=None):
-        init(self, n, terms)
-        for c in self.terms.values():
-            assert type(c) in (int, Fraction), f"coefficient {c!r}"
+    def checked(self, n, terms=None, den=None):
+        init(self, n, terms, den)
+        assert type(self.den) is int and self.den >= 1, f"den {self.den!r}"
+        for c in self.ints.values():
+            assert type(c) is int and c, f"coefficient {c!r}"
+        assert gcd(self.den, *self.ints.values()) == 1, self
 
     monkeypatch.setattr(Poly, "__init__", checked)
     for cached in (rmatrix.psi, rmatrix.psi_prime, rmatrix.chi, rmatrix.phi,
@@ -738,6 +741,103 @@ def test_integral_fraction_results_become_int():
               h.permuted((2, 1))):
         assert _int_when_integral(p), p
     assert type((h * Poly.const(2, 2)).terms[(1, 0)]) is int
+
+
+def _assert_layout(p, want):
+    """p is ints over den, den the least positive one, and its exact
+    coefficients are the Fraction dict want, term by term."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c for c in p.ints.values())
+    assert gcd(p.den, *p.ints.values()) == 1
+    assert p.terms == {e: c for e, c in want.items() if c}
+    assert _int_when_integral(p)
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return out
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _ref_subst(a, n, i, j, s):
+    """h_i := h_j + s, one term at a time."""
+    out = {}
+    for e, c in a.items():
+        term = {e[:i - 1] + (0,) + e[i:]: c}
+        for _ in range(e[i - 1]):
+            term = _ref_mul(term, {eps_vec(n, j): 1, (0,) * n: s})
+        out = _ref_add(out, term)
+    return out
+
+
+@st.composite
+def _layout_case(draw):
+    """Two coefficient dicts at n = 1..3 whose values have denominators,
+    a scalar, indices i and j, a shift a and a permutation."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.one_of(st.integers(-4, 4),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    p, q = (draw(st.dictionaries(exps, coeffs, max_size=5)) for _ in range(2))
+    c = draw(coeffs)
+    i, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return p, q, c, i, j, draw(st.integers(-2, 2)), perm
+
+
+@settings(max_examples=150)
+@given(_layout_case())
+@example(({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}, {}, Fraction(2, 3),
+          1, 2, 0, (2, 1)))
+def test_every_kernel_keeps_one_least_denominator(case):
+    P, Q, c, i, j, a, perm = case
+    n = len(perm)
+    p, q = Poly(n, P), Poly(n, Q)
+    _assert_layout(p, P)
+    _assert_layout(q, Q)
+    _assert_layout(p + q, _ref_add(P, Q))
+    _assert_layout(p - q, _ref_add(P, Q, -1))
+    _assert_layout(-p, {e: -v for e, v in P.items()})
+    _assert_layout(p * q, _ref_mul(P, Q))
+    _assert_layout(p.scale(c), {e: c * v for e, v in P.items()})
+    _assert_layout(p.shift(eps_vec(n, i, a)), _ref_subst(P, n, i, i, a))
+    _assert_layout(p.subst_var_linear(i, j, a), _ref_subst(P, n, i, j, a))
+    _assert_layout(p.permuted(perm), {tuple(e[perm.index(k)] for k in range(1, n + 1)): v
+                                      for e, v in P.items()})
+    comps = p.homogeneous_components()
+    for d, comp in comps.items():
+        _assert_layout(comp, {e: v for e, v in P.items() if sum(e) == d})
+    assert sorted(comps) == sorted({sum(e) for e, v in P.items() if v})
+    if i != j:
+        lin = Poly.diff(n, i, j, a).terms
+        _assert_layout(p.mul_linfactor(i, j, a, 2), _ref_mul(_ref_mul(P, lin), lin))
+        _assert_layout((p * Poly.diff(n, i, j, a)).div_linfactor(i, j, a), P)
+
+
+def test_the_layout_on_three_examples():
+    # (h1 + h2)/2 at h1 := h2 is h2: the merged terms leave den 1
+    half = Poly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+    assert half.den == 2 and half.ints == {(1, 0): 1, (0, 1): 1}
+    got = half.subst_var_linear(1, 2, 0)
+    assert got == Poly.var(2, 2) and got.den == 1 and got.ints == {(0, 1): 1}
+    h = Poly.var(1, 1)
+    third = h.scale(Fraction(1, 3))
+    assert (third.ints, third.den) == ({(1,): 1}, 3)
+    for p in (third * 3, third * Poly.const(1, 3), third + third + third):
+        assert p == h and p.den == 1
+    for zero in (Poly.zero(2), Poly(2, {(1, 0): Fraction(0)}), half - half,
+                 half * Poly.zero(2), half.scale(0)):
+        assert zero.is_zero() and zero.den == 1 and zero.ints == {}
 
 
 @st.composite
