@@ -5,19 +5,18 @@ rho(t) solves Delta_j rho(t) = prod_{m != j}(1 + h_m t) sigma_j.  It has
 degree n-1 in t and is held as the list [rho_0, ..., rho_{n-1}] of its
 coefficients, each a RatFun in h, so t never enters denominators.  The
 symmetric part of each rho_k is one polynomial, by the chi identity
-sum_j h_j^{p+n-1} / chi_j = H_p; only the pole parts of f are summed as
-RatFuns.  The closing check Delta_j rho_k = sigma_j e_k(no j) is the proof;
-it is linear in f, so it is decided per W-component of f.
+sum_j h_j^{p+n-1} / chi_j = H_p: a sum of hook Schur polynomials
+s_(L,1^k), each written from its support.  Only the pole parts of f are
+summed as RatFuns.  The closing check Delta_j rho_k = sigma_j e_k(no j)
+is the proof; it is linear in f, so it is decided per W-component of f.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .ratfield import Poly, RatFun, eps_vec, ring_mismatch
-from .rmatrix import (CheckReport, complete_symmetric, elementary_symmetric,
+from .rmatrix import (CheckReport, elementary_symmetric, hook_schur,
                       psi_component)
 from .potential import MismatchError, sigma_from_potential, w_decompose
 from .diffring import RingSpec, commutator
@@ -30,41 +29,37 @@ def rho_for(f):
     the n coefficients [rho_0, ..., rho_{n-1}] of rho(t) by power of t.
     f's constant c_0 H_0 is left out: rho depends on f only through Delta f.
 
-    rho is built in ints on D f, D the lcm of the coefficient denominators
-    of f = sum_m g_m + P (`w_decompose`), and divided by D once.  Its proof,
-    the closing check Delta_j rho_k = e_k(no j) Delta_j f, is linear in
-    (rho, f), so it is decided on D f per W-component: P with its
+    Each c_L H_L, L >= 1, of f = sum_m g_m + P (`w_decompose`) adds
+    c_L s_(L,1^k) to rho_k, written term by term (`hook_schur`).  Its
+    proof, the closing check Delta_j rho_k = e_k(no j) Delta_j f, is
+    linear in (rho, f), so it is decided per W-component: P with its
     polynomial share of each rho_k, as Poly identities, and each pole part
     g_m with its share g_m e_k(no m), over its own denominator.  Once
     f == sum_m g_m + P holds too, the component identities add up to the
-    whole one.  If any of these fails, the whole check on D rho and D f
+    whole one.  If any of these fails, the whole check on rho and f
     decides (MismatchError names its first failing k and j)."""
     n = f.n
     dec = w_decompose(f, pivot=1)
-    D = lcm(*(c.denominator for _, c in dec.symmetric),
-            *(c.denominator for p in dec.parts.values() for c in p))
     # rho_k = sum_j e_k(no j) g_j, with g_j the part of f with poles along h_j.
     # As e_k(no j) = sum_i (-h_j)^i e_{k-i}, the chi identity turns the share of
-    # c_L H_L into the polynomial sum_{i<=k} (-1)^i c_L e_{k-i} H_{L+i}
-    hs = [sum((complete_symmetric(n, L + i).scale((-1) ** i * c * D)
-               for L, c in dec.symmetric if L), Poly.zero(n)) for i in range(n)]
-    syms = [sum((elementary_symmetric(n, k - i) * hs[i] for i in range(k + 1)),
+    # c_L H_L into c_L sum_{i<=k} (-1)^i e_{k-i} H_{L+i}, which is c_L s_(L,1^k)
+    syms = [sum((hook_schur(n, L, k).scale(c) for L, c in dec.symmetric if L),
                 Poly.zero(n)) for k in range(n)]
-    parts = {m: dec.summand(m) * D for m in dec.parts}
+    parts = {m: dec.summand(m) for m in dec.parts}
     shares = {m: [g * elementary_symmetric(n, k, skip=m) for k in range(n)]
               for m, g in parts.items()}
     rho = [sum((shares[m][k] for m in parts), RatFun.from_poly(syms[k]))
            for k in range(n)]
-    if not (_first_open(syms, hs[0]) is None
+    if not (_first_open(syms, dec.polynomial()) is None
             and f == dec.reassemble()
             and all(_first_open(shares[m], g) is None
                     for m, g in parts.items())):
-        first = _first_open(rho, f * D)
+        first = _first_open(rho, f)
         if first is not None:
             k, j = first
             raise MismatchError(
                 f"rho_{k} fails its difference equation at j={j}")
-    return [r * Fraction(1, D) for r in rho]
+    return rho
 
 
 def _first_open(rho, g):

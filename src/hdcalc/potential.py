@@ -166,10 +166,14 @@ class WDecomposition:
         pk = Poly(n, {eps_vec(n, k, d): c for d, c in enumerate(self.parts[k]) if c})
         return pk * chi_inv(n, k)
 
+    def polynomial(self):
+        """The symmetric part sum_L c_L H_L, as a Poly."""
+        return _poly_from_sym(self.n, self.symmetric)
+
     def components(self):
         """Each pi_k(h_k)/chi_k, then the symmetric part, as RatFuns."""
         return [self.summand(k) for k in self.parts] + [
-            RatFun.from_poly(_poly_from_sym(self.n, self.symmetric))]
+            RatFun.from_poly(self.polynomial())]
 
     def reassemble(self):
         return sum(self.components(), RatFun.zero(self.n))

@@ -50,8 +50,8 @@ division.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from math import lcm, prod
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, lcm, prod
 from operator import mul, sub
 
 from .ratfield import Poly, RatFun, canon_factor, eps_vec
@@ -183,43 +183,41 @@ def q_plus(n, i):
 # symmetric polynomials
 
 
+def _monomials(n, d, variables=None, distinct=False):
+    """The exponent tuples of the monomials of degree d in h_1..h_n, each
+    once: products of d of `variables` (0-based, default all), distinct
+    ones if `distinct`; none if d < 0."""
+    if d < 0:
+        return
+    pick = combinations if distinct else combinations_with_replacement
+    for vs in pick(range(n) if variables is None else variables, d):
+        e = [0] * n
+        for v in vs:
+            e[v] += 1
+        yield tuple(e)
+
+
 @lru_cache(maxsize=None)
 def elementary_symmetric(n, L, skip=0):
-    """e_L in h_1..h_n, optionally omitting the variable h_skip."""
-    idxs = [i for i in range(1, n + 1) if i != skip]
-    if L < 0 or L > len(idxs):
-        return Poly.zero(n)
-    if L == 0:
-        return Poly.const(n, 1)
-    # recursion e_L(x_1..x_m) = e_L(x_1..x_{m-1}) + x_m e_{L-1}(x_1..x_{m-1})
-    rows = [Poly.const(n, 1)] + [Poly.zero(n)] * L
-    for i in idxs:
-        hi = Poly.var(n, i)
-        for k in range(min(L, len(rows) - 1), 0, -1):
-            rows[k] = rows[k] + hi * rows[k - 1]
-    return rows[L]
+    """e_L in h_1..h_n, optionally omitting the variable h_skip: one term
+    per L-subset of the other variables."""
+    others = [v for v in range(n) if v != skip - 1]
+    return Poly(n, dict.fromkeys(_monomials(n, L, others, distinct=True), 1), 1)
 
 
 @lru_cache(maxsize=None)
 def complete_symmetric(n, L):
     """H_L: sum of all monomials of total degree L."""
-    if L < 0:
-        return Poly.zero(n)
-    if L == 0:
-        return Poly.const(n, 1)
-    rows = [Poly.const(n, 1)] + [Poly.zero(n)] * L
-    for i in range(1, n + 1):
-        hi = Poly.var(n, i)
-        for k in range(1, L + 1):
-            # H with variable h_i allowed any multiplicity: prefix sums
-            rows[k] = rows[k] + hi * rows[k - 1]
-    return rows[L]
+    return Poly(n, dict.fromkeys(_monomials(n, L), 1), 1)
 
 
-def e_generating(n, skip=0):
-    """prod_{m != skip} (1 + h_m t) as a list of Poly coefficients by t-power."""
-    return [elementary_symmetric(n, L, skip=skip)
-            for L in range(n + 1 - (1 if skip else 0))]
+@lru_cache(maxsize=None)
+def hook_schur(n, L, k):
+    """The hook Schur polynomial s_(L,1^k) = sum_{i<=k} (-1)^i e_{k-i}
+    H_{L+i} (Pieri's rule), for L >= 1: a monomial of degree L + k in m
+    variables has the coefficient C(m-1, k), its number of hook tableaux."""
+    return Poly(n, {e: comb(n - e.count(0) - 1, k) for e in _monomials(n, L + k)
+                    if n - e.count(0) > k}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +825,12 @@ def verify_q_identity(n):
     lhs = [RatFun.zero(n)] * (n + 1)
     for j in range(1, n + 1):
         q = q_plus(n, j)
-        comp = [Poly.zero(n)] + e_generating(n, skip=j)
+        comp = [Poly.zero(n)] + [elementary_symmetric(n, L, skip=j)
+                                 for L in range(n)]
         lhs = [s + q * p for s, p in zip(lhs, comp, strict=True)]
     shift_all = tuple([-1] * n)
-    rhs = [RatFun.from_poly(p - p.shift(shift_all)) for p in e_generating(n)]
+    e = [elementary_symmetric(n, L) for L in range(n + 1)]
+    rhs = [RatFun.from_poly(p - p.shift(shift_all)) for p in e]
     if lhs != rhs:
         failures.append("generating")
     for m in range(1, n + 1):

@@ -89,36 +89,18 @@ def test_rho_for_matches_the_reexpansion(n):
     assert rho_for(f) == rho_by_reexpansion(f)
 
 
-def test_rho_for_multiplies_no_fraction_polynomials(monkeypatch):
+def test_rho_for_multiplies_no_fraction_polynomials():
     """On a potential with Fraction coefficients, both in its symmetric
-    part and in its pole part, rho is built and checked over ints: no two
-    Polys of more than one term are multiplied while either holds a
-    Fraction.  The decomposition is computed beforehand, as w_decompose
-    is not under test."""
+    part and in its pole part, rho is the reexpansion's.  Every Poly is an
+    int polynomial over one denominator, so no product here multiplies a
+    Fraction (test_every_kernel_keeps_one_least_denominator)."""
     n = 4
     f = (RatFun.from_poly(complete_symmetric(n, 1).scale(Fraction(4, 3))
                           - complete_symmetric(n, 2).scale(Fraction(1, 2))
                           + complete_symmetric(n, 3).scale(Fraction(3, 5)))
          + Poly(n, {(0, 0, 0, 0): Fraction(1, 3), (0, 1, 0, 0): -2,
                     (0, 2, 0, 0): 1}) * chi_inv(n, 2))
-    want = rho_by_reexpansion(f)
-    dec = w_decompose(f, pivot=1)
-    monkeypatch.setattr(central, "w_decompose", lambda g, pivot: dec)
-    mul = Poly.__mul__
-    seen = []
-
-    def ints_only(self, other):
-        if (isinstance(other, Poly) and len(self.terms) > 1
-                and len(other.terms) > 1
-                and any(type(c) is Fraction for p in (self, other)
-                        for c in p.terms.values())):
-            seen.append((self, other))
-        return mul(self, other)
-
-    monkeypatch.setattr(Poly, "__mul__", ints_only)
-    rho = rho_for(f)
-    assert not seen
-    assert rho == want
+    assert rho_for(f) == rho_by_reexpansion(f)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -138,17 +120,17 @@ def _pole_and_symmetric(n):
 
 
 def test_rho_for_rejects_a_corrupted_share(monkeypatch):
-    # H_3 one h_1 too large: the polynomial share that c_2 H_2 adds to rho_1
-    # and rho_2 through H_{2+1} is wrong, so the symmetric part fails its
-    # own check, and the whole check names the first failing equation
+    # s_(2,1) one h_1 too large: the polynomial share that c_2 H_2 adds to
+    # rho_1 is wrong, so the symmetric part fails its own check, and the
+    # whole check names the first failing equation
     n = 3
-    right = central.complete_symmetric
+    right = central.hook_schur
 
-    def bumped(m, L):
-        p = right(m, L)
-        return p + Poly.var(m, 1) if L == 3 else p
+    def bumped(m, L, k):
+        p = right(m, L, k)
+        return p + Poly.var(m, 1) if (L, k) == (2, 1) else p
 
-    monkeypatch.setattr(central, "complete_symmetric", bumped)
+    monkeypatch.setattr(central, "hook_schur", bumped)
     with pytest.raises(MismatchError, match=r"rho_1 fails .* at j=1$"):
         rho_for(_pole_and_symmetric(n))
 

@@ -17,8 +17,8 @@ from hdcalc.potential import reconstruct_potential, sigma_from_potential
 from hdcalc.ratfield import Poly, RatFun, eps_vec
 from hdcalc.rmatrix import (r_component, r_shifted, psi_component, chi,
                             chi_inv, phi, phi_inv, psi, psi_prime, q_plus,
-                            elementary_symmetric,
-                            complete_symmetric, CheckReport, verify_dybe,
+                            elementary_symmetric, complete_symmetric,
+                            hook_schur, CheckReport, verify_dybe,
                             verify_r_squared, verify_ice,
                             verify_shift_invariance, verify_skew_inverse,
                             verify_q_identity, verify_chi_identity)
@@ -117,6 +117,53 @@ def test_newton_style_identity():
             term = elementary_symmetric(n, k) * complete_symmetric(n, L - k)
             acc = acc + term.scale(Fraction((-1) ** k))
         assert acc.is_zero()
+
+
+def _e_by_recursion(n, L, skip=0):
+    """e_L(x_1..x_m) = e_L(x_1..x_{m-1}) + x_m e_{L-1}(x_1..x_{m-1})."""
+    idxs = [i for i in range(1, n + 1) if i != skip]
+    if L < 0 or L > len(idxs):
+        return Poly.zero(n)
+    rows = [Poly.const(n, 1)] + [Poly.zero(n)] * L
+    for i in idxs:
+        for k in range(L, 0, -1):
+            rows[k] = rows[k] + Poly.var(n, i) * rows[k - 1]
+    return rows[L]
+
+
+def _h_by_recursion(n, L):
+    """H_L with h_i allowed any multiplicity, one variable at a time."""
+    if L < 0:
+        return Poly.zero(n)
+    rows = [Poly.const(n, 1)] + [Poly.zero(n)] * L
+    for i in range(1, n + 1):
+        for k in range(1, L + 1):
+            rows[k] = rows[k] + Poly.var(n, i) * rows[k - 1]
+    return rows[L]
+
+
+def test_symmetric_polynomials_match_their_recursions():
+    for n in range(1, 7):
+        for L in range(-1, n + 2):
+            assert complete_symmetric(n, L) == _h_by_recursion(n, L), (n, L)
+            for skip in range(n + 1):
+                assert (elementary_symmetric(n, L, skip=skip)
+                        == _e_by_recursion(n, L, skip)), (n, L, skip)
+
+
+def test_hook_schur_is_the_pieri_sum():
+    # s_(L,1^k) = sum_{i<=k} (-1)^i e_{k-i} H_{L+i}: 84 cases
+    cases = 0
+    for n in range(1, 7):
+        for L in range(1, 5):
+            for k in range(n):
+                want = Poly.zero(n)
+                for i in range(k + 1):
+                    want = want + (elementary_symmetric(n, k - i)
+                                   * complete_symmetric(n, L + i)).scale((-1) ** i)
+                assert hook_schur(n, L, k) == want, (n, L, k)
+                cases += 1
+    assert cases == 84
 
 
 def test_chi_partial_fraction_identity_small():
