@@ -27,6 +27,16 @@ canonical forms (`normal_form`, `multiply`, `module_form`,
 checks (`double_reduction`, `check_assignment`) need only know whether a
 result is zero, which `_is_zero` decides on each ordered word's sum as the
 engine wrote it, by one `rmatrix.ZeroTest` per check.
+
+The engine's stack holds each path already scanned, and a rule table
+(`_RuleTable`) compiles each out-of-order pair's replacements once per
+check: their constants, their coefficients with the shifts of their own
+generators, and their generators with their order ranks, so a child path
+is built from the compiled replacement with no rule call and no rescan of
+its word.  A table lasts one check (one `double_reduction`, one
+`check_assignment`, one canonical form), never a process or a `RingSpec`:
+a check sees the rules as they are when it starts, and holds its tokens no
+longer than it runs.
 """
 
 from __future__ import annotations
@@ -201,9 +211,65 @@ def _add_term(acc, key, c):
         acc[key] = c
 
 
+class _RuleTable:
+    """A rule function with what the engine keeps of it for one check: per
+    order key, the rank of each generator and each pair's compiled
+    replacements (see _rewrite); held maps the name of each opaque token
+    met to the token and its constant value, or None, and tokens maps the
+    name of each one that is not a constant to the token."""
+
+    __slots__ = ("rule", "memos", "held", "tokens")
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.memos = {}  # order -> (ranks, compiled)
+        self.held = {}
+        self.tokens = {}
+
+
+def _scan(n, toks, order, ranks, rules):
+    """The state of a token word: its constant, the keys of its factored
+    tokens and the (name, shift) of its opaque ones, each shifted by the
+    word's generators to its left, its generators and their ranks.  A
+    constant opaque token folds into the constant; each opaque token is
+    held by the _RuleTable rules."""
+    c = 1
+    facs = refs = gens = rks = ()
+    svec = [0] * n
+    for t in toks:
+        kind = type(t)
+        if kind is tuple:
+            k = ranks.get(t)
+            if k is None:
+                k = ranks[t] = order(t)
+            gens += (t,)
+            rks += (k,)
+            svec[t[1] - 1] += -1 if t[0] == 'x' else 1
+        elif kind is dict:
+            [(key, k)] = t.items()
+            c *= k
+            if key:
+                facs += (shifted_key(key, svec) if gens and any(svec)
+                         else key,)
+        else:
+            # the table keeps t alive, so its id names it for the whole check
+            name = id(t)
+            entry = rules.held.get(name)
+            if entry is None:
+                entry = rules.held[name] = t, t.const_value()
+                if entry[1] is None:
+                    rules.tokens[name] = t
+            if entry[1] is None:
+                refs += ((name, tuple(svec)),)
+            else:
+                c *= entry[1]
+    return c, facs, refs, gens, rks
+
+
 def _rewrite(n, walks, order, resolve):
     """Rewrite a sum of token words into a factored sum over each ordered
-    generator word.  walks lists the words as (strategy, word) pairs.
+    generator word.  walks lists the words as (strategy, word) pairs, and
+    resolve is a rule function or the _RuleTable of the check it serves.
 
     Tokens are generators (species, index, ...) with species 'x' or 'd',
     and factored and opaque coefficients (see the module docstring).  A
@@ -224,70 +290,82 @@ def _rewrite(n, walks, order, resolve):
     word merges into that word's sum, whatever its strategy, so memory grows
     with the distinct terms, not with the paths.
 
+    A stack entry is a path's scanned state (strategy, constant, keys,
+    refs, generators, ranks): a word is scanned once, when it is pushed.
+    The first time a pair is rewritten under a rule table, each of its
+    replacements is compiled by the same scan, with the shifts of its own
+    generators to the left of each coefficient, and one whose constant is 0
+    is dropped.  A child of a path at the pair is then its head, the
+    compiled replacement and its tail, joined: its constant is the
+    product, and each of the replacement's keys and opaque tokens is
+    shifted by the head's generators as well.  The rules preserve weight,
+    so the tail's coefficients, already in the path, need no new shift.
+    double_reduction and check_assignment pass one table for all their
+    walks, so a pair is resolved and compiled once per check; a rule
+    function gets a table for this call alone.  No table outlives its
+    check, so a rule patched between two checks reaches the second, and
+    a token held by one lives no longer than its check.
+
     Returns (sums, tokens).  sums maps each ordered generator tuple to its
     sum {(key, refs): c}: c a nonzero constant, key the sorted factor
     exponents of `rmatrix`, and refs the sorted (name, shift) of the term's
     opaque tokens, where tokens maps each name to its token, and a name is
-    the token's id."""
+    the token's id; tokens holds every opaque token the rule table met, in
+    the order it met them."""
+    rules = resolve if type(resolve) is _RuleTable else _RuleTable(resolve)
     sums = {}
-    tokens = {}
-    consts = {}  # name -> the token's constant value, or None
-    keys = {}  # generator -> order(generator)
-    stack = [(strategy == "left", 1, (), (), list(w)) for strategy, w in walks]
+    memo = rules.memos.get(order)
+    if memo is None:
+        memo = rules.memos[order] = {}, {}
+    ranks, compiled = memo
+    stack = []
+    for strategy, w in walks:
+        c, facs, refs, gens, rks = _scan(n, w, order, ranks, rules)
+        if c:
+            stack.append((strategy == "left", c, facs, refs, gens, rks))
     while stack:
-        left, c, facs, refs, toks = stack.pop()
-        gens = []
-        ranks = []
-        svec = [0] * n
-        for t in toks:
-            kind = type(t)
-            if kind is tuple:
-                gens.append(t)
-                k = keys.get(t)
-                if k is None:
-                    k = keys[t] = order(t)
-                ranks.append(k)
-                svec[t[1] - 1] += -1 if t[0] == 'x' else 1
-            elif kind is dict:
-                [(key, k)] = t.items()
-                c *= k
-                if key:
-                    if gens and any(svec):
-                        key = shifted_key(key, svec)
-                    facs += (key,)
-            else:
-                # tokens keeps t alive, so its id names it for the whole walk
-                name = id(t)
-                if name not in tokens:
-                    tokens[name] = t
-                    consts[name] = t.const_value()
-                k = consts[name]
-                if k is None:
-                    refs += ((name, tuple(svec)),)
-                else:
-                    c *= k
-        if not c:
-            continue
+        left, c, facs, refs, gens, rks = stack.pop()
         idx = None
-        for p in (range(len(ranks) - 1) if left
-                  else range(len(ranks) - 2, -1, -1)):
-            if ranks[p] > ranks[p + 1]:
+        for p in (range(len(rks) - 1) if left
+                  else range(len(rks) - 2, -1, -1)):
+            if rks[p] > rks[p + 1]:
                 idx = p
                 break
         if idx is None:
             term = (key_product(facs),
                     refs if len(refs) < 2 else tuple(sorted(refs)))
-            slot = sums.setdefault(tuple(gens), {})
+            slot = sums.setdefault(gens, {})
             c += slot.get(term, 0)
             if c:
                 slot[term] = c
             else:
                 del slot[term]
             continue
+        pair = gens[idx:idx + 2]
+        repls = compiled.get(pair)
+        if repls is None:
+            repls = compiled[pair] = []
+            for repl in rules.rule(*pair):
+                scan = _scan(n, repl, order, ranks, rules)
+                if scan[0]:
+                    repls.append(scan)
         head, tail = gens[:idx], gens[idx + 2:]
-        for repl in resolve(gens[idx], gens[idx + 1]):
-            stack.append((left, c, facs, refs, head + repl + tail))
-    return sums, tokens
+        rhead, rtail = rks[:idx], rks[idx + 2:]
+        svec = None  # the shift of the head, summed when first needed
+        for k, rfacs, rrefs, rgens, rrks in repls:
+            if rfacs or rrefs:
+                if svec is None:
+                    svec = [0] * n
+                    for t in head:
+                        svec[t[1] - 1] += -1 if t[0] == 'x' else 1
+                    moved = any(svec)
+                if moved:
+                    rfacs = tuple([shifted_key(key, svec) for key in rfacs])
+                    rrefs = tuple([(name, tuple(map(add, svec, s)))
+                                   for name, s in rrefs])
+            stack.append((left, c * k, facs + rfacs, refs + rrefs,
+                          head + rgens + tail, rhead + rrks + rtail))
+    return sums, rules.tokens
 
 
 def _token_value(n, t):
@@ -305,8 +383,10 @@ def _values(n, result):
     cached canonical value of its key; the terms with the same opaque
     tokens are added, and each such sum is multiplied by those tokens, one
     at a time, so that its denominator cancels against each in turn, in the
-    order the walk met them: a token's name is its id, so name order would
-    change the operations from run to run, though not the result."""
+    order the rule table met them, as its words were pushed and its pairs
+    compiled, which is the same in every run: a token's name is its id, so
+    name order would change the operations from run to run, though not the
+    result."""
     sums, tokens = result
     rank = {name: r for r, name in enumerate(tokens)}.get
     out = {}
@@ -639,7 +719,8 @@ def index_label(names, values):
 
 def double_reduction(name, n, words, resolve, form):
     """Reduce each overlap ambiguity w among words both ways under the rules
-    resolve, as one engine walk of w "left" minus w "right", and decide
+    resolve, as one engine walk of w "left" minus w "right", every walk
+    through one rule table (so each pair is resolved once), and decide
     that difference per ordered word by one rmatrix.ZeroTest for every
     word, with no canonical form built: a sum that is a renaming, a
     translate or a multiple by a product of linear factors of one decided
@@ -652,11 +733,12 @@ def double_reduction(name, n, words, resolve, form):
     failures = []
     first = None
     test = ZeroTest(n)
+    rules = _RuleTable(resolve)
     for w in words:
         if not is_overlap_ambiguity(w):
             continue
         walks = [("left", w), ("right", [_MINUS_ONE, *w])]
-        if not _is_zero(_rewrite(n, walks, _order, resolve), test):
+        if not _is_zero(_rewrite(n, walks, _order, rules), test):
             failures.append(word_label(w))
             if first is None:
                 first = form(w, "left"), form(w, "right")
@@ -713,7 +795,8 @@ def check_assignment(src, dst, assign):
     in dst.  The relations are read off the rule table: each out-of-order
     pair t1 t2 must map to the image of its replacement.  The image of
     t1 t2 minus that of its replacement is one sum of words of dst, reduced
-    once, which must be zero (see _is_zero).  Returns a
+    once, through one rule table of dst for all relations, which must be
+    zero (see _is_zero).  Returns a
     CheckReport of the 2n weight checks and the n(n-1) + n^2 relations: a
     failing weight check is labelled by the generator whose image it
     checks, e.g. "x1", and a failing relation by its word, e.g. "x1*d1"."""
@@ -742,7 +825,7 @@ def check_assignment(src, dst, assign):
                     if _order(t1) > _order(t2)),
                    key=lambda p: (p[0][0] != p[1][0], p[0][1] == p[1][1],
                                   p[0][1], p[1][1]))
-    resolve, dst_resolve = _ring_resolve(src), _ring_resolve(dst)
+    resolve, dst_rules = _ring_resolve(src), _RuleTable(_ring_resolve(dst))
     test = ZeroTest(n)
     for t1, t2 in pairs:
         # the image of t1 t2 minus the image of its replacement, as one sum
@@ -755,7 +838,7 @@ def check_assignment(src, dst, assign):
             g = [image[t] for t in repl if type(t) is tuple]
             words += [coeffs + w for w in (_product_words(*g) if g else [[]])]
         if not _is_zero(_rewrite(n, [("left", w) for w in words], _order,
-                                 dst_resolve), test):
+                                 dst_rules), test):
             failures.append(word_label((t1, t2)))
     return CheckReport("assignment", 2 * n + len(pairs), failures)
 

@@ -26,10 +26,10 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
 from .ratfield import (RatFun, DomainError, checked_int, int_from_text,
-                       number_text, printing_numbers, reading_input,
-                       ring_mismatch)
+                       printing_numbers, reading_input, ring_mismatch)
 from .rmatrix import chi as _chi, elementary_symmetric, complete_symmetric
 from .diffring import RingSpec, NormalElement, multiply
 
@@ -376,7 +376,7 @@ _Style = namedtuple("_Style",
 _TEXT = _Style(
     names={"h": "h", "d": "d", "x": "x"}, sub=str, sep="*", op=str,
     quotient=_text_quotient, pull_sign=True,
-    group=lambda s, f, mono: f"({s})" if len(f.num.terms) > 1 and not f.den
+    group=lambda s, f, mono: f"({s})" if len(f.num.ints) > 1 and not f.den
     else s,
     pole="({})/chi({})".format, sym="H({})".format)
 _LATEX = _Style(
@@ -401,20 +401,18 @@ def _gen(st, g, i, m):
     return _pow(st, st.names[g] + st.sub(i), m) if m else ""
 
 
-def _const(st, c):
-    if c.denominator == 1:
-        return number_text(c.numerator)
-    return st.quotient(number_text(c.numerator),
-                       [number_text(c.denominator)], 1)
-
-
-def _term(st, c, mono):
-    """(sign, body) of the nonzero rational c times the monomial text."""
+def _term(st, c, mono, den=1):
+    """(sign, body) of the nonzero rational c / den, den >= 1, times the
+    monomial text; c is an int, or a Fraction when den is 1."""
     sign = "-" if c < 0 else "+"
     c = abs(c)
-    if not mono:
-        return sign, _const(st, c)
-    return sign, mono if c == 1 else _const(st, c) + st.sep + mono
+    p, q = c.numerator, c.denominator * den
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    if mono and p == q == 1:
+        return sign, mono
+    body = str(p) if q == 1 else st.quotient(str(p), [str(q)], 1)
+    return sign, body + st.sep + mono if mono else body
 
 
 def _join(parts):
@@ -427,10 +425,10 @@ def _join(parts):
 
 
 def _poly(st, p):
-    terms = sorted(p.terms.items(),
+    terms = sorted(p.ints.items(),
                    key=lambda t: (-sum(t[0]), tuple(-v for v in t[0])))
     return _join([_term(st, c, st.sep.join(
-        _gen(st, "h", i, m) for i, m in enumerate(e, start=1) if m))
+        _gen(st, "h", i, m) for i, m in enumerate(e, start=1) if m), p.den)
         for e, c in terms])
 
 
@@ -442,9 +440,9 @@ def _ratfun(st, f):
     for (i, j, a), m in sorted(f.den.items()):
         fac = _gen(st, "h", i, 1) + st.op("-") + _gen(st, "h", j, 1)
         if a:
-            fac += st.op("+" if a > 0 else "-") + number_text(abs(a))
+            fac += st.op("+" if a > 0 else "-") + str(abs(a))
         dens.append(_pow(st, f"({fac})", m))
-    return st.quotient(num, dens, len(f.num.terms))
+    return st.quotient(num, dens, len(f.num.ints))
 
 
 def _element(st, el):
@@ -459,8 +457,8 @@ def _element(st, el):
             parts.append(_term(st, c, mono))
             continue
         sign = "+"
-        if (st.pull_sign and len(f.num.terms) == 1
-                and next(iter(f.num.terms.values())) < 0):
+        if (st.pull_sign and len(f.num.ints) == 1
+                and next(iter(f.num.ints.values())) < 0):
             sign, f = "-", -f
         body = st.group(_ratfun(st, f), f, mono)
         if body.startswith("-"):
@@ -472,19 +470,19 @@ def _element(st, el):
 
 
 def format_ratfun(f):
-    return _ratfun(_TEXT, f)
+    return format_value(f)
 
 
 def format_element(el):
-    return _element(_TEXT, el)
+    return format_value(el)
 
 
 def latex_ratfun(f):
-    return _ratfun(_LATEX, f)
+    return format_value(f, "latex")
 
 
 def latex_element(el):
-    return _element(_LATEX, el)
+    return format_value(el, "latex")
 
 
 def format_decomposition(dec, mode="text"):
@@ -492,11 +490,12 @@ def format_decomposition(dec, mode="text"):
     pi_k(h_k)/chi_k, then its symmetric parts c_L H_L, joined as "a - b"."""
     st = _STYLES[mode]
     parts = []
-    for k in sorted(dec.parts):
-        poly = _join([_term(st, c, _gen(st, "h", k, m))
-                      for m, c in enumerate(dec.parts[k]) if c])
-        parts.append(("+", st.pole(poly, k)))
-    parts += [_term(st, c, st.sym(L)) for L, c in dec.symmetric]
+    with printing_numbers():
+        for k in sorted(dec.parts):
+            poly = _join([_term(st, c, _gen(st, "h", k, m))
+                          for m, c in enumerate(dec.parts[k]) if c])
+            parts.append(("+", st.pole(poly, k)))
+        parts += [_term(st, c, st.sym(L)) for L, c in dec.symmetric]
     return _join(parts)
 
 
@@ -520,10 +519,14 @@ def value_from_json(obj):
 
 
 def format_value(v, mode="text"):
+    """v, a RatFun or a NormalElement, as text, LaTeX or JSON; all its
+    numbers are printed inside one printing_numbers block."""
     if mode == "json":
         import json
         with printing_numbers():
             return json.dumps(value_to_json(v), sort_keys=True)
     if mode not in _STYLES:
         raise ValueError(f"unknown format {mode!r}")
-    return (_ratfun if isinstance(v, RatFun) else _element)(_STYLES[mode], v)
+    with printing_numbers():
+        return (_ratfun if isinstance(v, RatFun) else _element)(
+            _STYLES[mode], v)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdcalc import diffring, rmatrix
+from hdcalc import diffring, multicopy, rmatrix
 from hdcalc.ratfield import DomainError, Poly, RatFun, eps_vec
 from hdcalc.rmatrix import chi, complete_symmetric
 from hdcalc.potential import sigma_from_potential
@@ -354,6 +354,33 @@ def test_verify_pbw_reduces_only_overlap_ambiguities(monkeypatch):
             tuple(w) for _, w in pbw_words(n) if is_overlap_ambiguity(w)}
         assert rep.direct.total == 2 * n ** 3 == len(pbw_words(n))
         assert rep.system.total == 1
+
+
+def test_a_check_resolves_each_pair_once(monkeypatch):
+    # one rule table serves every word of a check, so each out-of-order
+    # pair reaches the rule once; the next check makes its own table
+    calls = []
+    resolve = diffring._resolve
+
+    def counted(n, sigma, t1, t2):
+        calls.append((t1, t2))
+        return resolve(n, sigma, t1, t2)
+
+    for module in (diffring, multicopy):
+        monkeypatch.setattr(module, "_resolve", counted)
+    spec = flat_spec(3)
+    seen = []
+    for _ in range(2):
+        calls.clear()
+        assert verify_pbw(spec).flat
+        assert calls and len(calls) == len(set(calls))
+        seen.append(set(calls))
+    assert seen[0] == seen[1]
+    calls.clear()
+    assert ambiguity_oracle(2, 2, 2, SigmaArray.constant(2, 2, 2, 1)).passed
+    assert calls and len(calls) == len(set(calls))
+    # the oracle's words hold pairs of two copies as well as of one
+    assert any(t1[2:] != t2[2:] for t1, t2 in calls)
 
 
 def test_verify_pbw_keeps_the_first_residual():

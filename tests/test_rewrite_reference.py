@@ -8,6 +8,8 @@ visit, and pushes the replacements.  The public forms in `diffring` and
 `multicopy` must give the same terms, in the same order, for the ring's
 normal form, the module form and the multi-copy mixed form, in both
 strategies, also where sigma is not flat and the two strategies disagree.
+So must the engine when many words walk through one shared rule table, as
+`double_reduction` walks them.
 """
 
 import random
@@ -15,10 +17,12 @@ from functools import partial
 
 import pytest
 
-from hdcalc import diffring
+from hdcalc import diffring, multicopy
 from hdcalc.diffring import RingSpec, module_form, normal_form
 from hdcalc.multicopy import SigmaArray, mixed_normal_form
+from hdcalc.potential import sigma_from_potential
 from hdcalc.ratfield import Poly, RatFun
+from hdcalc.rmatrix import complete_symmetric
 
 
 def _token_ratfun(n, t):
@@ -154,3 +158,58 @@ def test_mixed_forms_match_the_reference():
             for w in words for strategy in ("left", "right")]
     assert got == want
     assert any(got[k] != got[k + 1] for k in range(0, len(got), 2))
+
+
+def _flat_sigma(n):
+    """sigma from the potential H_2 - 2 H_1, which is flat."""
+    f = RatFun.from_poly(complete_symmetric(n, 2)
+                         - complete_symmetric(n, 1).scale(2))
+    return sigma_from_potential(f)
+
+
+def _shared_table_cases():
+    """(n, rules, words): the ring's rules at n = 2, 3 and the two-copy
+    rules at n = 2, each on a flat and a bumped sigma, with seeded words."""
+    cases = []
+    for n in (2, 3):
+        flat = _flat_sigma(n)
+        bumped = (flat[0] + _h(n, 2),) + flat[1:]
+        for sigma in (flat, bumped):
+            cases.append((n, diffring._ring_resolve(RingSpec(n, sigma)),
+                          _words(random.Random(40 + n), n, 30)))
+    n = 2
+    flat = SigmaArray.constant(n, 2, 2, {(1, 1): 1, (1, 2): 2, (2, 1): 0,
+                                         (2, 2): 3})
+    bumped = SigmaArray(n, 2, 2, {**flat.entries, (2, 1, 2): _h(n, 1)})
+    for sig in (flat, bumped):
+        cases.append((n, multicopy._mixed_resolve(n, sig),
+                      _words(random.Random(7), n, 30, copies=2)))
+    return cases
+
+
+@pytest.mark.parametrize("case", _shared_table_cases(),
+                         ids=["n2-flat", "n2-bumped", "n3-flat", "n3-bumped",
+                              "copies-flat", "copies-bumped"])
+def test_one_shared_rule_table_matches_the_reference(case):
+    # every word, both ways, walked through one rule table, as
+    # double_reduction walks its words: a compiled replacement is reused
+    # under other heads than the one it was compiled under, whose shift its
+    # keys and tokens must take
+    n, rules, words = case
+    calls = []
+
+    def counted(t1, t2):
+        calls.append((t1, t2))
+        return rules(t1, t2)
+
+    table = diffring._RuleTable(counted)
+    got, want = [], []
+    for w in words:
+        for strategy in ("left", "right"):
+            result = diffring._rewrite(n, [(strategy, w)], diffring._order,
+                                       table)
+            got.append(_items(diffring._values(n, result)))
+            want.append(_items(_rewrite_reference(n, [w], diffring._order,
+                                                  rules, strategy)))
+    assert got == want
+    assert len(calls) == len(set(calls))
