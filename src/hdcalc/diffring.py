@@ -212,17 +212,20 @@ def _add_term(acc, key, c):
 
 
 class _RuleTable:
-    """A rule function with what the engine keeps of it for one check: per
-    order key, the rank of each generator and each pair's compiled
-    replacements (see _rewrite); held maps the name of each opaque token
-    met to the token and its constant value, or None, and tokens maps the
-    name of each one that is not a constant to the token."""
+    """A rule function and the order key it serves, with what the engine
+    keeps of them for one check: the rank of each generator, each pair's
+    compiled replacements (see _rewrite), held, which maps the name of each
+    opaque token met to the token and its constant value, or None, and
+    tokens, which maps the name of each one that is not a constant to the
+    token."""
 
-    __slots__ = ("rule", "memos", "held", "tokens")
+    __slots__ = ("rule", "order", "ranks", "compiled", "held", "tokens")
 
-    def __init__(self, rule):
+    def __init__(self, rule, order):
         self.rule = rule
-        self.memos = {}  # order -> (ranks, compiled)
+        self.order = order
+        self.ranks = {}
+        self.compiled = {}
         self.held = {}
         self.tokens = {}
 
@@ -269,7 +272,8 @@ def _scan(n, toks, order, ranks, rules):
 def _rewrite(n, walks, order, resolve):
     """Rewrite a sum of token words into a factored sum over each ordered
     generator word.  walks lists the words as (strategy, word) pairs, and
-    resolve is a rule function or the _RuleTable of the check it serves.
+    resolve is a rule function or the _RuleTable, made for this order, of
+    the check it serves.
 
     Tokens are generators (species, index, ...) with species 'x' or 'd',
     and factored and opaque coefficients (see the module docstring).  A
@@ -312,12 +316,15 @@ def _rewrite(n, walks, order, resolve):
     opaque tokens, where tokens maps each name to its token, and a name is
     the token's id; tokens holds every opaque token the rule table met, in
     the order it met them."""
-    rules = resolve if type(resolve) is _RuleTable else _RuleTable(resolve)
+    if type(resolve) is _RuleTable:
+        rules = resolve
+        if rules.order is not order:
+            raise ValueError("a rule table serves only the order it was"
+                             " made for")
+    else:
+        rules = _RuleTable(resolve, order)
+    ranks, compiled = rules.ranks, rules.compiled
     sums = {}
-    memo = rules.memos.get(order)
-    if memo is None:
-        memo = rules.memos[order] = {}, {}
-    ranks, compiled = memo
     stack = []
     for strategy, w in walks:
         c, facs, refs, gens, rks = _scan(n, w, order, ranks, rules)
@@ -733,7 +740,7 @@ def double_reduction(name, n, words, resolve, form):
     failures = []
     first = None
     test = ZeroTest(n)
-    rules = _RuleTable(resolve)
+    rules = _RuleTable(resolve, _order)
     for w in words:
         if not is_overlap_ambiguity(w):
             continue
@@ -825,7 +832,7 @@ def check_assignment(src, dst, assign):
                     if _order(t1) > _order(t2)),
                    key=lambda p: (p[0][0] != p[1][0], p[0][1] == p[1][1],
                                   p[0][1], p[1][1]))
-    resolve, dst_rules = _ring_resolve(src), _RuleTable(_ring_resolve(dst))
+    resolve, dst_rules = _ring_resolve(src), _RuleTable(_ring_resolve(dst), _order)
     test = ZeroTest(n)
     for t1, t2 in pairs:
         # the image of t1 t2 minus the image of its replacement, as one sum

@@ -14,11 +14,31 @@ settings.register_profile("hdcalc", derandomize=True, database=None, deadline=No
 settings.load_profile("hdcalc")
 
 
+class _Forgetful(dict):
+    """A memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _StepTable(diffring._RuleTable):
+    """A rule table that compiles no pair for later, so that the engine
+    calls its rule at every step."""
+
+    __slots__ = ()
+
+    def __init__(self, rule, order):
+        super().__init__(rule, order)
+        self.compiled = _Forgetful()
+
+
 @pytest.fixture
 def rewrite_steps(monkeypatch):
     """steps(reduce) -> the pairs (t1, t2) that reduce("left") and
-    reduce("right") rewrite, in order, recorded at the rule table that the
-    ring and its multi-copy form share."""
+    reduce("right") rewrite, every step in order, recorded at the rule
+    table that the ring and its multi-copy form share.  The engine's rule
+    table is swapped for one that keeps no compiled pair, so a pair
+    rewritten twice is recorded twice."""
     seen = []
     resolve = diffring._resolve
 
@@ -28,6 +48,7 @@ def rewrite_steps(monkeypatch):
 
     for module in (diffring, multicopy):
         monkeypatch.setattr(module, "_resolve", recorded)
+    monkeypatch.setattr(diffring, "_RuleTable", _StepTable)
 
     def steps(reduce):
         out = []

@@ -202,7 +202,7 @@ def test_one_shared_rule_table_matches_the_reference(case):
         calls.append((t1, t2))
         return rules(t1, t2)
 
-    table = diffring._RuleTable(counted)
+    table = diffring._RuleTable(counted, diffring._order)
     got, want = [], []
     for w in words:
         for strategy in ("left", "right"):
